@@ -1,8 +1,9 @@
 """Self-contained invariant suite behind the oracle-check command.
 
 Each check compares the production path against an independent route
-(eigendecomposition gate oracle, dense exact evolution) or asserts a
-conservation law, and reports a named pass/fail with a numeric detail.
+(eigendecomposition gate oracle, dense 2^n state vectors and exact
+evolution) or asserts a conservation law, and reports a named pass/fail
+with a numeric detail.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import exact_evolve, transfer_chain, uniform_echo_chain
-from .echo import EchoConfig, run_echo
+from .echo import BACKWARD_EXACT, BACKWARD_TROTTERIZED, EchoConfig, run_echo
 from .gates import (
     afm_duration_for_fm,
     exchange_unitary,
@@ -21,9 +22,21 @@ from .gates import (
     wrap_period,
 )
 from .noise import NoiseModel, make_rng
-from .statevec import prepare_singlet_head
-from .transfer import TransferConfig, run_transfer
-from .trotter import MODE_DIRECT, execute_plan, three_term_plan
+from .statevec import SINGLET, pair_projection_fidelity, prepare_singlet_head
+from .transfer import (
+    ENGINE_EXACT,
+    ENGINE_TROTTER_DIRECT,
+    ENGINES,
+    TransferConfig,
+    run_transfer,
+)
+from .trotter import (
+    MODE_DIRECT,
+    MODE_SIMULATED_FM,
+    execute_plan,
+    second_order_plan,
+    three_term_plan,
+)
 
 
 @dataclass
@@ -31,6 +44,59 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
+
+
+def dense_echo_fidelity(config: EchoConfig) -> float:
+    """run_echo on dense 2^n state vectors, one gate at a time."""
+    spec = uniform_echo_chain(config.n, config.j)
+    state = prepare_singlet_head(config.n)
+    rng = make_rng(config.seed)
+    forward = second_order_plan(spec, config.t, config.n_steps, MODE_SIMULATED_FM)
+    execute_plan(forward, state, config.noise, rng)
+    if config.backward_mode == BACKWARD_TROTTERIZED:
+        backward = second_order_plan(spec, config.t, config.n_steps, MODE_DIRECT)
+        execute_plan(backward, state, config.noise, rng)
+    else:
+        state = exact_evolve(spec, state, config.t)
+    return pair_projection_fidelity(state, (1, 2), SINGLET)
+
+
+def dense_transfer_fidelity(config: TransferConfig) -> float:
+    """run_transfer on dense 2^n state vectors, one gate at a time."""
+    spec = transfer_chain(config.n)
+    state = prepare_singlet_head(config.n)
+    if config.engine == ENGINE_EXACT:
+        state = exact_evolve(spec, state, config.t)
+    else:
+        mode = MODE_DIRECT if config.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
+        plan = three_term_plan(spec, config.t, config.resolved_steps, mode)
+        execute_plan(plan, state, config.noise, make_rng(config.seed))
+    return pair_projection_fidelity(state, (config.n - 1, config.n), SINGLET)
+
+
+def check_sector_vs_dense(max_n: int = 8, seed: int = 0) -> CheckResult:
+    """The one-magnon engine behind every run against the dense oracle:
+    noisy echoes in both backward modes and transfers on every engine,
+    with field noise on the trotter engines."""
+    worst = 0.0
+    for n in range(3, min(8, max_n) + 1):
+        for backward in (BACKWARD_TROTTERIZED, BACKWARD_EXACT):
+            echo = EchoConfig(
+                n=n, t=1.3, n_steps=3, backward_mode=backward,
+                noise=NoiseModel(v=0.05), seed=(seed, n),
+            )
+            worst = max(worst, abs(run_echo(echo).fidelity - dense_echo_fidelity(echo)))
+        for engine in ENGINES:
+            noisy = engine != ENGINE_EXACT
+            transfer = TransferConfig(
+                n=n, n_steps=8, engine=engine, seed=(seed, n),
+                noise=NoiseModel(v=0.05, include_fields=True) if noisy else None,
+            )
+            gap = abs(run_transfer(transfer).fidelity - dense_transfer_fidelity(transfer))
+            worst = max(worst, gap)
+    return CheckResult(
+        name="sector-vs-dense", passed=worst < 1e-12, detail=f"max_dev={worst:.3e}"
+    )
 
 
 def check_exchange_closed_form(inject_theta_sign_bug: bool = False) -> CheckResult:
@@ -156,4 +222,5 @@ def run_all_checks(
         check_conservation(n=min(8, max_n)),
         check_echo_revival(n=min(8, max_n)),
         check_transfer_peak(max_n=max_n),
+        check_sector_vs_dense(max_n=max_n, seed=seed),
     ]

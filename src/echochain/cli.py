@@ -3,8 +3,7 @@ oracle-check invariant suite.
 
 Output contract: CSV with a header row, comma separators, '.' decimal
 point, floats rendered by repr (shortest round-trip), so identical
-flags plus an identical master seed reproduce byte-identical files at
-any parallelism level (cap worker threads with ECHOCHAIN_THREADS).
+flags plus an identical master seed reproduce byte-identical files.
 SVG plots are a convenience rendered after the CSV is written and
 never feed back into it.
 
@@ -22,21 +21,14 @@ import numpy as np
 
 from . import svgplot
 from .checks import run_all_checks
-from .echo import EchoConfig, echo_fidelity_curve
+from .echo import EchoConfig, echo_fidelity_curve, max_leg_duration
+from .gates import fits_wrap_period
 from .meanfield import SCHEDULES, IntegratorConfig, run_meanfield_echo
-from .noise import (
-    NoiseModel,
-    child_seed,
-    default_v_grid,
-    loglog_fit,
-    run_trials,
-    protocol_runner,
-)
+from .noise import NoiseModel, TrialStats, default_v_grid, slope_vs_n
 from .transfer import (
     ENGINE_EXACT,
     ENGINES,
     TransferConfig,
-    default_transfer_steps,
     transfer_fidelity_curve,
 )
 
@@ -146,6 +138,15 @@ def cmd_echo(opts: SimpleNamespace) -> int:
         raise UsageError(f"need at least one grid point, got {opts.points}")
     if opts.steps < 1:
         raise UsageError(f"need at least one step, got {opts.steps}")
+    if opts.j <= 0:
+        raise UsageError(f"coupling must be positive, got {opts.j}")
+    # The simulated ferromagnet fits each step's slice into one wrap
+    # period, checked as the plan builder checks it.
+    if not (opts.t_max >= 0 and fits_wrap_period(opts.t_max / opts.steps, opts.j)):
+        longest = max_leg_duration(opts.j, opts.steps)
+        raise UsageError(
+            f"--t-max must lie in [0, {longest!r}] (steps * 2*pi / j), got {opts.t_max}"
+        )
     if opts.noise_v < 0:
         raise UsageError("noise strength must be nonnegative")
     noise = NoiseModel(v=opts.noise_v) if opts.noise_v > 0 else None
@@ -218,15 +219,16 @@ def cmd_transfer(opts: SimpleNamespace) -> int:
         raise UsageError("noise strength must be nonnegative")
     if opts.noise_v > 0 and opts.engine == ENGINE_EXACT:
         raise UsageError("the exact engine is noise-free; pick a trotter engine")
+    if not opts.t_max >= 0:
+        raise UsageError(f"--t-max must be nonnegative, got {opts.t_max}")
     noise = NoiseModel(v=opts.noise_v) if opts.noise_v > 0 else None
-    steps = opts.steps if opts.steps is not None else default_transfer_steps(opts.n)
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
     config = TransferConfig(
-        n=opts.n, t=0.0, n_steps=steps, engine=opts.engine, noise=noise, seed=opts.seed
+        n=opts.n, t=0.0, n_steps=opts.steps, engine=opts.engine, noise=noise, seed=opts.seed
     )
     curve = transfer_fidelity_curve(config, grid)
     header = ["n", "t", "steps", "engine", "v", "seed", "f_tr", "i_tr"]
-    shown_steps = "" if opts.engine == ENGINE_EXACT else steps
+    shown_steps = "" if opts.engine == ENGINE_EXACT else config.resolved_steps
     rows = [
         [opts.n, t, shown_steps, opts.engine, opts.noise_v, opts.seed, f, 1.0 - f]
         for t, f in curve
@@ -277,44 +279,29 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
     if opts.protocol == "transfer":
         params["engine"] = opts.engine
 
-    def steps_for(n: int) -> int:
-        if opts.steps is not None:
-            return opts.steps
-        if opts.protocol == "transfer":
-            return default_transfer_steps(n)
-        return 4
-
     trial_rows: list[list] = []
-    fit_rows: list[list] = []
     fit_series: dict[int, list[tuple[float, float]]] = {}
-    slope_points: list[tuple[int, float]] = []
-    for n in ns:
-        runner = protocol_runner(opts.protocol, n=n, **params)
-        points: list[tuple[float, float]] = []
-        for vi, v in enumerate(v_grid):
-            stats = run_trials(
-                runner,
-                float(v),
-                opts.trials,
-                child_seed(child_seed(opts.seed, n), vi),
-                protocol=opts.protocol,
-                n=n,
-                include_fields=opts.field_noise,
+
+    def collect(stats: TrialStats) -> None:
+        for k, infidelity in enumerate(stats.infidelities):
+            trial_rows.append(
+                [opts.protocol, stats.n, opts.t, stats.steps, stats.v, k,
+                 opts.seed, float(infidelity)]
             )
-            for k, infidelity in enumerate(stats.infidelities):
-                trial_rows.append(
-                    [opts.protocol, n, opts.t, steps_for(n), float(v), k,
-                     opts.seed, float(infidelity)]
-                )
-            if stats.mean_infidelity > 0:
-                points.append((float(v), stats.mean_infidelity))
-        fit = loglog_fit(points)
-        fit_series[n] = points
-        slope_points.append((n, fit.b))
-        parity = ("even" if n % 2 == 0 else "odd") if opts.protocol == "transfer" else ""
-        fit_rows.append(
-            [opts.protocol, n, parity, fit.a, fit.b, fit.r_squared, len(points)]
-        )
+        if stats.mean_infidelity > 0:
+            fit_series.setdefault(stats.n, []).append((stats.v, stats.mean_infidelity))
+
+    fits = slope_vs_n(
+        opts.protocol, ns, v_grid, opts.trials, opts.seed,
+        on_stats=collect, include_fields=opts.field_noise, **params,
+    )
+    slope_points = [(n, fit.b) for n, fit in fits]
+    fit_rows = [
+        [opts.protocol, n,
+         ("even" if n % 2 == 0 else "odd") if opts.protocol == "transfer" else "",
+         fit.a, fit.b, fit.r_squared, len(fit.residuals)]
+        for n, fit in fits
+    ]
     write_csv(
         opts.out_trials,
         ["protocol", "n", "t", "steps", "v", "trial", "seed", "infidelity"],

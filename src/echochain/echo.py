@@ -12,20 +12,16 @@ error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
-from . import statevec
-from .chain import exact_evolve, uniform_echo_chain
-from .noise import NoiseModel, Seed, child_seed, make_rng
-from .statevec import (
-    SINGLET,
-    StateVector,
-    pair_projection_fidelity,
-    prepare_singlet_head,
-    total_sz,
-)
-from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, execute_plan, second_order_plan
+import numpy as np
+
+from . import sector
+from .chain import uniform_echo_chain
+from .noise import GateNoise, NoiseModel, Seed, model_noise
+from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, second_order_plan
 
 BACKWARD_TROTTERIZED = "trotterized"
 BACKWARD_EXACT = "exact-continuous"
@@ -64,47 +60,57 @@ class EchoResult:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
-def run_echo(config: EchoConfig) -> EchoResult:
-    """One echo: singlet head in, forward + backward legs, revival out."""
+def _final_states(
+    config: EchoConfig, times: Sequence[float], noise: GateNoise | None
+) -> np.ndarray:
+    """One echo per row: row r runs for times[r] (or times[0] for every
+    row) and draws its gate errors from row r of `noise`."""
     spec = uniform_echo_chain(config.n, config.j)
-    state = prepare_singlet_head(config.n)
-    sz_initial = total_sz(state)
-    rng = make_rng(config.seed)
-
-    forward = second_order_plan(spec, config.t, config.n_steps, MODE_SIMULATED_FM)
-    execute_plan(forward, state, config.noise, rng)
-
+    c = sector.singlet_head(len(noise) if noise is not None else len(times), config.n)
+    forward = [second_order_plan(spec, t, config.n_steps, MODE_SIMULATED_FM) for t in times]
+    sector.evolve(c, forward, noise)
     if config.backward_mode == BACKWARD_TROTTERIZED:
-        backward = second_order_plan(spec, config.t, config.n_steps, MODE_DIRECT)
-        execute_plan(backward, state, config.noise, rng)
+        backward = [second_order_plan(spec, t, config.n_steps, MODE_DIRECT) for t in times]
+        sector.evolve(c, backward, noise)
     else:
         # Continuous antiferromagnetic return; used as a probe of the
         # forward leg's Trotter error, so it is never noisy.
-        state = exact_evolve(spec, state, config.t)
+        c = sector.exact_evolve(spec, c, times)
+    sector.check_norm(c)
+    return c
 
-    fidelity = pair_projection_fidelity(state, (1, 2), SINGLET)
+
+def run_echo(config: EchoConfig) -> EchoResult:
+    """One echo: singlet head in, forward + backward legs, revival out."""
+    c = _final_states(config, [config.t], model_noise(config.noise, [config.seed]))
+    fidelity = float(sector.singlet_fidelity(c, 1, 2)[0])
     return EchoResult(
         fidelity=fidelity,
         infidelity=1.0 - fidelity,
         elapsed=2.0 * config.t,
         metadata={
             "config": config,
-            "final_norm": statevec.norm(state),
-            "sz_initial": sz_initial,
-            "sz_final": total_sz(state),
+            "final_norm": float(np.linalg.norm(c[0])),
+            "sz_initial": float(sector.total_sz(sector.singlet_head(1, config.n))[0]),
+            "sz_final": float(sector.total_sz(c)[0]),
         },
     )
+
+
+def echo_infidelities(config: EchoConfig, noise: GateNoise) -> np.ndarray:
+    """Infidelity of one noisy echo of duration config.t per row of `noise`."""
+    c = _final_states(config, [config.t], noise)
+    return 1.0 - sector.singlet_fidelity(c, 1, 2)
 
 
 def echo_fidelity_curve(
     config: EchoConfig, t_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """run_echo per grid point; point k gets the sub-seed (seed, k)."""
-    curve = []
-    for k, t in enumerate(t_grid):
-        point = replace(config, t=float(t), seed=child_seed(config.seed, k))
-        curve.append((float(t), run_echo(point).fidelity))
-    return curve
+    """One echo per grid point, all in one batch; point k gets the
+    sub-seed (seed, k)."""
+    return sector.fidelity_curve(
+        partial(_final_states, config), t_grid, config.noise, config.seed, (1, 2)
+    )
 
 
 def max_leg_duration(j: float, n_steps: int) -> float:

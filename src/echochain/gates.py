@@ -75,6 +75,12 @@ def reduce_to_wrap_period(t: float, j_fm: float) -> tuple[float, int]:
     return t - wraps * period, wraps
 
 
+def fits_wrap_period(t: float, j_fm: float) -> bool:
+    """0 <= t <= one wrap period, forgiving the rounding of a duration
+    computed as a quotient (t / n_steps)."""
+    return 0 <= t <= wrap_period(j_fm) * (1.0 + 1e-12) + 1e-12
+
+
 def afm_duration_for_fm(t: float, j_afm: float, j_fm: float) -> float:
     """Antiferromagnetic pulse duration t' that reproduces ferromagnetic
     evolution of duration t (strength j_fm) up to a global phase:
@@ -89,7 +95,7 @@ def afm_duration_for_fm(t: float, j_afm: float, j_fm: float) -> float:
     if t < 0:
         raise ValueError(f"duration must be nonnegative, got {t}")
     period = wrap_period(j_fm)
-    if t > period * (1.0 + 1e-12) + 1e-12:
+    if not fits_wrap_period(t, j_fm):
         raise ValueError(
             f"duration {t} exceeds the wrap period {period}; reduce it first"
         )

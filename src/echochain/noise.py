@@ -8,21 +8,19 @@ step.  This multiplies the coupling at fixed duration, so a long pulse
 is proportionally more sensitive than a short one.
 
 Trials are seeded with SeedSequence([master_seed, trial]) so every
-trial has an independent stream and results do not depend on execution
-order or thread count.
+trial has an independent stream and results do not depend on how the
+trials are batched.  All trials of a sweep at one chain length run as
+one batch of the one-magnon engine (`echochain.sector`).
 """
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 Seed = int | tuple[int, ...]
-TrialRunner = Callable[[Seed, "NoiseModel"], float]
 
 
 @dataclass(frozen=True)
@@ -64,12 +62,51 @@ def child_seed(seed: Seed, index: int) -> tuple[int, ...]:
     return (int(seed), int(index))
 
 
-def thread_count() -> int:
-    """Worker cap from ECHOCHAIN_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("ECHOCHAIN_THREADS", "1")))
-    except ValueError:
-        return 1
+class GateNoise:
+    """Gate errors for a batch of trials, one independent stream per row.
+
+    Row r draws standard normals z from make_rng(seeds[r]) in gate
+    execution order and perturbs an angle by eta = z * v[r]: the same
+    values, bit for bit, that sample_eta draws one gate at a time.
+    """
+
+    def __init__(self, seeds: Sequence[Seed], v, include_fields: bool = False) -> None:
+        self.v = np.asarray(v, dtype=float).reshape(-1, 1)
+        if self.v.shape[0] != len(seeds):
+            raise ValueError(f"{len(seeds)} seeds but {self.v.shape[0]} noise strengths")
+        if np.any(self.v < 0):
+            raise ValueError("noise strength must be nonnegative")
+        self.include_fields = include_fields
+        self._rngs = [make_rng(seed) for seed in seeds]
+
+    def __len__(self) -> int:
+        return len(self._rngs)
+
+    def take(self, count: int) -> np.ndarray:
+        """The next `count` errors of every row, shape (rows, count)."""
+        z = np.empty((len(self._rngs), count))
+        for row, rng in zip(z, self._rngs):
+            rng.standard_normal(out=row)
+        return z * self.v
+
+
+def model_noise(model: NoiseModel | None, seeds: Sequence[Seed]) -> GateNoise | None:
+    """One stream per seed at the model's strength; None without a model."""
+    if model is None:
+        return None
+    return GateNoise(seeds, np.full(len(seeds), model.v), model.include_fields)
+
+
+@dataclass(frozen=True)
+class TrialRunner:
+    """Noisy trials of one protocol at one chain length.
+
+    `infidelities(noise)` runs one trial per row of a GateNoise as one
+    batch; `n_steps` is the Trotter step count the runner resolved.
+    """
+
+    n_steps: int
+    infidelities: Callable[[GateNoise], np.ndarray]
 
 
 @dataclass
@@ -80,6 +117,7 @@ class TrialStats:
     n: int
     v: float
     trials: int
+    steps: int  # Trotter steps per leg, as the runner resolved them
     mean_infidelity: float
     std_infidelity: float
     infidelities: np.ndarray = field(repr=False)
@@ -101,6 +139,40 @@ class FitResult:
         return self.r_squared >= 0.95
 
 
+def _trial_stats(
+    protocol: str, n: int, v: float, steps: int, infidelities: np.ndarray
+) -> TrialStats:
+    if np.any(infidelities < -1e-12) or np.any(infidelities > 1 + 1e-12):
+        raise RuntimeError("trial infidelity left [0, 1]")
+    return TrialStats(
+        protocol=protocol,
+        n=n,
+        v=v,
+        trials=len(infidelities),
+        steps=steps,
+        mean_infidelity=float(infidelities.mean()),
+        std_infidelity=float(infidelities.std()),
+        infidelities=infidelities,
+    )
+
+
+def _batch_stats(
+    runner: TrialRunner,
+    protocol: str,
+    n: int,
+    v_grid: Sequence[float],
+    base_seeds: Sequence[Seed],
+    trials: int,
+    include_fields: bool,
+) -> list[TrialStats]:
+    """Every trial at every v_grid[i] as one batch; trial k of v_grid[i]
+    draws its gate errors from child_seed(base_seeds[i], k)."""
+    seeds = [child_seed(base, k) for base in base_seeds for k in range(trials)]
+    noise = GateNoise(seeds, np.repeat(v_grid, trials), include_fields)
+    rows = runner.infidelities(noise).reshape(len(v_grid), trials)
+    return [_trial_stats(protocol, n, v, runner.n_steps, row) for v, row in zip(v_grid, rows)]
+
+
 def run_trials(
     runner: TrialRunner,
     v: float,
@@ -111,37 +183,13 @@ def run_trials(
     n: int = 0,
     include_fields: bool = False,
 ) -> TrialStats:
-    """Repeat a protocol `trials` times at noise strength v.
+    """Repeat a protocol `trials` times at noise strength v, as one batch.
 
-    runner(seed, noise) must return one infidelity; trial k receives
-    the seed child_seed(master_seed, k).  Results are folded in trial
-    order regardless of how many worker threads execute them.
+    Trial k draws its gate errors from child_seed(master_seed, k).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
-    noise = NoiseModel(v=v, include_fields=include_fields)
-
-    def one(k: int) -> float:
-        return runner(child_seed(master_seed, k), noise)
-
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one, range(trials)))
-    else:
-        values = [one(k) for k in range(trials)]
-    infidelities = np.array(values, dtype=float)
-    if np.any(infidelities < -1e-12) or np.any(infidelities > 1 + 1e-12):
-        raise RuntimeError("trial infidelity left [0, 1]")
-    return TrialStats(
-        protocol=protocol,
-        n=n,
-        v=v,
-        trials=trials,
-        mean_infidelity=float(infidelities.mean()),
-        std_infidelity=float(infidelities.std()),
-        infidelities=infidelities,
-    )
+    return _batch_stats(runner, protocol, n, [v], [master_seed], trials, include_fields)[0]
 
 
 def loglog_fit(points: Iterable[tuple[float, float]]) -> FitResult:
@@ -183,34 +231,28 @@ def protocol_runner(protocol: str, **params) -> TrialRunner:
     Imports are deferred so the protocol modules can depend on this one.
     """
     if protocol == "echo":
-        from .echo import EchoConfig, run_echo
+        from .echo import EchoConfig, echo_infidelities
 
-        cfg = dict(
+        config = EchoConfig(
             n=params["n"],
             j=params.get("j", 1.0),
             t=params.get("t", math.pi / 2),
             n_steps=params.get("n_steps", 4),
             backward_mode=params.get("backward_mode", "trotterized"),
         )
-
-        def run(seed: Seed, noise: NoiseModel) -> float:
-            return run_echo(EchoConfig(noise=noise, seed=seed, **cfg)).infidelity
-
-        return run
+        return TrialRunner(config.n_steps, lambda noise: echo_infidelities(config, noise))
     if protocol == "transfer":
-        from .transfer import TransferConfig, run_transfer
+        from .transfer import TransferConfig, transfer_infidelities
 
-        cfg = dict(
+        config = TransferConfig(
             n=params["n"],
             t=params.get("t", math.pi / 2),
             n_steps=params.get("n_steps"),
             engine=params.get("engine", "trotter-simfm"),
         )
-
-        def run(seed: Seed, noise: NoiseModel) -> float:
-            return run_transfer(TransferConfig(noise=noise, seed=seed, **cfg)).infidelity
-
-        return run
+        return TrialRunner(
+            config.resolved_steps, lambda noise: transfer_infidelities(config, noise)
+        )
     raise ValueError(f"unknown protocol '{protocol}'")
 
 
@@ -228,27 +270,23 @@ def slope_vs_n(
     """One log-log fit per chain length.
 
     Each (n, v) point runs `trials` noisy repetitions seeded from
-    (master_seed, n, v-index, trial).  Points with zero mean infidelity
-    are dropped before fitting.  on_stats, when given, receives every
-    TrialStats as it is produced (for CSV capture).
+    (master_seed, n, v-index, trial); every trial of one n runs in one
+    batch.  Points with zero mean infidelity are dropped before fitting.
+    on_stats, when given, receives every TrialStats as it is produced
+    (for CSV capture).
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
+    v_grid = [float(v) for v in v_grid]
     results: list[tuple[int, FitResult]] = []
     for n in n_range:
         runner = protocol_runner(protocol, n=n, **params)
+        bases = [child_seed(child_seed(master_seed, n), vi) for vi in range(len(v_grid))]
         points: list[tuple[float, float]] = []
-        for vi, v in enumerate(v_grid):
-            stats = run_trials(
-                runner,
-                float(v),
-                trials,
-                child_seed(child_seed(master_seed, n), vi),
-                protocol=protocol,
-                n=n,
-                include_fields=include_fields,
-            )
+        for stats in _batch_stats(runner, protocol, n, v_grid, bases, trials, include_fields):
             if on_stats is not None:
                 on_stats(stats)
             if stats.mean_infidelity > 0:
-                points.append((float(v), stats.mean_infidelity))
+                points.append((stats.v, stats.mean_infidelity))
         results.append((n, loglog_fit(points)))
     return results

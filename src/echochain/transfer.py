@@ -3,7 +3,8 @@ singlet to the far end of the chain at t = pi/2, scored by the singlet
 projection of the last two spins.
 
 Engines:
-  exact              dense-oracle evolution (noise-free by definition)
+  exact              continuous evolution from an n x n eigendecomposition
+                     of the one-magnon Hamiltonian (noise-free by definition)
   trotter-direct     three-term plan with literal ferromagnetic angles
   trotter-simfm      three-term plan with every exchange realized as a
                      mapped antiferromagnetic pulse
@@ -11,19 +12,16 @@ Engines:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Sequence
 
-from . import statevec
-from .chain import exact_evolve, transfer_chain
-from .noise import NoiseModel, Seed, child_seed, make_rng
-from .statevec import (
-    SINGLET,
-    pair_projection_fidelity,
-    prepare_singlet_head,
-    total_sz,
-)
-from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, execute_plan, three_term_plan
+import numpy as np
+
+from . import sector
+from .chain import transfer_chain
+from .noise import GateNoise, NoiseModel, Seed, model_noise
+from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, three_term_plan
 
 ENGINE_EXACT = "exact"
 ENGINE_TROTTER_DIRECT = "trotter-direct"
@@ -78,6 +76,11 @@ class TransferConfig:
         if self.engine == ENGINE_EXACT and self.noise is not None and self.noise.v > 0:
             raise ValueError("the exact engine is noise-free; use a trotter engine")
 
+    @property
+    def resolved_steps(self) -> int:
+        """n_steps, or the calibrated default when it is None."""
+        return self.n_steps or default_transfer_steps(self.n)
+
 
 @dataclass
 class TransferResult:
@@ -90,39 +93,53 @@ class TransferResult:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
-def run_transfer(config: TransferConfig) -> TransferResult:
+def _final_states(
+    config: TransferConfig, times: Sequence[float], noise: GateNoise | None
+) -> np.ndarray:
+    """One transfer per row: row r runs for times[r] (or times[0] for
+    every row) and draws its gate errors from row r of `noise`."""
     spec = transfer_chain(config.n)
-    state = prepare_singlet_head(config.n)
-    sz_initial = total_sz(state)
-    n_steps = config.n_steps or default_transfer_steps(config.n)
-
+    c = sector.singlet_head(len(noise) if noise is not None else len(times), config.n)
     if config.engine == ENGINE_EXACT:
-        state = exact_evolve(spec, state, config.t)
+        if noise is not None and np.any(noise.v > 0):
+            raise ValueError("the exact engine is noise-free; use a trotter engine")
+        c = sector.exact_evolve(spec, c, times)
     else:
         mode = MODE_DIRECT if config.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
-        plan = three_term_plan(spec, config.t, n_steps, mode)
-        execute_plan(plan, state, config.noise, make_rng(config.seed))
+        plans = [three_term_plan(spec, t, config.resolved_steps, mode) for t in times]
+        sector.evolve(c, plans, noise)
+    sector.check_norm(c)
+    return c
 
-    fidelity = pair_projection_fidelity(state, (config.n - 1, config.n), SINGLET)
+
+def run_transfer(config: TransferConfig) -> TransferResult:
+    c = _final_states(config, [config.t], model_noise(config.noise, [config.seed]))
+    fidelity = float(sector.singlet_fidelity(c, config.n - 1, config.n)[0])
     return TransferResult(
         fidelity=fidelity,
         infidelity=1.0 - fidelity,
         metadata={
             "config": config,
-            "n_steps": n_steps,
-            "final_norm": statevec.norm(state),
-            "sz_initial": sz_initial,
-            "sz_final": total_sz(state),
+            "n_steps": config.resolved_steps,
+            "final_norm": float(np.linalg.norm(c[0])),
+            "sz_initial": float(sector.total_sz(sector.singlet_head(1, config.n))[0]),
+            "sz_final": float(sector.total_sz(c)[0]),
         },
     )
+
+
+def transfer_infidelities(config: TransferConfig, noise: GateNoise) -> np.ndarray:
+    """Infidelity of one noisy transfer of duration config.t per row of `noise`."""
+    c = _final_states(config, [config.t], noise)
+    return 1.0 - sector.singlet_fidelity(c, config.n - 1, config.n)
 
 
 def transfer_fidelity_curve(
     config: TransferConfig, t_grid: Sequence[float]
 ) -> list[tuple[float, float]]:
-    """run_transfer per grid point; point k gets the sub-seed (seed, k)."""
-    curve = []
-    for k, t in enumerate(t_grid):
-        point = replace(config, t=float(t), seed=child_seed(config.seed, k))
-        curve.append((float(t), run_transfer(point).fidelity))
-    return curve
+    """One transfer per grid point, all in one batch; point k gets the
+    sub-seed (seed, k)."""
+    return sector.fidelity_curve(
+        partial(_final_states, config), t_grid, config.noise, config.seed,
+        (config.n - 1, config.n),
+    )

@@ -16,6 +16,7 @@ from echochain.chain import (
 )
 from echochain.statevec import (
     SINGLET,
+    StateVector,
     overlap,
     pair_projection_fidelity,
     prepare_singlet_head,
@@ -169,6 +170,19 @@ class TestExactEvolve:
         before = overlap(a, b)
         after = overlap(exact_evolve(spec, a, 1.7), exact_evolve(spec, b, 1.7))
         assert abs(after - before) < 1e-10
+
+
+def test_exact_evolve_matches_complex_product():
+    # the oracle multiplies real and imaginary parts apart; check it
+    # against the plain complex product on a state with both parts
+    rng = np.random.default_rng(8)
+    spec = transfer_chain(7)
+    amplitudes = rng.normal(size=128) + 1j * rng.normal(size=128)
+    state = StateVector(7, amplitudes / np.linalg.norm(amplitudes))
+    w, v = np.linalg.eigh(dense_hamiltonian(spec))
+    for t in (0.0, 0.9, -2.3):
+        reference = v @ (np.exp(-1j * w * t) * (v.T @ state.amplitudes))
+        assert np.max(np.abs(exact_evolve(spec, state, t).amplitudes - reference)) <= 1e-12
 
 
 def test_chain_spec_json_round_trip():

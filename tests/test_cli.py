@@ -85,6 +85,10 @@ class TestTransferCommand:
         _, rows = read_csv(out)
         assert float(rows[-1]["f_tr"]) == pytest.approx(1.0, abs=1e-9)
 
+    def test_negative_t_max_is_usage_error(self, tmp_path):
+        assert main(["transfer", "--n", "4", "--t-max", "-1",
+                     "--out", str(tmp_path / "x.csv")]) == 2
+
     def test_noise_with_exact_engine_is_usage_error(self, tmp_path):
         assert main(["transfer", "--n", "4", "--engine", "exact",
                      "--noise-v", "0.1", "--out", str(tmp_path / "x.csv")]) == 2
@@ -188,6 +192,20 @@ def test_bad_flag_exits_two():
 
 
 def test_runtime_failure_exits_one(tmp_path):
-    # wrap-period violation surfaces as a runtime failure, not a crash
-    assert main(["echo", "--n", "4", "--t-max", str(4 * math.pi), "--points", "2",
-                 "--steps", "1", "--out", str(tmp_path / "x.csv")]) == 1
+    # an unwritable output surfaces as a runtime failure, not a crash
+    assert main(["echo", "--n", "4", "--t-max", "1", "--points", "2",
+                 "--steps", "1", "--out", str(tmp_path / "absent" / "x.csv")]) == 1
+
+
+@pytest.mark.parametrize("t_max", ["7", str(4 * math.pi), "-1"])
+def test_t_max_outside_wrap_budget_is_usage_error(tmp_path, capsys, t_max):
+    # one step fits a leg of at most 2*pi / j
+    assert main(["echo", "--n", "4", "--steps", "1", "--t-max", t_max, "--points", "3",
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "--t-max" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_t_max_at_wrap_budget_runs(tmp_path):
+    assert main(["echo", "--n", "4", "--steps", "2", "--t-max", str(4 * math.pi),
+                 "--points", "3", "--out", str(tmp_path / "x.csv")]) == 0

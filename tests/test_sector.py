@@ -1,0 +1,183 @@
+"""The batched one-magnon engine against the dense 2^n oracle."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from echochain import sector
+from echochain.chain import ChainSpec, exact_evolve, transfer_chain, uniform_echo_chain
+from echochain.checks import (
+    check_sector_vs_dense,
+    dense_echo_fidelity,
+    dense_transfer_fidelity,
+)
+from echochain.echo import EchoConfig, echo_fidelity_curve
+from echochain.noise import (
+    GateNoise,
+    NoiseModel,
+    child_seed,
+    make_rng,
+    protocol_runner,
+    run_trials,
+    sample_eta,
+    slope_vs_n,
+)
+from echochain.statevec import StateVector, prepare_singlet_head, total_sz
+from echochain.transfer import TransferConfig, transfer_fidelity_curve
+from echochain.trotter import (
+    MODE_DIRECT,
+    MODE_SIMULATED_FM,
+    execute_plan,
+    second_order_plan,
+    three_term_plan,
+)
+
+TOL = 1e-12
+
+
+def embed(row: np.ndarray) -> np.ndarray:
+    """Dense amplitudes of one row: site m flipped is index 2^(n-m)."""
+    n = len(row)
+    amplitudes = np.zeros(1 << n, dtype=complex)
+    amplitudes[1 << (n - 1 - np.arange(n))] = row
+    return amplitudes
+
+
+def phase_aligned_gap(dense: np.ndarray, row: np.ndarray) -> float:
+    embedded = embed(row)
+    overlap = np.vdot(embedded, dense)
+    return float(np.max(np.abs(dense - overlap / abs(overlap) * embedded)))
+
+
+@st.composite
+def chains(draw):
+    n = draw(st.integers(min_value=2, max_value=10))
+    coupling = st.one_of(st.just(0.0), st.floats(min_value=0.1, max_value=2.0))
+    field = st.one_of(st.just(0.0), st.floats(min_value=-1.0, max_value=1.0))
+    return ChainSpec(
+        n=n,
+        couplings=draw(st.lists(coupling, min_size=n - 1, max_size=n - 1)),
+        fields=draw(st.lists(field, min_size=n, max_size=n)),
+        sign=draw(st.sampled_from(["fm", "afm"])),
+        exchange_prefactor=draw(st.floats(min_value=0.5, max_value=2.0)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    spec=chains(),
+    t=st.floats(min_value=0.0, max_value=1.5),  # every slice within a wrap period
+    steps=st.integers(min_value=1, max_value=4),
+    build=st.sampled_from([second_order_plan, three_term_plan]),
+    mode=st.sampled_from([MODE_DIRECT, MODE_SIMULATED_FM]),
+    v=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.2)),
+    include_fields=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_trotter_plans_match_dense_oracle(spec, t, steps, build, mode, v, include_fields, seed):
+    # two rows with their own durations, seeds and error strengths
+    plans = [build(spec, t, steps, mode), build(spec, 0.5 * t, steps, mode)]
+    seeds = [(seed, 0), (seed, 1)]
+    strengths = [] if v is None else [v, 0.5 * v]
+    c = sector.singlet_head(2, spec.n)
+    noise = None if v is None else GateNoise(seeds, strengths, include_fields)
+    sector.evolve(c, plans, noise)
+    for row in range(2):
+        state = prepare_singlet_head(spec.n)
+        model = None if v is None else NoiseModel(strengths[row], include_fields)
+        execute_plan(plans[row], state, model, make_rng(seeds[row]))
+        assert phase_aligned_gap(state.amplitudes, c[row]) <= TOL
+        dense_sz = total_sz(StateVector(spec.n, embed(c[row])))
+        assert abs(sector.total_sz(c)[row] - dense_sz) <= TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=chains(), t=st.floats(min_value=-3.0, max_value=3.0))
+def test_exact_evolution_matches_dense_oracle(spec, t):
+    dense = exact_evolve(spec, prepare_singlet_head(spec.n), t).amplitudes
+    c = sector.exact_evolve(spec, sector.singlet_head(1, spec.n), t)
+    # the sector Hamiltonian keeps its constant, so the global phase agrees too
+    assert np.max(np.abs(dense - embed(c[0]))) <= TOL
+
+
+def test_exact_evolution_takes_one_time_per_row():
+    spec = transfer_chain(7)
+    times = np.array([0.0, 0.4, math.pi / 2])
+    together = sector.exact_evolve(spec, sector.singlet_head(3, 7), times)
+    for row, t in enumerate(times):
+        alone = sector.exact_evolve(spec, sector.singlet_head(1, 7), t)
+        assert np.max(np.abs(together[row] - alone[0])) <= TOL
+
+
+def test_batched_draws_equal_per_gate_draws():
+    seed = (42, 12, 3, 7)
+    rng = make_rng(seed)
+    per_gate = np.array([sample_eta(rng, 0.07) for _ in range(300)])
+    noise = GateNoise([seed], [0.07])
+    batched = np.concatenate([noise.take(100), noise.take(1), noise.take(199)], axis=1)
+    assert np.array_equal(batched[0], per_gate)
+
+
+def test_draws_chunked_over_steps_give_the_same_states(monkeypatch):
+    spec = transfer_chain(6)
+    plan = three_term_plan(spec, math.pi / 2, 16, MODE_SIMULATED_FM)
+    seeds = [(5, k) for k in range(3)]
+
+    def final(draw_bytes):
+        monkeypatch.setattr(sector, "DRAW_BYTES", draw_bytes)
+        c = sector.singlet_head(3, 6)
+        return sector.evolve(c, [plan], GateNoise(seeds, [0.01, 0.02, 0.03], True))
+
+    assert np.array_equal(final(sector.DRAW_BYTES), final(1))
+
+
+def test_mismatched_plans_rejected():
+    spec = uniform_echo_chain(5, 1.0)
+    c = sector.singlet_head(2, 5)
+    with pytest.raises(ValueError):
+        sector.evolve(c, [second_order_plan(spec, 1.0, 2), second_order_plan(spec, 1.0, 3)])
+    with pytest.raises(ValueError):
+        sector.evolve(c, [second_order_plan(spec, 1.0, 2)], GateNoise([1], [0.1]))
+
+
+def test_norm_drift_is_caught():
+    c = sector.singlet_head(2, 4)
+    c[1] *= 1.0 + 1e-8
+    with pytest.raises(RuntimeError):
+        sector.check_norm(c)
+
+
+def test_protocols_match_dense_oracle():
+    # noisy echoes in both backward modes, transfers on every engine
+    result = check_sector_vs_dense(max_n=8, seed=4)
+    assert result.passed, result.detail
+
+
+def test_curves_match_dense_point_by_point():
+    grid = [0.0, 0.7, 1.9]
+    echo = EchoConfig(n=6, t=0.0, n_steps=2, noise=NoiseModel(v=0.05), seed=3)
+    for k, (t, f) in enumerate(echo_fidelity_curve(echo, grid)):
+        point = EchoConfig(n=6, t=t, n_steps=2, noise=echo.noise, seed=child_seed(3, k))
+        assert abs(f - dense_echo_fidelity(point)) <= TOL
+    transfer = TransferConfig(n=5, t=0.0, n_steps=8, engine="trotter-simfm",
+                              noise=NoiseModel(v=0.05), seed=3)
+    for k, (t, f) in enumerate(transfer_fidelity_curve(transfer, grid)):
+        point = TransferConfig(n=5, t=t, n_steps=8, engine="trotter-simfm",
+                               noise=transfer.noise, seed=child_seed(3, k))
+        assert abs(f - dense_transfer_fidelity(point)) <= TOL
+
+
+def test_sweep_batch_equals_per_point_trials():
+    # slope_vs_n runs every v and trial of one n in one batch
+    grid = [0.003, 0.01, 0.03]
+    collected = []
+    slope_vs_n("transfer", [4], grid, trials=5, master_seed=8, on_stats=collected.append,
+               n_steps=8, include_fields=True)
+    runner = protocol_runner("transfer", n=4, n_steps=8)
+    for vi, stats in enumerate(collected):
+        alone = run_trials(runner, grid[vi], 5, child_seed(child_seed(8, 4), vi),
+                           include_fields=True)
+        assert np.array_equal(stats.infidelities, alone.infidelities)
+        assert stats.steps == 8

@@ -48,7 +48,8 @@ class TestTrotterEngines:
         assert simulated.fidelity == pytest.approx(direct.fidelity, abs=1e-10)
 
     def test_default_steps_reach_small_trotter_error(self):
-        for n in (3, 6, 9):
+        # the table's promise, past its last entry too
+        for n in range(2, 33):
             exact = run_transfer(TransferConfig(n=n)).fidelity
             trotter = run_transfer(TransferConfig(n=n, engine=ENGINE_TROTTER_DIRECT)).fidelity
             assert abs(trotter - exact) < 1e-4
@@ -75,6 +76,11 @@ class TestCurve:
     def test_single_zero_point(self):
         curve = transfer_fidelity_curve(TransferConfig(n=5), [0.0])
         assert curve == [(0.0, pytest.approx(0.0, abs=1e-12))]
+
+    @pytest.mark.parametrize("engine", [ENGINE_EXACT, ENGINE_TROTTER_SIMFM])
+    def test_negative_time_rejected(self, engine):
+        with pytest.raises(ValueError):
+            transfer_fidelity_curve(TransferConfig(n=4, engine=engine), [0.5, -0.5])
 
     def test_exact_curve_rises_to_one(self):
         grid = [k * math.pi / 2 / 10 for k in range(11)]
