@@ -30,6 +30,7 @@ from .meanfield import (
     IntegratorConfig,
     MeanFieldState,
     mean_fields,
+    meanfield_echo_curve,
     rk4_step,
     run_meanfield_echo,
 )

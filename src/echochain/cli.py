@@ -23,7 +23,7 @@ from . import svgplot
 from .checks import run_all_checks
 from .echo import EchoConfig, echo_fidelity_curve, max_leg_duration
 from .gates import fits_wrap_period
-from .meanfield import SCHEDULES, IntegratorConfig, run_meanfield_echo
+from .meanfield import SCHEDULE_MIRRORED, SCHEDULES, IntegratorConfig, meanfield_echo_curve
 from .noise import NoiseModel, TrialStats, default_v_grid, slope_vs_n
 from .transfer import (
     ENGINE_EXACT,
@@ -133,6 +133,32 @@ def _merge_options(command: str, args: argparse.Namespace) -> SimpleNamespace:
     return SimpleNamespace(**merged)
 
 
+def _meanfield_integrator(opts: SimpleNamespace, mf_steps: int) -> IntegratorConfig:
+    """The mean-field integrator, once every mean-field option is known
+    to run."""
+    if opts.schedule not in SCHEDULES:
+        raise UsageError(f"unknown schedule '{opts.schedule}'")
+    if opts.sign_convention not in (-1, 1):
+        raise UsageError(f"sign convention must be +1 or -1, got {opts.sign_convention}")
+    try:
+        integrator = IntegratorConfig(dt=opts.dt)
+    except ValueError as exc:
+        raise UsageError(f"--dt: {exc}") from exc
+    if mf_steps < 1:
+        raise UsageError(f"need at least one mean-field step, got {mf_steps}")
+    # the mirrored pulse train fits each step's slice into one wrap
+    # period, as the quantum forward leg does
+    if opts.schedule == SCHEDULE_MIRRORED and not fits_wrap_period(
+        opts.t_max / mf_steps, opts.j
+    ):
+        longest = max_leg_duration(opts.j, mf_steps)
+        raise UsageError(
+            f"with the mirrored-pulse schedule --t-max must lie in [0, {longest!r}] "
+            f"(mf_steps * 2*pi / j), got {opts.t_max}"
+        )
+    return integrator
+
+
 def cmd_echo(opts: SimpleNamespace) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
@@ -149,6 +175,9 @@ def cmd_echo(opts: SimpleNamespace) -> int:
         )
     if opts.noise_v < 0:
         raise UsageError("noise strength must be nonnegative")
+    mf_steps = opts.mf_steps if opts.mf_steps is not None else opts.steps
+    if opts.with_meanfield:
+        integrator = _meanfield_integrator(opts, mf_steps)
     noise = NoiseModel(v=opts.noise_v) if opts.noise_v > 0 else None
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
     config = EchoConfig(
@@ -172,18 +201,14 @@ def cmd_echo(opts: SimpleNamespace) -> int:
     ]
     classical: list[tuple[float, float]] = []
     if opts.with_meanfield:
-        if opts.schedule not in SCHEDULES:
-            raise UsageError(f"unknown schedule '{opts.schedule}'")
-        mf_steps = opts.mf_steps if opts.mf_steps is not None else opts.steps
-        integrator = IntegratorConfig(dt=opts.dt)
-        for t in grid:
-            result = run_meanfield_echo(
-                opts.n, opts.j, t,
-                integrator=integrator,
-                schedule=opts.schedule,
-                n_steps=mf_steps,
-                sign_convention=opts.sign_convention,
-            )
+        results = meanfield_echo_curve(
+            opts.n, opts.j, grid,
+            integrator=integrator,
+            schedule=opts.schedule,
+            n_steps=mf_steps,
+            sign_convention=opts.sign_convention,
+        )
+        for t, result in zip(grid, results):
             classical.append((t, result.fidelity))
             rows.append(
                 ["meanfield", opts.n, opts.j, t, mf_steps, "", opts.schedule,

@@ -5,7 +5,9 @@ entangled head pair and an independent spinor for every later site.
 Two-body exchange is replaced by time-dependent local fields built
 from neighbor spin expectations, and the coupled equations are
 integrated with classical fourth-order Runge-Kutta (fields recomputed
-at every internal stage).
+at every internal stage).  A curve is one batched pass: every grid
+point is a row of a (rows, n, 2) spinor array, and one RK4 kernel
+advances all rows, each with its own drive segments and step size.
 
 Two drive schedules are implemented because a literal +-H mean-field
 echo provably self-cancels for this initial state (every field stays
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,8 +47,8 @@ class IntegratorConfig:
     scheme: str = "rk4"
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError(f"step size must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"step size must be positive and finite, got {self.dt}")
         if self.scheme != "rk4":
             raise ValueError("only classical 4th-order Runge-Kutta is supported")
 
@@ -100,82 +103,95 @@ def pair_site_expectations(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return bloch(rho1), bloch(rho2)
 
 
-def _field_table(
-    pair: np.ndarray, spins: np.ndarray, couplings: np.ndarray, sign: float
-) -> np.ndarray:
-    """Mean field h_i on every site (row 0 = site 1, always zero for
-    echo chains since the (1,2) bond is off)."""
-    n = 2 + spins.shape[0]
-    s_exp = np.empty((n, 3))
-    p00, p01, p10, p11 = pair
-    rho1_off = p00 * p10.conjugate() + p01 * p11.conjugate()
-    rho2_off = p00 * p01.conjugate() + p10 * p11.conjugate()
-    w00, w01 = abs(p00) ** 2, abs(p01) ** 2
-    w10, w11 = abs(p10) ** 2, abs(p11) ** 2
-    s_exp[0] = (rho1_off.real, -rho1_off.imag, 0.5 * (w00 + w01 - w10 - w11))
-    s_exp[1] = (rho2_off.real, -rho2_off.imag, 0.5 * (w00 + w10 - w01 - w11))
-    a, b = spins[:, 0], spins[:, 1]
-    z = a.conj() * b
-    s_exp[2:, 0] = z.real
-    s_exp[2:, 1] = z.imag
-    s_exp[2:, 2] = 0.5 * (np.abs(a) ** 2 - np.abs(b) ** 2)
-    h = np.zeros((n, 3))
-    j = couplings[:, None]
-    h[:-1] += j * s_exp[1:]   # each bond feeds its right neighbor's spin left
-    h[1:] += j * s_exp[:-1]   # and its left neighbor's spin right
-    return sign * h
+def _slots(state: MeanFieldState) -> np.ndarray:
+    """The state as n spinors: slots 0 and 1 are the head pair's rows
+    (p00, p01) and (p10, p11), each acted on at site 2's index, and
+    slot k >= 2 is site k+1."""
+    return np.concatenate((state.pair_state.reshape(2, 2), state.spin_states))
 
 
-def mean_fields(state: MeanFieldState, spec: ChainSpec, sign: float) -> np.ndarray:
-    """Per-site mean-field vectors for the current factorized state."""
+def _state(slots: np.ndarray, time: float) -> MeanFieldState:
+    return MeanFieldState(slots[:2].reshape(4).copy(), slots[2:].copy(), time)
+
+
+def _site_fields(psi: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """Mean field on sites 2..n, (rows, n-1, 3), for a batch of slot
+    arrays psi (rows, n, 2).  js (rows, n) holds each row's signed
+    couplings, js[:, i] = sign * J_(i+1, i+2), with a zero bond past
+    the last site."""
+    rows, n, _ = psi.shape
+    z = (psi[..., 0].conj() * psi[..., 1]).view(float).reshape(rows, n, 2)
+    w = np.abs(psi) ** 2
+    # <S> per site, padded with a zero spin for site 1, which couples to
+    # nothing (the (1,2) bond is off), and one past the last site.  The
+    # pair's <S_2> sums its two rows, in the order of
+    # rho2 = p00 p01* + p10 p11* and 0.5 (w00 + w10 - w01 - w11).
+    s_exp = np.zeros((rows, n + 1, 3))
+    s_exp[:, 1, :2] = z[:, 0] + z[:, 1]
+    s_exp[:, 1, 2] = 0.5 * (w[:, 0, 0] + w[:, 1, 0] - w[:, 0, 1] - w[:, 1, 1])
+    s_exp[:, 2:n, :2] = z[:, 2:]
+    s_exp[:, 2:n, 2] = 0.5 * (w[:, 2:, 0] - w[:, 2:, 1])
+    j = js[:, :, None]
+    # each site's right neighbor first, then its left one
+    return j[:, 1:] * s_exp[:, 2:] + j[:, :-1] * s_exp[:, :-2]
+
+
+_PLUS_MINUS = np.array([1.0, -1.0])
+
+
+def _derivative(psi: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """d psi / dt = -i/2 (h . sigma) psi for every slot; both pair rows
+    see site 2's field.  A slot (a, b) gets -i/2 times
+    (hz a + (hx - i hy) b, (hx + i hy) a - hz b)."""
+    h = _site_fields(psi, js)
+    h = np.concatenate((h[:, :1], h), axis=1)
+    hz = h[..., 2:] * _PLUS_MINUS
+    transverse = h[..., :1] - 1j * (h[..., 1:2] * _PLUS_MINUS)
+    d = hz * psi + transverse * psi[..., ::-1]
+    d *= -0.5j
+    return d
+
+
+def _rk4_update(psi: np.ndarray, js: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """One RK4 step of every row, each with its own signed couplings and
+    step dt (rows,), then renormalization of the pair and each spinor."""
+    dt = dt[:, None, None]
+    half = 0.5 * dt
+    k1 = _derivative(psi, js)
+    k2 = _derivative(psi + half * k1, js)
+    k3 = _derivative(psi + half * k2, js)
+    k4 = _derivative(psi + dt * k3, js)
+    new = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # Both norms are np.linalg.norm's.  A whole vector's is a BLAS dot
+    # of the real parts plus one of the imaginary parts, here taken row
+    # by row through matmul with the same strides; a norm along an axis
+    # sums (x* x).real.
+    pair = new[:, :2].reshape(-1, 1, 4)
+    re, im = pair.real, pair.imag
+    new[:, :2] /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))
+    spins = new[:, 2:]
+    spins /= np.sqrt(np.add.reduce((spins.conj() * spins).real, axis=2, keepdims=True))
+    return new
+
+
+def _signed_couplings(couplings: np.ndarray, sign: float) -> np.ndarray:
+    """sign * J per bond plus a zero bond past the last site, the js of
+    `_site_fields`."""
+    return sign * np.append(couplings, 0.0)
+
+
+def _check_chain(state: MeanFieldState, spec: ChainSpec) -> None:
     if spec.n != state.n:
         raise ValueError("chain and state site counts differ")
     if spec.couplings[0] != 0.0:
         raise ValueError("mean-field model requires the (1,2) bond to be off")
-    return _field_table(state.pair_state, state.spin_states, spec.couplings, sign)
 
 
-def _rhs(
-    pair: np.ndarray, spins: np.ndarray, couplings: np.ndarray, sign: float
-) -> tuple[np.ndarray, np.ndarray]:
-    h = _field_table(pair, spins, couplings, sign)
-    # (identity x h.S) on the pair, written out on the site-2 index
-    hx2, hy2, hz2 = h[1]
-    raising = hx2 - 1j * hy2
-    lowering = hx2 + 1j * hy2
-    p00, p01, p10, p11 = pair
-    dpair = -0.5j * np.array(
-        [
-            hz2 * p00 + raising * p01,
-            lowering * p00 - hz2 * p01,
-            hz2 * p10 + raising * p11,
-            lowering * p10 - hz2 * p11,
-        ]
-    )
-    hx, hy, hz = h[2:, 0], h[2:, 1], h[2:, 2]
-    a, b = spins[:, 0], spins[:, 1]
-    dspins = np.empty_like(spins)
-    dspins[:, 0] = hz * a + (hx - 1j * hy) * b
-    dspins[:, 1] = (hx + 1j * hy) * a - hz * b
-    dspins *= -0.5j
-    return dpair, dspins
-
-
-def _rk4_update(
-    pair: np.ndarray, spins: np.ndarray, couplings: np.ndarray, sign: float, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    k1p, k1s = _rhs(pair, spins, couplings, sign)
-    k2p, k2s = _rhs(pair + 0.5 * dt * k1p, spins + 0.5 * dt * k1s, couplings, sign)
-    k3p, k3s = _rhs(pair + 0.5 * dt * k2p, spins + 0.5 * dt * k2s, couplings, sign)
-    k4p, k4s = _rhs(pair + dt * k3p, spins + dt * k3s, couplings, sign)
-    new_pair = pair + (dt / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    new_spins = spins + (dt / 6.0) * (k1s + 2 * k2s + 2 * k3s + k4s)
-    return new_pair, new_spins
-
-
-def _renormalize(pair: np.ndarray, spins: np.ndarray) -> None:
-    pair /= np.linalg.norm(pair)
-    spins /= np.linalg.norm(spins, axis=1)[:, None]
+def mean_fields(state: MeanFieldState, spec: ChainSpec, sign: float) -> np.ndarray:
+    """Per-site mean-field vectors for the current factorized state."""
+    _check_chain(state, spec)
+    fields = _site_fields(_slots(state)[None], _signed_couplings(spec.couplings, sign)[None])
+    return np.concatenate((np.zeros((1, 3)), fields[0]))
 
 
 def rk4_step(
@@ -184,29 +200,11 @@ def rk4_step(
     """Advance the coupled equations by one RK4 step and renormalize."""
     if dt <= 0:
         raise ValueError(f"step size must be positive, got {dt}")
-    if spec.n != state.n:
-        raise ValueError("chain and state site counts differ")
-    pair, spins = _rk4_update(
-        state.pair_state, state.spin_states, spec.couplings, sign, dt
+    _check_chain(state, spec)
+    new = _rk4_update(
+        _slots(state)[None], _signed_couplings(spec.couplings, sign)[None], np.array([dt])
     )
-    _renormalize(pair, spins)
-    return MeanFieldState(pair, spins, state.time + dt)
-
-
-def _integrate_segment(
-    pair: np.ndarray,
-    spins: np.ndarray,
-    couplings: np.ndarray,
-    sign: float,
-    duration: float,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    steps = max(1, math.ceil(duration / dt))
-    h = duration / steps
-    for _ in range(steps):
-        pair, spins = _rk4_update(pair, spins, couplings, sign, h)
-        _renormalize(pair, spins)
-    return pair, spins
+    return _state(new[0], state.time + dt)
 
 
 def _masked_couplings(spec: ChainSpec, bonds: list[tuple[int, int]]) -> np.ndarray:
@@ -218,32 +216,119 @@ def _masked_couplings(spec: ChainSpec, bonds: list[tuple[int, int]]) -> np.ndarr
 
 def _schedule_segments(
     spec: ChainSpec, t: float, schedule: str, n_steps: int, sign_convention: int
-) -> list[tuple[float, np.ndarray, float]]:
-    """(duration, active couplings, field sign) drive segments."""
+) -> list[tuple[float, np.ndarray]]:
+    """(duration, signed couplings) drive segments."""
     if schedule == SCHEDULE_CONTINUOUS:
         return [
-            (t, spec.couplings, float(sign_convention)),
-            (t, spec.couplings, float(-sign_convention)),
+            (t, _signed_couplings(spec.couplings, sign_convention)),
+            (t, _signed_couplings(spec.couplings, -sign_convention)),
         ]
     part = partition_odd_even(spec)
-    odd = _masked_couplings(spec, part.odd_bonds)
-    even = _masked_couplings(spec, part.even_bonds)
+    odd = _signed_couplings(_masked_couplings(spec, part.odd_bonds), -sign_convention)
+    even = _signed_couplings(_masked_couplings(spec, part.even_bonds), -sign_convention)
     j = float(np.max(spec.couplings))
     tau = t / n_steps
     pulse_half = afm_duration_for_fm(tau / 2, j, j)
     pulse_full = afm_duration_for_fm(tau, j, j)
-    afm_sign = float(-sign_convention)
-    forward = [
-        (pulse_half, odd, afm_sign),
-        (pulse_full, even, afm_sign),
-        (pulse_half, odd, afm_sign),
-    ]
-    backward = [
-        (tau / 2, odd, afm_sign),
-        (tau, even, afm_sign),
-        (tau / 2, odd, afm_sign),
-    ]
+    forward = [(pulse_half, odd), (pulse_full, even), (pulse_half, odd)]
+    backward = [(tau / 2, odd), (tau, even), (tau / 2, odd)]
     return forward * n_steps + backward * n_steps
+
+
+def _row_segments(
+    spec: ChainSpec, t: float, schedule: str, n_steps: int, sign_convention: int, dt: float
+) -> list[tuple[int, float, np.ndarray]]:
+    """(steps, step size, signed couplings) of each driven segment of
+    one grid point; a zero-duration echo applies no drive at all."""
+    if t == 0:
+        return []
+    segments = []
+    for duration, js in _schedule_segments(spec, t, schedule, n_steps, sign_convention):
+        if duration > 0:
+            steps = max(1, math.ceil(duration / dt))
+            segments.append((steps, duration / steps, js))
+    return segments
+
+
+def meanfield_echo_curve(
+    n: int,
+    j: float,
+    grid: Sequence[float],
+    integrator: IntegratorConfig | None = None,
+    schedule: str = SCHEDULE_CONTINUOUS,
+    n_steps: int = 1,
+    sign_convention: int = -1,
+) -> list[EchoResult]:
+    """Mean-field echo at every leg duration in grid, in one batched
+    RK4 pass: one row per grid point, each with its own segments,
+    couplings, sign and step size.  The rows advance together one epoch
+    (a stretch with no segment boundary in any row) at a time, and a
+    row drops out once its drive is done, so the pass takes as many
+    batched steps as the longest row.  Every row is the per-point
+    integration bit for bit, whatever the grid's order or size.
+
+    sign_convention is the multiplier applied to the ferromagnetic-leg
+    mean fields (-1 matches the Hamiltonian sign; +1 is the literal
+    positive-J reading); the backward leg always gets the opposite
+    sign.
+    """
+    if schedule not in SCHEDULES:
+        raise ValueError(f"unknown schedule '{schedule}'")
+    if sign_convention not in (-1, 1):
+        raise ValueError(f"sign convention must be +1 or -1, got {sign_convention}")
+    if n_steps < 1:
+        raise ValueError(f"need at least one step, got {n_steps}")
+    times = [float(t) for t in grid]
+    for t in times:
+        if not t >= 0:
+            raise ValueError(f"leg duration must be nonnegative, got {t}")
+    config = integrator or IntegratorConfig()
+    spec = uniform_echo_chain(n, j)
+    dt = config.dt / j
+    plans = [
+        _row_segments(spec, t, schedule, n_steps, sign_convention, dt) for t in times
+    ]
+    psi = np.repeat(_slots(initial_echo_state(n))[None], len(times), axis=0)
+    position = [0] * len(times)
+    left = [plan[0][0] if plan else 0 for plan in plans]
+    active = [r for r, plan in enumerate(plans) if plan]
+    while active:
+        segments = [plans[r][position[r]] for r in active]
+        step = np.array([segment[1] for segment in segments])
+        js = np.array([segment[2] for segment in segments])
+        batch = psi[active]
+        epoch = min(left[r] for r in active)
+        for _ in range(epoch):
+            batch = _rk4_update(batch, js, step)
+        psi[active] = batch
+        for r in active:
+            left[r] -= epoch
+            if left[r] == 0:
+                position[r] += 1
+                if position[r] < len(plans[r]):
+                    left[r] = plans[r][position[r]][0]
+        active = [r for r in active if left[r] > 0]
+    results = []
+    for t, slots in zip(times, psi):
+        pair = slots[:2].reshape(4)
+        fidelity = float(abs(np.vdot(SINGLET, pair)) ** 2)
+        results.append(
+            EchoResult(
+                fidelity=fidelity,
+                infidelity=1.0 - fidelity,
+                elapsed=2.0 * t,
+                metadata={
+                    "n": n,
+                    "j": j,
+                    "schedule": schedule,
+                    "sign_convention": sign_convention,
+                    "n_steps": n_steps,
+                    "dt": config.dt,
+                    "final_state": _state(slots, 2.0 * t),
+                },
+            )
+        )
+    return results
 
 
 def run_meanfield_echo(
@@ -256,44 +341,8 @@ def run_meanfield_echo(
     sign_convention: int = -1,
 ) -> EchoResult:
     """Mean-field echo fidelity: singlet projection of the head pair
-    after the forward and backward drive.
-
-    sign_convention is the multiplier applied to the ferromagnetic-leg
-    mean fields (-1 matches the Hamiltonian sign; +1 is the literal
-    positive-J reading); the backward leg always gets the opposite
-    sign.  A zero-duration echo applies no drive at all.
-    """
-    if schedule not in SCHEDULES:
-        raise ValueError(f"unknown schedule '{schedule}'")
-    if sign_convention not in (-1, 1):
-        raise ValueError(f"sign convention must be +1 or -1, got {sign_convention}")
-    if n_steps < 1:
-        raise ValueError(f"need at least one step, got {n_steps}")
-    if t < 0:
-        raise ValueError(f"leg duration must be nonnegative, got {t}")
-    config = integrator or IntegratorConfig()
-    spec = uniform_echo_chain(n, j)
-    state = initial_echo_state(n)
-    pair, spins = state.pair_state, state.spin_states
-    dt = config.dt / j
-    if t > 0:
-        for duration, couplings, sign in _schedule_segments(
-            spec, t, schedule, n_steps, sign_convention
-        ):
-            if duration > 0:
-                pair, spins = _integrate_segment(pair, spins, couplings, sign, duration, dt)
-    fidelity = float(abs(np.vdot(SINGLET, pair)) ** 2)
-    return EchoResult(
-        fidelity=fidelity,
-        infidelity=1.0 - fidelity,
-        elapsed=2.0 * t,
-        metadata={
-            "n": n,
-            "j": j,
-            "schedule": schedule,
-            "sign_convention": sign_convention,
-            "n_steps": n_steps,
-            "dt": config.dt,
-            "final_state": MeanFieldState(pair, spins, 2.0 * t),
-        },
-    )
+    after the forward and backward drive (one point of
+    `meanfield_echo_curve`)."""
+    return meanfield_echo_curve(
+        n, j, [t], integrator, schedule, n_steps, sign_convention
+    )[0]

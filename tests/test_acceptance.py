@@ -15,7 +15,7 @@ import pytest
 from echochain.chain import exact_evolve, transfer_chain
 from echochain.echo import EchoConfig, run_echo
 from echochain.gates import afm_duration_for_fm, exchange_unitary, heisenberg_pair_coupling, wrap_period
-from echochain.meanfield import IntegratorConfig, run_meanfield_echo
+from echochain.meanfield import IntegratorConfig, meanfield_echo_curve, run_meanfield_echo
 from echochain.noise import NoiseModel, default_v_grid, make_rng, slope_vs_n
 from echochain.statevec import prepare_singlet_head
 from echochain.transfer import TransferConfig, run_transfer
@@ -125,24 +125,27 @@ def test_criterion_5_conservation_suite():
 
 
 def test_criterion_6_meanfield_baseline():
-    convergence = [
-        run_meanfield_echo(
-            10, 1.0, 1.0, IntegratorConfig(dt=dt), schedule="mirrored-pulse", n_steps=1
-        ).fidelity
-        for dt in (1e-3, 5e-4)
-    ]
-    dt_shift = abs(convergence[0] - convergence[1])
     grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
     mirrored = [
-        run_meanfield_echo(
-            10, 1.0, t, IntegratorConfig(dt=1e-3), schedule="mirrored-pulse", n_steps=1
-        ).fidelity
-        for t in grid
+        result.fidelity
+        for result in meanfield_echo_curve(
+            10, 1.0, grid, IntegratorConfig(dt=1e-3), schedule="mirrored-pulse", n_steps=1
+        )
     ]
     continuous = [
-        run_meanfield_echo(10, 1.0, t, IntegratorConfig(dt=1e-3), schedule="continuous").fidelity
-        for t in (1.0, 3.0)
+        result.fidelity
+        for result in meanfield_echo_curve(
+            10, 1.0, [1.0, 3.0], IntegratorConfig(dt=1e-3), schedule="continuous"
+        )
     ]
+    # the t = 1 row of the mirrored curve is the dt = 1e-3 point
+    convergence = [
+        mirrored[grid.index(1.0)],
+        run_meanfield_echo(
+            10, 1.0, 1.0, IntegratorConfig(dt=5e-4), schedule="mirrored-pulse", n_steps=1
+        ).fidelity,
+    ]
+    dt_shift = abs(convergence[0] - convergence[1])
     ok = dt_shift < 1e-6 and min(mirrored) <= 0.99
     report(
         6,

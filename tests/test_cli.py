@@ -2,10 +2,14 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from echochain import cli
 from echochain.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def read_csv(path):
@@ -209,3 +213,54 @@ def test_t_max_outside_wrap_budget_is_usage_error(tmp_path, capsys, t_max):
 def test_t_max_at_wrap_budget_runs(tmp_path):
     assert main(["echo", "--n", "4", "--steps", "2", "--t-max", str(4 * math.pi),
                  "--points", "3", "--out", str(tmp_path / "x.csv")]) == 0
+
+
+# CSVs written by the per-point mean-field integrator that the batched
+# pass replaced; the batched pass must reproduce them byte for byte.
+@pytest.mark.parametrize("golden,flags", [
+    ("echo_meanfield_mirrored.csv",
+     ["--schedule", "mirrored-pulse", "--steps", "1"]),
+    ("echo_meanfield_continuous.csv",
+     ["--schedule", "continuous", "--sign-convention", "1", "--steps", "2"]),
+])
+def test_meanfield_csv_is_byte_identical_to_golden(tmp_path, golden, flags):
+    out = tmp_path / "echo.csv"
+    assert main(["echo", "--n", "4", "--t-max", "1.2", "--points", "4", *flags,
+                 "--with-meanfield", "--dt", "5e-3", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--dt", "0"],
+    ["--dt", "nan"],
+    ["--dt", "-0.001"],
+    ["--mf-steps", "0"],
+    # one mirrored step fits a leg of at most 2*pi / j
+    ["--t-max", "10", "--steps", "2", "--mf-steps", "1"],
+])
+def test_bad_meanfield_options_are_usage_errors(tmp_path, capsys, monkeypatch, flags):
+    def no_quantum_curve(*args, **kwargs):
+        raise AssertionError("the quantum curve ran before the options were checked")
+
+    monkeypatch.setattr(cli, "echo_fidelity_curve", no_quantum_curve)
+    out = tmp_path / "x.csv"
+    assert main(["echo", "--n", "4", "--points", "3", "--t-max", "1", "--with-meanfield",
+                 *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_meanfield_options_unchecked_without_meanfield(tmp_path):
+    # --dt and --mf-steps only drive the mean-field series
+    assert main(["echo", "--n", "4", "--points", "2", "--t-max", "1", "--dt", "0",
+                 "--mf-steps", "0", "--out", str(tmp_path / "x.csv")]) == 0
+
+
+def test_continuous_schedule_has_no_wrap_budget(tmp_path):
+    out = tmp_path / "x.csv"
+    assert main(["echo", "--n", "4", "--points", "2", "--t-max", "10", "--steps", "2",
+                 "--with-meanfield", "--schedule", "continuous", "--mf-steps", "1",
+                 "--dt", "5e-2", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [float(row["f_ec"]) for row in rows if row["series"] == "meanfield"] == \
+        pytest.approx([1.0, 1.0], abs=1e-8)

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from echochain import meanfield
 from echochain.chain import ChainSpec, uniform_echo_chain
 from echochain.meanfield import (
     SCHEDULE_CONTINUOUS,
@@ -11,6 +13,7 @@ from echochain.meanfield import (
     MeanFieldState,
     initial_echo_state,
     mean_fields,
+    meanfield_echo_curve,
     pair_site_expectations,
     rk4_step,
     run_meanfield_echo,
@@ -59,6 +62,8 @@ class TestMeanFields:
         spec = ChainSpec(4, [1.0, 1.0, 1.0], np.zeros(4))
         with pytest.raises(ValueError):
             mean_fields(initial_echo_state(4), spec, 1.0)
+        with pytest.raises(ValueError):
+            rk4_step(initial_echo_state(4), spec, 1.0, 1e-2)
 
 
 def make_precession_state_padded(n):
@@ -105,17 +110,26 @@ class TestRk4:
         assert abs(np.linalg.norm(state.spin_states[0]) - 1.0) < 1e-8
 
 
+CONTINUOUS_GRID = [0.5, 1.5, 3.0]
+
+
+@pytest.fixture(scope="module")
+def continuous_curve():
+    results = meanfield_echo_curve(
+        6, 1.0, CONTINUOUS_GRID, IntegratorConfig(dt=2e-3), schedule=SCHEDULE_CONTINUOUS
+    )
+    return dict(zip(CONTINUOUS_GRID, results))
+
+
 class TestEchoSchedules:
     def test_zero_time_revives(self):
         for schedule in (SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED):
             result = run_meanfield_echo(5, 1.0, 0.0, schedule=schedule)
             assert result.fidelity == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("t", [0.5, 1.5, 3.0])
-    def test_continuous_schedule_self_cancels(self, t):
-        result = run_meanfield_echo(
-            6, 1.0, t, IntegratorConfig(dt=2e-3), schedule=SCHEDULE_CONTINUOUS
-        )
+    @pytest.mark.parametrize("t", CONTINUOUS_GRID)
+    def test_continuous_schedule_self_cancels(self, t, continuous_curve):
+        result = continuous_curve[t]
         assert result.fidelity == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("n_steps,expected", [(1, 0.0), (2, 1.0), (3, 0.0)])
@@ -169,4 +183,208 @@ def test_validation():
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0)
     with pytest.raises(ValueError):
+        IntegratorConfig(dt=math.nan)
+    with pytest.raises(ValueError):
         IntegratorConfig(scheme="euler")
+
+
+def final_state_digest(result) -> str:
+    """First 16 hex digits of the sha256 of a row's final state, with
+    signed zeros folded to +0."""
+    state = result.metadata["final_state"]
+    values = np.concatenate([state.pair_state, state.spin_states.ravel()]) + 0.0
+    return hashlib.sha256(values.tobytes()).hexdigest()[:16]
+
+
+# Fidelity reprs and final-state digests of the per-point integrator
+# that the batched pass replaced, one grid point per call.  The step
+# count does not enter the continuous schedule.
+GOLDEN_GRID = [1.2, 0.0, 0.45, 1.2, 2.0]   # unsorted, with t = 0 and a repeat
+GOLDEN_ZERO = ("0.9999999999999996", "6471e1e2797cf9e1")
+GOLDEN_CURVES = {
+    (SCHEDULE_CONTINUOUS, -1, None): (
+        ["1.0", "1.0", "1.0", "1.0"],
+        ["6e8e6e4c957bdc32", "c789ce853e302e98", "6e8e6e4c957bdc32", "073652285428aa40"],
+    ),
+    (SCHEDULE_CONTINUOUS, 1, None): (
+        ["1.0", "1.0", "1.0", "1.0"],
+        ["43e45fa9b0e7efbb", "8d4016c3d9d74b35", "43e45fa9b0e7efbb", "a8490e5d6b67503a"],
+    ),
+    (SCHEDULE_MIRRORED, -1, 1): (
+        ["1.00915719510263e-27", "1.0727884143277825e-27", "1.00915719510263e-27",
+         "9.483870433398017e-28"],
+        ["11f2748b51590584", "ba0d1e9765b38b4a", "11f2748b51590584", "b715606c0ba0e926"],
+    ),
+    (SCHEDULE_MIRRORED, -1, 2): (
+        ["1.0", "1.0", "1.0", "1.0"],
+        ["15135ab655d3ae93", "34d13279f3c81667", "15135ab655d3ae93", "3de322ae3404c1dd"],
+    ),
+    (SCHEDULE_MIRRORED, -1, 3): (
+        ["8.945053259924066e-27", "9.17203348673654e-27", "8.945053259924066e-27",
+         "8.803703197705955e-27"],
+        ["3ac7ebe7b672091c", "cfd6db645ce765a0", "3ac7ebe7b672091c", "485c9ff7355f6a7b"],
+    ),
+    (SCHEDULE_MIRRORED, 1, 1): (
+        ["1.00915719510263e-27", "1.0727884143277825e-27", "1.00915719510263e-27",
+         "9.483870433398017e-28"],
+        ["65fff6e1f21b4006", "9b48e852d906ed7f", "65fff6e1f21b4006", "6031c5faa31c25bd"],
+    ),
+    (SCHEDULE_MIRRORED, 1, 2): (
+        ["1.0", "1.0", "1.0", "1.0"],
+        ["7f5e388069b7fd10", "48f163f81b2a5fa9", "7f5e388069b7fd10", "7ec049428072af27"],
+    ),
+    (SCHEDULE_MIRRORED, 1, 3): (
+        ["8.945053259924066e-27", "9.17203348673654e-27", "8.945053259924066e-27",
+         "8.803703197705955e-27"],
+        ["27d4776a9fed3b1e", "558a165e3ef78493", "27d4776a9fed3b1e", "fc85350da6f12769"],
+    ),
+}
+
+
+class TestGoldenBits:
+    def test_benchmark_rows(self):
+        # the three mean-field rows of the benchmark's meanfield-curve command
+        results = meanfield_echo_curve(
+            10, 1.0, [0.0, 1.5, 3.0], IntegratorConfig(dt=1e-3),
+            schedule=SCHEDULE_MIRRORED, n_steps=1, sign_convention=-1,
+        )
+        assert [repr(r.fidelity) for r in results] == [
+            "0.9999999999999996", "7.965018492856671e-30", "3.89986276350249e-32"
+        ]
+        assert [final_state_digest(r) for r in results] == [
+            "0d37a12da78c79e7", "aa8e39e0f80473b3", "1fa470f2aa59edec"
+        ]
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3])
+    @pytest.mark.parametrize("sign_convention", [-1, 1])
+    @pytest.mark.parametrize("schedule", [SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED])
+    def test_cheap_grid(self, schedule, sign_convention, n_steps):
+        key = (schedule, sign_convention, n_steps if schedule == SCHEDULE_MIRRORED else None)
+        fidelities, digests = GOLDEN_CURVES[key]
+        results = meanfield_echo_curve(
+            5, 1.0, GOLDEN_GRID, IntegratorConfig(dt=5e-3),
+            schedule=schedule, n_steps=n_steps, sign_convention=sign_convention,
+        )
+        zero = results.pop(1)
+        assert (repr(zero.fidelity), final_state_digest(zero)) == GOLDEN_ZERO
+        assert [repr(r.fidelity) for r in results] == fidelities
+        assert [final_state_digest(r) for r in results] == digests
+
+    @pytest.mark.parametrize(
+        "n,j,grid,schedule,n_steps,sign_convention,fidelities,digests",
+        [
+            (6, 1.3, [2.1, 0.7], SCHEDULE_MIRRORED, 3, 1,
+             ["9.588226788321588e-27", "9.493244835079475e-27"],
+             ["cb41bd71be9a13b0", "ccaaabe9b1776542"]),
+            (7, 0.8, [0.9, 2.5], SCHEDULE_CONTINUOUS, 1, -1,
+             ["1.0", "1.0"], ["08e75a8c84e50ff7", "6a56b6156913096e"]),
+        ],
+    )
+    def test_other_chains(self, n, j, grid, schedule, n_steps, sign_convention,
+                          fidelities, digests):
+        results = meanfield_echo_curve(
+            n, j, grid, IntegratorConfig(dt=5e-3),
+            schedule=schedule, n_steps=n_steps, sign_convention=sign_convention,
+        )
+        assert [repr(r.fidelity) for r in results] == fidelities
+        assert [final_state_digest(r) for r in results] == digests
+
+
+class TestBatching:
+    """Rows of one pass are independent: a row's bits depend only on its
+    own leg duration.  A coarse dt keeps these cheap."""
+
+    GRID = [0.9, 0.0, 0.3, 2.2, 0.9, 1.6]
+    CONFIG = IntegratorConfig(dt=2e-2)
+
+    def curve(self, grid, schedule):
+        results = meanfield_echo_curve(5, 1.0, grid, self.CONFIG, schedule=schedule)
+        return [(repr(r.fidelity), final_state_digest(r)) for r in results]
+
+    @pytest.mark.parametrize("schedule", [SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED])
+    def test_rows_equal_one_point_calls(self, schedule):
+        single = [run_meanfield_echo(5, 1.0, t, self.CONFIG, schedule=schedule)
+                  for t in self.GRID]
+        assert self.curve(self.GRID, schedule) == [
+            (repr(r.fidelity), final_state_digest(r)) for r in single
+        ]
+
+    @pytest.mark.parametrize("schedule", [SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED])
+    def test_permuting_or_splitting_the_grid_changes_no_row(self, schedule):
+        rows = dict(zip(self.GRID, self.curve(self.GRID, schedule)))
+        reordered = sorted(self.GRID, reverse=True)
+        assert self.curve(reordered, schedule) == [rows[t] for t in reordered]
+        head, tail = self.GRID[:2], self.GRID[2:]
+        assert self.curve(head, schedule) + self.curve(tail, schedule) == [
+            rows[t] for t in self.GRID
+        ]
+
+    def test_empty_grid(self):
+        assert meanfield_echo_curve(5, 1.0, [], self.CONFIG) == []
+
+    def test_rejects_bad_times(self):
+        for bad in (-0.1, math.nan):
+            with pytest.raises(ValueError):
+                meanfield_echo_curve(5, 1.0, [0.5, bad], self.CONFIG)
+
+    def test_pass_takes_the_longest_row_in_batched_steps(self, monkeypatch):
+        calls = []
+        kernel = meanfield._rk4_update
+
+        def counted(psi, js, dt):
+            calls.append(len(psi))
+            return kernel(psi, js, dt)
+
+        monkeypatch.setattr(meanfield, "_rk4_update", counted)
+        meanfield_echo_curve(5, 1.0, [0.2, 0.0, 1.0], self.CONFIG)
+        # continuous: 2t / dt steps; the t = 0 row is never driven
+        assert len(calls) == 100
+        assert calls.count(2) == 20 and calls.count(1) == 80
+
+
+class TestClosedForm:
+    """For this initial state <S_2> = 0 at all times, so every mean field
+    stays along z and each spinor only gains phases.  The revival is then
+    cos^2 of the pair's accumulated relative phase: N pi / 2 under the
+    mirrored pulse train, zero under the continuous schedule.  Both hold
+    at any step size (RK4's phase error enters the fidelity squared),
+    so a coarse dt suffices."""
+
+    GRID = [0.0, 0.4, 1.1, 2.5]
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_revival_and_invariants(self, n, monkeypatch):
+        worst = {"transverse": 0.0, "s2": 0.0}
+        kernel = meanfield._rk4_update
+
+        def checked(psi, js, dt):
+            new = kernel(psi, js, dt)
+            a, b = new[..., 0], new[..., 1]
+            z = a.conj() * b
+            worst["transverse"] = max(worst["transverse"], float(np.max(np.abs(z[:, 2:]))))
+            w = np.abs(new[:, :2]) ** 2
+            s2z = 0.5 * (w[:, 0, 0] + w[:, 1, 0] - w[:, 0, 1] - w[:, 1, 1])
+            s2 = np.hypot(np.abs(z[:, 0] + z[:, 1]), s2z)
+            worst["s2"] = max(worst["s2"], float(np.max(s2)))
+            return new
+
+        monkeypatch.setattr(meanfield, "_rk4_update", checked)
+        config = IntegratorConfig(dt=0.1)
+        for sign_convention in (-1, 1):
+            for n_steps in (1, 2, 3):
+                mirrored = meanfield_echo_curve(
+                    n, 1.0, self.GRID, config, schedule=SCHEDULE_MIRRORED,
+                    n_steps=n_steps, sign_convention=sign_convention,
+                )
+                revival = math.cos(n_steps * math.pi / 2) ** 2
+                for t, result in zip(self.GRID, mirrored):
+                    expected = 1.0 if t == 0 else revival
+                    assert result.fidelity == pytest.approx(expected, abs=1e-8)
+            continuous = meanfield_echo_curve(
+                n, 1.0, self.GRID, config, schedule=SCHEDULE_CONTINUOUS,
+                sign_convention=sign_convention,
+            )
+            for result in continuous:
+                assert result.fidelity == pytest.approx(1.0, abs=1e-8)
+        assert worst["transverse"] < 1e-12
+        assert worst["s2"] < 1e-12
