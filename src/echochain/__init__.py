@@ -18,40 +18,27 @@ from .gates import (
     DELTA_EPS,
     EPS_SINGLET,
     EPS_TRIPLET,
-    ExchangeGate,
     afm_duration_for_fm,
     exchange_unitary,
     exchange_unitary_reference,
     field_phase,
-    reduce_to_wrap_period,
     wrap_period,
 )
-from .meanfield import (
-    IntegratorConfig,
-    MeanFieldState,
-    mean_fields,
-    meanfield_echo_curve,
-    rk4_step,
-    run_meanfield_echo,
-)
+from .meanfield import IntegratorConfig, meanfield_echo_curve
 from .noise import (
     FitResult,
     NoiseModel,
     TrialStats,
     loglog_fit,
-    run_trials,
     sample_eta,
     slope_vs_n,
 )
 from .statevec import (
     SINGLET,
-    TRIPLET_ZERO,
     InvalidGateError,
     StateVector,
     apply_single_site_phase,
     apply_two_site,
-    basis_state,
-    overlap,
     pair_projection_fidelity,
     prepare_singlet_head,
     total_sz,

@@ -13,9 +13,8 @@ under exactly this normalization, which pins the convention.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,31 +56,6 @@ class ChainSpec:
             raise ValueError(f"sign must be '{SIGN_FM}' or '{SIGN_AFM}'")
         if self.exchange_prefactor <= 0:
             raise ValueError("exchange prefactor must be positive")
-
-    def with_sign(self, sign: str) -> "ChainSpec":
-        return replace(self, sign=sign)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "couplings": list(self.couplings),
-                "fields": list(self.fields),
-                "sign": self.sign,
-                "prefactor": self.exchange_prefactor,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChainSpec":
-        doc = json.loads(text)
-        return cls(
-            n=doc["n"],
-            couplings=np.array(doc["couplings"], dtype=float),
-            fields=np.array(doc["fields"], dtype=float),
-            sign=doc["sign"],
-            exchange_prefactor=doc["prefactor"],
-        )
 
 
 @dataclass

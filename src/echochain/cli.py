@@ -24,13 +24,8 @@ from .checks import run_all_checks
 from .echo import EchoConfig, echo_fidelity_curve, max_leg_duration
 from .gates import fits_wrap_period
 from .meanfield import SCHEDULE_MIRRORED, SCHEDULES, IntegratorConfig, meanfield_echo_curve
-from .noise import NoiseModel, TrialStats, default_v_grid, slope_vs_n
-from .transfer import (
-    ENGINE_EXACT,
-    ENGINES,
-    TransferConfig,
-    transfer_fidelity_curve,
-)
+from .noise import NoiseModel, TrialStats, default_v_grid, protocol_runner, slope_vs_n
+from .transfer import ENGINE_EXACT, ENGINES, TransferConfig, transfer_fidelity_curve
 
 
 class UsageError(Exception):
@@ -162,33 +157,30 @@ def _meanfield_integrator(opts: SimpleNamespace, mf_steps: int) -> IntegratorCon
 def cmd_echo(opts: SimpleNamespace) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
-    if opts.steps < 1:
-        raise UsageError(f"need at least one step, got {opts.steps}")
-    if opts.j <= 0:
-        raise UsageError(f"coupling must be positive, got {opts.j}")
+    try:
+        noise = NoiseModel(v=opts.noise_v)
+        config = EchoConfig(
+            n=opts.n,
+            t=0.0,
+            n_steps=opts.steps,
+            j=opts.j,
+            backward_mode=opts.backward,
+            noise=noise if noise.v > 0 else None,
+            seed=opts.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     # The simulated ferromagnet fits each step's slice into one wrap
     # period, checked as the plan builder checks it.
-    if not (opts.t_max >= 0 and fits_wrap_period(opts.t_max / opts.steps, opts.j)):
+    if not fits_wrap_period(opts.t_max / opts.steps, opts.j):
         longest = max_leg_duration(opts.j, opts.steps)
         raise UsageError(
             f"--t-max must lie in [0, {longest!r}] (steps * 2*pi / j), got {opts.t_max}"
         )
-    if opts.noise_v < 0:
-        raise UsageError("noise strength must be nonnegative")
     mf_steps = opts.mf_steps if opts.mf_steps is not None else opts.steps
     if opts.with_meanfield:
         integrator = _meanfield_integrator(opts, mf_steps)
-    noise = NoiseModel(v=opts.noise_v) if opts.noise_v > 0 else None
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
-    config = EchoConfig(
-        n=opts.n,
-        t=0.0,
-        n_steps=opts.steps,
-        j=opts.j,
-        backward_mode=opts.backward,
-        noise=noise,
-        seed=opts.seed,
-    )
     quantum = echo_fidelity_curve(config, grid)
     header = [
         "series", "n", "j", "t", "steps", "mode", "schedule",
@@ -238,19 +230,21 @@ def cmd_echo(opts: SimpleNamespace) -> int:
 def cmd_transfer(opts: SimpleNamespace) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
-    if opts.engine not in ENGINES:
-        raise UsageError(f"unknown engine '{opts.engine}'")
-    if opts.noise_v < 0:
-        raise UsageError("noise strength must be nonnegative")
-    if opts.noise_v > 0 and opts.engine == ENGINE_EXACT:
-        raise UsageError("the exact engine is noise-free; pick a trotter engine")
-    if not opts.t_max >= 0:
-        raise UsageError(f"--t-max must be nonnegative, got {opts.t_max}")
-    noise = NoiseModel(v=opts.noise_v) if opts.noise_v > 0 else None
+    if not (math.isfinite(opts.t_max) and opts.t_max >= 0):
+        raise UsageError(f"--t-max must be finite and >= 0, got {opts.t_max}")
+    try:
+        noise = NoiseModel(v=opts.noise_v)
+        config = TransferConfig(
+            n=opts.n,
+            t=0.0,
+            n_steps=opts.steps,
+            engine=opts.engine,
+            noise=noise if noise.v > 0 else None,
+            seed=opts.seed,
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
-    config = TransferConfig(
-        n=opts.n, t=0.0, n_steps=opts.steps, engine=opts.engine, noise=noise, seed=opts.seed
-    )
     curve = transfer_fidelity_curve(config, grid)
     header = ["n", "t", "steps", "engine", "v", "seed", "f_tr", "i_tr"]
     shown_steps = "" if opts.engine == ENGINE_EXACT else config.resolved_steps
@@ -288,21 +282,21 @@ def _parse_n_range(opts: SimpleNamespace) -> list[int]:
 def cmd_robustness(opts: SimpleNamespace) -> int:
     if opts.trials < 1:
         raise UsageError(f"need at least one trial, got {opts.trials}")
-    if opts.protocol not in ("echo", "transfer"):
-        raise UsageError(f"unknown protocol '{opts.protocol}'")
     if opts.protocol == "transfer" and opts.engine == ENGINE_EXACT:
         raise UsageError("robustness needs a trotter engine")
     ns = _parse_n_range(opts)
-    try:
-        v_grid = default_v_grid(opts.v_min, opts.v_max, opts.v_points)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
     params: dict = {"t": opts.t}
     if opts.steps is not None:
         params["n_steps"] = opts.steps
     if opts.protocol == "transfer":
         params["engine"] = opts.engine
+    try:
+        v_grid = default_v_grid(opts.v_min, opts.v_max, opts.v_points)
+        # every swept n's runner validates its config before any trial runs
+        for n in ns:
+            protocol_runner(opts.protocol, n=n, **params)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     trial_rows: list[list] = []
     fit_series: dict[int, list[tuple[float, float]]] = {}
@@ -382,6 +376,10 @@ def cmd_oracle_check(opts: SimpleNamespace) -> int:
         raise UsageError(f"bad --trotter-steps '{opts.trotter_steps}'") from exc
     if opts.max_n < 2:
         raise UsageError("--max-n must be at least 2")
+    if min(steps) < 1:
+        raise UsageError(f"--trotter-steps must all be at least 1, got {opts.trotter_steps}")
+    if opts.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {opts.samples}")
     results = run_all_checks(
         max_n=opts.max_n,
         trotter_steps=steps,

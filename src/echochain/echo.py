@@ -20,6 +20,7 @@ import numpy as np
 
 from . import sector
 from .chain import uniform_echo_chain
+from .gates import fits_wrap_period
 from .noise import GateNoise, NoiseModel, Seed, model_noise
 from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, second_order_plan
 
@@ -40,10 +41,16 @@ class EchoConfig:
     def __post_init__(self) -> None:
         if self.n < 3:
             raise ValueError(f"echo needs at least 3 sites, got {self.n}")
-        if self.t < 0:
-            raise ValueError(f"leg duration must be nonnegative, got {self.t}")
         if self.n_steps < 1:
             raise ValueError(f"need at least one step, got {self.n_steps}")
+        if not (math.isfinite(self.j) and self.j > 0):
+            raise ValueError(f"coupling must be finite and positive, got {self.j}")
+        # the simulated ferromagnet fits each step's slice into one wrap period
+        if not fits_wrap_period(self.t / self.n_steps, self.j):
+            raise ValueError(
+                f"leg duration must lie in [0, {max_leg_duration(self.j, self.n_steps)!r}] "
+                f"(n_steps * 2*pi / j), got {self.t}"
+            )
         if self.backward_mode not in (BACKWARD_TROTTERIZED, BACKWARD_EXACT):
             raise ValueError(f"unknown backward mode '{self.backward_mode}'")
 

@@ -11,8 +11,6 @@ the ferromagnetic evolution up to a global phase.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 EPS_SINGLET = -0.75
@@ -66,15 +64,6 @@ def wrap_period(j_fm: float) -> float:
     return 2.0 * math.pi / (j_fm * abs(DELTA_EPS))
 
 
-def reduce_to_wrap_period(t: float, j_fm: float) -> tuple[float, int]:
-    """Reduce a duration modulo the wrap period; returns (t_mod, wraps)."""
-    if t < 0:
-        raise ValueError(f"duration must be nonnegative, got {t}")
-    period = wrap_period(j_fm)
-    wraps = int(t // period)
-    return t - wraps * period, wraps
-
-
 def fits_wrap_period(t: float, j_fm: float) -> bool:
     """0 <= t <= one wrap period, forgiving the rounding of a duration
     computed as a quotient (t / n_steps)."""
@@ -87,8 +76,8 @@ def afm_duration_for_fm(t: float, j_afm: float, j_fm: float) -> float:
 
         t' = (j_fm / j_afm) (2 pi / (j_fm |delta eps|) - t)
 
-    Requires 0 <= t <= one wrap period; longer durations must be
-    pre-reduced with `reduce_to_wrap_period`.
+    Requires 0 <= t <= one wrap period; a longer evolution must be split
+    into more Trotter steps.
     """
     if j_afm <= 0 or j_fm <= 0:
         raise ValueError("couplings must be positive")
@@ -97,7 +86,7 @@ def afm_duration_for_fm(t: float, j_afm: float, j_fm: float) -> float:
     period = wrap_period(j_fm)
     if not fits_wrap_period(t, j_fm):
         raise ValueError(
-            f"duration {t} exceeds the wrap period {period}; reduce it first"
+            f"duration {t} exceeds the wrap period {period}; use more steps"
         )
     return max((j_fm / j_afm) * (period - t), 0.0)
 
@@ -107,16 +96,3 @@ def field_phase(b: float, tau: float) -> float:
     if tau < 0:
         raise ValueError(f"duration must be nonnegative, got {tau}")
     return b * tau
-
-
-@dataclass(frozen=True)
-class ExchangeGate:
-    """An exchange pulse exp(-i theta S_i.S_j) bound to a bond."""
-
-    pair: tuple[int, int]
-    theta: float
-    unitary: np.ndarray = field(repr=False)
-
-    @classmethod
-    def build(cls, pair: tuple[int, int], theta: float) -> "ExchangeGate":
-        return cls(pair=pair, theta=theta, unitary=exchange_unitary(theta))

@@ -44,74 +44,20 @@ class IntegratorConfig:
     """Fixed-step classical RK4; dt is in units of 1/J."""
 
     dt: float = 1e-3
-    scheme: str = "rk4"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"step size must be positive and finite, got {self.dt}")
-        if self.scheme != "rk4":
-            raise ValueError("only classical 4th-order Runge-Kutta is supported")
 
 
-@dataclass
-class MeanFieldState:
-    """Factorized state: head-pair wavefunction plus site spinors."""
-
-    pair_state: np.ndarray           # 4 amplitudes for sites (1, 2)
-    spin_states: np.ndarray          # (n-2, 2) amplitudes for sites 3..n
-    time: float = 0.0
-
-    def __post_init__(self) -> None:
-        self.pair_state = np.asarray(self.pair_state, dtype=complex).reshape(4)
-        self.spin_states = np.asarray(self.spin_states, dtype=complex)
-        if self.spin_states.ndim != 2 or self.spin_states.shape[1] != 2:
-            raise ValueError("spin_states must have shape (n-2, 2)")
-
-    @property
-    def n(self) -> int:
-        return 2 + self.spin_states.shape[0]
-
-    def copy(self) -> "MeanFieldState":
-        return MeanFieldState(self.pair_state.copy(), self.spin_states.copy(), self.time)
-
-
-def initial_echo_state(n: int) -> MeanFieldState:
-    """Singlet head pair, all remaining spins up."""
-    if n < 3:
-        raise ValueError(f"echo needs at least 3 sites, got {n}")
-    spins = np.zeros((n - 2, 2), dtype=complex)
-    spins[:, 0] = 1.0
-    return MeanFieldState(SINGLET.copy(), spins)
-
-
-def spin_expectation(spinor: np.ndarray) -> np.ndarray:
-    """<S> = (<Sx>, <Sy>, <Sz>) of a normalized single-spin state."""
-    a, b = spinor
-    z = np.conj(a) * b
-    return np.array([z.real, z.imag, 0.5 * (abs(a) ** 2 - abs(b) ** 2)])
-
-
-def pair_site_expectations(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(<S_1>, <S_2>) from the reduced states of the head pair."""
-    m = np.asarray(pair, dtype=complex).reshape(2, 2)
-    rho1 = np.einsum("aq,bq->ab", m, m.conj())
-    rho2 = np.einsum("qa,qb->ab", m, m.conj())
-    def bloch(rho: np.ndarray) -> np.ndarray:
-        return 0.5 * np.array(
-            [2 * rho[0, 1].real, -2 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
-        )
-    return bloch(rho1), bloch(rho2)
-
-
-def _slots(state: MeanFieldState) -> np.ndarray:
-    """The state as n spinors: slots 0 and 1 are the head pair's rows
-    (p00, p01) and (p10, p11), each acted on at site 2's index, and
-    slot k >= 2 is site k+1."""
-    return np.concatenate((state.pair_state.reshape(2, 2), state.spin_states))
-
-
-def _state(slots: np.ndarray, time: float) -> MeanFieldState:
-    return MeanFieldState(slots[:2].reshape(4).copy(), slots[2:].copy(), time)
+def _initial_slots(n: int) -> np.ndarray:
+    """The echo's initial state as n spinors, (n, 2): slots 0 and 1 are
+    the singlet head pair's rows (p00, p01) and (p10, p11), each acted
+    on at site 2's index, and slot k >= 2 is site k+1, spin up."""
+    slots = np.zeros((n, 2), dtype=complex)
+    slots[:2] = SINGLET.reshape(2, 2)
+    slots[2:, 0] = 1.0
+    return slots
 
 
 def _site_fields(psi: np.ndarray, js: np.ndarray) -> np.ndarray:
@@ -180,33 +126,6 @@ def _signed_couplings(couplings: np.ndarray, sign: float) -> np.ndarray:
     return sign * np.append(couplings, 0.0)
 
 
-def _check_chain(state: MeanFieldState, spec: ChainSpec) -> None:
-    if spec.n != state.n:
-        raise ValueError("chain and state site counts differ")
-    if spec.couplings[0] != 0.0:
-        raise ValueError("mean-field model requires the (1,2) bond to be off")
-
-
-def mean_fields(state: MeanFieldState, spec: ChainSpec, sign: float) -> np.ndarray:
-    """Per-site mean-field vectors for the current factorized state."""
-    _check_chain(state, spec)
-    fields = _site_fields(_slots(state)[None], _signed_couplings(spec.couplings, sign)[None])
-    return np.concatenate((np.zeros((1, 3)), fields[0]))
-
-
-def rk4_step(
-    state: MeanFieldState, spec: ChainSpec, sign: float, dt: float
-) -> MeanFieldState:
-    """Advance the coupled equations by one RK4 step and renormalize."""
-    if dt <= 0:
-        raise ValueError(f"step size must be positive, got {dt}")
-    _check_chain(state, spec)
-    new = _rk4_update(
-        _slots(state)[None], _signed_couplings(spec.couplings, sign)[None], np.array([dt])
-    )
-    return _state(new[0], state.time + dt)
-
-
 def _masked_couplings(spec: ChainSpec, bonds: list[tuple[int, int]]) -> np.ndarray:
     masked = np.zeros_like(spec.couplings)
     for i, _ in bonds:
@@ -264,8 +183,10 @@ def meanfield_echo_curve(
     couplings, sign and step size.  The rows advance together one epoch
     (a stretch with no segment boundary in any row) at a time, and a
     row drops out once its drive is done, so the pass takes as many
-    batched steps as the longest row.  Every row is the per-point
-    integration bit for bit, whatever the grid's order or size.
+    batched steps as the longest row.  A row's bits depend only on its
+    own leg duration, whatever the grid's order or size, and its
+    metadata["final_state"] is its final (n, 2) slot array, laid out
+    as `_initial_slots` lays out the initial one.
 
     sign_convention is the multiplier applied to the ferromagnetic-leg
     mean fields (-1 matches the Hamiltonian sign; +1 is the literal
@@ -288,7 +209,7 @@ def meanfield_echo_curve(
     plans = [
         _row_segments(spec, t, schedule, n_steps, sign_convention, dt) for t in times
     ]
-    psi = np.repeat(_slots(initial_echo_state(n))[None], len(times), axis=0)
+    psi = np.repeat(_initial_slots(n)[None], len(times), axis=0)
     position = [0] * len(times)
     left = [plan[0][0] if plan else 0 for plan in plans]
     active = [r for r, plan in enumerate(plans) if plan]
@@ -324,25 +245,8 @@ def meanfield_echo_curve(
                     "sign_convention": sign_convention,
                     "n_steps": n_steps,
                     "dt": config.dt,
-                    "final_state": _state(slots, 2.0 * t),
+                    "final_state": slots,
                 },
             )
         )
     return results
-
-
-def run_meanfield_echo(
-    n: int,
-    j: float,
-    t: float,
-    integrator: IntegratorConfig | None = None,
-    schedule: str = SCHEDULE_CONTINUOUS,
-    n_steps: int = 1,
-    sign_convention: int = -1,
-) -> EchoResult:
-    """Mean-field echo fidelity: singlet projection of the head pair
-    after the forward and backward drive (one point of
-    `meanfield_echo_curve`)."""
-    return meanfield_echo_curve(
-        n, j, [t], integrator, schedule, n_steps, sign_convention
-    )[0]

@@ -35,8 +35,8 @@ class NoiseModel:
     include_fields: bool = False
 
     def __post_init__(self) -> None:
-        if self.v < 0:
-            raise ValueError(f"noise strength must be nonnegative, got {self.v}")
+        if not (math.isfinite(self.v) and self.v >= 0):
+            raise ValueError(f"noise strength must be finite and >= 0, got {self.v}")
 
 
 def sample_eta(rng: np.random.Generator, v: float) -> float:
@@ -74,8 +74,8 @@ class GateNoise:
         self.v = np.asarray(v, dtype=float).reshape(-1, 1)
         if self.v.shape[0] != len(seeds):
             raise ValueError(f"{len(seeds)} seeds but {self.v.shape[0]} noise strengths")
-        if np.any(self.v < 0):
-            raise ValueError("noise strength must be nonnegative")
+        if not np.all(np.isfinite(self.v) & (self.v >= 0)):
+            raise ValueError("noise strength must be finite and >= 0")
         self.include_fields = include_fields
         self._rngs = [make_rng(seed) for seed in seeds]
 
@@ -142,7 +142,7 @@ class FitResult:
 def _trial_stats(
     protocol: str, n: int, v: float, steps: int, infidelities: np.ndarray
 ) -> TrialStats:
-    if np.any(infidelities < -1e-12) or np.any(infidelities > 1 + 1e-12):
+    if not np.all((infidelities >= -1e-12) & (infidelities <= 1 + 1e-12)):
         raise RuntimeError("trial infidelity left [0, 1]")
     return TrialStats(
         protocol=protocol,
@@ -173,25 +173,6 @@ def _batch_stats(
     return [_trial_stats(protocol, n, v, runner.n_steps, row) for v, row in zip(v_grid, rows)]
 
 
-def run_trials(
-    runner: TrialRunner,
-    v: float,
-    trials: int,
-    master_seed: Seed,
-    *,
-    protocol: str = "",
-    n: int = 0,
-    include_fields: bool = False,
-) -> TrialStats:
-    """Repeat a protocol `trials` times at noise strength v, as one batch.
-
-    Trial k draws its gate errors from child_seed(master_seed, k).
-    """
-    if trials < 1:
-        raise ValueError(f"need at least one trial, got {trials}")
-    return _batch_stats(runner, protocol, n, [v], [master_seed], trials, include_fields)[0]
-
-
 def loglog_fit(points: Iterable[tuple[float, float]]) -> FitResult:
     """Ordinary least squares of log(I) = a + b log(v).
 
@@ -218,8 +199,8 @@ def default_v_grid(
     v_min: float = 1e-3, v_max: float = 1e-1, points: int = 8
 ) -> np.ndarray:
     """Log-spaced error strengths for robustness sweeps."""
-    if v_min <= 0 or v_max <= v_min or points < 3:
-        raise ValueError("grid must be positive, increasing, with >= 3 points")
+    if not 0 < v_min < v_max < math.inf or points < 3:
+        raise ValueError("grid must be finite, positive, increasing, with >= 3 points")
     return np.geomspace(v_min, v_max, points)
 
 

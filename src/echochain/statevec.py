@@ -13,18 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import sqrt
-from typing import Sequence
 
 import numpy as np
 
 NORM_TOL = 1e-10
 UNITARITY_TOL = 1e-12
 
-# Two-spin reference states in the |b_i b_j> = {00, 01, 10, 11} basis.
+# The two-spin singlet in the |b_i b_j> = {00, 01, 10, 11} basis.
 SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / sqrt(2.0)
-TRIPLET_ZERO = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / sqrt(2.0)
-TRIPLET_UP = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-TRIPLET_DOWN = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
 
 
 class InvalidGateError(ValueError):
@@ -52,25 +48,6 @@ class StateVector:
                 f"amplitude array has shape {self.amplitudes.shape}, "
                 f"expected ({1 << self.num_sites},)"
             )
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.num_sites, self.amplitudes.copy())
-
-
-def basis_state(n: int, bits: Sequence[int]) -> StateVector:
-    """Computational basis state |b_1 b_2 ... b_n> (bit 0 = spin-up)."""
-    if n < 2:
-        raise ValueError(f"need at least 2 sites, got {n}")
-    if len(bits) != n:
-        raise ValueError(f"expected {n} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError("bits must be 0 or 1")
-    index = 0
-    for b in bits:
-        index = (index << 1) | b
-    amplitudes = np.zeros(1 << n, dtype=complex)
-    amplitudes[index] = 1.0
-    return StateVector(n, amplitudes)
 
 
 def prepare_singlet_head(n: int) -> StateVector:
@@ -170,13 +147,6 @@ def total_sz(state: StateVector) -> float:
         p_down = float(np.sum(np.abs(view[:, 1, :]) ** 2))
         total += 0.5 * (p_up - p_down)
     return total
-
-
-def overlap(a: StateVector, b: StateVector) -> complex:
-    """Inner product <a|b>."""
-    if a.num_sites != b.num_sites:
-        raise ValueError("states have different site counts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def norm(state: StateVector) -> float:

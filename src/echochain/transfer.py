@@ -67,8 +67,8 @@ class TransferConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 sites, got {self.n}")
-        if self.t < 0:
-            raise ValueError(f"evolution time must be nonnegative, got {self.t}")
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise ValueError(f"evolution time must be finite and >= 0, got {self.t}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine '{self.engine}'")
         if self.n_steps is not None and self.n_steps < 1:

@@ -16,7 +16,6 @@ Modes:
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -54,23 +53,6 @@ class TrotterPlan:
     num_sites: int
     layers: list[Layer]  # one Trotter step; executed `steps` times
     steps: int
-    mode: str
-    target: str
-
-    def to_json(self) -> str:
-        doc = {
-            "num_sites": self.num_sites,
-            "steps": self.steps,
-            "mode": self.mode,
-            "target": self.target,
-            "layers": [
-                {"kind": "exchange", "gates": [[i, j, theta] for (i, j), theta in l.gates]}
-                if isinstance(l, ExchangeLayer)
-                else {"kind": "field", "phases": [[site, phi] for site, phi in l.phases]}
-                for l in self.layers
-            ],
-        }
-        return json.dumps(doc)
 
 
 def _exchange_layer(spec: ChainSpec, bonds, tau: float, mode: str) -> ExchangeLayer:
@@ -119,13 +101,7 @@ def second_order_plan(
         _exchange_layer(spec, part.even_bonds, tau, mode),
         ExchangeLayer(list(half.gates)),
     ]
-    return TrotterPlan(
-        num_sites=spec.n,
-        layers=layers,
-        steps=n_steps,
-        mode=mode,
-        target=f"{spec.sign} chain n={spec.n} t={t}",
-    )
+    return TrotterPlan(num_sites=spec.n, layers=layers, steps=n_steps)
 
 
 def three_term_plan(
@@ -144,13 +120,7 @@ def three_term_plan(
         ExchangeLayer(list(even_half.gates)),
         ExchangeLayer(list(odd_half.gates)),
     ]
-    return TrotterPlan(
-        num_sites=spec.n,
-        layers=layers,
-        steps=n_steps,
-        mode=mode,
-        target=f"{spec.sign} chain with fields n={spec.n} t={t}",
-    )
+    return TrotterPlan(num_sites=spec.n, layers=layers, steps=n_steps)
 
 
 def execute_plan(

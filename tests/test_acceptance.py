@@ -15,7 +15,7 @@ import pytest
 from echochain.chain import exact_evolve, transfer_chain
 from echochain.echo import EchoConfig, run_echo
 from echochain.gates import afm_duration_for_fm, exchange_unitary, heisenberg_pair_coupling, wrap_period
-from echochain.meanfield import IntegratorConfig, meanfield_echo_curve, run_meanfield_echo
+from echochain.meanfield import IntegratorConfig, meanfield_echo_curve
 from echochain.noise import NoiseModel, default_v_grid, make_rng, slope_vs_n
 from echochain.statevec import prepare_singlet_head
 from echochain.transfer import TransferConfig, run_transfer
@@ -141,9 +141,9 @@ def test_criterion_6_meanfield_baseline():
     # the t = 1 row of the mirrored curve is the dt = 1e-3 point
     convergence = [
         mirrored[grid.index(1.0)],
-        run_meanfield_echo(
-            10, 1.0, 1.0, IntegratorConfig(dt=5e-4), schedule="mirrored-pulse", n_steps=1
-        ).fidelity,
+        meanfield_echo_curve(
+            10, 1.0, [1.0], IntegratorConfig(dt=5e-4), schedule="mirrored-pulse", n_steps=1
+        )[0].fidelity,
     ]
     dt_shift = abs(convergence[0] - convergence[1])
     ok = dt_shift < 1e-6 and min(mirrored) <= 0.99

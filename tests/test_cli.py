@@ -264,3 +264,70 @@ def test_continuous_schedule_has_no_wrap_budget(tmp_path):
     _, rows = read_csv(out)
     assert [float(row["f_ec"]) for row in rows if row["series"] == "meanfield"] == \
         pytest.approx([1.0, 1.0], abs=1e-8)
+
+
+# Sweep and curve CSVs recorded before the test-only API and the
+# mean-field object layer were removed; the trimmed code must reproduce
+# them byte for byte.
+ECHO_SWEEP = ["robustness", "--protocol", "echo", "--n-range", "4:5", "--steps", "2",
+              "--trials", "6", "--seed", "3", "--v-points", "3"]
+TRANSFER_SWEEP = ["robustness", "--protocol", "transfer", "--engine", "trotter-simfm",
+                  "--n-range", "4:5", "--steps", "8", "--trials", "5", "--seed", "7",
+                  "--v-points", "3", "--v-min", "0.01"]
+
+
+@pytest.mark.parametrize("args,prefix", [
+    (ECHO_SWEEP, "robustness_echo"),
+    (TRANSFER_SWEEP, "robustness_transfer"),
+])
+def test_sweep_csvs_are_byte_identical_to_golden(tmp_path, args, prefix):
+    trials, fits = tmp_path / "trials.csv", tmp_path / "fits.csv"
+    assert main([*args, "--out-trials", str(trials), "--out-fits", str(fits)]) == 0
+    assert trials.read_bytes() == (GOLDEN / f"{prefix}_trials.csv").read_bytes()
+    assert fits.read_bytes() == (GOLDEN / f"{prefix}_fits.csv").read_bytes()
+
+
+def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
+    out = tmp_path / "transfer.csv"
+    assert main(["transfer", "--engine", "trotter-simfm", "--n", "5",
+                 "--t-max", "1.5707963267948966", "--points", "6", "--noise-v", "0.02",
+                 "--seed", "4", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "transfer_simfm.csv").read_bytes()
+
+
+@pytest.mark.parametrize("args,work", [
+    (["echo", "--n", "2"], "echo_fidelity_curve"),
+    (["echo", "--steps", "0"], "echo_fidelity_curve"),
+    (["echo", "--j", "0"], "echo_fidelity_curve"),
+    (["echo", "--noise-v", "-0.1"], "echo_fidelity_curve"),
+    (["echo", "--noise-v", "nan"], "echo_fidelity_curve"),
+    (["transfer", "--n", "1"], "transfer_fidelity_curve"),
+    (["transfer", "--engine", "trotter-simfm", "--steps", "0"], "transfer_fidelity_curve"),
+    (["transfer", "--engine", "trotter-simfm", "--noise-v", "nan"], "transfer_fidelity_curve"),
+    (["transfer", "--t-max", "inf"], "transfer_fidelity_curve"),
+    (["robustness", "--n", "2"], "slope_vs_n"),
+    (["robustness", "--protocol", "transfer", "--n", "4", "--steps", "0"], "slope_vs_n"),
+    (["robustness", "--n", "5", "--t", "-1"], "slope_vs_n"),
+    (["robustness", "--n", "5", "--t", "nan"], "slope_vs_n"),
+    (["robustness", "--protocol", "transfer", "--n", "4", "--t", "nan"], "slope_vs_n"),
+    # one step fits a leg of at most 2*pi / j
+    (["robustness", "--n", "5", "--steps", "1", "--t", "7"], "slope_vs_n"),
+    (["robustness", "--n", "5", "--v-min", "nan"], "slope_vs_n"),
+    (["robustness", "--n", "5", "--v-max", "inf"], "slope_vs_n"),
+    (["oracle-check", "--trotter-steps", "0"], "run_all_checks"),
+    (["oracle-check", "--trotter-steps", "8,0"], "run_all_checks"),
+    (["oracle-check", "--samples", "0"], "run_all_checks"),
+    (["oracle-check", "--samples", "-1"], "run_all_checks"),
+])
+def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      args, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the options were checked")
+
+    monkeypatch.setattr(cli, work, no_work)
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []

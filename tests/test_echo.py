@@ -95,10 +95,18 @@ def test_config_validation():
         EchoConfig(n=4, t=1.0, n_steps=0)
     with pytest.raises(ValueError):
         EchoConfig(n=4, t=1.0, n_steps=1, backward_mode="sideways")
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            EchoConfig(n=4, t=bad, n_steps=1)
+    for j in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            EchoConfig(n=4, t=1.0, n_steps=1, j=j)
 
 
 def test_wrap_period_budget():
     assert max_leg_duration(1.0, 4) == pytest.approx(8 * math.pi)
-    # a leg just past the budget must be rejected by plan construction
+    # a leg just past the budget is rejected when the config is built,
+    # and a leg at the budget is accepted
     with pytest.raises(ValueError):
         run_echo(EchoConfig(n=4, t=2 * math.pi + 0.1, n_steps=1))
+    EchoConfig(n=4, t=8 * math.pi, n_steps=4)

@@ -9,16 +9,16 @@ from echochain.gates import (
     DELTA_EPS,
     EPS_SINGLET,
     EPS_TRIPLET,
-    ExchangeGate,
     afm_duration_for_fm,
     exchange_unitary,
     exchange_unitary_reference,
     field_phase,
     heisenberg_pair_coupling,
-    reduce_to_wrap_period,
     wrap_period,
 )
-from echochain.statevec import SINGLET, TRIPLET_ZERO
+from echochain.statevec import SINGLET
+
+TRIPLET_ZERO = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
 def test_spectral_constants():
@@ -98,14 +98,6 @@ class TestDurationMapping:
         assert afm_duration_for_fm(2 * math.pi, 1.0, 1.0) == pytest.approx(0.0)
 
 
-def test_wrap_reduction():
-    period = wrap_period(1.0)
-    t_mod, wraps = reduce_to_wrap_period(2.5 * period, 1.0)
-    assert wraps == 2
-    assert t_mod == pytest.approx(0.5 * period)
-    assert reduce_to_wrap_period(0.0, 1.0) == (0.0, 0)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31),
@@ -137,9 +129,3 @@ class TestFieldPhase:
     def test_rejects_negative_duration(self):
         with pytest.raises(ValueError):
             field_phase(1.0, -0.1)
-
-
-def test_exchange_gate_carries_matching_unitary():
-    gate = ExchangeGate.build((2, 3), 0.7)
-    assert gate.pair == (2, 3)
-    assert np.allclose(gate.unitary, exchange_unitary(0.7))

@@ -5,28 +5,55 @@ import numpy as np
 import pytest
 
 from echochain import meanfield
-from echochain.chain import ChainSpec, uniform_echo_chain
+from echochain.chain import uniform_echo_chain
 from echochain.meanfield import (
     SCHEDULE_CONTINUOUS,
     SCHEDULE_MIRRORED,
     IntegratorConfig,
-    MeanFieldState,
-    initial_echo_state,
-    mean_fields,
     meanfield_echo_curve,
-    pair_site_expectations,
-    rk4_step,
-    run_meanfield_echo,
-    spin_expectation,
 )
 from echochain.statevec import SINGLET
 
 
-def make_precession_state():
-    """3-site echo chain, site 3 tipped to +x: the pair sees a constant
-    x field while site 3 stays frozen (its own field is zero)."""
-    spins = np.array([[1.0, 1.0]], dtype=complex) / math.sqrt(2)
-    return MeanFieldState(SINGLET.copy(), spins)
+def site_fields(slots, couplings, sign):
+    """Mean fields on sites 2..n of one (n, 2) slot array, (n-1, 3)."""
+    js = meanfield._signed_couplings(np.asarray(couplings, dtype=float), sign)
+    return meanfield._site_fields(slots[None], js[None])[0]
+
+
+def rk4_step(slots, couplings, sign, dt):
+    """One RK4 step of one (n, 2) slot array."""
+    js = meanfield._signed_couplings(np.asarray(couplings, dtype=float), sign)
+    return meanfield._rk4_update(slots[None], js[None], np.array([dt]))[0]
+
+
+def spin_expectation(spinor):
+    """<S> = (<Sx>, <Sy>, <Sz>) of a normalized single-spin state."""
+    a, b = spinor
+    z = np.conj(a) * b
+    return np.array([z.real, z.imag, 0.5 * (abs(a) ** 2 - abs(b) ** 2)])
+
+
+def pair_site_expectations(pair):
+    """(<S_1>, <S_2>) from the reduced states of the head pair."""
+    m = np.asarray(pair, dtype=complex).reshape(2, 2)
+    rho1 = np.einsum("aq,bq->ab", m, m.conj())
+    rho2 = np.einsum("qa,qb->ab", m, m.conj())
+
+    def bloch(rho):
+        return 0.5 * np.array(
+            [2 * rho[0, 1].real, -2 * rho[0, 1].imag, (rho[0, 0] - rho[1, 1]).real]
+        )
+
+    return bloch(rho1), bloch(rho2)
+
+
+def precession_slots(n=3):
+    """Echo chain with site 3 tipped to +x.  At n = 3 the pair sees a
+    constant x field while site 3 stays frozen (its own field is zero)."""
+    slots = meanfield._initial_slots(n)
+    slots[2] = np.array([1.0, 1.0]) / math.sqrt(2)
+    return slots
 
 
 def precession_oracle(t):
@@ -35,79 +62,63 @@ def precession_oracle(t):
     return np.kron(np.eye(2), u) @ SINGLET
 
 
+def pair_state(slots):
+    return slots[:2].reshape(4)
+
+
 class TestMeanFields:
     def test_initial_echo_fields(self):
-        spec = uniform_echo_chain(6, 1.0)
-        state = initial_echo_state(6)
-        h = mean_fields(state, spec, sign=1.0)
-        assert np.allclose(h[0], 0.0)            # reference spin, no bond
-        assert np.allclose(h[1], [0, 0, 0.5])    # J <S_3>
-        assert np.allclose(h[2], [0, 0, 0.5])    # J <S_2> + J <S_4>, <S_2>=0
-        assert np.allclose(h[3], [0, 0, 1.0])    # two up neighbors
-        assert np.allclose(h[5], [0, 0, 0.5])    # end site, one neighbor
+        h = site_fields(meanfield._initial_slots(6), uniform_echo_chain(6, 1.0).couplings, 1.0)
+        assert np.allclose(h[0], [0, 0, 0.5])    # site 2: J <S_3>
+        assert np.allclose(h[1], [0, 0, 0.5])    # site 3: J <S_2> + J <S_4>, <S_2>=0
+        assert np.allclose(h[2], [0, 0, 1.0])    # two up neighbors
+        assert np.allclose(h[4], [0, 0, 0.5])    # end site, one neighbor
 
     def test_zero_couplings_give_zero_fields(self):
-        spec = ChainSpec(4, np.zeros(3), np.zeros(4))
-        h = mean_fields(initial_echo_state(4), spec, sign=1.0)
+        h = site_fields(meanfield._initial_slots(4), np.zeros(3), 1.0)
         assert np.allclose(h, 0.0)
 
     def test_sign_flip_negates(self):
-        spec = uniform_echo_chain(5, 1.3)
-        state = make_precession_state_padded(5)
+        couplings = uniform_echo_chain(5, 1.3).couplings
+        slots = precession_slots(5)
         assert np.allclose(
-            mean_fields(state, spec, 1.0), -mean_fields(state, spec, -1.0)
+            site_fields(slots, couplings, 1.0), -site_fields(slots, couplings, -1.0)
         )
-
-    def test_rejects_active_head_bond(self):
-        spec = ChainSpec(4, [1.0, 1.0, 1.0], np.zeros(4))
-        with pytest.raises(ValueError):
-            mean_fields(initial_echo_state(4), spec, 1.0)
-        with pytest.raises(ValueError):
-            rk4_step(initial_echo_state(4), spec, 1.0, 1e-2)
-
-
-def make_precession_state_padded(n):
-    state = initial_echo_state(n)
-    state.spin_states[0] = np.array([1.0, 1.0]) / math.sqrt(2)
-    return state
 
 
 class TestRk4:
     def test_zero_fields_leave_state(self):
-        spec = ChainSpec(4, np.zeros(3), np.zeros(4))
-        state = initial_echo_state(4)
-        stepped = rk4_step(state, spec, 1.0, 1e-2)
-        assert np.allclose(stepped.pair_state, state.pair_state)
-        assert np.allclose(stepped.spin_states, state.spin_states)
-        assert stepped.time == pytest.approx(1e-2)
+        slots = meanfield._initial_slots(4)
+        stepped = rk4_step(slots, np.zeros(3), 1.0, 1e-2)
+        assert np.allclose(stepped, slots)
 
     def test_precession_matches_closed_form(self):
-        spec = uniform_echo_chain(3, 2.0)
-        state = make_precession_state()
+        couplings = uniform_echo_chain(3, 2.0).couplings
+        slots = precession_slots()
         dt = 1e-2
         for _ in range(100):
-            state = rk4_step(state, spec, 1.0, dt)
-        assert np.max(np.abs(state.pair_state - precession_oracle(1.0))) < 1e-8
+            slots = rk4_step(slots, couplings, 1.0, dt)
+        assert np.max(np.abs(pair_state(slots) - precession_oracle(1.0))) < 1e-8
 
     def test_global_error_is_fourth_order(self):
-        spec = uniform_echo_chain(3, 2.0)
+        couplings = uniform_echo_chain(3, 2.0).couplings
 
         def error(dt):
-            state = make_precession_state()
+            slots = precession_slots()
             for _ in range(round(1.0 / dt)):
-                state = rk4_step(state, spec, 1.0, dt)
-            return float(np.max(np.abs(state.pair_state - precession_oracle(1.0))))
+                slots = rk4_step(slots, couplings, 1.0, dt)
+            return float(np.max(np.abs(pair_state(slots) - precession_oracle(1.0))))
 
         ratio = error(0.02) / error(0.01)
         assert 12.0 <= ratio <= 20.0
 
     def test_norm_drift_stays_tiny(self):
-        spec = uniform_echo_chain(3, 2.0)
-        state = make_precession_state()
+        couplings = uniform_echo_chain(3, 2.0).couplings
+        slots = precession_slots()
         for _ in range(10_000):
-            state = rk4_step(state, spec, 1.0, 1e-3)
-        assert abs(np.linalg.norm(state.pair_state) - 1.0) < 1e-8
-        assert abs(np.linalg.norm(state.spin_states[0]) - 1.0) < 1e-8
+            slots = rk4_step(slots, couplings, 1.0, 1e-3)
+        assert abs(np.linalg.norm(pair_state(slots)) - 1.0) < 1e-8
+        assert abs(np.linalg.norm(slots[2]) - 1.0) < 1e-8
 
 
 CONTINUOUS_GRID = [0.5, 1.5, 3.0]
@@ -124,7 +135,7 @@ def continuous_curve():
 class TestEchoSchedules:
     def test_zero_time_revives(self):
         for schedule in (SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED):
-            result = run_meanfield_echo(5, 1.0, 0.0, schedule=schedule)
+            result = meanfield_echo_curve(5, 1.0, [0.0], schedule=schedule)[0]
             assert result.fidelity == pytest.approx(1.0)
 
     @pytest.mark.parametrize("t", CONTINUOUS_GRID)
@@ -136,63 +147,62 @@ class TestEchoSchedules:
     def test_mirrored_pulses_follow_step_parity(self, n_steps, expected):
         # the pulse train rotates site 2 by N*pi in total, so the
         # revival is cos^2(N*pi/2) independent of t
-        result = run_meanfield_echo(
-            5, 1.0, 0.8, IntegratorConfig(dt=2e-3),
+        result = meanfield_echo_curve(
+            5, 1.0, [0.8], IntegratorConfig(dt=2e-3),
             schedule=SCHEDULE_MIRRORED, n_steps=n_steps,
-        )
+        )[0]
         assert result.fidelity == pytest.approx(expected, abs=1e-8)
 
     def test_step_size_convergence(self):
-        coarse = run_meanfield_echo(
-            6, 1.0, 1.0, IntegratorConfig(dt=2e-3), schedule=SCHEDULE_MIRRORED
-        )
-        fine = run_meanfield_echo(
-            6, 1.0, 1.0, IntegratorConfig(dt=1e-3), schedule=SCHEDULE_MIRRORED
-        )
+        coarse = meanfield_echo_curve(
+            6, 1.0, [1.0], IntegratorConfig(dt=2e-3), schedule=SCHEDULE_MIRRORED
+        )[0]
+        fine = meanfield_echo_curve(
+            6, 1.0, [1.0], IntegratorConfig(dt=1e-3), schedule=SCHEDULE_MIRRORED
+        )[0]
         assert abs(coarse.fidelity - fine.fidelity) < 1e-6
 
     def test_sign_conventions_agree_for_this_initial_state(self):
         kwargs = dict(schedule=SCHEDULE_MIRRORED, n_steps=1)
-        minus = run_meanfield_echo(5, 1.0, 1.0, IntegratorConfig(dt=2e-3), sign_convention=-1, **kwargs)
-        plus = run_meanfield_echo(5, 1.0, 1.0, IntegratorConfig(dt=2e-3), sign_convention=1, **kwargs)
+        config = IntegratorConfig(dt=2e-3)
+        minus = meanfield_echo_curve(5, 1.0, [1.0], config, sign_convention=-1, **kwargs)[0]
+        plus = meanfield_echo_curve(5, 1.0, [1.0], config, sign_convention=1, **kwargs)[0]
         assert minus.fidelity == pytest.approx(plus.fidelity, abs=1e-10)
 
     def test_runs_are_bit_identical(self):
-        a = run_meanfield_echo(5, 1.0, 1.3, schedule=SCHEDULE_MIRRORED)
-        b = run_meanfield_echo(5, 1.0, 1.3, schedule=SCHEDULE_MIRRORED)
+        a = meanfield_echo_curve(5, 1.0, [1.3], schedule=SCHEDULE_MIRRORED)[0]
+        b = meanfield_echo_curve(5, 1.0, [1.3], schedule=SCHEDULE_MIRRORED)[0]
         assert a.fidelity == b.fidelity
 
     def test_bloch_lengths_and_pair_marginal_conserved(self):
-        result = run_meanfield_echo(
-            7, 1.0, 2.0, IntegratorConfig(dt=2e-3), schedule=SCHEDULE_MIRRORED
-        )
+        result = meanfield_echo_curve(
+            7, 1.0, [2.0], IntegratorConfig(dt=2e-3), schedule=SCHEDULE_MIRRORED
+        )[0]
         final = result.metadata["final_state"]
-        for spinor in final.spin_states:
+        for spinor in final[2:]:
             assert abs(np.linalg.norm(spin_expectation(spinor)) - 0.5) < 1e-6
-        _, s2 = pair_site_expectations(final.pair_state)
+        _, s2 = pair_site_expectations(pair_state(final))
         assert np.linalg.norm(s2) < 1e-6
 
 
 def test_validation():
     with pytest.raises(ValueError):
-        run_meanfield_echo(5, 1.0, 1.0, schedule="sideways")
+        meanfield_echo_curve(5, 1.0, [1.0], schedule="sideways")
     with pytest.raises(ValueError):
-        run_meanfield_echo(5, 1.0, 1.0, sign_convention=0)
+        meanfield_echo_curve(5, 1.0, [1.0], sign_convention=0)
     with pytest.raises(ValueError):
-        run_meanfield_echo(5, 1.0, -1.0)
+        meanfield_echo_curve(5, 1.0, [-1.0])
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=math.nan)
-    with pytest.raises(ValueError):
-        IntegratorConfig(scheme="euler")
 
 
 def final_state_digest(result) -> str:
-    """First 16 hex digits of the sha256 of a row's final state, with
+    """First 16 hex digits of the sha256 of a row's final state (the
+    head pair's four amplitudes, then each later site's spinor), with
     signed zeros folded to +0."""
-    state = result.metadata["final_state"]
-    values = np.concatenate([state.pair_state, state.spin_states.ravel()]) + 0.0
+    values = result.metadata["final_state"].ravel() + 0.0
     return hashlib.sha256(values.tobytes()).hexdigest()[:16]
 
 
@@ -303,7 +313,7 @@ class TestBatching:
 
     @pytest.mark.parametrize("schedule", [SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED])
     def test_rows_equal_one_point_calls(self, schedule):
-        single = [run_meanfield_echo(5, 1.0, t, self.CONFIG, schedule=schedule)
+        single = [meanfield_echo_curve(5, 1.0, [t], self.CONFIG, schedule=schedule)[0]
                   for t in self.GRID]
         assert self.curve(self.GRID, schedule) == [
             (repr(r.fidelity), final_state_digest(r)) for r in single

@@ -5,13 +5,15 @@ import pytest
 
 from echochain.noise import (
     FitResult,
+    GateNoise,
     NoiseModel,
+    _batch_stats,
+    _trial_stats,
     child_seed,
     default_v_grid,
     loglog_fit,
     make_rng,
     protocol_runner,
-    run_trials,
     sample_eta,
     slope_vs_n,
 )
@@ -19,6 +21,12 @@ from echochain.noise import (
 # Frozen on the first verified run of the echo pipeline
 # (n=10, t=pi/2, N=4, v=0.03, 100 trials, master seed 77).
 GOLDEN_ECHO_MEAN_INFIDELITY = 0.02660586876691544
+
+
+def run_trials(runner, v, trials, master_seed, *, protocol="", n=0, include_fields=False):
+    """`trials` noisy runs at strength v as one batch, as a sweep runs
+    one point: trial k draws from child_seed(master_seed, k)."""
+    return _batch_stats(runner, protocol, n, [v], [master_seed], trials, include_fields)[0]
 
 
 class TestSampleEta:
@@ -37,6 +45,13 @@ class TestSampleEta:
             sample_eta(make_rng(0), -0.1)
         with pytest.raises(ValueError):
             NoiseModel(v=-0.5)
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf])
+    def test_rejects_non_finite_strength(self, v):
+        with pytest.raises(ValueError):
+            NoiseModel(v=v)
+        with pytest.raises(ValueError):
+            GateNoise([1, 2], [0.1, v])
 
 
 class TestSeeding:
@@ -87,9 +102,12 @@ class TestRunTrials:
         assert abs(faint.mean_infidelity - silent.mean_infidelity) < 1e-6
 
     def test_rejects_zero_trials(self):
-        runner = protocol_runner("echo", n=5, t=1.0, n_steps=2)
         with pytest.raises(ValueError):
-            run_trials(runner, 0.1, 0, 1)
+            slope_vs_n("echo", [5], [0.01, 0.02, 0.03], 0, 1, t=1.0, n_steps=2)
+
+    def test_nan_infidelity_fails_the_trial_guard(self):
+        with pytest.raises(RuntimeError):
+            _trial_stats("echo", 5, 0.1, 2, np.array([0.1, math.nan]))
 
     def test_transfer_protocol_runner(self):
         runner = protocol_runner("transfer", n=4, engine="trotter-simfm", n_steps=8)
@@ -133,8 +151,10 @@ def test_default_v_grid():
     assert len(grid) == 8
     assert grid[0] == pytest.approx(1e-3)
     assert grid[-1] == pytest.approx(1e-1)
-    with pytest.raises(ValueError):
-        default_v_grid(v_min=0.0)
+    for v_min, v_max in ((0.0, 0.1), (math.nan, 0.1), (1e-3, math.nan), (1e-3, math.inf),
+                         (math.inf, math.inf)):
+        with pytest.raises(ValueError):
+            default_v_grid(v_min=v_min, v_max=v_max)
 
 
 def test_slope_vs_n_small_echo_sweep():

@@ -20,7 +20,6 @@ from echochain.noise import (
     child_seed,
     make_rng,
     protocol_runner,
-    run_trials,
     sample_eta,
     slope_vs_n,
 )
@@ -177,7 +176,7 @@ def test_sweep_batch_equals_per_point_trials():
                n_steps=8, include_fields=True)
     runner = protocol_runner("transfer", n=4, n_steps=8)
     for vi, stats in enumerate(collected):
-        alone = run_trials(runner, grid[vi], 5, child_seed(child_seed(8, 4), vi),
-                           include_fields=True)
-        assert np.array_equal(stats.infidelities, alone.infidelities)
+        seeds = [child_seed(child_seed(child_seed(8, 4), vi), k) for k in range(5)]
+        alone = runner.infidelities(GateNoise(seeds, np.full(5, grid[vi]), include_fields=True))
+        assert np.array_equal(stats.infidelities, alone)
         assert stats.steps == 8

@@ -98,8 +98,9 @@ def test_default_steps_table_and_extrapolation():
 def test_config_validation():
     with pytest.raises(ValueError):
         TransferConfig(n=1)
-    with pytest.raises(ValueError):
-        TransferConfig(n=4, t=-0.5)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            TransferConfig(n=4, t=bad)
     with pytest.raises(ValueError):
         TransferConfig(n=4, engine="sideways")
     with pytest.raises(ValueError):
