@@ -9,9 +9,15 @@ ordering change.
 """
 import math
 
-from echochain.chain import exact_evolve, transfer_chain
-from echochain.statevec import SINGLET, pair_projection_fidelity, prepare_singlet_head
-from echochain.trotter import MODE_DIRECT, execute_plan, three_term_plan
+from echochain.chain import transfer_chain
+from echochain.gates import SINGLET
+from echochain.statevec import (
+    exact_evolve,
+    execute_plan,
+    pair_projection_fidelity,
+    prepare_singlet_head,
+)
+from echochain.trotter import MODE_DIRECT, three_term_plan
 
 TOLERANCE = 1e-4
 

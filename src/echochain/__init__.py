@@ -1,14 +1,15 @@
 """Exact spin-chain toolkit: Loschmidt-echo and perfect-state-transfer
 tests of ferromagnetic Heisenberg dynamics realized with
 antiferromagnetic pulses, plus a classical mean-field baseline and a
-gate-noise robustness harness."""
+gate-noise robustness harness.
+
+The package exports the production API only; the dense 2^n test
+oracle is the module `echochain.statevec`.
+"""
 
 from .chain import (
     ChainSpec,
     BondPartition,
-    ResourceLimitError,
-    dense_hamiltonian,
-    exact_evolve,
     partition_odd_even,
     transfer_chain,
     uniform_echo_chain,
@@ -18,9 +19,8 @@ from .gates import (
     DELTA_EPS,
     EPS_SINGLET,
     EPS_TRIPLET,
+    SINGLET,
     afm_duration_for_fm,
-    exchange_unitary,
-    exchange_unitary_reference,
     field_phase,
     wrap_period,
 )
@@ -30,18 +30,7 @@ from .noise import (
     NoiseModel,
     TrialStats,
     loglog_fit,
-    sample_eta,
     slope_vs_n,
-)
-from .statevec import (
-    SINGLET,
-    InvalidGateError,
-    StateVector,
-    apply_single_site_phase,
-    apply_two_site,
-    pair_projection_fidelity,
-    prepare_singlet_head,
-    total_sz,
 )
 from .transfer import (
     TransferConfig,
@@ -56,7 +45,6 @@ from .trotter import (
     ExchangeLayer,
     FieldLayer,
     TrotterPlan,
-    execute_plan,
     second_order_plan,
     three_term_plan,
 )

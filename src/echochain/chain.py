@@ -1,6 +1,4 @@
-"""Chain specifications, the odd/even bond partition, and a dense
-exact-evolution oracle (tests and oracle-check compare the one-magnon
-engine in `echochain.sector` against it).
+"""Chain specifications and the odd/even bond partition.
 
 A ChainSpec fixes the Hamiltonian
 
@@ -10,25 +8,18 @@ with s = +1 for an antiferromagnetic chain and s = -1 for a
 ferromagnetic one.  sigma^z is the Pauli matrix (eigenvalues +-1); the
 transfer chain below achieves unit end-to-end fidelity at t = pi/2
 under exactly this normalization, which pins the convention.
+
+Runs evolve under H in the one-magnon sector (`echochain.sector`); the
+dense test oracle builds the full 2^n H (`echochain.statevec`).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .statevec import StateVector
-
 SIGN_FM = "fm"
 SIGN_AFM = "afm"
-
-ORACLE_MAX_SITES = 14
-
-
-class ResourceLimitError(RuntimeError):
-    """Requested dense-oracle size exceeds the configured limit."""
 
 
 @dataclass
@@ -104,74 +95,3 @@ def partition_odd_even(spec: ChainSpec) -> BondPartition:
         (odd if start % 2 == 1 else even).append((start, start + 1))
     return BondPartition(odd_bonds=odd, even_bonds=even)
 
-
-def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """Assemble H as a dense real-symmetric 2^n x 2^n matrix."""
-    if spec.n > ORACLE_MAX_SITES:
-        raise ResourceLimitError(
-            f"dense oracle limited to {ORACLE_MAX_SITES} sites, got {spec.n}"
-        )
-    n = spec.n
-    dim = 1 << n
-    idx = np.arange(dim)
-    h = np.zeros((dim, dim))
-    diag = np.zeros(dim)
-    s = 1.0 if spec.sign == SIGN_AFM else -1.0
-    for b, j in enumerate(spec.couplings):
-        if j == 0.0:
-            continue
-        c = s * spec.exchange_prefactor * j
-        pi = n - (b + 1)
-        pj = n - (b + 2)
-        differ = ((idx >> pi) & 1) != ((idx >> pj) & 1)
-        diag += np.where(differ, -0.25 * c, 0.25 * c)
-        flip = idx[differ]
-        h[flip, flip ^ ((1 << pi) | (1 << pj))] += 0.5 * c
-    for site in range(1, n + 1):
-        b_i = spec.fields[site - 1]
-        if b_i == 0.0:
-            continue
-        p = n - site
-        diag += b_i * np.where(((idx >> p) & 1) == 0, 1.0, -1.0)
-    h[idx, idx] += diag
-    return h
-
-
-@lru_cache(maxsize=16)
-def _eigensystem(
-    n: int, sign: str, prefactor: float, couplings: bytes, fields: bytes
-) -> tuple[np.ndarray, np.ndarray]:
-    spec = ChainSpec(
-        n=n,
-        couplings=np.frombuffer(couplings, dtype=float),
-        fields=np.frombuffer(fields, dtype=float),
-        sign=sign,
-        exchange_prefactor=prefactor,
-    )
-    return np.linalg.eigh(dense_hamiltonian(spec))
-
-
-def exact_evolve(spec: ChainSpec, state: StateVector, t: float) -> StateVector:
-    """exp(-i H t)|psi> via a cached eigendecomposition of the dense H.
-
-    Returns a fresh StateVector; the input is not modified.
-    """
-    if spec.n != state.num_sites:
-        raise ValueError("chain and state site counts differ")
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
-    w, v = _eigensystem(
-        spec.n,
-        spec.sign,
-        spec.exchange_prefactor,
-        spec.couplings.tobytes(),
-        spec.fields.tobytes(),
-    )
-    coefficients = _real_matvec(v.T, state.amplitudes) * np.exp(-1j * w * t)
-    return StateVector(spec.n, _real_matvec(v, coefficients))
-
-
-def _real_matvec(m: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """m @ z for real m and complex z.  Multiplying the real and the
-    imaginary part apart keeps numpy from copying m to complex."""
-    return m @ z.real + 1j * (m @ z.imag)

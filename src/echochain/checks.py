@@ -1,9 +1,11 @@
 """Self-contained invariant suite behind the oracle-check command.
 
 Each check compares the production path against an independent route
-(eigendecomposition gate oracle, dense 2^n state vectors and exact
-evolution) or asserts a conservation law, and reports a named pass/fail
-with a numeric detail.
+(the dense 2^n oracle in `echochain.statevec`: eigendecomposition gate
+oracle, dense state vectors and exact evolution) or asserts a
+conservation law, and reports a named pass/fail with a numeric detail.
+This is the only production module that imports the oracle, and the
+CLI imports it only for oracle-check.
 """
 from __future__ import annotations
 
@@ -12,31 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import exact_evolve, transfer_chain, uniform_echo_chain
+from .chain import transfer_chain, uniform_echo_chain
 from .echo import BACKWARD_EXACT, BACKWARD_TROTTERIZED, EchoConfig, run_echo
-from .gates import (
-    afm_duration_for_fm,
-    exchange_unitary,
-    exchange_unitary_reference,
-    heisenberg_pair_coupling,
-    wrap_period,
-)
+from .gates import SINGLET, afm_duration_for_fm, wrap_period
 from .noise import NoiseModel, make_rng
-from .statevec import SINGLET, pair_projection_fidelity, prepare_singlet_head
-from .transfer import (
-    ENGINE_EXACT,
-    ENGINE_TROTTER_DIRECT,
-    ENGINES,
-    TransferConfig,
-    run_transfer,
+from .statevec import (
+    StateVector, exact_evolve, exchange_unitary, exchange_unitary_reference, execute_plan,
+    heisenberg_pair_coupling, pair_projection_fidelity, prepare_singlet_head, total_sz,
 )
-from .trotter import (
-    MODE_DIRECT,
-    MODE_SIMULATED_FM,
-    execute_plan,
-    second_order_plan,
-    three_term_plan,
-)
+from .transfer import ENGINE_EXACT, ENGINE_TROTTER_DIRECT, ENGINES, TransferConfig, run_transfer
+from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, second_order_plan, three_term_plan
 
 
 @dataclass
@@ -46,8 +33,8 @@ class CheckResult:
     detail: str
 
 
-def dense_echo_fidelity(config: EchoConfig) -> float:
-    """run_echo on dense 2^n state vectors, one gate at a time."""
+def dense_echo_state(config: EchoConfig) -> StateVector:
+    """run_echo's final state on dense 2^n state vectors, one gate at a time."""
     spec = uniform_echo_chain(config.n, config.j)
     state = prepare_singlet_head(config.n)
     rng = make_rng(config.seed)
@@ -58,11 +45,16 @@ def dense_echo_fidelity(config: EchoConfig) -> float:
         execute_plan(backward, state, config.noise, rng)
     else:
         state = exact_evolve(spec, state, config.t)
-    return pair_projection_fidelity(state, (1, 2), SINGLET)
+    return state
 
 
-def dense_transfer_fidelity(config: TransferConfig) -> float:
-    """run_transfer on dense 2^n state vectors, one gate at a time."""
+def dense_echo_fidelity(config: EchoConfig) -> float:
+    """run_echo's singlet revival, from the dense replay."""
+    return pair_projection_fidelity(dense_echo_state(config), (1, 2), SINGLET)
+
+
+def dense_transfer_state(config: TransferConfig) -> StateVector:
+    """run_transfer's final state on dense 2^n state vectors, one gate at a time."""
     spec = transfer_chain(config.n)
     state = prepare_singlet_head(config.n)
     if config.engine == ENGINE_EXACT:
@@ -71,6 +63,12 @@ def dense_transfer_fidelity(config: TransferConfig) -> float:
         mode = MODE_DIRECT if config.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
         plan = three_term_plan(spec, config.t, config.resolved_steps, mode)
         execute_plan(plan, state, config.noise, make_rng(config.seed))
+    return state
+
+
+def dense_transfer_fidelity(config: TransferConfig) -> float:
+    """run_transfer's far-end singlet fidelity, from the dense replay."""
+    state = dense_transfer_state(config)
     return pair_projection_fidelity(state, (config.n - 1, config.n), SINGLET)
 
 
@@ -163,20 +161,18 @@ def check_trotter_scaling(
 
 def check_conservation(n: int = 8) -> CheckResult:
     """Norm and total S^z conservation on a noisy echo and a noisy
-    trotterized transfer."""
-    echo = run_echo(
-        EchoConfig(n=n, t=1.0, n_steps=4, noise=NoiseModel(v=0.05), seed=11)
+    trotterized transfer: the engine's norm, and S^z of the dense
+    replay (the one-magnon engine conserves it by construction)."""
+    echo = EchoConfig(n=n, t=1.0, n_steps=4, noise=NoiseModel(v=0.05), seed=11)
+    transfer = TransferConfig(
+        n=n, n_steps=32, engine="trotter-simfm", noise=NoiseModel(v=0.05), seed=12
     )
-    transfer = run_transfer(
-        TransferConfig(
-            n=n, n_steps=32, engine="trotter-simfm", noise=NoiseModel(v=0.05), seed=12
-        )
-    )
+    sz_initial = total_sz(prepare_singlet_head(n))
     devs = [
-        abs(echo.metadata["sz_final"] - echo.metadata["sz_initial"]),
-        abs(echo.metadata["final_norm"] - 1.0),
-        abs(transfer.metadata["sz_final"] - transfer.metadata["sz_initial"]),
-        abs(transfer.metadata["final_norm"] - 1.0),
+        abs(total_sz(dense_echo_state(echo)) - sz_initial),
+        abs(run_echo(echo).metadata["final_norm"] - 1.0),
+        abs(total_sz(dense_transfer_state(transfer)) - sz_initial),
+        abs(run_transfer(transfer).metadata["final_norm"] - 1.0),
     ]
     worst = max(devs)
     return CheckResult(

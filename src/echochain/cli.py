@@ -20,7 +20,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import svgplot
-from .checks import run_all_checks
 from .echo import EchoConfig, echo_fidelity_curve, max_leg_duration
 from .gates import fits_wrap_period
 from .meanfield import SCHEDULE_MIRRORED, SCHEDULES, IntegratorConfig, meanfield_echo_curve
@@ -106,7 +105,27 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
-def _merge_options(command: str, args: argparse.Namespace) -> SimpleNamespace:
+def _option_types(parser: argparse.ArgumentParser, command: str) -> dict[str, type]:
+    """The argparse `type` of each option of `command` (str when it has none)."""
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return {a.dest: a.type or str for a in commands.choices[command]._actions}
+
+
+def _config_value(key: str, value, default, flag_type: type):
+    """A config file's value for `key`, of its default's type, or of its
+    flag's type where the default is None (then null is allowed).  An
+    int stands for a float, as it does on the command line."""
+    kind = flag_type if default is None else type(default)
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is kind or (value is None and default is None):
+        return value
+    raise UsageError(f"config key '{key}' must be {kind.__name__}, got {value!r}")
+
+
+def _merge_options(
+    command: str, args: argparse.Namespace, flag_types: dict[str, type]
+) -> SimpleNamespace:
     merged = dict(DEFAULTS[command])
     config_path = getattr(args, "config", None)
     if config_path:
@@ -120,7 +139,8 @@ def _merge_options(command: str, args: argparse.Namespace) -> SimpleNamespace:
         unknown = sorted(set(doc) - set(merged))
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
-        merged.update(doc)
+        for key, value in doc.items():
+            merged[key] = _config_value(key, value, merged[key], flag_types[key])
     for key in merged:
         value = getattr(args, key, None)
         if value is not None:
@@ -314,6 +334,10 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
         opts.protocol, ns, v_grid, opts.trials, opts.seed,
         on_stats=collect, include_fields=opts.field_noise, **params,
     )
+    for n, fit in fits:
+        if not fit.reliable:
+            print(f"warning: {opts.protocol} fit at n={n} has r_squared={fit.r_squared:.3f}; "
+                  f"b={fit.b:.3f} is not a reliable exponent", file=sys.stderr)
     slope_points = [(n, fit.b) for n, fit in fits]
     fit_rows = [
         [opts.protocol, n,
@@ -367,6 +391,12 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
             )
         svgplot.render(figure, opts.plot_slopes)
     return 0
+
+
+def run_all_checks(**options):
+    """The oracle-check suite, imported on use: it loads the dense oracle."""
+    from .checks import run_all_checks as run_checks
+    return run_checks(**options)
 
 
 def cmd_oracle_check(opts: SimpleNamespace) -> int:
@@ -487,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help(file=sys.stderr)
         return 2
     try:
-        opts = _merge_options(args.command, args)
+        opts = _merge_options(args.command, args, _option_types(parser, args.command))
         return _RUNNERS[args.command](opts)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

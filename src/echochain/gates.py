@@ -7,6 +7,9 @@ The two-spin exchange S1.S2 has eigenvalue -3/4 on the singlet and
 with period 2*pi/J, which is the resource exploited by the mapping:
 running the antiferromagnet to the complement of the period reproduces
 the ferromagnetic evolution up to a global phase.
+
+The 4x4 gate exp(-i theta S1.S2) is in the dense test oracle,
+`echochain.statevec`; `echochain.sector` applies it as a bond phase.
 """
 from __future__ import annotations
 
@@ -17,43 +20,8 @@ EPS_SINGLET = -0.75
 EPS_TRIPLET = 0.25
 DELTA_EPS = EPS_SINGLET - EPS_TRIPLET  # -1
 
-_SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
-def heisenberg_pair_coupling() -> np.ndarray:
-    """The 4x4 matrix S1.S2 built from Pauli tensor products."""
-    return sum(0.25 * np.kron(_PAULI[a], _PAULI[a]) for a in "xyz")
-
-
-def exchange_unitary(theta: float) -> np.ndarray:
-    """exp(-i theta S1.S2) in the |b_i b_j> = {00, 01, 10, 11} basis.
-
-    Uses the closed form e^{i theta/4} (cos(theta/2) I - i sin(theta/2) SWAP),
-    which is checked against `exchange_unitary_reference` by the test
-    suite and the oracle-check command.
-    """
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    half = 0.5 * theta
-    return np.exp(0.25j * theta) * (
-        math.cos(half) * np.eye(4, dtype=complex) - 1j * math.sin(half) * _SWAP
-    )
-
-
-def exchange_unitary_reference(theta: float) -> np.ndarray:
-    """Independent oracle: exp(-i theta S1.S2) via eigendecomposition."""
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    w, v = np.linalg.eigh(heisenberg_pair_coupling())
-    return (v * np.exp(-1j * theta * w)) @ v.conj().T
+# The two-spin singlet in the |b_i b_j> = {00, 01, 10, 11} basis.
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 
 def wrap_period(j_fm: float) -> float:

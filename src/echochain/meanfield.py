@@ -31,8 +31,7 @@ import numpy as np
 
 from .chain import ChainSpec, partition_odd_even, uniform_echo_chain
 from .echo import EchoResult
-from .gates import afm_duration_for_fm
-from .statevec import SINGLET
+from .gates import SINGLET, afm_duration_for_fm
 
 SCHEDULE_CONTINUOUS = "continuous"
 SCHEDULE_MIRRORED = "mirrored-pulse"

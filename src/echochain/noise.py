@@ -39,13 +39,6 @@ class NoiseModel:
             raise ValueError(f"noise strength must be finite and >= 0, got {self.v}")
 
 
-def sample_eta(rng: np.random.Generator, v: float) -> float:
-    """One multiplicative error draw; exactly 0.0 when v = 0."""
-    if v < 0:
-        raise ValueError(f"noise strength must be nonnegative, got {v}")
-    return float(rng.standard_normal()) * v
-
-
 def make_rng(seed: Seed) -> np.random.Generator:
     """Deterministic generator from an int or a tuple of ints."""
     if isinstance(seed, (tuple, list)):
@@ -67,7 +60,8 @@ class GateNoise:
 
     Row r draws standard normals z from make_rng(seeds[r]) in gate
     execution order and perturbs an angle by eta = z * v[r]: the same
-    values, bit for bit, that sample_eta draws one gate at a time.
+    values, bit for bit, that the dense oracle's
+    `echochain.statevec.sample_eta` draws one gate at a time.
     """
 
     def __init__(self, seeds: Sequence[Seed], v, include_fields: bool = False) -> None:

@@ -15,11 +15,11 @@ one row per trial or time point.  In this sector
 * the singlet fidelity of the pair (a, b) is |c_b - c_a|^2 / 2.
 
 Exact evolution diagonalizes the n x n sector Hamiltonian, global phase
-included.  The dense 2^n modules (`statevec`, `chain.dense_hamiltonian`,
-`chain.exact_evolve`, `trotter.execute_plan`) are the oracle this
-engine is tested against.  The engineered transfer chain is the
-single-excitation perfect-transfer chain of Christandl, Datta, Ekert
-and Landahl, PRL 92, 187902 (2004).
+included.  The dense 2^n oracle this engine is tested against is one
+module, `echochain.statevec`, which only `echochain.checks` and the
+tests import.  The engineered transfer chain is the single-excitation
+perfect-transfer chain of Christandl, Datta, Ekert and Landahl, PRL 92,
+187902 (2004).
 """
 from __future__ import annotations
 

@@ -4,7 +4,9 @@ A plan holds the layer sequence of ONE Trotter step plus the repeat
 count N.  Two-term plans use the palindromic split (odd/2, even,
 odd/2); three-term plans (for chains with fields) use (odd/2, even/2,
 field, even/2, odd/2).  Bonds within a layer share no site, so the
-gates of a layer commute and may execute in any order.
+gates of a layer commute and may execute in any order.  Runs execute
+plans with `echochain.sector.evolve`; the dense test oracle replays
+them gate by gate with `echochain.statevec.execute_plan`.
 
 Modes:
   direct        exchange angle = sign * prefactor * J * tau, the
@@ -19,13 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import statevec
 from .chain import SIGN_AFM, ChainSpec, partition_odd_even
-from .gates import afm_duration_for_fm, exchange_unitary, field_phase
-from .noise import NoiseModel, sample_eta
-from .statevec import StateVector, apply_single_site_phase, apply_two_site
+from .gates import afm_duration_for_fm, field_phase
 
 MODE_DIRECT = "direct"
 MODE_SIMULATED_FM = "simulated-fm"
@@ -122,34 +119,3 @@ def three_term_plan(
     ]
     return TrotterPlan(num_sites=spec.n, layers=layers, steps=n_steps)
 
-
-def execute_plan(
-    plan: TrotterPlan,
-    state: StateVector,
-    noise: NoiseModel | None = None,
-    rng: np.random.Generator | None = None,
-) -> StateVector:
-    """Apply every layer of every step in order, mutating `state`.
-
-    Under a NoiseModel every exchange angle becomes theta*(1 + eta)
-    with a fresh eta per gate per step; field phases are perturbed the
-    same way only when the model requests it.
-    """
-    if plan.num_sites != state.num_sites:
-        raise ValueError("plan and state site counts differ")
-    if noise is not None and rng is None:
-        raise ValueError("noisy execution needs an explicit rng")
-    for _ in range(plan.steps):
-        for layer in plan.layers:
-            if isinstance(layer, ExchangeLayer):
-                for (i, j), theta in layer.gates:
-                    if noise is not None:
-                        theta = theta * (1.0 + sample_eta(rng, noise.v))
-                    apply_two_site(state, i, j, exchange_unitary(theta))
-            else:
-                for site, phi in layer.phases:
-                    if noise is not None and noise.include_fields:
-                        phi = phi * (1.0 + sample_eta(rng, noise.v))
-                    apply_single_site_phase(state, site, phi)
-    statevec.check_norm(state)
-    return state

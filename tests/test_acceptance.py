@@ -12,14 +12,20 @@ import sys
 import numpy as np
 import pytest
 
-from echochain.chain import exact_evolve, transfer_chain
+from echochain.chain import transfer_chain
 from echochain.echo import EchoConfig, run_echo
-from echochain.gates import afm_duration_for_fm, exchange_unitary, heisenberg_pair_coupling, wrap_period
+from echochain.gates import afm_duration_for_fm, wrap_period
 from echochain.meanfield import IntegratorConfig, meanfield_echo_curve
 from echochain.noise import NoiseModel, default_v_grid, make_rng, slope_vs_n
-from echochain.statevec import prepare_singlet_head
+from echochain.statevec import (
+    exact_evolve,
+    exchange_unitary,
+    execute_plan,
+    heisenberg_pair_coupling,
+    prepare_singlet_head,
+)
 from echochain.transfer import TransferConfig, run_transfer
-from echochain.trotter import MODE_DIRECT, execute_plan, three_term_plan
+from echochain.trotter import MODE_DIRECT, three_term_plan
 
 # Frozen on the first verified run: echo robustness fit at n=10,
 # t=pi/2, N=4, 100 trials per point, v on the default 8-point grid,

@@ -5,18 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echochain.chain import (
-    ChainSpec,
+from echochain.chain import ChainSpec, partition_odd_even, transfer_chain, uniform_echo_chain
+from echochain.gates import SINGLET
+from echochain.statevec import (
     ResourceLimitError,
+    StateVector,
     dense_hamiltonian,
     exact_evolve,
-    partition_odd_even,
-    transfer_chain,
-    uniform_echo_chain,
-)
-from echochain.statevec import (
-    SINGLET,
-    StateVector,
     pair_projection_fidelity,
     prepare_singlet_head,
 )

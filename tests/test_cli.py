@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from echochain import cli
 from echochain.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+CONFIGS = Path(__file__).parent / "configs"
 
 
 def read_csv(path):
@@ -318,6 +320,9 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
     (["oracle-check", "--trotter-steps", "8,0"], "run_all_checks"),
     (["oracle-check", "--samples", "0"], "run_all_checks"),
     (["oracle-check", "--samples", "-1"], "run_all_checks"),
+    # config values of the wrong type, checked like the flags they set
+    (["echo", "--config", str(CONFIGS / "steps_string.json")], "echo_fidelity_curve"),
+    (["echo", "--config", str(CONFIGS / "n_null.json")], "echo_fidelity_curve"),
 ])
 def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
                                                       args, work):
@@ -331,3 +336,49 @@ def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypa
     assert captured.err.startswith("error:")
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_unreliable_fit_warns_on_stderr(tmp_path, capsys):
+    trials, fits = tmp_path / "trials.csv", tmp_path / "fits.csv"
+    assert main(["robustness", "--protocol", "echo", "--n", "5", "--steps", "2",
+                 "--trials", "2", "--seed", "7", "--v-points", "3",
+                 "--out-trials", str(trials), "--out-fits", str(fits)]) == 0
+    _, rows = read_csv(fits)
+    assert float(rows[0]["r_squared"]) < 0.95
+    assert capsys.readouterr().err.startswith("warning: echo fit at n=5 has r_squared=")
+
+
+@pytest.mark.parametrize("args,prefix", [
+    (ECHO_SWEEP, "robustness_echo"),
+    (TRANSFER_SWEEP, "robustness_transfer"),
+])
+def test_reliable_fits_warn_nothing_and_keep_golden_bytes(tmp_path, capsys, args, prefix):
+    trials, fits = tmp_path / "trials.csv", tmp_path / "fits.csv"
+    assert main([*args, "--out-trials", str(trials), "--out-fits", str(fits)]) == 0
+    assert capsys.readouterr().err == ""
+    assert trials.read_bytes() == (GOLDEN / f"{prefix}_trials.csv").read_bytes()
+    assert fits.read_bytes() == (GOLDEN / f"{prefix}_fits.csv").read_bytes()
+
+
+def test_commands_never_import_the_dense_oracle(tmp_path):
+    script = """
+import sys
+
+import echochain
+import echochain.cli
+
+for args in (
+    ["echo", "--n", "4", "--t-max", "1", "--points", "3", "--steps", "2", "--noise-v", "0.01"],
+    ["transfer", "--engine", "trotter-simfm", "--n", "4", "--points", "3", "--noise-v", "0.01"],
+    ["robustness", "--n", "4", "--steps", "2", "--trials", "2", "--v-points", "3"],
+):
+    assert echochain.cli.main(args) == 0, args
+assert "echochain.statevec" not in sys.modules
+"""
+    # the package this suite imports, whatever the working directory
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
+    assert {p.name for p in tmp_path.iterdir()} == {"echo.csv", "transfer.csv",
+                                                    "trials.csv", "fits.csv"}

@@ -9,14 +9,16 @@ from echochain.gates import (
     DELTA_EPS,
     EPS_SINGLET,
     EPS_TRIPLET,
+    SINGLET,
     afm_duration_for_fm,
-    exchange_unitary,
-    exchange_unitary_reference,
     field_phase,
-    heisenberg_pair_coupling,
     wrap_period,
 )
-from echochain.statevec import SINGLET
+from echochain.statevec import (
+    exchange_unitary,
+    exchange_unitary_reference,
+    heisenberg_pair_coupling,
+)
 
 TRIPLET_ZERO = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 

@@ -12,7 +12,7 @@ from echochain.meanfield import (
     IntegratorConfig,
     meanfield_echo_curve,
 )
-from echochain.statevec import SINGLET
+from echochain.gates import SINGLET
 
 
 def site_fields(slots, couplings, sign):

@@ -14,9 +14,9 @@ from echochain.noise import (
     loglog_fit,
     make_rng,
     protocol_runner,
-    sample_eta,
     slope_vs_n,
 )
+from echochain.statevec import sample_eta
 
 # Frozen on the first verified run of the echo pipeline
 # (n=10, t=pi/2, N=4, v=0.03, 100 trials, master seed 77).

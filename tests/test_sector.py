@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echochain import sector
-from echochain.chain import ChainSpec, exact_evolve, transfer_chain, uniform_echo_chain
+from echochain import checks, sector
+from echochain.chain import ChainSpec, transfer_chain, uniform_echo_chain
 from echochain.checks import (
+    check_conservation,
     check_sector_vs_dense,
     dense_echo_fidelity,
     dense_transfer_fidelity,
@@ -20,18 +21,19 @@ from echochain.noise import (
     child_seed,
     make_rng,
     protocol_runner,
-    sample_eta,
     slope_vs_n,
 )
-from echochain.statevec import StateVector, prepare_singlet_head, total_sz
-from echochain.transfer import TransferConfig, transfer_fidelity_curve
-from echochain.trotter import (
-    MODE_DIRECT,
-    MODE_SIMULATED_FM,
+from echochain.statevec import (
+    StateVector,
+    apply_two_site,
+    exact_evolve,
     execute_plan,
-    second_order_plan,
-    three_term_plan,
+    prepare_singlet_head,
+    sample_eta,
+    total_sz,
 )
+from echochain.transfer import TransferConfig, transfer_fidelity_curve
+from echochain.trotter import MODE_DIRECT, MODE_SIMULATED_FM, second_order_plan, three_term_plan
 
 TOL = 1e-12
 
@@ -152,6 +154,21 @@ def test_protocols_match_dense_oracle():
     # noisy echoes in both backward modes, transfers on every engine
     result = check_sector_vs_dense(max_n=8, seed=4)
     assert result.passed, result.detail
+
+
+def test_conservation_check_reads_sz_from_the_dense_replay(monkeypatch):
+    assert check_conservation(n=4).passed
+    replay = checks.dense_transfer_state
+    flip_site_1 = np.kron([[0, 1], [1, 0]], np.eye(2))
+
+    def leaky_replay(config):
+        # the transfer ends with site 1 up; flipping it moves S^z by about 1
+        return apply_two_site(replay(config), 1, 2, flip_site_1)
+
+    monkeypatch.setattr(checks, "dense_transfer_state", leaky_replay)
+    result = check_conservation(n=4)
+    assert not result.passed
+    assert float(result.detail.removeprefix("max_dev=")) > 0.5
 
 
 def test_curves_match_dense_point_by_point():

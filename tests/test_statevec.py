@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echochain.gates import exchange_unitary
+from echochain.gates import SINGLET
 from echochain.statevec import (
-    SINGLET,
     InvalidGateError,
     StateVector,
     apply_single_site_phase,
     apply_two_site,
+    exchange_unitary,
     norm,
     pair_projection_fidelity,
     prepare_singlet_head,

@@ -4,15 +4,21 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from echochain.chain import exact_evolve, transfer_chain, uniform_echo_chain
+from echochain.chain import transfer_chain, uniform_echo_chain
 from echochain.noise import NoiseModel, make_rng
-from echochain.statevec import StateVector, norm, prepare_singlet_head, total_sz
+from echochain.statevec import (
+    StateVector,
+    exact_evolve,
+    execute_plan,
+    norm,
+    prepare_singlet_head,
+    total_sz,
+)
 from echochain.trotter import (
     MODE_DIRECT,
     MODE_SIMULATED_FM,
     ExchangeLayer,
     FieldLayer,
-    execute_plan,
     second_order_plan,
     three_term_plan,
 )
