@@ -2,39 +2,25 @@
 """Regenerate the calibrated step-count table for trotterized transfer.
 
 For each chain length, finds the smallest power-of-two N whose
-noise-free three-term plan lands within 1e-4 infidelity of the dense
-oracle at t = pi/2.  Paste the printed dict into
-echochain.transfer.DEFAULT_TRANSFER_STEPS when couplings or the layer
-ordering change.
+noise-free trotter-direct transfer lands within 1e-4 of the exact
+engine's far-end singlet fidelity at t = pi/2.  Paste the printed dict
+into echochain.transfer.DEFAULT_TRANSFER_STEPS when couplings or the
+layer ordering change.
 """
-import math
-
-from echochain.chain import transfer_chain
-from echochain.gates import SINGLET
-from echochain.statevec import (
-    exact_evolve,
-    execute_plan,
-    pair_projection_fidelity,
-    prepare_singlet_head,
-)
-from echochain.trotter import MODE_DIRECT, three_term_plan
+from echochain.transfer import ENGINE_TROTTER_DIRECT, TransferConfig, run_transfer
 
 TOLERANCE = 1e-4
 
 
 def trotter_fidelity(n: int, n_steps: int) -> float:
-    spec = transfer_chain(n)
-    state = prepare_singlet_head(n)
-    execute_plan(three_term_plan(spec, math.pi / 2, n_steps, MODE_DIRECT), state)
-    return pair_projection_fidelity(state, (n - 1, n), SINGLET)
+    config = TransferConfig(n=n, n_steps=n_steps, engine=ENGINE_TROTTER_DIRECT)
+    return run_transfer(config).fidelity
 
 
 def main() -> None:
     table = {}
     for n in range(2, 13):
-        spec = transfer_chain(n)
-        exact = exact_evolve(spec, prepare_singlet_head(n), math.pi / 2)
-        f_exact = pair_projection_fidelity(exact, (n - 1, n), SINGLET)
+        f_exact = run_transfer(TransferConfig(n=n)).fidelity
         n_steps = 1
         while abs(trotter_fidelity(n, n_steps) - f_exact) > TOLERANCE:
             n_steps *= 2

@@ -14,7 +14,7 @@ from .chain import (
     transfer_chain,
     uniform_echo_chain,
 )
-from .echo import EchoConfig, EchoResult, echo_fidelity_curve, run_echo
+from .echo import EchoConfig, EchoResult, run_echo
 from .gates import (
     DELTA_EPS,
     EPS_SINGLET,
@@ -29,6 +29,7 @@ from .noise import (
     FitResult,
     NoiseModel,
     TrialStats,
+    fidelity_curve,
     loglog_fit,
     slope_vs_n,
 )
@@ -37,7 +38,6 @@ from .transfer import (
     TransferResult,
     default_transfer_steps,
     run_transfer,
-    transfer_fidelity_curve,
 )
 from .trotter import (
     MODE_DIRECT,

@@ -61,7 +61,7 @@ def dense_transfer_state(config: TransferConfig) -> StateVector:
         state = exact_evolve(spec, state, config.t)
     else:
         mode = MODE_DIRECT if config.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
-        plan = three_term_plan(spec, config.t, config.resolved_steps, mode)
+        plan = three_term_plan(spec, config.t, config.steps, mode)
         execute_plan(plan, state, config.noise, make_rng(config.seed))
     return state
 

@@ -20,11 +20,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import svgplot
-from .echo import EchoConfig, echo_fidelity_curve, max_leg_duration
+from .echo import EchoConfig, max_leg_duration
 from .gates import fits_wrap_period
 from .meanfield import SCHEDULE_MIRRORED, SCHEDULES, IntegratorConfig, meanfield_echo_curve
-from .noise import NoiseModel, TrialStats, default_v_grid, protocol_runner, slope_vs_n
-from .transfer import ENGINE_EXACT, ENGINES, TransferConfig, transfer_fidelity_curve
+from .noise import NoiseModel, TrialStats, default_v_grid, fidelity_curve, slope_vs_n
+from .transfer import ENGINE_EXACT, ENGINES, TransferConfig
 
 
 class UsageError(Exception):
@@ -201,7 +201,7 @@ def cmd_echo(opts: SimpleNamespace) -> int:
     if opts.with_meanfield:
         integrator = _meanfield_integrator(opts, mf_steps)
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
-    quantum = echo_fidelity_curve(config, grid)
+    quantum = fidelity_curve(config, grid)
     header = [
         "series", "n", "j", "t", "steps", "mode", "schedule",
         "sign_convention", "dt", "v", "seed", "f_ec", "i_ec",
@@ -265,9 +265,9 @@ def cmd_transfer(opts: SimpleNamespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
-    curve = transfer_fidelity_curve(config, grid)
+    curve = fidelity_curve(config, grid)
     header = ["n", "t", "steps", "engine", "v", "seed", "f_tr", "i_tr"]
-    shown_steps = "" if opts.engine == ENGINE_EXACT else config.resolved_steps
+    shown_steps = "" if opts.engine == ENGINE_EXACT else config.steps
     rows = [
         [opts.n, t, shown_steps, opts.engine, opts.noise_v, opts.seed, f, 1.0 - f]
         for t, f in curve
@@ -305,16 +305,19 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
     if opts.protocol == "transfer" and opts.engine == ENGINE_EXACT:
         raise UsageError("robustness needs a trotter engine")
     ns = _parse_n_range(opts)
-    params: dict = {"t": opts.t}
-    if opts.steps is not None:
-        params["n_steps"] = opts.steps
-    if opts.protocol == "transfer":
-        params["engine"] = opts.engine
     try:
         v_grid = default_v_grid(opts.v_min, opts.v_max, opts.v_points)
-        # every swept n's runner validates its config before any trial runs
-        for n in ns:
-            protocol_runner(opts.protocol, n=n, **params)
+        # every swept n's config is checked before any trial runs
+        if opts.protocol == "echo":
+            # an echo sweep without --steps runs 4 Trotter steps per leg
+            steps = 4 if opts.steps is None else opts.steps
+            configs = [EchoConfig(n=n, t=opts.t, n_steps=steps) for n in ns]
+        elif opts.protocol == "transfer":
+            configs = [
+                TransferConfig(n=n, t=opts.t, n_steps=opts.steps, engine=opts.engine) for n in ns
+            ]
+        else:
+            raise UsageError(f"unknown protocol '{opts.protocol}'")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -331,8 +334,8 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
             fit_series.setdefault(stats.n, []).append((stats.v, stats.mean_infidelity))
 
     fits = slope_vs_n(
-        opts.protocol, ns, v_grid, opts.trials, opts.seed,
-        on_stats=collect, include_fields=opts.field_noise, **params,
+        configs, v_grid, opts.trials, opts.seed,
+        on_stats=collect, include_fields=opts.field_noise,
     )
     for n, fit in fits:
         if not fit.reliable:

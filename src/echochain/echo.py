@@ -1,6 +1,7 @@
 """Loschmidt echo: forward evolution under the simulated ferromagnet,
 backward under the antiferromagnet, scored by singlet revival on the
-first pair.
+first pair.  `EchoConfig` runs its own batches, which
+`echochain.noise` turns into curves and robustness sweeps.
 
 Both legs share one Trotter step count.  Because the forward gates are
 exact inverses of the backward gates up to global phases (each forward
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +37,7 @@ class EchoConfig:
     backward_mode: str = BACKWARD_TROTTERIZED
     noise: NoiseModel | None = None
     seed: Seed = 0
+    pair = (1, 2)  # the pair whose singlet revival scores the echo
 
     def __post_init__(self) -> None:
         if self.n < 3:
@@ -54,6 +55,28 @@ class EchoConfig:
         if self.backward_mode not in (BACKWARD_TROTTERIZED, BACKWARD_EXACT):
             raise ValueError(f"unknown backward mode '{self.backward_mode}'")
 
+    @property
+    def steps(self) -> int:
+        """Trotter steps per leg."""
+        return self.n_steps
+
+    def final_states(self, times: Sequence[float], noise: GateNoise | None) -> np.ndarray:
+        """One echo per row: row r runs for times[r] (or times[0] for every
+        row) and draws its gate errors from row r of `noise`."""
+        spec = uniform_echo_chain(self.n, self.j)
+        c = sector.singlet_head(len(noise) if noise is not None else len(times), self.n)
+        forward = [second_order_plan(spec, t, self.n_steps, MODE_SIMULATED_FM) for t in times]
+        sector.evolve(c, forward, noise)
+        if self.backward_mode == BACKWARD_TROTTERIZED:
+            backward = [second_order_plan(spec, t, self.n_steps, MODE_DIRECT) for t in times]
+            sector.evolve(c, backward, noise)
+        else:
+            # Continuous antiferromagnetic return; used as a probe of the
+            # forward leg's Trotter error, so it is never noisy.
+            c = sector.exact_evolve(spec, c, times)
+        sector.check_norm(c)
+        return c
+
 
 @dataclass
 class EchoResult:
@@ -67,30 +90,10 @@ class EchoResult:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
-def _final_states(
-    config: EchoConfig, times: Sequence[float], noise: GateNoise | None
-) -> np.ndarray:
-    """One echo per row: row r runs for times[r] (or times[0] for every
-    row) and draws its gate errors from row r of `noise`."""
-    spec = uniform_echo_chain(config.n, config.j)
-    c = sector.singlet_head(len(noise) if noise is not None else len(times), config.n)
-    forward = [second_order_plan(spec, t, config.n_steps, MODE_SIMULATED_FM) for t in times]
-    sector.evolve(c, forward, noise)
-    if config.backward_mode == BACKWARD_TROTTERIZED:
-        backward = [second_order_plan(spec, t, config.n_steps, MODE_DIRECT) for t in times]
-        sector.evolve(c, backward, noise)
-    else:
-        # Continuous antiferromagnetic return; used as a probe of the
-        # forward leg's Trotter error, so it is never noisy.
-        c = sector.exact_evolve(spec, c, times)
-    sector.check_norm(c)
-    return c
-
-
 def run_echo(config: EchoConfig) -> EchoResult:
     """One echo: singlet head in, forward + backward legs, revival out."""
-    c = _final_states(config, [config.t], model_noise(config.noise, [config.seed]))
-    fidelity = float(sector.singlet_fidelity(c, 1, 2)[0])
+    c = config.final_states([config.t], model_noise(config.noise, [config.seed]))
+    fidelity = float(sector.singlet_fidelity(c, *config.pair)[0])
     return EchoResult(
         fidelity=fidelity,
         infidelity=1.0 - fidelity,
@@ -98,25 +101,7 @@ def run_echo(config: EchoConfig) -> EchoResult:
         metadata={
             "config": config,
             "final_norm": float(np.linalg.norm(c[0])),
-            "sz_initial": float(sector.total_sz(sector.singlet_head(1, config.n))[0]),
-            "sz_final": float(sector.total_sz(c)[0]),
         },
-    )
-
-
-def echo_infidelities(config: EchoConfig, noise: GateNoise) -> np.ndarray:
-    """Infidelity of one noisy echo of duration config.t per row of `noise`."""
-    c = _final_states(config, [config.t], noise)
-    return 1.0 - sector.singlet_fidelity(c, 1, 2)
-
-
-def echo_fidelity_curve(
-    config: EchoConfig, t_grid: Sequence[float]
-) -> list[tuple[float, float]]:
-    """One echo per grid point, all in one batch; point k gets the
-    sub-seed (seed, k)."""
-    return sector.fidelity_curve(
-        partial(_final_states, config), t_grid, config.noise, config.seed, (1, 2)
     )
 
 

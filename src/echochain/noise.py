@@ -1,5 +1,5 @@
-"""Gate-error model, Monte-Carlo trial orchestration, and the log-log
-infidelity fit.
+"""Gate-error model, the one execution path for protocol curves and
+sweeps, and the log-log infidelity fit.
 
 Every exchange angle theta executed under a NoiseModel becomes
 theta * (1 + eta) with eta ~ Normal(0, v^2) drawn fresh per gate per
@@ -7,18 +7,28 @@ step.  This multiplies the coupling at fixed duration, so a long pulse
 (the near-2*pi antiferromagnetic pulses of the simulated ferromagnet)
 is proportionally more sensitive than a short one.
 
-Trials are seeded with SeedSequence([master_seed, trial]) so every
-trial has an independent stream and results do not depend on how the
-trials are batched.  All trials of a sweep at one chain length run as
-one batch of the one-magnon engine (`echochain.sector`).
+A protocol config (`echochain.echo.EchoConfig` or
+`echochain.transfer.TransferConfig`, imported for type hints only) runs
+its own batch of final states and names the pair it scores, so
+`fidelity_curve` and `slope_vs_n` serve both protocols.  Trials are
+seeded with SeedSequence([master_seed, trial]) so every trial has an
+independent stream and results do not depend on how the trials are
+batched.  All trials of a sweep at one chain length run as one batch
+of the one-magnon engine (`echochain.sector`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
+
+from . import sector
+
+if TYPE_CHECKING:
+    from .echo import EchoConfig
+    from .transfer import TransferConfig
 
 Seed = int | tuple[int, ...]
 
@@ -91,27 +101,14 @@ def model_noise(model: NoiseModel | None, seeds: Sequence[Seed]) -> GateNoise | 
     return GateNoise(seeds, np.full(len(seeds), model.v), model.include_fields)
 
 
-@dataclass(frozen=True)
-class TrialRunner:
-    """Noisy trials of one protocol at one chain length.
-
-    `infidelities(noise)` runs one trial per row of a GateNoise as one
-    batch; `n_steps` is the Trotter step count the runner resolved.
-    """
-
-    n_steps: int
-    infidelities: Callable[[GateNoise], np.ndarray]
-
-
 @dataclass
 class TrialStats:
     """Mean and spread of infidelity over repeated noisy runs."""
 
-    protocol: str
     n: int
     v: float
     trials: int
-    steps: int  # Trotter steps per leg, as the runner resolved them
+    steps: int  # Trotter steps per leg, as the config resolved them
     mean_infidelity: float
     std_infidelity: float
     infidelities: np.ndarray = field(repr=False)
@@ -133,13 +130,10 @@ class FitResult:
         return self.r_squared >= 0.95
 
 
-def _trial_stats(
-    protocol: str, n: int, v: float, steps: int, infidelities: np.ndarray
-) -> TrialStats:
+def _trial_stats(n: int, v: float, steps: int, infidelities: np.ndarray) -> TrialStats:
     if not np.all((infidelities >= -1e-12) & (infidelities <= 1 + 1e-12)):
         raise RuntimeError("trial infidelity left [0, 1]")
     return TrialStats(
-        protocol=protocol,
         n=n,
         v=v,
         trials=len(infidelities),
@@ -151,20 +145,19 @@ def _trial_stats(
 
 
 def _batch_stats(
-    runner: TrialRunner,
-    protocol: str,
-    n: int,
+    config: EchoConfig | TransferConfig,
     v_grid: Sequence[float],
     base_seeds: Sequence[Seed],
     trials: int,
     include_fields: bool,
 ) -> list[TrialStats]:
-    """Every trial at every v_grid[i] as one batch; trial k of v_grid[i]
-    draws its gate errors from child_seed(base_seeds[i], k)."""
+    """Every trial of `config` at every v_grid[i] as one batch; trial k
+    of v_grid[i] draws its gate errors from child_seed(base_seeds[i], k)."""
     seeds = [child_seed(base, k) for base in base_seeds for k in range(trials)]
     noise = GateNoise(seeds, np.repeat(v_grid, trials), include_fields)
-    rows = runner.infidelities(noise).reshape(len(v_grid), trials)
-    return [_trial_stats(protocol, n, v, runner.n_steps, row) for v, row in zip(v_grid, rows)]
+    c = config.final_states([config.t], noise)
+    rows = (1.0 - sector.singlet_fidelity(c, *config.pair)).reshape(len(v_grid), trials)
+    return [_trial_stats(config.n, v, config.steps, row) for v, row in zip(v_grid, rows)]
 
 
 def loglog_fit(points: Iterable[tuple[float, float]]) -> FitResult:
@@ -198,70 +191,50 @@ def default_v_grid(
     return np.geomspace(v_min, v_max, points)
 
 
-def protocol_runner(protocol: str, **params) -> TrialRunner:
-    """Trial runner for one of the named protocols.
-
-    For 'echo': params n, j, t, n_steps, backward_mode.
-    For 'transfer': params n, t, n_steps, engine.
-    Imports are deferred so the protocol modules can depend on this one.
-    """
-    if protocol == "echo":
-        from .echo import EchoConfig, echo_infidelities
-
-        config = EchoConfig(
-            n=params["n"],
-            j=params.get("j", 1.0),
-            t=params.get("t", math.pi / 2),
-            n_steps=params.get("n_steps", 4),
-            backward_mode=params.get("backward_mode", "trotterized"),
-        )
-        return TrialRunner(config.n_steps, lambda noise: echo_infidelities(config, noise))
-    if protocol == "transfer":
-        from .transfer import TransferConfig, transfer_infidelities
-
-        config = TransferConfig(
-            n=params["n"],
-            t=params.get("t", math.pi / 2),
-            n_steps=params.get("n_steps"),
-            engine=params.get("engine", "trotter-simfm"),
-        )
-        return TrialRunner(
-            config.resolved_steps, lambda noise: transfer_infidelities(config, noise)
-        )
-    raise ValueError(f"unknown protocol '{protocol}'")
+def fidelity_curve(
+    config: EchoConfig | TransferConfig, t_grid: Sequence[float]
+) -> list[tuple[float, float]]:
+    """One run of `config` per grid point, all in one batch, scored by
+    the singlet fidelity of its pair; point k draws its gate errors from
+    the sub-seed (config.seed, k)."""
+    times = [float(t) for t in t_grid]
+    if not times:
+        return []
+    if not all(t >= 0 for t in times):
+        raise ValueError(f"evolution time must be nonnegative, got {min(times)}")
+    seeds = [child_seed(config.seed, k) for k in range(len(times))]
+    c = config.final_states(times, model_noise(config.noise, seeds))
+    return list(zip(times, sector.singlet_fidelity(c, *config.pair).tolist()))
 
 
 def slope_vs_n(
-    protocol: str,
-    n_range: Sequence[int],
+    configs: Sequence[EchoConfig | TransferConfig],
     v_grid: Sequence[float],
     trials: int,
     master_seed: Seed,
     *,
     on_stats: Callable[[TrialStats], None] | None = None,
     include_fields: bool = False,
-    **params,
 ) -> list[tuple[int, FitResult]]:
-    """One log-log fit per chain length.
+    """One log-log fit per config, each config one chain length.
 
-    Each (n, v) point runs `trials` noisy repetitions seeded from
-    (master_seed, n, v-index, trial); every trial of one n runs in one
-    batch.  Points with zero mean infidelity are dropped before fitting.
-    on_stats, when given, receives every TrialStats as it is produced
-    (for CSV capture).
+    Each (n, v) point runs `trials` noisy repetitions of config.t seeded
+    from (master_seed, n, v-index, trial); every trial of one n runs in
+    one batch.  Points with zero mean infidelity are dropped before
+    fitting.  on_stats, when given, receives every TrialStats as it is
+    produced (for CSV capture).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     v_grid = [float(v) for v in v_grid]
     results: list[tuple[int, FitResult]] = []
-    for n in n_range:
-        runner = protocol_runner(protocol, n=n, **params)
-        bases = [child_seed(child_seed(master_seed, n), vi) for vi in range(len(v_grid))]
+    for config in configs:
+        bases = [child_seed(child_seed(master_seed, config.n), vi) for vi in range(len(v_grid))]
         points: list[tuple[float, float]] = []
-        for stats in _batch_stats(runner, protocol, n, v_grid, bases, trials, include_fields):
+        for stats in _batch_stats(config, v_grid, bases, trials, include_fields):
             if on_stats is not None:
                 on_stats(stats)
             if stats.mean_infidelity > 0:
                 points.append((stats.v, stats.mean_infidelity))
-        results.append((n, loglog_fit(points)))
+        results.append((config.n, loglog_fit(points)))
     return results

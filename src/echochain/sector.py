@@ -1,5 +1,5 @@
-"""Batched one-magnon engine: the production path for every echo and
-transfer run, fidelity curve and noisy sweep.
+"""Batched one-magnon engine: the kernels every protocol config's
+`final_states` runs, for single runs, curves and sweeps alike.
 
 Every exchange pulse and sigma^z phase conserves total S^z, and the
 head singlet holds exactly one down spin, so a chain state is n
@@ -25,13 +25,15 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .chain import SIGN_AFM, ChainSpec
-from .noise import GateNoise, NoiseModel, Seed, child_seed, model_noise
 from .trotter import ExchangeLayer, TrotterPlan
+
+if TYPE_CHECKING:
+    from .noise import GateNoise
 
 NORM_TOL = 1e-10
 # Upper bound on the gate errors held at once for a batch; a longer
@@ -52,32 +54,6 @@ def singlet_head(rows: int, n: int) -> np.ndarray:
 def singlet_fidelity(c: np.ndarray, a: int, b: int) -> np.ndarray:
     """Singlet projection of the pair of sites (a, b), per row."""
     return 0.5 * np.abs(c[:, b - 1] - c[:, a - 1]) ** 2
-
-
-def fidelity_curve(
-    final_states: Callable[[list[float], GateNoise | None], np.ndarray],
-    t_grid: Sequence[float],
-    model: NoiseModel | None,
-    seed: Seed,
-    pair: tuple[int, int],
-) -> list[tuple[float, float]]:
-    """One run per grid point, all in one batch, scored by the singlet
-    fidelity of `pair`.  final_states(times, noise) runs row r for
-    times[r]; point k draws its gate errors from the sub-seed (seed, k)."""
-    times = [float(t) for t in t_grid]
-    if not times:
-        return []
-    if not all(t >= 0 for t in times):
-        raise ValueError(f"evolution time must be nonnegative, got {min(times)}")
-    seeds = [child_seed(seed, k) for k in range(len(times))]
-    c = final_states(times, model_noise(model, seeds))
-    return list(zip(times, singlet_fidelity(c, *pair).tolist()))
-
-
-def total_sz(c: np.ndarray) -> np.ndarray:
-    """Total magnetization per row: each site is up except the flipped
-    one, weighted by the row's squared norm."""
-    return (0.5 * c.shape[1] - 1.0) * np.sum(np.abs(c) ** 2, axis=1)
 
 
 def check_norm(c: np.ndarray) -> None:

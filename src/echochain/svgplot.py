@@ -18,9 +18,7 @@ class Series:
     label: str
     x: list[float]
     y: list[float]
-    draw_line: bool = True
     draw_points: bool = False
-    color: str | None = None
 
 
 @dataclass
@@ -118,8 +116,8 @@ def render(figure: Figure, path: str) -> None:
         f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2:.1f})">{figure.ylabel}</text>'
     )
     for idx, (series, tx, ty) in enumerate(plotted):
-        color = series.color or PALETTE[idx % len(PALETTE)]
-        if series.draw_line and len(tx) > 1:
+        color = PALETTE[idx % len(PALETTE)]
+        if len(tx) > 1:
             points = " ".join(f"{px(a):.2f},{py(b):.2f}" for a, b in zip(tx, ty))
             out.append(
                 f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>'

@@ -1,6 +1,7 @@
 """Perfect state transfer: the engineered chain carries the head
 singlet to the far end of the chain at t = pi/2, scored by the singlet
-projection of the last two spins.
+projection of the last two spins.  `TransferConfig` runs its own
+batches, which `echochain.noise` turns into curves and robustness sweeps.
 
 Engines:
   exact              continuous evolution from an n x n eigendecomposition
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -28,9 +28,9 @@ ENGINE_TROTTER_DIRECT = "trotter-direct"
 ENGINE_TROTTER_SIMFM = "trotter-simfm"
 ENGINES = (ENGINE_EXACT, ENGINE_TROTTER_DIRECT, ENGINE_TROTTER_SIMFM)
 
-# Smallest power-of-two step count keeping the noise-free Trotter
-# infidelity below 1e-4 at t = pi/2, calibrated against the dense
-# oracle (scripts/calibrate_transfer_steps.py regenerates this table).
+# Smallest power-of-two step count keeping the noise-free trotter-direct
+# fidelity within 1e-4 of the exact engine's at t = pi/2
+# (scripts/calibrate_transfer_steps.py regenerates this table).
 DEFAULT_TRANSFER_STEPS = {
     2: 1,
     3: 16,
@@ -77,9 +77,30 @@ class TransferConfig:
             raise ValueError("the exact engine is noise-free; use a trotter engine")
 
     @property
-    def resolved_steps(self) -> int:
+    def steps(self) -> int:
         """n_steps, or the calibrated default when it is None."""
         return self.n_steps or default_transfer_steps(self.n)
+
+    @property
+    def pair(self) -> tuple[int, int]:
+        """The far-end pair whose singlet fidelity scores the transfer."""
+        return (self.n - 1, self.n)
+
+    def final_states(self, times: Sequence[float], noise: GateNoise | None) -> np.ndarray:
+        """One transfer per row: row r runs for times[r] (or times[0] for
+        every row) and draws its gate errors from row r of `noise`."""
+        spec = transfer_chain(self.n)
+        c = sector.singlet_head(len(noise) if noise is not None else len(times), self.n)
+        if self.engine == ENGINE_EXACT:
+            if noise is not None and np.any(noise.v > 0):
+                raise ValueError("the exact engine is noise-free; use a trotter engine")
+            c = sector.exact_evolve(spec, c, times)
+        else:
+            mode = MODE_DIRECT if self.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
+            plans = [three_term_plan(spec, t, self.steps, mode) for t in times]
+            sector.evolve(c, plans, noise)
+        sector.check_norm(c)
+        return c
 
 
 @dataclass
@@ -93,53 +114,15 @@ class TransferResult:
             raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
 
 
-def _final_states(
-    config: TransferConfig, times: Sequence[float], noise: GateNoise | None
-) -> np.ndarray:
-    """One transfer per row: row r runs for times[r] (or times[0] for
-    every row) and draws its gate errors from row r of `noise`."""
-    spec = transfer_chain(config.n)
-    c = sector.singlet_head(len(noise) if noise is not None else len(times), config.n)
-    if config.engine == ENGINE_EXACT:
-        if noise is not None and np.any(noise.v > 0):
-            raise ValueError("the exact engine is noise-free; use a trotter engine")
-        c = sector.exact_evolve(spec, c, times)
-    else:
-        mode = MODE_DIRECT if config.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
-        plans = [three_term_plan(spec, t, config.resolved_steps, mode) for t in times]
-        sector.evolve(c, plans, noise)
-    sector.check_norm(c)
-    return c
-
-
 def run_transfer(config: TransferConfig) -> TransferResult:
-    c = _final_states(config, [config.t], model_noise(config.noise, [config.seed]))
-    fidelity = float(sector.singlet_fidelity(c, config.n - 1, config.n)[0])
+    c = config.final_states([config.t], model_noise(config.noise, [config.seed]))
+    fidelity = float(sector.singlet_fidelity(c, *config.pair)[0])
     return TransferResult(
         fidelity=fidelity,
         infidelity=1.0 - fidelity,
         metadata={
             "config": config,
-            "n_steps": config.resolved_steps,
+            "n_steps": config.steps,
             "final_norm": float(np.linalg.norm(c[0])),
-            "sz_initial": float(sector.total_sz(sector.singlet_head(1, config.n))[0]),
-            "sz_final": float(sector.total_sz(c)[0]),
         },
-    )
-
-
-def transfer_infidelities(config: TransferConfig, noise: GateNoise) -> np.ndarray:
-    """Infidelity of one noisy transfer of duration config.t per row of `noise`."""
-    c = _final_states(config, [config.t], noise)
-    return 1.0 - sector.singlet_fidelity(c, config.n - 1, config.n)
-
-
-def transfer_fidelity_curve(
-    config: TransferConfig, t_grid: Sequence[float]
-) -> list[tuple[float, float]]:
-    """One transfer per grid point, all in one batch; point k gets the
-    sub-seed (seed, k)."""
-    return sector.fidelity_curve(
-        partial(_final_states, config), t_grid, config.noise, config.seed,
-        (config.n - 1, config.n),
     )

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from echochain.chain import transfer_chain
+from echochain.checks import dense_echo_state, dense_transfer_state
 from echochain.echo import EchoConfig, run_echo
 from echochain.gates import afm_duration_for_fm, wrap_period
 from echochain.meanfield import IntegratorConfig, meanfield_echo_curve
@@ -23,6 +24,7 @@ from echochain.statevec import (
     execute_plan,
     heisenberg_pair_coupling,
     prepare_singlet_head,
+    total_sz,
 )
 from echochain.transfer import TransferConfig, run_transfer
 from echochain.trotter import MODE_DIRECT, three_term_plan
@@ -107,26 +109,28 @@ def test_criterion_4_perfect_state_transfer():
 
 
 def test_criterion_5_conservation_suite():
-    worst = 0.0
-    runs = [
-        run_echo(EchoConfig(n=6, t=1.0, n_steps=4)),
-        run_echo(EchoConfig(n=10, t=2.5, n_steps=16)),
-        run_echo(EchoConfig(n=8, t=math.pi / 2, n_steps=4, noise=NoiseModel(v=0.05), seed=1)),
-        run_echo(
-            EchoConfig(
-                n=6, t=1.5, n_steps=8, backward_mode="exact-continuous",
-                noise=NoiseModel(v=0.05), seed=2,
-            )
+    echoes = [
+        EchoConfig(n=6, t=1.0, n_steps=4),
+        EchoConfig(n=10, t=2.5, n_steps=16),
+        EchoConfig(n=8, t=math.pi / 2, n_steps=4, noise=NoiseModel(v=0.05), seed=1),
+        EchoConfig(
+            n=6, t=1.5, n_steps=8, backward_mode="exact-continuous",
+            noise=NoiseModel(v=0.05), seed=2,
         ),
-        run_transfer(TransferConfig(n=6, engine="trotter-direct")),
-        run_transfer(
-            TransferConfig(n=7, engine="trotter-simfm", noise=NoiseModel(v=0.05), seed=3)
-        ),
-        run_transfer(TransferConfig(n=9)),
     ]
-    for result in runs:
-        worst = max(worst, abs(result.metadata["final_norm"] - 1.0))
-        worst = max(worst, abs(result.metadata["sz_final"] - result.metadata["sz_initial"]))
+    transfers = [
+        TransferConfig(n=6, engine="trotter-direct"),
+        TransferConfig(n=7, engine="trotter-simfm", noise=NoiseModel(v=0.05), seed=3),
+        TransferConfig(n=9),
+    ]
+    # the norm of each production run, and S^z of its dense replay
+    runs = [(run_echo, dense_echo_state, config) for config in echoes]
+    runs += [(run_transfer, dense_transfer_state, config) for config in transfers]
+    worst = 0.0
+    for run, replay, config in runs:
+        worst = max(worst, abs(run(config).metadata["final_norm"] - 1.0))
+        sz_initial = total_sz(prepare_singlet_head(config.n))
+        worst = max(worst, abs(total_sz(replay(config)) - sz_initial))
     report(5, "norm and S^z conservation", worst < 1e-10, f"max drift = {worst:.3e}")
 
 
@@ -165,8 +169,8 @@ def test_criterion_6_meanfield_baseline():
 
 def test_criterion_7_echo_robustness_fit():
     results = slope_vs_n(
-        "echo", [10], default_v_grid(), trials=100, master_seed=42,
-        t=math.pi / 2, n_steps=4,
+        [EchoConfig(n=10, t=math.pi / 2, n_steps=4)], default_v_grid(), trials=100,
+        master_seed=42,
     )
     _, fit = results[0]
     drift = abs(fit.b - GOLDEN_ECHO_SLOPE) / GOLDEN_ECHO_SLOPE
@@ -182,15 +186,15 @@ def test_criterion_7_echo_robustness_fit():
 
 def test_criterion_8_slope_vs_n():
     echo_fits = slope_vs_n(
-        "echo", range(5, 13), default_v_grid(), trials=100, master_seed=42,
-        t=math.pi / 2, n_steps=4,
+        [EchoConfig(n=n, t=math.pi / 2, n_steps=4) for n in range(5, 13)],
+        default_v_grid(), trials=100, master_seed=42,
     )
     slopes = np.array([fit.b for _, fit in echo_fits])
     median = float(np.median(slopes))
     spread = float(np.max(np.abs(slopes - median)) / median)
     transfer_fits = slope_vs_n(
-        "transfer", range(4, 10), default_v_grid(), trials=100, master_seed=42,
-        t=math.pi / 2, engine="trotter-simfm",
+        [TransferConfig(n=n, t=math.pi / 2, engine="trotter-simfm") for n in range(4, 10)],
+        default_v_grid(), trials=100, master_seed=42,
     )
     odd = [(n, fit.b, fit.r_squared) for n, fit in transfer_fits if n % 2 == 1]
     even = [(n, fit.b, fit.r_squared) for n, fit in transfer_fits if n % 2 == 0]

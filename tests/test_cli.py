@@ -244,7 +244,7 @@ def test_bad_meanfield_options_are_usage_errors(tmp_path, capsys, monkeypatch, f
     def no_quantum_curve(*args, **kwargs):
         raise AssertionError("the quantum curve ran before the options were checked")
 
-    monkeypatch.setattr(cli, "echo_fidelity_curve", no_quantum_curve)
+    monkeypatch.setattr(cli, "fidelity_curve", no_quantum_curve)
     out = tmp_path / "x.csv"
     assert main(["echo", "--n", "4", "--points", "3", "--t-max", "1", "--with-meanfield",
                  *flags, "--out", str(out)]) == 2
@@ -323,13 +323,17 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
     # config values of the wrong type, checked like the flags they set
     (["echo", "--config", str(CONFIGS / "steps_string.json")], "echo_fidelity_curve"),
     (["echo", "--config", str(CONFIGS / "n_null.json")], "echo_fidelity_curve"),
+    # a config value skips argparse's choices
+    (["robustness", "--config", str(CONFIGS / "protocol_unknown.json"), "--n", "4"],
+     "slope_vs_n"),
 ])
 def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
                                                       args, work):
     def no_work(*args, **kwargs):
         raise AssertionError("work ran before the options were checked")
 
-    monkeypatch.setattr(cli, work, no_work)
+    # both protocols' curves run through cli.fidelity_curve
+    monkeypatch.setattr(cli, work.removeprefix("echo_").removeprefix("transfer_"), no_work)
     monkeypatch.chdir(tmp_path)
     assert main(args) == 2
     captured = capsys.readouterr()

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from echochain.echo import EchoConfig
 from echochain.noise import (
     FitResult,
     GateNoise,
@@ -13,20 +14,20 @@ from echochain.noise import (
     default_v_grid,
     loglog_fit,
     make_rng,
-    protocol_runner,
     slope_vs_n,
 )
 from echochain.statevec import sample_eta
+from echochain.transfer import TransferConfig
 
 # Frozen on the first verified run of the echo pipeline
 # (n=10, t=pi/2, N=4, v=0.03, 100 trials, master seed 77).
 GOLDEN_ECHO_MEAN_INFIDELITY = 0.02660586876691544
 
 
-def run_trials(runner, v, trials, master_seed, *, protocol="", n=0, include_fields=False):
-    """`trials` noisy runs at strength v as one batch, as a sweep runs
-    one point: trial k draws from child_seed(master_seed, k)."""
-    return _batch_stats(runner, protocol, n, [v], [master_seed], trials, include_fields)[0]
+def run_trials(config, v, trials, master_seed, *, include_fields=False):
+    """`trials` noisy runs of config at strength v as one batch, as a
+    sweep runs one point: trial k draws from child_seed(master_seed, k)."""
+    return _batch_stats(config, [v], [master_seed], trials, include_fields)[0]
 
 
 class TestSampleEta:
@@ -70,53 +71,49 @@ class TestSeeding:
 
 class TestRunTrials:
     def test_noise_free_echo_has_no_spread(self):
-        runner = protocol_runner("echo", n=5, t=1.0, n_steps=2)
-        stats = run_trials(runner, 0.0, 5, 1, protocol="echo", n=5)
+        config = EchoConfig(n=5, t=1.0, n_steps=2)
+        stats = run_trials(config, 0.0, 5, 1)
         assert stats.mean_infidelity < 1e-9
         assert stats.std_infidelity == pytest.approx(0.0, abs=1e-12)
 
     def test_golden_echo_value(self):
-        runner = protocol_runner("echo", n=10, t=math.pi / 2, n_steps=4)
-        stats = run_trials(runner, 0.03, 100, 77, protocol="echo", n=10)
+        config = EchoConfig(n=10, t=math.pi / 2, n_steps=4)
+        stats = run_trials(config, 0.03, 100, 77)
         assert 0.0 < stats.mean_infidelity < 1.0
         assert stats.mean_infidelity == pytest.approx(GOLDEN_ECHO_MEAN_INFIDELITY, rel=1e-9)
 
     def test_repeat_runs_are_bit_identical(self):
-        runner = protocol_runner("echo", n=6, t=1.0, n_steps=2)
-        a = run_trials(runner, 0.05, 12, 3, protocol="echo", n=6)
-        b = run_trials(runner, 0.05, 12, 3, protocol="echo", n=6)
+        config = EchoConfig(n=6, t=1.0, n_steps=2)
+        a = run_trials(config, 0.05, 12, 3)
+        b = run_trials(config, 0.05, 12, 3)
         assert np.array_equal(a.infidelities, b.infidelities)
         assert a.mean_infidelity == b.mean_infidelity
 
     def test_thread_count_does_not_change_results(self, monkeypatch):
-        runner = protocol_runner("echo", n=6, t=1.0, n_steps=2)
-        baseline = run_trials(runner, 0.05, 8, 3, protocol="echo", n=6)
+        config = EchoConfig(n=6, t=1.0, n_steps=2)
+        baseline = run_trials(config, 0.05, 8, 3)
         monkeypatch.setenv("ECHOCHAIN_THREADS", "4")
-        threaded = run_trials(runner, 0.05, 8, 3, protocol="echo", n=6)
+        threaded = run_trials(config, 0.05, 8, 3)
         assert np.array_equal(baseline.infidelities, threaded.infidelities)
 
     def test_vanishing_noise_approaches_noise_free(self):
-        runner = protocol_runner("echo", n=6, t=1.0, n_steps=2)
-        silent = run_trials(runner, 0.0, 10, 5, protocol="echo", n=6)
-        faint = run_trials(runner, 1e-6, 10, 5, protocol="echo", n=6)
+        config = EchoConfig(n=6, t=1.0, n_steps=2)
+        silent = run_trials(config, 0.0, 10, 5)
+        faint = run_trials(config, 1e-6, 10, 5)
         assert abs(faint.mean_infidelity - silent.mean_infidelity) < 1e-6
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
-            slope_vs_n("echo", [5], [0.01, 0.02, 0.03], 0, 1, t=1.0, n_steps=2)
+            slope_vs_n([EchoConfig(n=5, t=1.0, n_steps=2)], [0.01, 0.02, 0.03], 0, 1)
 
     def test_nan_infidelity_fails_the_trial_guard(self):
         with pytest.raises(RuntimeError):
-            _trial_stats("echo", 5, 0.1, 2, np.array([0.1, math.nan]))
+            _trial_stats(5, 0.1, 2, np.array([0.1, math.nan]))
 
     def test_transfer_protocol_runner(self):
-        runner = protocol_runner("transfer", n=4, engine="trotter-simfm", n_steps=8)
-        stats = run_trials(runner, 0.02, 5, 2, protocol="transfer", n=4)
+        config = TransferConfig(n=4, engine="trotter-simfm", n_steps=8)
+        stats = run_trials(config, 0.02, 5, 2)
         assert 0.0 < stats.mean_infidelity < 1.0
-
-    def test_unknown_protocol_rejected(self):
-        with pytest.raises(ValueError):
-            protocol_runner("sideways", n=4)
 
 
 class TestLogLogFit:
@@ -160,14 +157,11 @@ def test_default_v_grid():
 def test_slope_vs_n_small_echo_sweep():
     collected = []
     results = slope_vs_n(
-        "echo",
-        [5, 6],
+        [EchoConfig(n=n, t=1.0, n_steps=2) for n in (5, 6)],
         [0.003, 0.01, 0.03],
         trials=20,
         master_seed=11,
         on_stats=collected.append,
-        t=1.0,
-        n_steps=2,
     )
     assert [n for n, _ in results] == [5, 6]
     for _, fit in results:

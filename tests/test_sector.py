@@ -14,25 +14,23 @@ from echochain.checks import (
     dense_echo_fidelity,
     dense_transfer_fidelity,
 )
-from echochain.echo import EchoConfig, echo_fidelity_curve
+from echochain.echo import EchoConfig
 from echochain.noise import (
     GateNoise,
     NoiseModel,
     child_seed,
+    fidelity_curve,
     make_rng,
-    protocol_runner,
     slope_vs_n,
 )
 from echochain.statevec import (
-    StateVector,
     apply_two_site,
     exact_evolve,
     execute_plan,
     prepare_singlet_head,
     sample_eta,
-    total_sz,
 )
-from echochain.transfer import TransferConfig, transfer_fidelity_curve
+from echochain.transfer import TransferConfig
 from echochain.trotter import MODE_DIRECT, MODE_SIMULATED_FM, second_order_plan, three_term_plan
 
 TOL = 1e-12
@@ -90,8 +88,6 @@ def test_trotter_plans_match_dense_oracle(spec, t, steps, build, mode, v, includ
         model = None if v is None else NoiseModel(strengths[row], include_fields)
         execute_plan(plans[row], state, model, make_rng(seeds[row]))
         assert phase_aligned_gap(state.amplitudes, c[row]) <= TOL
-        dense_sz = total_sz(StateVector(spec.n, embed(c[row])))
-        assert abs(sector.total_sz(c)[row] - dense_sz) <= TOL
 
 
 @settings(max_examples=30, deadline=None)
@@ -174,12 +170,12 @@ def test_conservation_check_reads_sz_from_the_dense_replay(monkeypatch):
 def test_curves_match_dense_point_by_point():
     grid = [0.0, 0.7, 1.9]
     echo = EchoConfig(n=6, t=0.0, n_steps=2, noise=NoiseModel(v=0.05), seed=3)
-    for k, (t, f) in enumerate(echo_fidelity_curve(echo, grid)):
+    for k, (t, f) in enumerate(fidelity_curve(echo, grid)):
         point = EchoConfig(n=6, t=t, n_steps=2, noise=echo.noise, seed=child_seed(3, k))
         assert abs(f - dense_echo_fidelity(point)) <= TOL
     transfer = TransferConfig(n=5, t=0.0, n_steps=8, engine="trotter-simfm",
                               noise=NoiseModel(v=0.05), seed=3)
-    for k, (t, f) in enumerate(transfer_fidelity_curve(transfer, grid)):
+    for k, (t, f) in enumerate(fidelity_curve(transfer, grid)):
         point = TransferConfig(n=5, t=t, n_steps=8, engine="trotter-simfm",
                                noise=transfer.noise, seed=child_seed(3, k))
         assert abs(f - dense_transfer_fidelity(point)) <= TOL
@@ -189,11 +185,12 @@ def test_sweep_batch_equals_per_point_trials():
     # slope_vs_n runs every v and trial of one n in one batch
     grid = [0.003, 0.01, 0.03]
     collected = []
-    slope_vs_n("transfer", [4], grid, trials=5, master_seed=8, on_stats=collected.append,
-               n_steps=8, include_fields=True)
-    runner = protocol_runner("transfer", n=4, n_steps=8)
+    config = TransferConfig(n=4, n_steps=8, engine="trotter-simfm")
+    slope_vs_n([config], grid, trials=5, master_seed=8, on_stats=collected.append,
+               include_fields=True)
     for vi, stats in enumerate(collected):
         seeds = [child_seed(child_seed(child_seed(8, 4), vi), k) for k in range(5)]
-        alone = runner.infidelities(GateNoise(seeds, np.full(5, grid[vi]), include_fields=True))
+        c = config.final_states([config.t], GateNoise(seeds, np.full(5, grid[vi]), True))
+        alone = 1.0 - sector.singlet_fidelity(c, *config.pair)
         assert np.array_equal(stats.infidelities, alone)
         assert stats.steps == 8
