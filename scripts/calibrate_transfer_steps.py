@@ -7,20 +7,21 @@ engine's far-end singlet fidelity at t = pi/2.  Paste the printed dict
 into echochain.transfer.DEFAULT_TRANSFER_STEPS when couplings or the
 layer ordering change.
 """
-from echochain.transfer import ENGINE_TROTTER_DIRECT, TransferConfig, run_transfer
+from echochain.noise import fidelity
+from echochain.transfer import ENGINE_TROTTER_DIRECT, TransferConfig
 
 TOLERANCE = 1e-4
 
 
 def trotter_fidelity(n: int, n_steps: int) -> float:
     config = TransferConfig(n=n, n_steps=n_steps, engine=ENGINE_TROTTER_DIRECT)
-    return run_transfer(config).fidelity
+    return fidelity(config)
 
 
 def main() -> None:
     table = {}
     for n in range(2, 13):
-        f_exact = run_transfer(TransferConfig(n=n)).fidelity
+        f_exact = fidelity(TransferConfig(n=n))
         n_steps = 1
         while abs(trotter_fidelity(n, n_steps) - f_exact) > TOLERANCE:
             n_steps *= 2

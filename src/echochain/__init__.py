@@ -14,7 +14,7 @@ from .chain import (
     transfer_chain,
     uniform_echo_chain,
 )
-from .echo import EchoConfig, EchoResult, run_echo
+from .echo import EchoConfig
 from .gates import (
     DELTA_EPS,
     EPS_SINGLET,
@@ -29,16 +29,12 @@ from .noise import (
     FitResult,
     NoiseModel,
     TrialStats,
+    fidelity,
     fidelity_curve,
     loglog_fit,
     slope_vs_n,
 )
-from .transfer import (
-    TransferConfig,
-    TransferResult,
-    default_transfer_steps,
-    run_transfer,
-)
+from .transfer import TransferConfig, default_transfer_steps
 from .trotter import (
     MODE_DIRECT,
     MODE_SIMULATED_FM,

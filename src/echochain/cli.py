@@ -105,26 +105,30 @@ DEFAULTS: dict[str, dict] = {
 }
 
 
-def _option_types(parser: argparse.ArgumentParser, command: str) -> dict[str, type]:
-    """The argparse `type` of each option of `command` (str when it has none)."""
+def _option_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """The argparse action of each option of `command`, by its dest."""
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest: a.type or str for a in commands.choices[command]._actions}
+    return {a.dest: a for a in commands.choices[command]._actions}
 
 
-def _config_value(key: str, value, default, flag_type: type):
+def _config_value(key: str, value, default, action: argparse.Action):
     """A config file's value for `key`, of its default's type, or of its
-    flag's type where the default is None (then null is allowed).  An
-    int stands for a float, as it does on the command line."""
-    kind = flag_type if default is None else type(default)
+    flag's type where the default is None (then null is allowed), and
+    one of its flag's choices when the flag has them.  An int stands
+    for a float, as it does on the command line."""
+    kind = (action.type or str) if default is None else type(default)
     if kind is float and type(value) is int:
         value = float(value)
-    if type(value) is kind or (value is None and default is None):
-        return value
-    raise UsageError(f"config key '{key}' must be {kind.__name__}, got {value!r}")
+    if not (type(value) is kind or (value is None and default is None)):
+        raise UsageError(f"config key '{key}' must be {kind.__name__}, got {value!r}")
+    if value is not None and action.choices is not None and value not in action.choices:
+        choices = ", ".join(str(choice) for choice in action.choices)
+        raise UsageError(f"config key '{key}' must be one of {choices}, got {value!r}")
+    return value
 
 
 def _merge_options(
-    command: str, args: argparse.Namespace, flag_types: dict[str, type]
+    command: str, args: argparse.Namespace, actions: dict[str, argparse.Action]
 ) -> SimpleNamespace:
     merged = dict(DEFAULTS[command])
     config_path = getattr(args, "config", None)
@@ -140,7 +144,7 @@ def _merge_options(
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in doc.items():
-            merged[key] = _config_value(key, value, merged[key], flag_types[key])
+            merged[key] = _config_value(key, value, merged[key], actions[key])
     for key in merged:
         value = getattr(args, key, None)
         if value is not None:
@@ -151,10 +155,6 @@ def _merge_options(
 def _meanfield_integrator(opts: SimpleNamespace, mf_steps: int) -> IntegratorConfig:
     """The mean-field integrator, once every mean-field option is known
     to run."""
-    if opts.schedule not in SCHEDULES:
-        raise UsageError(f"unknown schedule '{opts.schedule}'")
-    if opts.sign_convention not in (-1, 1):
-        raise UsageError(f"sign convention must be +1 or -1, got {opts.sign_convention}")
     try:
         integrator = IntegratorConfig(dt=opts.dt)
     except ValueError as exc:
@@ -220,12 +220,11 @@ def cmd_echo(opts: SimpleNamespace) -> int:
             n_steps=mf_steps,
             sign_convention=opts.sign_convention,
         )
-        for t, result in zip(grid, results):
-            classical.append((t, result.fidelity))
+        for t, (f, _) in zip(grid, results):
+            classical.append((t, f))
             rows.append(
                 ["meanfield", opts.n, opts.j, t, mf_steps, "", opts.schedule,
-                 opts.sign_convention, opts.dt, "", "", result.fidelity,
-                 result.infidelity]
+                 opts.sign_convention, opts.dt, "", "", f, 1.0 - f]
             )
     write_csv(opts.out, header, rows)
     if opts.plot:
@@ -302,8 +301,6 @@ def _parse_n_range(opts: SimpleNamespace) -> list[int]:
 def cmd_robustness(opts: SimpleNamespace) -> int:
     if opts.trials < 1:
         raise UsageError(f"need at least one trial, got {opts.trials}")
-    if opts.protocol == "transfer" and opts.engine == ENGINE_EXACT:
-        raise UsageError("robustness needs a trotter engine")
     ns = _parse_n_range(opts)
     try:
         v_grid = default_v_grid(opts.v_min, opts.v_max, opts.v_points)
@@ -312,17 +309,14 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
             # an echo sweep without --steps runs 4 Trotter steps per leg
             steps = 4 if opts.steps is None else opts.steps
             configs = [EchoConfig(n=n, t=opts.t, n_steps=steps) for n in ns]
-        elif opts.protocol == "transfer":
+        else:
             configs = [
                 TransferConfig(n=n, t=opts.t, n_steps=opts.steps, engine=opts.engine) for n in ns
             ]
-        else:
-            raise UsageError(f"unknown protocol '{opts.protocol}'")
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
     trial_rows: list[list] = []
-    fit_series: dict[int, list[tuple[float, float]]] = {}
 
     def collect(stats: TrialStats) -> None:
         for k, infidelity in enumerate(stats.infidelities):
@@ -330,8 +324,6 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
                 [opts.protocol, stats.n, opts.t, stats.steps, stats.v, k,
                  opts.seed, float(infidelity)]
             )
-        if stats.mean_infidelity > 0:
-            fit_series.setdefault(stats.n, []).append((stats.v, stats.mean_infidelity))
 
     fits = slope_vs_n(
         configs, v_grid, opts.trials, opts.seed,
@@ -345,7 +337,7 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
     fit_rows = [
         [opts.protocol, n,
          ("even" if n % 2 == 0 else "odd") if opts.protocol == "transfer" else "",
-         fit.a, fit.b, fit.r_squared, len(fit.residuals)]
+         fit.a, fit.b, fit.r_squared, len(fit.points)]
         for n, fit in fits
     ]
     write_csv(
@@ -363,10 +355,10 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
             title=f"{opts.protocol} infidelity vs gate-error strength",
             xlabel="v", ylabel="mean infidelity", logx=True, logy=True,
         )
-        for n, points in fit_series.items():
+        for n, fit in fits:
             figure.series.append(
                 svgplot.Series(
-                    f"n={n}", [v for v, _ in points], [i for _, i in points],
+                    f"n={n}", [v for v, _ in fit.points], [i for _, i in fit.points],
                     draw_points=True,
                 )
             )
@@ -520,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help(file=sys.stderr)
         return 2
     try:
-        opts = _merge_options(args.command, args, _option_types(parser, args.command))
+        opts = _merge_options(args.command, args, _option_actions(parser, args.command))
         return _RUNNERS[args.command](opts)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,7 +1,8 @@
 """Loschmidt echo: forward evolution under the simulated ferromagnet,
 backward under the antiferromagnet, scored by singlet revival on the
 first pair.  `EchoConfig` runs its own batches, which
-`echochain.noise` turns into curves and robustness sweeps.
+`echochain.noise` turns into single runs (`fidelity`), curves and
+robustness sweeps.
 
 Both legs share one Trotter step count.  Because the forward gates are
 exact inverses of the backward gates up to global phases (each forward
@@ -13,7 +14,7 @@ error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import sector
 from .chain import uniform_echo_chain
 from .gates import fits_wrap_period
-from .noise import GateNoise, NoiseModel, Seed, model_noise
+from .noise import GateNoise, NoiseModel, Seed
 from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, second_order_plan
 
 BACKWARD_TROTTERIZED = "trotterized"
@@ -76,33 +77,6 @@ class EchoConfig:
             c = sector.exact_evolve(spec, c, times)
         sector.check_norm(c)
         return c
-
-
-@dataclass
-class EchoResult:
-    fidelity: float
-    infidelity: float
-    elapsed: float  # total simulated time, 2t
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not -1e-12 <= self.fidelity <= 1 + 1e-12:
-            raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
-
-
-def run_echo(config: EchoConfig) -> EchoResult:
-    """One echo: singlet head in, forward + backward legs, revival out."""
-    c = config.final_states([config.t], model_noise(config.noise, [config.seed]))
-    fidelity = float(sector.singlet_fidelity(c, *config.pair)[0])
-    return EchoResult(
-        fidelity=fidelity,
-        infidelity=1.0 - fidelity,
-        elapsed=2.0 * config.t,
-        metadata={
-            "config": config,
-            "final_norm": float(np.linalg.norm(c[0])),
-        },
-    )
 
 
 def max_leg_duration(j: float, n_steps: int) -> float:

@@ -8,6 +8,7 @@ integrated with classical fourth-order Runge-Kutta (fields recomputed
 at every internal stage).  A curve is one batched pass: every grid
 point is a row of a (rows, n, 2) spinor array, and one RK4 kernel
 advances all rows, each with its own drive segments and step size.
+Each point comes back as a plain (singlet revival, final slots) pair.
 
 Two drive schedules are implemented because a literal +-H mean-field
 echo provably self-cancels for this initial state (every field stays
@@ -30,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from .chain import ChainSpec, partition_odd_even, uniform_echo_chain
-from .echo import EchoResult
 from .gates import SINGLET, afm_duration_for_fm
 
 SCHEDULE_CONTINUOUS = "continuous"
@@ -176,16 +176,16 @@ def meanfield_echo_curve(
     schedule: str = SCHEDULE_CONTINUOUS,
     n_steps: int = 1,
     sign_convention: int = -1,
-) -> list[EchoResult]:
+) -> list[tuple[float, np.ndarray]]:
     """Mean-field echo at every leg duration in grid, in one batched
     RK4 pass: one row per grid point, each with its own segments,
     couplings, sign and step size.  The rows advance together one epoch
     (a stretch with no segment boundary in any row) at a time, and a
     row drops out once its drive is done, so the pass takes as many
     batched steps as the longest row.  A row's bits depend only on its
-    own leg duration, whatever the grid's order or size, and its
-    metadata["final_state"] is its final (n, 2) slot array, laid out
-    as `_initial_slots` lays out the initial one.
+    own leg duration, whatever the grid's order or size.  Each row
+    returns its singlet revival and its final (n, 2) slot array, laid
+    out as `_initial_slots` lays out the initial one.
 
     sign_convention is the multiplier applied to the ferromagnetic-leg
     mean fields (-1 matches the Hamiltonian sign; +1 is the literal
@@ -229,23 +229,9 @@ def meanfield_echo_curve(
                     left[r] = plans[r][position[r]][0]
         active = [r for r in active if left[r] > 0]
     results = []
-    for t, slots in zip(times, psi):
-        pair = slots[:2].reshape(4)
-        fidelity = float(abs(np.vdot(SINGLET, pair)) ** 2)
-        results.append(
-            EchoResult(
-                fidelity=fidelity,
-                infidelity=1.0 - fidelity,
-                elapsed=2.0 * t,
-                metadata={
-                    "n": n,
-                    "j": j,
-                    "schedule": schedule,
-                    "sign_convention": sign_convention,
-                    "n_steps": n_steps,
-                    "dt": config.dt,
-                    "final_state": slots,
-                },
-            )
-        )
+    for slots in psi:
+        fidelity = float(abs(np.vdot(SINGLET, slots[:2].reshape(4))) ** 2)
+        if not -1e-12 <= fidelity <= 1 + 1e-12:
+            raise ValueError(f"fidelity {fidelity} outside [0, 1]")
+        results.append((fidelity, slots))
     return results

@@ -1,5 +1,5 @@
-"""Gate-error model, the one execution path for protocol curves and
-sweeps, and the log-log infidelity fit.
+"""Gate-error model, the one execution path for protocol runs, curves
+and sweeps, and the log-log infidelity fit.
 
 Every exchange angle theta executed under a NoiseModel becomes
 theta * (1 + eta) with eta ~ Normal(0, v^2) drawn fresh per gate per
@@ -10,7 +10,8 @@ is proportionally more sensitive than a short one.
 A protocol config (`echochain.echo.EchoConfig` or
 `echochain.transfer.TransferConfig`, imported for type hints only) runs
 its own batch of final states and names the pair it scores, so
-`fidelity_curve` and `slope_vs_n` serve both protocols.  Trials are
+`fidelity`, `fidelity_curve` and `slope_vs_n` serve both protocols: a
+single run is a one-row batch drawn from config.seed itself.  Trials are
 seeded with SeedSequence([master_seed, trial]) so every trial has an
 independent stream and results do not depend on how the trials are
 batched.  All trials of a sweep at one chain length run as one batch
@@ -116,12 +117,13 @@ class TrialStats:
 
 @dataclass
 class FitResult:
-    """Least-squares line through (log v, log I)."""
+    """Least-squares line through (log v, log I) of the (v, I) points."""
 
     a: float
     b: float
     r_squared: float
     residuals: np.ndarray = field(repr=False)
+    points: list[tuple[float, float]] = field(repr=False)
 
     @property
     def reliable(self) -> bool:
@@ -179,7 +181,9 @@ def loglog_fit(points: Iterable[tuple[float, float]]) -> FitResult:
     ss_res = float(np.sum(residuals**2))
     ss_tot = float(np.sum((log_i - log_i.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return FitResult(a=float(a), b=float(b), r_squared=r_squared, residuals=residuals)
+    return FitResult(
+        a=float(a), b=float(b), r_squared=r_squared, residuals=residuals, points=pts
+    )
 
 
 def default_v_grid(
@@ -189,6 +193,16 @@ def default_v_grid(
     if not 0 < v_min < v_max < math.inf or points < 3:
         raise ValueError("grid must be finite, positive, increasing, with >= 3 points")
     return np.geomspace(v_min, v_max, points)
+
+
+def fidelity(config: EchoConfig | TransferConfig) -> float:
+    """One run of `config` at config.t, drawing its gate errors from
+    config.seed itself, scored by the singlet fidelity of its pair."""
+    c = config.final_states([config.t], model_noise(config.noise, [config.seed]))
+    value = float(sector.singlet_fidelity(c, *config.pair)[0])
+    if not -1e-12 <= value <= 1 + 1e-12:
+        raise ValueError(f"fidelity {value} outside [0, 1]")
+    return value
 
 
 def fidelity_curve(

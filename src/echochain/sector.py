@@ -57,9 +57,10 @@ def singlet_fidelity(c: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def check_norm(c: np.ndarray) -> None:
-    """Alarm when any row's norm drifts past NORM_TOL from unity."""
+    """Alarm when any row's norm drifts past NORM_TOL from unity or is
+    not a number."""
     drift = float(np.max(np.abs(np.linalg.norm(c, axis=1) - 1.0), initial=0.0))
-    if drift > NORM_TOL:
+    if not drift <= NORM_TOL:
         raise RuntimeError(f"state norm drifted by {drift:.3e} (tolerance {NORM_TOL:.1e})")
 
 

@@ -1,7 +1,8 @@
 """Perfect state transfer: the engineered chain carries the head
 singlet to the far end of the chain at t = pi/2, scored by the singlet
 projection of the last two spins.  `TransferConfig` runs its own
-batches, which `echochain.noise` turns into curves and robustness sweeps.
+batches, which `echochain.noise` turns into single runs (`fidelity`),
+curves and robustness sweeps.
 
 Engines:
   exact              continuous evolution from an n x n eigendecomposition
@@ -13,14 +14,14 @@ Engines:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import sector
 from .chain import transfer_chain
-from .noise import GateNoise, NoiseModel, Seed, model_noise
+from .noise import GateNoise, NoiseModel, Seed
 from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, three_term_plan
 
 ENGINE_EXACT = "exact"
@@ -101,28 +102,3 @@ class TransferConfig:
             sector.evolve(c, plans, noise)
         sector.check_norm(c)
         return c
-
-
-@dataclass
-class TransferResult:
-    fidelity: float
-    infidelity: float
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not -1e-12 <= self.fidelity <= 1 + 1e-12:
-            raise ValueError(f"fidelity {self.fidelity} outside [0, 1]")
-
-
-def run_transfer(config: TransferConfig) -> TransferResult:
-    c = config.final_states([config.t], model_noise(config.noise, [config.seed]))
-    fidelity = float(sector.singlet_fidelity(c, *config.pair)[0])
-    return TransferResult(
-        fidelity=fidelity,
-        infidelity=1.0 - fidelity,
-        metadata={
-            "config": config,
-            "n_steps": config.steps,
-            "final_norm": float(np.linalg.norm(c[0])),
-        },
-    )

@@ -14,19 +14,20 @@ import pytest
 
 from echochain.chain import transfer_chain
 from echochain.checks import dense_echo_state, dense_transfer_state
-from echochain.echo import EchoConfig, run_echo
+from echochain.echo import EchoConfig
 from echochain.gates import afm_duration_for_fm, wrap_period
 from echochain.meanfield import IntegratorConfig, meanfield_echo_curve
-from echochain.noise import NoiseModel, default_v_grid, make_rng, slope_vs_n
+from echochain.noise import NoiseModel, default_v_grid, fidelity, make_rng, slope_vs_n
 from echochain.statevec import (
     exact_evolve,
     exchange_unitary,
     execute_plan,
     heisenberg_pair_coupling,
+    norm,
     prepare_singlet_head,
     total_sz,
 )
-from echochain.transfer import TransferConfig, run_transfer
+from echochain.transfer import TransferConfig
 from echochain.trotter import MODE_DIRECT, three_term_plan
 
 # Frozen on the first verified run: echo robustness fit at n=10,
@@ -46,8 +47,7 @@ def test_criterion_1_echo_revival():
     for n in range(3, 13):
         for t in (0.4, 1.0, math.pi / 2, 2.5):
             for steps in (1, 4, 16):
-                result = run_echo(EchoConfig(n=n, t=t, n_steps=steps))
-                worst = max(worst, abs(result.fidelity - 1.0))
+                worst = max(worst, abs(fidelity(EchoConfig(n=n, t=t, n_steps=steps)) - 1.0))
     report(1, "echo revival", worst < 1e-9, f"max |f_ec - 1| = {worst:.3e}")
 
 
@@ -86,10 +86,10 @@ def test_criterion_3_second_order_scaling():
 def test_criterion_4_perfect_state_transfer():
     worst = 1.0
     for n in range(2, 11):
-        worst = min(worst, run_transfer(TransferConfig(n=n)).fidelity)
-    exact = run_transfer(TransferConfig(n=6)).fidelity
+        worst = min(worst, fidelity(TransferConfig(n=n)))
+    exact = fidelity(TransferConfig(n=6))
     trotter_errors = [
-        abs(run_transfer(TransferConfig(n=6, engine="trotter-direct", n_steps=m)).fidelity - exact)
+        abs(fidelity(TransferConfig(n=6, engine="trotter-direct", n_steps=m)) - exact)
         for m in (8, 16, 32)
     ]
     converges = trotter_errors[0] > trotter_errors[1] > trotter_errors[2]
@@ -123,27 +123,28 @@ def test_criterion_5_conservation_suite():
         TransferConfig(n=7, engine="trotter-simfm", noise=NoiseModel(v=0.05), seed=3),
         TransferConfig(n=9),
     ]
-    # the norm of each production run, and S^z of its dense replay
-    runs = [(run_echo, dense_echo_state, config) for config in echoes]
-    runs += [(run_transfer, dense_transfer_state, config) for config in transfers]
+    # the norm and S^z of each run's dense replay
+    runs = [(dense_echo_state, config) for config in echoes]
+    runs += [(dense_transfer_state, config) for config in transfers]
     worst = 0.0
-    for run, replay, config in runs:
-        worst = max(worst, abs(run(config).metadata["final_norm"] - 1.0))
+    for replay, config in runs:
+        state = replay(config)
+        worst = max(worst, abs(norm(state) - 1.0))
         sz_initial = total_sz(prepare_singlet_head(config.n))
-        worst = max(worst, abs(total_sz(replay(config)) - sz_initial))
+        worst = max(worst, abs(total_sz(state) - sz_initial))
     report(5, "norm and S^z conservation", worst < 1e-10, f"max drift = {worst:.3e}")
 
 
 def test_criterion_6_meanfield_baseline():
     grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
     mirrored = [
-        result.fidelity
+        result[0]
         for result in meanfield_echo_curve(
             10, 1.0, grid, IntegratorConfig(dt=1e-3), schedule="mirrored-pulse", n_steps=1
         )
     ]
     continuous = [
-        result.fidelity
+        result[0]
         for result in meanfield_echo_curve(
             10, 1.0, [1.0, 3.0], IntegratorConfig(dt=1e-3), schedule="continuous"
         )
@@ -153,7 +154,7 @@ def test_criterion_6_meanfield_baseline():
         mirrored[grid.index(1.0)],
         meanfield_echo_curve(
             10, 1.0, [1.0], IntegratorConfig(dt=5e-4), schedule="mirrored-pulse", n_steps=1
-        )[0].fidelity,
+        )[0][0],
     ]
     dt_shift = abs(convergence[0] - convergence[1])
     ok = dt_shift < 1e-6 and min(mirrored) <= 0.99

@@ -201,6 +201,11 @@ def test_runtime_failure_exits_one(tmp_path):
     # an unwritable output surfaces as a runtime failure, not a crash
     assert main(["echo", "--n", "4", "--t-max", "1", "--points", "2",
                  "--steps", "1", "--out", str(tmp_path / "absent" / "x.csv")]) == 1
+    # t * w overflows in exact evolution, and the NaN rows fail the norm check
+    out = tmp_path / "x.csv"
+    assert main(["transfer", "--engine", "exact", "--n", "6", "--t-max", "1e308",
+                 "--points", "3", "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("t_max", ["7", str(4 * math.pi), "-1"])
@@ -323,8 +328,11 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
     # config values of the wrong type, checked like the flags they set
     (["echo", "--config", str(CONFIGS / "steps_string.json")], "echo_fidelity_curve"),
     (["echo", "--config", str(CONFIGS / "n_null.json")], "echo_fidelity_curve"),
-    # a config value skips argparse's choices
+    # a config value must be one of its flag's choices
     (["robustness", "--config", str(CONFIGS / "protocol_unknown.json"), "--n", "4"],
+     "slope_vs_n"),
+    (["echo", "--config", str(CONFIGS / "schedule_unknown.json")], "echo_fidelity_curve"),
+    (["robustness", "--config", str(CONFIGS / "engine_exact.json"), "--n", "4"],
      "slope_vs_n"),
 ])
 def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,

@@ -8,36 +8,31 @@ from echochain.echo import (
     BACKWARD_TROTTERIZED,
     EchoConfig,
     max_leg_duration,
-    run_echo,
 )
-from echochain.noise import NoiseModel, fidelity_curve
+from echochain.noise import NoiseModel, fidelity, fidelity_curve
 from echochain.statevec import prepare_singlet_head, total_sz
 
 
 def test_zero_time_revives():
-    result = run_echo(EchoConfig(n=4, t=0.0, n_steps=1))
-    assert result.fidelity == pytest.approx(1.0)
-    assert result.elapsed == 0.0
+    assert fidelity(EchoConfig(n=4, t=0.0, n_steps=1)) == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("n", [3, 5, 8, 11])
 @pytest.mark.parametrize("t,steps", [(0.4, 1), (1.7, 4), (2.9, 16)])
 def test_trotterized_echo_revives_exactly(n, t, steps):
-    result = run_echo(EchoConfig(n=n, t=t, n_steps=steps))
-    assert abs(result.fidelity - 1.0) < 1e-9
-    assert result.infidelity == pytest.approx(0.0, abs=1e-9)
+    assert abs(fidelity(EchoConfig(n=n, t=t, n_steps=steps)) - 1.0) < 1e-9
 
 
 def test_exact_backward_exposes_forward_trotter_error():
-    early = run_echo(EchoConfig(n=6, t=1.0, n_steps=4, backward_mode=BACKWARD_EXACT))
-    late = run_echo(EchoConfig(n=6, t=3.0, n_steps=4, backward_mode=BACKWARD_EXACT))
-    assert early.fidelity < 1.0
-    assert late.fidelity < early.fidelity
+    early = fidelity(EchoConfig(n=6, t=1.0, n_steps=4, backward_mode=BACKWARD_EXACT))
+    late = fidelity(EchoConfig(n=6, t=3.0, n_steps=4, backward_mode=BACKWARD_EXACT))
+    assert early < 1.0
+    assert late < early
 
 
 def test_exact_backward_fidelity_improves_with_steps():
     fidelities = [
-        run_echo(EchoConfig(n=6, t=3.0, n_steps=n, backward_mode=BACKWARD_EXACT)).fidelity
+        fidelity(EchoConfig(n=6, t=3.0, n_steps=n, backward_mode=BACKWARD_EXACT))
         for n in (4, 8, 16)
     ]
     assert fidelities[0] <= fidelities[1] + 1e-6
@@ -45,21 +40,19 @@ def test_exact_backward_fidelity_improves_with_steps():
 
 
 def test_noise_lowers_fidelity():
-    result = run_echo(
+    result = fidelity(
         EchoConfig(n=8, t=math.pi / 2, n_steps=4, noise=NoiseModel(v=0.05), seed=2)
     )
-    assert 0.0 <= result.fidelity < 1.0
+    assert 0.0 <= result < 1.0
 
 
 def test_noisy_runs_are_seed_deterministic():
     config = EchoConfig(n=7, t=1.1, n_steps=4, noise=NoiseModel(v=0.03), seed=9)
-    assert run_echo(config).fidelity == run_echo(config).fidelity
+    assert fidelity(config) == fidelity(config)
 
 
 def test_conservation_metadata():
     config = EchoConfig(n=9, t=2.0, n_steps=8, noise=NoiseModel(v=0.04), seed=3)
-    result = run_echo(config)
-    assert abs(result.metadata["final_norm"] - 1.0) < 1e-10
     # S^z of the same run replayed on dense 2^n states, where it can drift
     sz_initial = total_sz(prepare_singlet_head(config.n))
     assert abs(total_sz(dense_echo_state(config)) - sz_initial) < 1e-10
@@ -110,5 +103,5 @@ def test_wrap_period_budget():
     # a leg just past the budget is rejected when the config is built,
     # and a leg at the budget is accepted
     with pytest.raises(ValueError):
-        run_echo(EchoConfig(n=4, t=2 * math.pi + 0.1, n_steps=1))
+        fidelity(EchoConfig(n=4, t=2 * math.pi + 0.1, n_steps=1))
     EchoConfig(n=4, t=8 * math.pi, n_steps=4)

@@ -136,12 +136,12 @@ class TestEchoSchedules:
     def test_zero_time_revives(self):
         for schedule in (SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED):
             result = meanfield_echo_curve(5, 1.0, [0.0], schedule=schedule)[0]
-            assert result.fidelity == pytest.approx(1.0)
+            assert result[0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("t", CONTINUOUS_GRID)
     def test_continuous_schedule_self_cancels(self, t, continuous_curve):
         result = continuous_curve[t]
-        assert result.fidelity == pytest.approx(1.0, abs=1e-8)
+        assert result[0] == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("n_steps,expected", [(1, 0.0), (2, 1.0), (3, 0.0)])
     def test_mirrored_pulses_follow_step_parity(self, n_steps, expected):
@@ -151,7 +151,7 @@ class TestEchoSchedules:
             5, 1.0, [0.8], IntegratorConfig(dt=2e-3),
             schedule=SCHEDULE_MIRRORED, n_steps=n_steps,
         )[0]
-        assert result.fidelity == pytest.approx(expected, abs=1e-8)
+        assert result[0] == pytest.approx(expected, abs=1e-8)
 
     def test_step_size_convergence(self):
         coarse = meanfield_echo_curve(
@@ -160,25 +160,25 @@ class TestEchoSchedules:
         fine = meanfield_echo_curve(
             6, 1.0, [1.0], IntegratorConfig(dt=1e-3), schedule=SCHEDULE_MIRRORED
         )[0]
-        assert abs(coarse.fidelity - fine.fidelity) < 1e-6
+        assert abs(coarse[0] - fine[0]) < 1e-6
 
     def test_sign_conventions_agree_for_this_initial_state(self):
         kwargs = dict(schedule=SCHEDULE_MIRRORED, n_steps=1)
         config = IntegratorConfig(dt=2e-3)
         minus = meanfield_echo_curve(5, 1.0, [1.0], config, sign_convention=-1, **kwargs)[0]
         plus = meanfield_echo_curve(5, 1.0, [1.0], config, sign_convention=1, **kwargs)[0]
-        assert minus.fidelity == pytest.approx(plus.fidelity, abs=1e-10)
+        assert minus[0] == pytest.approx(plus[0], abs=1e-10)
 
     def test_runs_are_bit_identical(self):
         a = meanfield_echo_curve(5, 1.0, [1.3], schedule=SCHEDULE_MIRRORED)[0]
         b = meanfield_echo_curve(5, 1.0, [1.3], schedule=SCHEDULE_MIRRORED)[0]
-        assert a.fidelity == b.fidelity
+        assert a[0] == b[0]
 
     def test_bloch_lengths_and_pair_marginal_conserved(self):
         result = meanfield_echo_curve(
             7, 1.0, [2.0], IntegratorConfig(dt=2e-3), schedule=SCHEDULE_MIRRORED
         )[0]
-        final = result.metadata["final_state"]
+        final = result[1]
         for spinor in final[2:]:
             assert abs(np.linalg.norm(spin_expectation(spinor)) - 0.5) < 1e-6
         _, s2 = pair_site_expectations(pair_state(final))
@@ -202,7 +202,7 @@ def final_state_digest(result) -> str:
     """First 16 hex digits of the sha256 of a row's final state (the
     head pair's four amplitudes, then each later site's spinor), with
     signed zeros folded to +0."""
-    values = result.metadata["final_state"].ravel() + 0.0
+    values = result[1].ravel() + 0.0
     return hashlib.sha256(values.tobytes()).hexdigest()[:16]
 
 
@@ -258,7 +258,7 @@ class TestGoldenBits:
             10, 1.0, [0.0, 1.5, 3.0], IntegratorConfig(dt=1e-3),
             schedule=SCHEDULE_MIRRORED, n_steps=1, sign_convention=-1,
         )
-        assert [repr(r.fidelity) for r in results] == [
+        assert [repr(r[0]) for r in results] == [
             "0.9999999999999996", "7.965018492856671e-30", "3.89986276350249e-32"
         ]
         assert [final_state_digest(r) for r in results] == [
@@ -276,8 +276,8 @@ class TestGoldenBits:
             schedule=schedule, n_steps=n_steps, sign_convention=sign_convention,
         )
         zero = results.pop(1)
-        assert (repr(zero.fidelity), final_state_digest(zero)) == GOLDEN_ZERO
-        assert [repr(r.fidelity) for r in results] == fidelities
+        assert (repr(zero[0]), final_state_digest(zero)) == GOLDEN_ZERO
+        assert [repr(r[0]) for r in results] == fidelities
         assert [final_state_digest(r) for r in results] == digests
 
     @pytest.mark.parametrize(
@@ -296,7 +296,7 @@ class TestGoldenBits:
             n, j, grid, IntegratorConfig(dt=5e-3),
             schedule=schedule, n_steps=n_steps, sign_convention=sign_convention,
         )
-        assert [repr(r.fidelity) for r in results] == fidelities
+        assert [repr(r[0]) for r in results] == fidelities
         assert [final_state_digest(r) for r in results] == digests
 
 
@@ -309,14 +309,14 @@ class TestBatching:
 
     def curve(self, grid, schedule):
         results = meanfield_echo_curve(5, 1.0, grid, self.CONFIG, schedule=schedule)
-        return [(repr(r.fidelity), final_state_digest(r)) for r in results]
+        return [(repr(r[0]), final_state_digest(r)) for r in results]
 
     @pytest.mark.parametrize("schedule", [SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED])
     def test_rows_equal_one_point_calls(self, schedule):
         single = [meanfield_echo_curve(5, 1.0, [t], self.CONFIG, schedule=schedule)[0]
                   for t in self.GRID]
         assert self.curve(self.GRID, schedule) == [
-            (repr(r.fidelity), final_state_digest(r)) for r in single
+            (repr(r[0]), final_state_digest(r)) for r in single
         ]
 
     @pytest.mark.parametrize("schedule", [SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED])
@@ -389,12 +389,12 @@ class TestClosedForm:
                 revival = math.cos(n_steps * math.pi / 2) ** 2
                 for t, result in zip(self.GRID, mirrored):
                     expected = 1.0 if t == 0 else revival
-                    assert result.fidelity == pytest.approx(expected, abs=1e-8)
+                    assert result[0] == pytest.approx(expected, abs=1e-8)
             continuous = meanfield_echo_curve(
                 n, 1.0, self.GRID, config, schedule=SCHEDULE_CONTINUOUS,
                 sign_convention=sign_convention,
             )
             for result in continuous:
-                assert result.fidelity == pytest.approx(1.0, abs=1e-8)
+                assert result[0] == pytest.approx(1.0, abs=1e-8)
         assert worst["transverse"] < 1e-12
         assert worst["s2"] < 1e-12

@@ -110,7 +110,7 @@ class TestRunTrials:
         with pytest.raises(RuntimeError):
             _trial_stats(5, 0.1, 2, np.array([0.1, math.nan]))
 
-    def test_transfer_protocol_runner(self):
+    def test_transfer_config_runs_noisy_trials(self):
         config = TransferConfig(n=4, engine="trotter-simfm", n_steps=8)
         stats = run_trials(config, 0.02, 5, 2)
         assert 0.0 < stats.mean_infidelity < 1.0
@@ -164,8 +164,10 @@ def test_slope_vs_n_small_echo_sweep():
         on_stats=collected.append,
     )
     assert [n for n, _ in results] == [5, 6]
-    for _, fit in results:
+    for n, fit in results:
         assert isinstance(fit, FitResult)
         assert 1.0 < fit.b < 3.0
+        # the fit keeps the (v, mean infidelity) points it went through
+        assert fit.points == [(s.v, s.mean_infidelity) for s in collected if s.n == n]
     assert len(collected) == 6  # two chain lengths x three error strengths
     assert all(stats.trials == 20 for stats in collected)

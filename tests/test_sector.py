@@ -140,10 +140,14 @@ def test_mismatched_plans_rejected():
 
 
 def test_norm_drift_is_caught():
-    c = sector.singlet_head(2, 4)
-    c[1] *= 1.0 + 1e-8
-    with pytest.raises(RuntimeError):
-        sector.check_norm(c)
+    drifted = sector.singlet_head(2, 4)
+    drifted[1] *= 1.0 + 1e-8
+    # a NaN norm compares greater than no tolerance
+    nan = sector.singlet_head(2, 4)
+    nan[1, 0] = math.nan
+    for c in (drifted, nan):
+        with pytest.raises(RuntimeError):
+            sector.check_norm(c)
 
 
 def test_protocols_match_dense_oracle():
