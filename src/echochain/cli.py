@@ -8,6 +8,10 @@ SVG plots are a convenience rendered after the CSV is written and
 never feed back into it.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
+
+`COMMANDS` is the one declaration of the commands and their options:
+the parser's flags, the defaults, the checks of a `--config` file's
+values and the dispatch to each command's runner all read it.
 """
 from __future__ import annotations
 
@@ -16,6 +20,7 @@ import json
 import math
 import sys
 from types import SimpleNamespace
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +34,17 @@ from .transfer import ENGINE_EXACT, ENGINES, TransferConfig
 
 class UsageError(Exception):
     """Bad flag/config values; maps to exit code 2."""
+
+
+class Option(NamedTuple):
+    """One option of a command: its config key, its value's type (a
+    bool option is a bare flag), its default, and its allowed values."""
+
+    name: str
+    type: type
+    default: Any
+    choices: tuple | None = None
+    help: str | None = None
 
 
 def _fmt(value) -> str:
@@ -48,89 +64,26 @@ def write_csv(path: str, header: list[str], rows: list[list]) -> None:
             handle.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-DEFAULTS: dict[str, dict] = {
-    "echo": dict(
-        n=10,
-        j=1.0,
-        t_max=3.0,
-        points=60,
-        steps=16,
-        backward="trotterized",
-        noise_v=0.0,
-        seed=0,
-        with_meanfield=False,
-        schedule="mirrored-pulse",
-        sign_convention=-1,
-        dt=1e-3,
-        mf_steps=None,
-        out="echo.csv",
-        plot=None,
-    ),
-    "transfer": dict(
-        n=6,
-        t_max=math.pi / 2,
-        points=50,
-        steps=None,
-        engine=ENGINE_EXACT,
-        noise_v=0.0,
-        seed=0,
-        out="transfer.csv",
-        plot=None,
-    ),
-    "robustness": dict(
-        protocol="echo",
-        n=None,
-        n_range=None,
-        t=math.pi / 2,
-        steps=None,
-        engine="trotter-simfm",
-        v_min=1e-3,
-        v_max=1e-1,
-        v_points=8,
-        trials=100,
-        seed=42,
-        field_noise=False,
-        out_trials="trials.csv",
-        out_fits="fits.csv",
-        plot_fit=None,
-        plot_slopes=None,
-    ),
-    "oracle-check": dict(
-        max_n=8,
-        trotter_steps="8,16,32",
-        samples=1000,
-        seed=0,
-        inject_theta_sign_bug=False,
-    ),
-}
-
-
-def _option_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
-    """The argparse action of each option of `command`, by its dest."""
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return {a.dest: a for a in commands.choices[command]._actions}
-
-
-def _config_value(key: str, value, default, action: argparse.Action):
-    """A config file's value for `key`, of its default's type, or of its
-    flag's type where the default is None (then null is allowed), and
-    one of its flag's choices when the flag has them.  An int stands
-    for a float, as it does on the command line."""
-    kind = (action.type or str) if default is None else type(default)
-    if kind is float and type(value) is int:
+def _config_value(key: str, value, option: Option):
+    """A config file's value for `key`, of the option's type (an int
+    stands for a float, as it does on the command line, and null is
+    allowed where the default is None) and one of its choices when it
+    has them."""
+    if option.type is float and type(value) is int:
         value = float(value)
-    if not (type(value) is kind or (value is None and default is None)):
-        raise UsageError(f"config key '{key}' must be {kind.__name__}, got {value!r}")
-    if value is not None and action.choices is not None and value not in action.choices:
-        choices = ", ".join(str(choice) for choice in action.choices)
+    if not (type(value) is option.type or (value is None and option.default is None)):
+        raise UsageError(f"config key '{key}' must be {option.type.__name__}, got {value!r}")
+    if value is not None and option.choices is not None and value not in option.choices:
+        choices = ", ".join(str(choice) for choice in option.choices)
         raise UsageError(f"config key '{key}' must be one of {choices}, got {value!r}")
     return value
 
 
-def _merge_options(
-    command: str, args: argparse.Namespace, actions: dict[str, argparse.Action]
-) -> SimpleNamespace:
-    merged = dict(DEFAULTS[command])
+def _merge_options(command: str, args: argparse.Namespace) -> SimpleNamespace:
+    """The table's defaults, overridden by the config file's values and
+    then by the flags given."""
+    options = {option.name: option for option in COMMANDS[command][2]}
+    merged = {name: option.default for name, option in options.items()}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -144,7 +97,7 @@ def _merge_options(
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in doc.items():
-            merged[key] = _config_value(key, value, merged[key], actions[key])
+            merged[key] = _config_value(key, value, options[key])
     for key in merged:
         value = getattr(args, key, None)
         if value is not None:
@@ -220,28 +173,20 @@ def cmd_echo(opts: SimpleNamespace) -> int:
             n_steps=mf_steps,
             sign_convention=opts.sign_convention,
         )
-        for t, (f, _) in zip(grid, results):
-            classical.append((t, f))
-            rows.append(
-                ["meanfield", opts.n, opts.j, t, mf_steps, "", opts.schedule,
-                 opts.sign_convention, opts.dt, "", "", f, 1.0 - f]
-            )
+        classical = [(t, f) for t, (f, _) in zip(grid, results)]
+        rows += [
+            ["meanfield", opts.n, opts.j, t, mf_steps, "", opts.schedule,
+             opts.sign_convention, opts.dt, "", "", f, 1.0 - f]
+            for t, f in classical
+        ]
     write_csv(opts.out, header, rows)
     if opts.plot:
-        figure = svgplot.Figure(
-            title=f"Echo fidelity, n={opts.n}", xlabel="t", ylabel="f_ec"
-        )
-        figure.series.append(
-            svgplot.Series("quantum", [t for t, _ in quantum], [f for _, f in quantum])
-        )
+        series = [svgplot.Series("quantum", quantum)]
         if classical:
-            figure.series.append(
-                svgplot.Series(
-                    f"meanfield ({opts.schedule})",
-                    [t for t, _ in classical],
-                    [f for _, f in classical],
-                )
-            )
+            series.append(svgplot.Series(f"meanfield ({opts.schedule})", classical))
+        figure = svgplot.Figure(
+            title=f"Echo fidelity, n={opts.n}", xlabel="t", ylabel="f_ec", series=series
+        )
         svgplot.render(figure, opts.plot)
     return 0
 
@@ -275,16 +220,15 @@ def cmd_transfer(opts: SimpleNamespace) -> int:
     if opts.plot:
         figure = svgplot.Figure(
             title=f"Transfer fidelity, n={opts.n} ({opts.engine})",
-            xlabel="t", ylabel="f_tr",
-        )
-        figure.series.append(
-            svgplot.Series(opts.engine, [t for t, _ in curve], [f for _, f in curve])
+            xlabel="t", ylabel="f_tr", series=[svgplot.Series(opts.engine, curve)],
         )
         svgplot.render(figure, opts.plot)
     return 0
 
 
 def _parse_n_range(opts: SimpleNamespace) -> list[int]:
+    if opts.n_range and opts.n is not None:
+        raise UsageError("give --n or --n-range, not both")
     if opts.n_range:
         try:
             lo, hi = (int(part) for part in str(opts.n_range).split(":"))
@@ -354,36 +298,19 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
         figure = svgplot.Figure(
             title=f"{opts.protocol} infidelity vs gate-error strength",
             xlabel="v", ylabel="mean infidelity", logx=True, logy=True,
+            series=[svgplot.Series(f"n={n}", fit.points, draw_points=True) for n, fit in fits],
         )
-        for n, fit in fits:
-            figure.series.append(
-                svgplot.Series(
-                    f"n={n}", [v for v, _ in fit.points], [i for _, i in fit.points],
-                    draw_points=True,
-                )
-            )
         svgplot.render(figure, opts.plot_fit)
     if opts.plot_slopes:
-        figure = svgplot.Figure(
-            title=f"{opts.protocol} robustness exponent", xlabel="n", ylabel="b(n)"
-        )
         if opts.protocol == "transfer":
-            for parity, label in ((1, "odd n"), (0, "even n")):
-                pts = [(n, b) for n, b in slope_points if n % 2 == parity]
-                if pts:
-                    figure.series.append(
-                        svgplot.Series(
-                            label, [n for n, _ in pts], [b for _, b in pts],
-                            draw_points=True,
-                        )
-                    )
+            groups = [(label, [(n, b) for n, b in slope_points if n % 2 == parity])
+                      for parity, label in ((1, "odd n"), (0, "even n"))]
         else:
-            figure.series.append(
-                svgplot.Series(
-                    "b(n)", [n for n, _ in slope_points], [b for _, b in slope_points],
-                    draw_points=True,
-                )
-            )
+            groups = [("b(n)", slope_points)]
+        figure = svgplot.Figure(
+            title=f"{opts.protocol} robustness exponent", xlabel="n", ylabel="b(n)",
+            series=[svgplot.Series(label, pts, draw_points=True) for label, pts in groups],
+        )
         svgplot.render(figure, opts.plot_slopes)
     return 0
 
@@ -420,89 +347,89 @@ def cmd_oracle_check(opts: SimpleNamespace) -> int:
     return 0 if all_passed else 1
 
 
+CONFIG_HELP = "JSON file of defaults (flags override)"
+
+# Each command's summary, runner and options, in flag order.  An
+# option's flag is `--` plus its name with '-' for '_'.
+COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], list[Option]]] = {
+    "echo": ("Loschmidt echo fidelity curve", cmd_echo, [
+        Option("n", int, 10),
+        Option("j", float, 1.0),
+        Option("t_max", float, 3.0),
+        Option("points", int, 60),
+        Option("steps", int, 16),
+        Option("backward", str, "trotterized", ("trotterized", "exact-continuous")),
+        Option("noise_v", float, 0.0),
+        Option("seed", int, 0),
+        Option("with_meanfield", bool, False),
+        Option("schedule", str, SCHEDULE_MIRRORED, SCHEDULES),
+        Option("sign_convention", int, -1, (-1, 1)),
+        Option("dt", float, 1e-3),
+        Option("mf_steps", int, None),
+        Option("out", str, "echo.csv"),
+        Option("plot", str, None),
+    ]),
+    "transfer": ("state-transfer fidelity curve", cmd_transfer, [
+        Option("n", int, 6),
+        Option("t_max", float, math.pi / 2),
+        Option("points", int, 50),
+        Option("steps", int, None),
+        Option("engine", str, ENGINE_EXACT, ENGINES),
+        Option("noise_v", float, 0.0),
+        Option("seed", int, 0),
+        Option("out", str, "transfer.csv"),
+        Option("plot", str, None),
+    ]),
+    "robustness": ("gate-error Monte-Carlo sweep and fits", cmd_robustness, [
+        Option("protocol", str, "echo", ("echo", "transfer")),
+        Option("n", int, None),
+        Option("n_range", str, None, help="inclusive range A:B"),
+        Option("t", float, math.pi / 2),
+        Option("steps", int, None),
+        Option("engine", str, "trotter-simfm", tuple(e for e in ENGINES if e != ENGINE_EXACT)),
+        Option("v_min", float, 1e-3),
+        Option("v_max", float, 1e-1),
+        Option("v_points", int, 8),
+        Option("trials", int, 100),
+        Option("seed", int, 42),
+        Option("field_noise", bool, False,
+               help="also perturb field phases (default: exchange only)"),
+        Option("out_trials", str, "trials.csv"),
+        Option("out_fits", str, "fits.csv"),
+        Option("plot_fit", str, None),
+        Option("plot_slopes", str, None),
+    ]),
+    "oracle-check": ("run the invariant suite", cmd_oracle_check, [
+        Option("max_n", int, 8),
+        Option("trotter_steps", str, "8,16,32"),
+        Option("samples", int, 1000),
+        Option("seed", int, 0),
+        Option("inject_theta_sign_bug", bool, False,
+               help="testing fixture: flip the gate sign to prove the harness catches it"),
+    ]),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="echochain",
         description="Spin-chain echo and state-transfer experiments",
     )
     sub = parser.add_subparsers(dest="command")
-
-    echo = sub.add_parser("echo", help="Loschmidt echo fidelity curve")
-    echo.add_argument("--config", help="JSON file of defaults (flags override)")
-    echo.add_argument("--n", type=int)
-    echo.add_argument("--j", type=float)
-    echo.add_argument("--t-max", dest="t_max", type=float)
-    echo.add_argument("--points", type=int)
-    echo.add_argument("--steps", type=int)
-    echo.add_argument("--backward", choices=["trotterized", "exact-continuous"])
-    echo.add_argument("--noise-v", dest="noise_v", type=float)
-    echo.add_argument("--seed", type=int)
-    echo.add_argument(
-        "--with-meanfield", dest="with_meanfield", action="store_const", const=True
-    )
-    echo.add_argument("--schedule", choices=list(SCHEDULES))
-    echo.add_argument(
-        "--sign-convention", dest="sign_convention", type=int, choices=[-1, 1]
-    )
-    echo.add_argument("--dt", type=float)
-    echo.add_argument("--mf-steps", dest="mf_steps", type=int)
-    echo.add_argument("--out")
-    echo.add_argument("--plot")
-
-    transfer = sub.add_parser("transfer", help="state-transfer fidelity curve")
-    transfer.add_argument("--config", help="JSON file of defaults (flags override)")
-    transfer.add_argument("--n", type=int)
-    transfer.add_argument("--t-max", dest="t_max", type=float)
-    transfer.add_argument("--points", type=int)
-    transfer.add_argument("--steps", type=int)
-    transfer.add_argument("--engine", choices=list(ENGINES))
-    transfer.add_argument("--noise-v", dest="noise_v", type=float)
-    transfer.add_argument("--seed", type=int)
-    transfer.add_argument("--out")
-    transfer.add_argument("--plot")
-
-    robust = sub.add_parser("robustness", help="gate-error Monte-Carlo sweep and fits")
-    robust.add_argument("--config", help="JSON file of defaults (flags override)")
-    robust.add_argument("--protocol", choices=["echo", "transfer"])
-    robust.add_argument("--n", type=int)
-    robust.add_argument("--n-range", dest="n_range", help="inclusive range A:B")
-    robust.add_argument("--t", type=float)
-    robust.add_argument("--steps", type=int)
-    robust.add_argument("--engine", choices=[e for e in ENGINES if e != ENGINE_EXACT])
-    robust.add_argument("--v-min", dest="v_min", type=float)
-    robust.add_argument("--v-max", dest="v_max", type=float)
-    robust.add_argument("--v-points", dest="v_points", type=int)
-    robust.add_argument("--trials", type=int)
-    robust.add_argument("--seed", type=int)
-    robust.add_argument(
-        "--field-noise", dest="field_noise", action="store_const", const=True,
-        help="also perturb field phases (default: exchange only)",
-    )
-    robust.add_argument("--out-trials", dest="out_trials")
-    robust.add_argument("--out-fits", dest="out_fits")
-    robust.add_argument("--plot-fit", dest="plot_fit")
-    robust.add_argument("--plot-slopes", dest="plot_slopes")
-
-    oracle = sub.add_parser("oracle-check", help="run the invariant suite")
-    oracle.add_argument("--config", help="JSON file of defaults (flags override)")
-    oracle.add_argument("--max-n", dest="max_n", type=int)
-    oracle.add_argument("--trotter-steps", dest="trotter_steps")
-    oracle.add_argument("--samples", type=int)
-    oracle.add_argument("--seed", type=int)
-    oracle.add_argument(
-        "--inject-theta-sign-bug", dest="inject_theta_sign_bug",
-        action="store_const", const=True,
-        help="testing fixture: flip the gate sign to prove the harness catches it",
-    )
+    for command, (summary, _, options) in COMMANDS.items():
+        flags = sub.add_parser(command, help=summary)
+        flags.add_argument("--config", help=CONFIG_HELP)
+        for option in options:
+            flag = "--" + option.name.replace("_", "-")
+            # an absent flag parses as None, so the config file or the
+            # default stands
+            if option.type is bool:
+                flags.add_argument(flag, action="store_const", const=True, help=option.help)
+            else:
+                flags.add_argument(
+                    flag, type=option.type, choices=option.choices, help=option.help
+                )
     return parser
-
-
-_RUNNERS = {
-    "echo": cmd_echo,
-    "transfer": cmd_transfer,
-    "robustness": cmd_robustness,
-    "oracle-check": cmd_oracle_check,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -512,8 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help(file=sys.stderr)
         return 2
     try:
-        opts = _merge_options(args.command, args, _option_actions(parser, args.command))
-        return _RUNNERS[args.command](opts)
+        return COMMANDS[args.command][1](_merge_options(args.command, args))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

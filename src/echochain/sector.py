@@ -204,4 +204,11 @@ def exact_evolve(spec: ChainSpec, c: np.ndarray, t) -> np.ndarray:
         spec.couplings.tobytes(),
         spec.fields.tobytes(),
     )
-    return ((c @ u) * np.exp(-1j * t * w)) @ u.T
+    with np.errstate(over="ignore"):
+        phase = t * w
+    if not np.all(np.isfinite(phase)):
+        row, level = np.argwhere(~np.isfinite(phase))[0]
+        raise ValueError(
+            f"phase t*w overflows at t={float(t[row, 0])!r}, w={float(w[level])!r}"
+        )
+    return ((c @ u) * np.exp(-1j * phase)) @ u.T

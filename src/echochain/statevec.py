@@ -197,9 +197,10 @@ def norm(state: StateVector) -> float:
 
 
 def check_norm(state: StateVector, tol: float = NORM_TOL) -> None:
-    """Alarm when the norm drifts past `tol` from unity."""
+    """Alarm when the norm drifts past `tol` from unity or is not a
+    number."""
     drift = abs(norm(state) - 1.0)
-    if drift > tol:
+    if not drift <= tol:
         raise RuntimeError(f"state norm drifted by {drift:.3e} (tolerance {tol:.1e})")
 
 

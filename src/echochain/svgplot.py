@@ -16,8 +16,7 @@ PALETTE = ["#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b"]
 @dataclass
 class Series:
     label: str
-    x: list[float]
-    y: list[float]
+    points: list[tuple[float, float]]
     draw_points: bool = False
 
 
@@ -51,11 +50,11 @@ def _fmt(value: float, log: bool) -> str:
 
 def render(figure: Figure, path: str) -> None:
     """Write the figure as a standalone SVG 1.1 document."""
-    plotted = [
-        (s, _transform(s.x, figure.logx), _transform(s.y, figure.logy))
-        for s in figure.series
-        if s.x
-    ]
+    plotted = []
+    for s in figure.series:
+        if s.points:
+            x, y = zip(*s.points)
+            plotted.append((s, _transform(x, figure.logx), _transform(y, figure.logy)))
     xs = [v for _, tx, _ in plotted for v in tx]
     ys = [v for _, _, ty in plotted for v in ty]
     x_lo, x_hi = (min(xs), max(xs)) if xs else (0.0, 1.0)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,16 @@ class TestConfigFile:
     def test_missing_config_file_rejected(self, tmp_path):
         assert main(["echo", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_table_defaults_pass_their_own_checks(self, tmp_path, command):
+        options = cli.COMMANDS[command][2]
+        config = tmp_path / "defaults.json"
+        config.write_text(json.dumps({o.name: o.default for o in options}))
+        args = cli.build_parser().parse_args([command, "--config", str(config)])
+        merged = vars(cli._merge_options(command, args))
+        assert [(k, type(v), v) for k, v in merged.items()] == \
+            [(o.name, type(o.default), o.default) for o in options]
+
 
 class TestOracleCheck:
     def test_passes_on_healthy_build(self, capsys):
@@ -197,14 +208,20 @@ def test_bad_flag_exits_two():
     assert result.returncode == 2
 
 
-def test_runtime_failure_exits_one(tmp_path):
+def test_runtime_failure_exits_one(tmp_path, capsys):
     # an unwritable output surfaces as a runtime failure, not a crash
     assert main(["echo", "--n", "4", "--t-max", "1", "--points", "2",
                  "--steps", "1", "--out", str(tmp_path / "absent" / "x.csv")]) == 1
-    # t * w overflows in exact evolution, and the NaN rows fail the norm check
+    capsys.readouterr()
+    # t * w overflows in exact evolution: one error line, no numpy warning
     out = tmp_path / "x.csv"
-    assert main(["transfer", "--engine", "exact", "--n", "6", "--t-max", "1e308",
-                 "--points", "3", "--out", str(out)]) == 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["transfer", "--engine", "exact", "--n", "6", "--t-max", "1e308",
+                     "--points", "3", "--out", str(out)]) == 1
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure:") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -334,6 +351,8 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
     (["echo", "--config", str(CONFIGS / "schedule_unknown.json")], "echo_fidelity_curve"),
     (["robustness", "--config", str(CONFIGS / "engine_exact.json"), "--n", "4"],
      "slope_vs_n"),
+    # --n and --n-range are exclusive
+    (["robustness", "--n", "5", "--n-range", "4:6"], "slope_vs_n"),
 ])
 def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
                                                       args, work):

@@ -11,6 +11,7 @@ from echochain.statevec import (
     StateVector,
     apply_single_site_phase,
     apply_two_site,
+    check_norm,
     exchange_unitary,
     norm,
     pair_projection_fidelity,
@@ -192,6 +193,17 @@ class TestTotalSz:
 
     def test_singlet_head_counts_tail(self):
         assert total_sz(prepare_singlet_head(5)) == pytest.approx(1.5)
+
+
+def test_norm_drift_is_caught():
+    drifted = prepare_singlet_head(3)
+    drifted.amplitudes *= 1.0 + 1e-8
+    # a NaN norm compares greater than no tolerance
+    nan = prepare_singlet_head(3)
+    nan.amplitudes[0] = math.nan
+    for state in (drifted, nan):
+        with pytest.raises(RuntimeError):
+            check_norm(state)
 
 
 @settings(max_examples=25, deadline=None)
