@@ -26,10 +26,10 @@ import numpy as np
 
 from . import svgplot
 from .echo import EchoConfig, max_leg_duration
-from .gates import fits_wrap_period
+from .gates import fits_wrap_period, wrap_period
 from .meanfield import SCHEDULE_MIRRORED, SCHEDULES, IntegratorConfig, meanfield_echo_curve
 from .noise import NoiseModel, TrialStats, default_v_grid, fidelity_curve, slope_vs_n
-from .transfer import ENGINE_EXACT, ENGINES, TransferConfig
+from .transfer import ENGINE_EXACT, ENGINE_TROTTER_SIMFM, ENGINES, TransferConfig, strongest_bond
 
 
 class UsageError(Exception):
@@ -208,6 +208,16 @@ def cmd_transfer(opts: SimpleNamespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    # The simulated ferromagnet fits each half step into one wrap period
+    # of every bond, checked as the plan builder checks it.
+    if opts.engine == ENGINE_TROTTER_SIMFM:
+        g = strongest_bond(opts.n)
+        if not fits_wrap_period(opts.t_max / config.steps / 2, g):
+            longest = 2 * config.steps * wrap_period(g)
+            raise UsageError(
+                f"with --engine trotter-simfm --t-max must lie in [0, {longest!r}] "
+                f"(2 * steps * 2*pi / g, strongest bond g = {g!r}), got {opts.t_max}"
+            )
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
     curve = fidelity_curve(config, grid)
     header = ["n", "t", "steps", "engine", "v", "seed", "f_tr", "i_tr"]

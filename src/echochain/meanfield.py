@@ -5,10 +5,27 @@ entangled head pair and an independent spinor for every later site.
 Two-body exchange is replaced by time-dependent local fields built
 from neighbor spin expectations, and the coupled equations are
 integrated with classical fourth-order Runge-Kutta (fields recomputed
-at every internal stage).  A curve is one batched pass: every grid
-point is a row of a (rows, n, 2) spinor array, and one RK4 kernel
-advances all rows, each with its own drive segments and step size.
-Each point comes back as a plain (singlet revival, final slots) pair.
+at every internal stage).
+
+From the echo's initial state (singlet head pair, every later spin up)
+every field stays along z: the pair's <S_2> has no transverse part and
+neither has any later spin.  A z field only turns phases, so p00, p11
+and every down amplitude start at 0.0 and stay exactly 0.0 in floating
+point as well: each of their updates multiplies or adds exact zeros.
+The integrator therefore advances only the n amplitudes that can be
+nonzero, as a (rows, n) complex array c:
+
+  c[:, 0]  p01 of the head pair     c[:, 1]  p10 of the head pair
+  c[:, k]  site k+1's up amplitude, k >= 2
+
+On each of them it makes the floating-point operations the general
+(n, 2)-spinor integrator makes, in the same order, and drops only the
+terms that are exact zeros (x + 0 is x), so every bit is the same; the
+tests keep the general integrator as the oracle that checks this.  A
+curve is one batched pass: every grid point is a row, and one RK4
+kernel advances all rows, each with its own drive segments and step
+size.  Each point comes back as a plain (singlet revival, final slots)
+pair, with the slots expanded back to (n, 2) spinors.
 
 Two drive schedules are implemented because a literal +-H mean-field
 echo provably self-cancels for this initial state (every field stays
@@ -49,79 +66,104 @@ class IntegratorConfig:
             raise ValueError(f"step size must be positive and finite, got {self.dt}")
 
 
-def _initial_slots(n: int) -> np.ndarray:
-    """The echo's initial state as n spinors, (n, 2): slots 0 and 1 are
-    the singlet head pair's rows (p00, p01) and (p10, p11), each acted
-    on at site 2's index, and slot k >= 2 is site k+1, spin up."""
-    slots = np.zeros((n, 2), dtype=complex)
-    slots[:2] = SINGLET.reshape(2, 2)
-    slots[2:, 0] = 1.0
+def _initial_amplitudes(n: int) -> np.ndarray:
+    """The echo's initial state as its n live amplitudes: the singlet
+    head pair's p01 and p10, then each later site's up amplitude."""
+    c = np.ones(n, dtype=complex)
+    c[:2] = SINGLET[1:3]
+    return c
+
+
+def _slots(c: np.ndarray) -> np.ndarray:
+    """Amplitudes (rows, n) as slot arrays (rows, n, 2): slots 0 and 1
+    are the head pair's rows (p00, p01) and (p10, p11), and slot k >= 2
+    is site k+1's spinor (up, down).  Every other entry is 0."""
+    slots = np.zeros(c.shape + (2,), dtype=complex)
+    slots[:, 0, 1] = c[:, 0]
+    slots[:, 1:, 0] = c[:, 1:]
     return slots
 
 
-def _site_fields(psi: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """Mean field on sites 2..n, (rows, n-1, 3), for a batch of slot
-    arrays psi (rows, n, 2).  js (rows, n) holds each row's signed
-    couplings, js[:, i] = sign * J_(i+1, i+2), with a zero bond past
-    the last site."""
-    rows, n, _ = psi.shape
-    z = (psi[..., 0].conj() * psi[..., 1]).view(float).reshape(rows, n, 2)
-    w = np.abs(psi) ** 2
-    # <S> per site, padded with a zero spin for site 1, which couples to
-    # nothing (the (1,2) bond is off), and one past the last site.  The
-    # pair's <S_2> sums its two rows, in the order of
-    # rho2 = p00 p01* + p10 p11* and 0.5 (w00 + w10 - w01 - w11).
-    s_exp = np.zeros((rows, n + 1, 3))
-    s_exp[:, 1, :2] = z[:, 0] + z[:, 1]
-    s_exp[:, 1, 2] = 0.5 * (w[:, 0, 0] + w[:, 1, 0] - w[:, 0, 1] - w[:, 1, 1])
-    s_exp[:, 2:n, :2] = z[:, 2:]
-    s_exp[:, 2:n, 2] = 0.5 * (w[:, 2:, 0] - w[:, 2:, 1])
-    j = js[:, :, None]
+class _Epoch:
+    """What stays fixed while a batch of rows advances through one
+    epoch: the couplings of each site to its right and left neighbor,
+    the step columns, and the work arrays of `_derivative` and
+    `_rk4_update` with the views they read and write.
+
+    The padded <S^z> row sz holds site 1 (which couples to nothing),
+    the head pair's site 2, sites 3..n, and a zero spin past the last
+    site.  Slot k >= 1 sits on site k+1, so the fields of slots 1..n-1
+    are the site fields of sites 2..n.  Slot 0 sits on site 2 as well,
+    but p01's site-2 spin is down, so it turns with -hz.
+    """
+
+    def __init__(self, js: np.ndarray, step: np.ndarray) -> None:
+        rows, n = js.shape
+        self.j_right, self.j_left = js[:, 1:], js[:, :-1]
+        # complex columns, so a step times a complex array needs no cast;
+        # dt / 6.0 is taken in real arithmetic first, because complex
+        # division multiplies by a rounded reciprocal
+        dt = step[:, None]
+        self.dt, self.half, self.sixth = (
+            column.astype(complex) for column in (dt, 0.5 * dt, dt / 6.0)
+        )
+        self.w = np.empty((rows, n))
+        self.w_p01, self.w_p10, self.w_sites = self.w[:, 0], self.w[:, 1], self.w[:, 1:]
+        sz = np.zeros((rows, n + 1))
+        self.sz_sites, self.sz_right, self.sz_left = sz[:, 1:-1], sz[:, 2:], sz[:, :-2]
+        self.from_left = np.empty((rows, n - 1))
+        # the field as a complex array, so hz * c needs no cast either
+        self.hz = np.zeros((rows, n), dtype=complex)
+        self.hz_p01, self.hz_site2 = self.hz.real[:, 0], self.hz.real[:, 1]
+        self.hz_sites = self.hz.real[:, 1:]
+        # the pair as (p00, p01, p10, p11), with p00 = p11 = 0
+        pair = np.zeros((rows, 1, 4), dtype=complex)
+        self.live_pair = pair[:, 0, 1:3]
+        self.re, self.im = pair.real, pair.imag
+        self.re_t, self.im_t = self.re.transpose(0, 2, 1), self.im.transpose(0, 2, 1)
+
+
+def _derivative(c: np.ndarray, epoch: _Epoch) -> np.ndarray:
+    """dc/dt = -i/2 hz c for every live amplitude, hz the signed z
+    field of its slot."""
+    e = epoch
+    np.abs(c, out=e.w)
+    np.square(e.w, out=e.w)
+    # <S_2^z> = 0.5 (|p10|^2 - |p01|^2), <S_k^z> = 0.5 |up_k|^2
+    np.subtract(e.w_p10, e.w_p01, out=e.w_p10)
+    np.multiply(0.5, e.w_sites, out=e.sz_sites)
     # each site's right neighbor first, then its left one
-    return j[:, 1:] * s_exp[:, 2:] + j[:, :-1] * s_exp[:, :-2]
-
-
-_PLUS_MINUS = np.array([1.0, -1.0])
-
-
-def _derivative(psi: np.ndarray, js: np.ndarray) -> np.ndarray:
-    """d psi / dt = -i/2 (h . sigma) psi for every slot; both pair rows
-    see site 2's field.  A slot (a, b) gets -i/2 times
-    (hz a + (hx - i hy) b, (hx + i hy) a - hz b)."""
-    h = _site_fields(psi, js)
-    h = np.concatenate((h[:, :1], h), axis=1)
-    hz = h[..., 2:] * _PLUS_MINUS
-    transverse = h[..., :1] - 1j * (h[..., 1:2] * _PLUS_MINUS)
-    d = hz * psi + transverse * psi[..., ::-1]
+    np.multiply(e.j_right, e.sz_right, out=e.hz_sites)
+    np.multiply(e.j_left, e.sz_left, out=e.from_left)
+    np.add(e.hz_sites, e.from_left, out=e.hz_sites)
+    np.negative(e.hz_site2, out=e.hz_p01)
+    d = e.hz * c
     d *= -0.5j
     return d
 
 
-def _rk4_update(psi: np.ndarray, js: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    """One RK4 step of every row, each with its own signed couplings and
-    step dt (rows,), then renormalization of the pair and each spinor."""
-    dt = dt[:, None, None]
-    half = 0.5 * dt
-    k1 = _derivative(psi, js)
-    k2 = _derivative(psi + half * k1, js)
-    k3 = _derivative(psi + half * k2, js)
-    k4 = _derivative(psi + dt * k3, js)
-    new = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+def _rk4_update(c: np.ndarray, epoch: _Epoch) -> np.ndarray:
+    """One RK4 step of every row, then renormalization of the pair and
+    each spin."""
+    k1 = _derivative(c, epoch)
+    k2 = _derivative(c + epoch.half * k1, epoch)
+    k3 = _derivative(c + epoch.half * k2, epoch)
+    k4 = _derivative(c + epoch.dt * k3, epoch)
+    new = c + epoch.sixth * (k1 + 2 * k2 + 2 * k3 + k4)
     # Both norms are np.linalg.norm's.  A whole vector's is a BLAS dot
     # of the real parts plus one of the imaginary parts, here taken row
-    # by row through matmul with the same strides; a norm along an axis
-    # sums (x* x).real.
-    pair = new[:, :2].reshape(-1, 1, 4)
-    re, im = pair.real, pair.imag
-    new[:, :2] /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))
-    spins = new[:, 2:]
-    spins /= np.sqrt(np.add.reduce((spins.conj() * spins).real, axis=2, keepdims=True))
+    # by row through matmul over all four pair amplitudes with the same
+    # strides; a spinor's sums (x* x).real, whose down term is 0.
+    pair, spins = new[:, :2], new[:, 2:]
+    epoch.live_pair[...] = pair
+    pair /= np.sqrt(epoch.re @ epoch.re_t + epoch.im @ epoch.im_t)[:, 0]
+    spins /= np.sqrt((new.conj() * new).real)[:, 2:]
     return new
 
 
 def _signed_couplings(couplings: np.ndarray, sign: float) -> np.ndarray:
-    """sign * J per bond plus a zero bond past the last site, the js of
-    `_site_fields`."""
+    """sign * J per bond plus a zero bond past the last site: js[i] =
+    sign * J_(i+1, i+2), the coupling of site i+1 to its right neighbor."""
     return sign * np.append(couplings, 0.0)
 
 
@@ -185,7 +227,7 @@ def meanfield_echo_curve(
     batched steps as the longest row.  A row's bits depend only on its
     own leg duration, whatever the grid's order or size.  Each row
     returns its singlet revival and its final (n, 2) slot array, laid
-    out as `_initial_slots` lays out the initial one.
+    out as `_slots` lays it out.
 
     sign_convention is the multiplier applied to the ferromagnetic-leg
     mean fields (-1 matches the Hamiltonian sign; +1 is the literal
@@ -208,28 +250,30 @@ def meanfield_echo_curve(
     plans = [
         _row_segments(spec, t, schedule, n_steps, sign_convention, dt) for t in times
     ]
-    psi = np.repeat(_initial_slots(n)[None], len(times), axis=0)
+    c = np.repeat(_initial_amplitudes(n)[None], len(times), axis=0)
     position = [0] * len(times)
     left = [plan[0][0] if plan else 0 for plan in plans]
     active = [r for r, plan in enumerate(plans) if plan]
     while active:
         segments = [plans[r][position[r]] for r in active]
-        step = np.array([segment[1] for segment in segments])
-        js = np.array([segment[2] for segment in segments])
-        batch = psi[active]
-        epoch = min(left[r] for r in active)
-        for _ in range(epoch):
-            batch = _rk4_update(batch, js, step)
-        psi[active] = batch
+        epoch = _Epoch(
+            np.array([segment[2] for segment in segments]),
+            np.array([segment[1] for segment in segments]),
+        )
+        batch = c[active]
+        steps = min(left[r] for r in active)
+        for _ in range(steps):
+            batch = _rk4_update(batch, epoch)
+        c[active] = batch
         for r in active:
-            left[r] -= epoch
+            left[r] -= steps
             if left[r] == 0:
                 position[r] += 1
                 if position[r] < len(plans[r]):
                     left[r] = plans[r][position[r]][0]
         active = [r for r in active if left[r] > 0]
     results = []
-    for slots in psi:
+    for slots in _slots(c):
         fidelity = float(abs(np.vdot(SINGLET, slots[:2].reshape(4))) ** 2)
         if not -1e-12 <= fidelity <= 1 + 1e-12:
             raise ValueError(f"fidelity {fidelity} outside [0, 1]")

@@ -56,6 +56,15 @@ def default_transfer_steps(n: int) -> int:
     return 1 << math.ceil(math.log2(DEFAULT_TRANSFER_STEPS[largest] * scale))
 
 
+def strongest_bond(n: int) -> float:
+    """Exchange strength g = prefactor * J of the transfer chain's
+    strongest bond.  The trotter-simfm engine maps every half step
+    t / (2 steps) into one wrap period 2*pi/g of each bond, so this
+    bond sets the longest time it can run."""
+    spec = transfer_chain(n)
+    return spec.exchange_prefactor * float(np.max(spec.couplings))
+
+
 @dataclass
 class TransferConfig:
     n: int

@@ -10,6 +10,7 @@ import pytest
 
 from echochain import cli
 from echochain.cli import main
+from echochain.transfer import strongest_bond
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent / "configs"
@@ -232,6 +233,29 @@ def test_t_max_outside_wrap_budget_is_usage_error(tmp_path, capsys, t_max):
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "--t-max" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+def simfm_budget(n: int, steps: int) -> float:
+    """Longest trotter-simfm transfer: each half step fits one wrap
+    period of the strongest bond."""
+    return 2 * steps * 2 * math.pi / strongest_bond(n)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--t-max", "1e308"],
+    ["--steps", "1", "--t-max", repr(simfm_budget(5, 1) * (1 + 1e-9))],
+])
+def test_simfm_transfer_t_max_outside_wrap_budget_is_usage_error(tmp_path, capsys, flags):
+    assert main(["transfer", "--engine", "trotter-simfm", "--n", "5", "--points", "2",
+                 *flags, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "--t-max" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_simfm_transfer_at_wrap_budget_runs(tmp_path):
+    assert main(["transfer", "--engine", "trotter-simfm", "--n", "5", "--steps", "1",
+                 "--t-max", repr(simfm_budget(5, 1)), "--points", "2",
+                 "--out", str(tmp_path / "x.csv")]) == 0
 
 
 def test_t_max_at_wrap_budget_runs(tmp_path):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from echochain import meanfield
 from echochain.chain import uniform_echo_chain
@@ -15,16 +17,114 @@ from echochain.meanfield import (
 from echochain.gates import SINGLET
 
 
+# The general spinor integrator: any product state of the head pair
+# and (n - 2) spinors, any fields.  Production advances only the echo
+# state's n live amplitudes; this is the oracle it must match bit for
+# bit, and the kernel for the tests that leave the echo state.
+
+def initial_slots(n: int) -> np.ndarray:
+    """The echo's initial state as n spinors, (n, 2): slots 0 and 1 are
+    the singlet head pair's rows (p00, p01) and (p10, p11), each acted
+    on at site 2's index, and slot k >= 2 is site k+1, spin up."""
+    slots = np.zeros((n, 2), dtype=complex)
+    slots[:2] = SINGLET.reshape(2, 2)
+    slots[2:, 0] = 1.0
+    return slots
+
+
+def reference_site_fields(psi: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """Mean field on sites 2..n, (rows, n-1, 3), for a batch of slot
+    arrays psi (rows, n, 2).  js (rows, n) holds each row's signed
+    couplings, js[:, i] = sign * J_(i+1, i+2), with a zero bond past
+    the last site."""
+    rows, n, _ = psi.shape
+    z = (psi[..., 0].conj() * psi[..., 1]).view(float).reshape(rows, n, 2)
+    w = np.abs(psi) ** 2
+    # <S> per site, padded with a zero spin for site 1, which couples to
+    # nothing (the (1,2) bond is off), and one past the last site.  The
+    # pair's <S_2> sums its two rows, in the order of
+    # rho2 = p00 p01* + p10 p11* and 0.5 (w00 + w10 - w01 - w11).
+    s_exp = np.zeros((rows, n + 1, 3))
+    s_exp[:, 1, :2] = z[:, 0] + z[:, 1]
+    s_exp[:, 1, 2] = 0.5 * (w[:, 0, 0] + w[:, 1, 0] - w[:, 0, 1] - w[:, 1, 1])
+    s_exp[:, 2:n, :2] = z[:, 2:]
+    s_exp[:, 2:n, 2] = 0.5 * (w[:, 2:, 0] - w[:, 2:, 1])
+    j = js[:, :, None]
+    # each site's right neighbor first, then its left one
+    return j[:, 1:] * s_exp[:, 2:] + j[:, :-1] * s_exp[:, :-2]
+
+
+_PLUS_MINUS = np.array([1.0, -1.0])
+
+
+def reference_derivative(psi: np.ndarray, js: np.ndarray) -> np.ndarray:
+    """d psi / dt = -i/2 (h . sigma) psi for every slot; both pair rows
+    see site 2's field.  A slot (a, b) gets -i/2 times
+    (hz a + (hx - i hy) b, (hx + i hy) a - hz b)."""
+    h = reference_site_fields(psi, js)
+    h = np.concatenate((h[:, :1], h), axis=1)
+    hz = h[..., 2:] * _PLUS_MINUS
+    transverse = h[..., :1] - 1j * (h[..., 1:2] * _PLUS_MINUS)
+    d = hz * psi + transverse * psi[..., ::-1]
+    d *= -0.5j
+    return d
+
+
+def reference_rk4_update(psi: np.ndarray, js: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """One RK4 step of every row, each with its own signed couplings and
+    step dt (rows,), then renormalization of the pair and each spinor."""
+    dt = dt[:, None, None]
+    half = 0.5 * dt
+    k1 = reference_derivative(psi, js)
+    k2 = reference_derivative(psi + half * k1, js)
+    k3 = reference_derivative(psi + half * k2, js)
+    k4 = reference_derivative(psi + dt * k3, js)
+    new = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    # Both norms are np.linalg.norm's.  A whole vector's is a BLAS dot
+    # of the real parts plus one of the imaginary parts, here taken row
+    # by row through matmul with the same strides; a norm along an axis
+    # sums (x* x).real.
+    pair = new[:, :2].reshape(-1, 1, 4)
+    re, im = pair.real, pair.imag
+    new[:, :2] /= np.sqrt(re @ re.transpose(0, 2, 1) + im @ im.transpose(0, 2, 1))
+    spins = new[:, 2:]
+    spins /= np.sqrt(np.add.reduce((spins.conj() * spins).real, axis=2, keepdims=True))
+    return new
+
+
+def off_slot_amplitudes(slots: np.ndarray) -> np.ndarray:
+    """p00, p11 and every later site's down amplitude of (n, 2) slots:
+    the entries the echo state keeps at 0."""
+    return np.concatenate(([slots[0, 0], slots[1, 1]], slots[2:, 1]))
+
+
+def reference_echo(n, j, t, integrator, schedule, n_steps, sign_convention):
+    """One grid point of `meanfield_echo_curve` on the reference kernel:
+    the same drive segments, one row.  Returns (fidelity, final slots,
+    largest |off-slot amplitude| seen after any step)."""
+    segments = meanfield._row_segments(
+        uniform_echo_chain(n, j), t, schedule, n_steps, sign_convention, integrator.dt / j
+    )
+    psi = initial_slots(n)[None]
+    off = 0.0
+    for steps, step, js in segments:
+        for _ in range(steps):
+            psi = reference_rk4_update(psi, js[None], np.array([step]))
+            off = max(off, float(np.max(np.abs(off_slot_amplitudes(psi[0])))))
+    slots = psi[0]
+    return float(abs(np.vdot(SINGLET, slots[:2].reshape(4))) ** 2), slots, off
+
+
 def site_fields(slots, couplings, sign):
     """Mean fields on sites 2..n of one (n, 2) slot array, (n-1, 3)."""
     js = meanfield._signed_couplings(np.asarray(couplings, dtype=float), sign)
-    return meanfield._site_fields(slots[None], js[None])[0]
+    return reference_site_fields(slots[None], js[None])[0]
 
 
 def rk4_step(slots, couplings, sign, dt):
     """One RK4 step of one (n, 2) slot array."""
     js = meanfield._signed_couplings(np.asarray(couplings, dtype=float), sign)
-    return meanfield._rk4_update(slots[None], js[None], np.array([dt]))[0]
+    return reference_rk4_update(slots[None], js[None], np.array([dt]))[0]
 
 
 def spin_expectation(spinor):
@@ -51,7 +151,7 @@ def pair_site_expectations(pair):
 def precession_slots(n=3):
     """Echo chain with site 3 tipped to +x.  At n = 3 the pair sees a
     constant x field while site 3 stays frozen (its own field is zero)."""
-    slots = meanfield._initial_slots(n)
+    slots = initial_slots(n)
     slots[2] = np.array([1.0, 1.0]) / math.sqrt(2)
     return slots
 
@@ -68,14 +168,14 @@ def pair_state(slots):
 
 class TestMeanFields:
     def test_initial_echo_fields(self):
-        h = site_fields(meanfield._initial_slots(6), uniform_echo_chain(6, 1.0).couplings, 1.0)
+        h = site_fields(initial_slots(6), uniform_echo_chain(6, 1.0).couplings, 1.0)
         assert np.allclose(h[0], [0, 0, 0.5])    # site 2: J <S_3>
         assert np.allclose(h[1], [0, 0, 0.5])    # site 3: J <S_2> + J <S_4>, <S_2>=0
         assert np.allclose(h[2], [0, 0, 1.0])    # two up neighbors
         assert np.allclose(h[4], [0, 0, 0.5])    # end site, one neighbor
 
     def test_zero_couplings_give_zero_fields(self):
-        h = site_fields(meanfield._initial_slots(4), np.zeros(3), 1.0)
+        h = site_fields(initial_slots(4), np.zeros(3), 1.0)
         assert np.allclose(h, 0.0)
 
     def test_sign_flip_negates(self):
@@ -88,7 +188,7 @@ class TestMeanFields:
 
 class TestRk4:
     def test_zero_fields_leave_state(self):
-        slots = meanfield._initial_slots(4)
+        slots = initial_slots(4)
         stepped = rk4_step(slots, np.zeros(3), 1.0, 1e-2)
         assert np.allclose(stepped, slots)
 
@@ -300,6 +400,54 @@ class TestGoldenBits:
         assert [final_state_digest(r) for r in results] == digests
 
 
+class TestReferenceKernel:
+    """The production kernel against the general spinor integrator,
+    bit for bit, over the same drive segments.  Coarse steps keep the
+    one-row reference passes cheap; the bits must agree at any dt."""
+
+    @seed(20240611)
+    @settings(max_examples=24, deadline=None)
+    @given(
+        n=st.integers(min_value=3, max_value=12),
+        j=st.floats(min_value=0.3, max_value=3.0),
+        dt=st.floats(min_value=0.04, max_value=0.2),
+        schedule=st.sampled_from([SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED]),
+        sign_convention=st.sampled_from([-1, 1]),
+        n_steps=st.integers(min_value=1, max_value=3),
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=2),
+    )
+    def test_curve_matches_reference_bits(
+        self, n, j, dt, schedule, sign_convention, n_steps, fractions
+    ):
+        # the mirrored pulse train fits each step's slice into one wrap
+        # period, 2*pi / j
+        grid = [f * min(2.5, n_steps * 2 * math.pi / j) for f in fractions]
+        config = IntegratorConfig(dt=dt)
+        results = meanfield_echo_curve(
+            n, j, grid, config, schedule=schedule, n_steps=n_steps,
+            sign_convention=sign_convention,
+        )
+        for t, result in zip(grid, results):
+            fidelity, slots, off = reference_echo(
+                n, j, t, config, schedule, n_steps, sign_convention
+            )
+            assert off == 0.0
+            assert repr(result[0]) == repr(fidelity)
+            assert final_state_digest(result) == final_state_digest((fidelity, slots))
+
+    @pytest.mark.parametrize("schedule", [SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED])
+    @pytest.mark.parametrize("sign_convention", [-1, 1])
+    def test_echo_state_keeps_off_slot_amplitudes_exactly_zero(self, schedule, sign_convention):
+        # checked after every step of the general integrator: p00, p11
+        # and every down amplitude stay 0.0, not merely small
+        for n in (3, 4, 7):
+            _, slots, off = reference_echo(
+                n, 1.0, 1.3, IntegratorConfig(dt=0.05), schedule, 2, sign_convention
+            )
+            assert off == 0.0
+            assert np.all(off_slot_amplitudes(slots) == 0.0)
+
+
 class TestBatching:
     """Rows of one pass are independent: a row's bits depend only on its
     own leg duration.  A coarse dt keeps these cheap."""
@@ -341,9 +489,9 @@ class TestBatching:
         calls = []
         kernel = meanfield._rk4_update
 
-        def counted(psi, js, dt):
-            calls.append(len(psi))
-            return kernel(psi, js, dt)
+        def counted(c, epoch):
+            calls.append(len(c))
+            return kernel(c, epoch)
 
         monkeypatch.setattr(meanfield, "_rk4_update", counted)
         meanfield_echo_curve(5, 1.0, [0.2, 0.0, 1.0], self.CONFIG)
@@ -367,12 +515,13 @@ class TestClosedForm:
         worst = {"transverse": 0.0, "s2": 0.0}
         kernel = meanfield._rk4_update
 
-        def checked(psi, js, dt):
-            new = kernel(psi, js, dt)
-            a, b = new[..., 0], new[..., 1]
+        def checked(c, epoch):
+            new = kernel(c, epoch)
+            slots = meanfield._slots(new)
+            a, b = slots[..., 0], slots[..., 1]
             z = a.conj() * b
             worst["transverse"] = max(worst["transverse"], float(np.max(np.abs(z[:, 2:]))))
-            w = np.abs(new[:, :2]) ** 2
+            w = np.abs(slots[:, :2]) ** 2
             s2z = 0.5 * (w[:, 0, 0] + w[:, 1, 0] - w[:, 0, 1] - w[:, 1, 1])
             s2 = np.hypot(np.abs(z[:, 0] + z[:, 1]), s2z)
             worst["s2"] = max(worst["s2"], float(np.max(s2)))
