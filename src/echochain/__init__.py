@@ -38,8 +38,6 @@ from .transfer import TransferConfig, default_transfer_steps
 from .trotter import (
     MODE_DIRECT,
     MODE_SIMULATED_FM,
-    ExchangeLayer,
-    FieldLayer,
     TrotterPlan,
     second_order_plan,
     three_term_plan,

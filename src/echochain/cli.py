@@ -16,6 +16,7 @@ values and the dispatch to each command's runner all read it.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
@@ -26,10 +27,16 @@ import numpy as np
 
 from . import svgplot
 from .echo import EchoConfig, max_leg_duration
-from .gates import fits_wrap_period, wrap_period
+from .gates import fits_wrap_period
 from .meanfield import SCHEDULE_MIRRORED, SCHEDULES, IntegratorConfig, meanfield_echo_curve
 from .noise import NoiseModel, TrialStats, default_v_grid, fidelity_curve, slope_vs_n
-from .transfer import ENGINE_EXACT, ENGINE_TROTTER_SIMFM, ENGINES, TransferConfig, strongest_bond
+from .transfer import ENGINE_EXACT, ENGINES, TransferConfig
+
+# Move every object imported so far, numpy's above all, to the
+# permanent generation, so the collections at interpreter exit skip
+# them; the README gives the exit times this saves.  Objects a command
+# creates later are collected as usual.
+gc.freeze()
 
 
 class UsageError(Exception):
@@ -208,16 +215,12 @@ def cmd_transfer(opts: SimpleNamespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # The simulated ferromagnet fits each half step into one wrap period
-    # of every bond, checked as the plan builder checks it.
-    if opts.engine == ENGINE_TROTTER_SIMFM:
-        g = strongest_bond(opts.n)
-        if not fits_wrap_period(opts.t_max / config.steps / 2, g):
-            longest = 2 * config.steps * wrap_period(g)
-            raise UsageError(
-                f"with --engine trotter-simfm --t-max must lie in [0, {longest!r}] "
-                f"(2 * steps * 2*pi / g, strongest bond g = {g!r}), got {opts.t_max}"
-            )
+    # a trotter engine's plan checks its wrap budget once per batch
+    if opts.engine != ENGINE_EXACT:
+        try:
+            config.plan([opts.t_max])
+        except ValueError as exc:
+            raise UsageError(f"--t-max: {exc}") from exc
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
     curve = fidelity_curve(config, grid)
     header = ["n", "t", "steps", "engine", "v", "seed", "f_tr", "i_tr"]

@@ -66,11 +66,9 @@ class EchoConfig:
         row) and draws its gate errors from row r of `noise`."""
         spec = uniform_echo_chain(self.n, self.j)
         c = sector.singlet_head(len(noise) if noise is not None else len(times), self.n)
-        forward = [second_order_plan(spec, t, self.n_steps, MODE_SIMULATED_FM) for t in times]
-        sector.evolve(c, forward, noise)
+        sector.evolve(c, second_order_plan(spec, times, self.n_steps, MODE_SIMULATED_FM), noise)
         if self.backward_mode == BACKWARD_TROTTERIZED:
-            backward = [second_order_plan(spec, t, self.n_steps, MODE_DIRECT) for t in times]
-            sector.evolve(c, backward, noise)
+            sector.evolve(c, second_order_plan(spec, times, self.n_steps, MODE_DIRECT), noise)
         else:
             # Continuous antiferromagnetic return; used as a probe of the
             # forward leg's Trotter error, so it is never noisy.

@@ -14,6 +14,13 @@ one row per trial or time point.  In this sector
   global phase e^{-i phi};
 * the singlet fidelity of the pair (a, b) is |c_b - c_a|^2 / 2.
 
+`evolve` applies a Trotter plan (`echochain.trotter`) one whole layer
+per call.  A layer whose sites are evenly spaced is a slice, so its
+amplitudes are read and written through strided views of the batch;
+an uneven layer is an index array, read and written by the same
+expressions.  Noisy angles become phases one exp per layer per chunk
+of steps, not per step.
+
 Exact evolution diagonalizes the n x n sector Hamiltonian, global phase
 included.  The dense 2^n oracle this engine is tested against is one
 module, `echochain.statevec`, which only `echochain.checks` and the
@@ -25,19 +32,20 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .chain import SIGN_AFM, ChainSpec
-from .trotter import ExchangeLayer, TrotterPlan
+from .trotter import TrotterPlan
 
 if TYPE_CHECKING:
     from .noise import GateNoise
 
 NORM_TOL = 1e-10
-# Upper bound on the gate errors held at once for a batch; a longer
-# plan draws them a few Trotter steps at a time from the same streams.
+# Upper bound on the bytes of gate errors and of their phases held at
+# once for a batch; a longer plan draws them a few Trotter steps at a
+# time from the same streams.
 DRAW_BYTES = 16 << 20
 
 
@@ -64,35 +72,9 @@ def check_norm(c: np.ndarray) -> None:
         raise RuntimeError(f"state norm drifted by {drift:.3e} (tolerance {NORM_TOL:.1e})")
 
 
-def _compile(
-    plans: Sequence[TrotterPlan],
-) -> list[tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
-    """One Trotter step as (first sites, second sites or None for a field
-    layer, angles of shape (len(plans), sites)) per nonempty layer.
-    Sites are 0-based; every plan must share the first one's layout."""
-    first = plans[0]
-    ops = []
-    for index, layer in enumerate(first.layers):
-        peers = [plan.layers[index] for plan in plans]
-        if isinstance(layer, ExchangeLayer):
-            pairs = [pair for pair, _ in layer.gates]
-            if any([pair for pair, _ in peer.gates] != pairs for peer in peers):
-                raise ValueError("plans of one batch must share their bonds")
-            angles = [[theta for _, theta in peer.gates] for peer in peers]
-            left = np.array([i for i, _ in pairs], dtype=np.intp) - 1
-            right = np.array([j for _, j in pairs], dtype=np.intp) - 1
-        else:
-            sites = [site for site, _ in layer.phases]
-            if any([site for site, _ in peer.phases] != sites for peer in peers):
-                raise ValueError("plans of one batch must share their field sites")
-            angles = [[phi for _, phi in peer.phases] for peer in peers]
-            left, right = np.array(sites, dtype=np.intp) - 1, None
-        if len(left):
-            ops.append((left, right, np.array(angles, dtype=float)))
-    return ops
-
-
-def _exchange(c: np.ndarray, left: np.ndarray, right: np.ndarray, phase: np.ndarray) -> None:
+def _exchange(c: np.ndarray, left, right, phase: np.ndarray) -> None:
+    """One exchange layer on every row, in place.  With slice sites the
+    reads are views of c and the writes go straight into it."""
     ci, cj = c[:, left], c[:, right]
     sym = 0.5 * (ci + cj)
     anti = 0.5 * (ci - cj) * phase
@@ -100,54 +82,58 @@ def _exchange(c: np.ndarray, left: np.ndarray, right: np.ndarray, phase: np.ndar
     c[:, right] = sym - anti
 
 
-def evolve(
-    c: np.ndarray, plans: Sequence[TrotterPlan], noise: GateNoise | None = None
-) -> np.ndarray:
-    """Run every step of the plans on the batch c, in place.
+def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> np.ndarray:
+    """Run every step of the plan on the batch c, in place.
 
-    `plans` holds one plan shared by every row or one plan per row, all
-    with the same layout and step count.  Under `noise` every exchange
-    angle of row r becomes theta * (1 + eta) with eta from the row's own
-    stream, drawn per gate per step in execution order; field phases are
-    perturbed the same way only when the noise includes fields.  Bonds
-    within a layer share no site, so a layer is applied all at once.
+    The plan holds one angle row shared by every row of c, or one per
+    row.  Under `noise` every exchange angle of row r becomes
+    theta * (1 + eta) with eta from the row's own stream, drawn per gate
+    per step in execution order; field phases are perturbed the same
+    way only when the noise includes fields.  Bonds within a layer share
+    no site, so a layer is applied all at once.  The draws come a chunk
+    of steps at a time, and each noisy layer turns a whole chunk's
+    angles into phases with one exp.
     """
     rows, n = c.shape
-    steps = plans[0].steps
-    if any(plan.num_sites != n or plan.steps != steps for plan in plans):
-        raise ValueError("plans and batch disagree on sites or steps")
-    if len(plans) not in (1, rows) or (noise is not None and len(noise) != rows):
-        raise ValueError("plans and noise need one entry per row, or one plan for all")
-    # Each layer keeps its angles when noisy, else its fixed phases.
+    steps = plan.steps
+    if plan.num_sites != n:
+        raise ValueError("plan and batch disagree on sites")
+    if len(plan.angles) not in (1, rows) or (noise is not None and len(noise) != rows):
+        raise ValueError("plan angles and noise need one row per batch row, or one for all")
+    # Each layer keeps its angles and eta columns when noisy, else its
+    # fixed phases and None.
     ops = []
-    per_step = 0
-    for left, right, angles in _compile(plans):
-        noisy = noise is not None and (right is not None or noise.include_fields)
-        if noisy:
-            per_step += angles.shape[1]
-            ops.append((left, right, angles, True))
+    column = drawn = 0
+    for layer in plan.layers:
+        factor = 1j if layer.right is not None else 2j
+        angles = plan.angles[:, column:column + layer.width]
+        column += layer.width
+        if noise is not None and (layer.right is not None or noise.include_fields):
+            ops.append((layer, factor, angles, slice(drawn, drawn + layer.width)))
+            drawn += layer.width
         else:
-            ops.append((left, right, np.exp((1j if right is not None else 2j) * angles), False))
+            ops.append((layer, factor, np.exp(factor * angles), None))
+    # The draws (8 bytes each) and their phases (16) share DRAW_BYTES.
     chunk = steps
-    if per_step:
-        chunk = max(1, min(steps, DRAW_BYTES // (8 * rows * per_step)))
+    if drawn:
+        chunk = max(1, min(steps, DRAW_BYTES // (24 * rows * drawn)))
     for start in range(0, steps, chunk):
         count = min(chunk, steps - start)
-        eta = noise.take(count * per_step).reshape(rows, count, per_step) if per_step else None
+        eta = noise.take(count * drawn).reshape(rows, count, drawn) if drawn else None
+        # (rows, count, width) phases per noisy layer, one exp each
+        phases = [
+            fixed if etas is None
+            else np.exp(factor * (fixed[:, None, :] * (1.0 + eta[:, :, etas])))
+            for _, factor, fixed, etas in ops
+        ]
         for step in range(count):
-            offset = 0
-            for left, right, fixed, noisy in ops:
-                if noisy:
-                    width = fixed.shape[1]
-                    angles = fixed * (1.0 + eta[:, step, offset:offset + width])
-                    offset += width
-                    phase = np.exp((1j if right is not None else 2j) * angles)
+            for (layer, _, _, etas), phase in zip(ops, phases):
+                if etas is not None:
+                    phase = phase[:, step]
+                if layer.right is None:
+                    c[:, layer.left] *= phase
                 else:
-                    phase = fixed
-                if right is None:
-                    c[:, left] *= phase
-                else:
-                    _exchange(c, left, right, phase)
+                    _exchange(c, layer.left, layer.right, phase)
     return c
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain import SIGN_AFM, ChainSpec
 from .noise import NoiseModel
-from .trotter import ExchangeLayer, TrotterPlan
+from .trotter import TrotterPlan
 
 NORM_TOL = 1e-10
 UNITARITY_TOL = 1e-12
@@ -268,8 +268,10 @@ def execute_plan(
     state: StateVector,
     noise: NoiseModel | None = None,
     rng: np.random.Generator | None = None,
+    row: int = 0,
 ) -> StateVector:
-    """Apply every layer of every step in order, mutating `state`.
+    """Apply every layer of every step in order, gate by gate, with the
+    plan's angle row `row`, mutating `state`.
 
     Under a NoiseModel every exchange angle becomes theta*(1 + eta)
     with a fresh eta per gate per step; field phases are perturbed the
@@ -279,15 +281,19 @@ def execute_plan(
         raise ValueError("plan and state site counts differ")
     if noise is not None and rng is None:
         raise ValueError("noisy execution needs an explicit rng")
+    sites = np.arange(1, plan.num_sites + 1)
     for _ in range(plan.steps):
+        angles = iter(plan.angles[row].tolist())
         for layer in plan.layers:
-            if isinstance(layer, ExchangeLayer):
-                for (i, j), theta in layer.gates:
+            if layer.right is not None:
+                for i, j in zip(sites[layer.left].tolist(), sites[layer.right].tolist()):
+                    theta = next(angles)
                     if noise is not None:
                         theta = theta * (1.0 + sample_eta(rng, noise.v))
                     apply_two_site(state, i, j, exchange_unitary(theta))
             else:
-                for site, phi in layer.phases:
+                for site in sites[layer.left].tolist():
+                    phi = next(angles)
                     if noise is not None and noise.include_fields:
                         phi = phi * (1.0 + sample_eta(rng, noise.v))
                     apply_single_site_phase(state, site, phi)

@@ -22,7 +22,7 @@ import numpy as np
 from . import sector
 from .chain import transfer_chain
 from .noise import GateNoise, NoiseModel, Seed
-from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, three_term_plan
+from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, TrotterPlan, three_term_plan
 
 ENGINE_EXACT = "exact"
 ENGINE_TROTTER_DIRECT = "trotter-direct"
@@ -56,15 +56,6 @@ def default_transfer_steps(n: int) -> int:
     return 1 << math.ceil(math.log2(DEFAULT_TRANSFER_STEPS[largest] * scale))
 
 
-def strongest_bond(n: int) -> float:
-    """Exchange strength g = prefactor * J of the transfer chain's
-    strongest bond.  The trotter-simfm engine maps every half step
-    t / (2 steps) into one wrap period 2*pi/g of each bond, so this
-    bond sets the longest time it can run."""
-    spec = transfer_chain(n)
-    return spec.exchange_prefactor * float(np.max(spec.couplings))
-
-
 @dataclass
 class TransferConfig:
     n: int
@@ -85,6 +76,8 @@ class TransferConfig:
             raise ValueError(f"need at least one step, got {self.n_steps}")
         if self.engine == ENGINE_EXACT and self.noise is not None and self.noise.v > 0:
             raise ValueError("the exact engine is noise-free; use a trotter engine")
+        if self.engine != ENGINE_EXACT:
+            self.plan([self.t])  # raises past the wrap budget
 
     @property
     def steps(self) -> int:
@@ -96,18 +89,22 @@ class TransferConfig:
         """The far-end pair whose singlet fidelity scores the transfer."""
         return (self.n - 1, self.n)
 
+    def plan(self, times: Sequence[float]) -> TrotterPlan:
+        """A trotter engine's three-term plan, one angle row per time.
+        Every half step t / (2 steps) must fit one wrap period 2*pi/g of
+        the strongest bond g, so t may reach 2 * steps * 2*pi/g."""
+        mode = MODE_DIRECT if self.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
+        return three_term_plan(transfer_chain(self.n), times, self.steps, mode)
+
     def final_states(self, times: Sequence[float], noise: GateNoise | None) -> np.ndarray:
         """One transfer per row: row r runs for times[r] (or times[0] for
         every row) and draws its gate errors from row r of `noise`."""
-        spec = transfer_chain(self.n)
         c = sector.singlet_head(len(noise) if noise is not None else len(times), self.n)
         if self.engine == ENGINE_EXACT:
             if noise is not None and np.any(noise.v > 0):
                 raise ValueError("the exact engine is noise-free; use a trotter engine")
-            c = sector.exact_evolve(spec, c, times)
+            c = sector.exact_evolve(transfer_chain(self.n), c, times)
         else:
-            mode = MODE_DIRECT if self.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
-            plans = [three_term_plan(spec, t, self.steps, mode) for t in times]
-            sector.evolve(c, plans, noise)
+            sector.evolve(c, self.plan(times), noise)
         sector.check_norm(c)
         return c

@@ -10,7 +10,7 @@ import pytest
 
 from echochain import cli
 from echochain.cli import main
-from echochain.transfer import strongest_bond
+from echochain.chain import transfer_chain
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent / "configs"
@@ -238,7 +238,8 @@ def test_t_max_outside_wrap_budget_is_usage_error(tmp_path, capsys, t_max):
 def simfm_budget(n: int, steps: int) -> float:
     """Longest trotter-simfm transfer: each half step fits one wrap
     period of the strongest bond."""
-    return 2 * steps * 2 * math.pi / strongest_bond(n)
+    spec = transfer_chain(n)
+    return 2 * steps * 2 * math.pi / (spec.exchange_prefactor * float(max(spec.couplings)))
 
 
 @pytest.mark.parametrize("flags", [
@@ -377,6 +378,12 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
      "slope_vs_n"),
     # --n and --n-range are exclusive
     (["robustness", "--n", "5", "--n-range", "4:6"], "slope_vs_n"),
+    # either trotter engine fits each half step into one wrap period of
+    # the strongest bond: t <= 2 * steps * 2*pi / g
+    (["transfer", "--engine", "trotter-direct", "--n", "5", "--t-max", "1e308",
+      "--points", "2"], "transfer_fidelity_curve"),
+    (["robustness", "--protocol", "transfer", "--engine", "trotter-simfm", "--n", "5",
+      "--t", "1e308", "--trials", "1"], "slope_vs_n"),
 ])
 def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
                                                       args, work):
@@ -413,6 +420,25 @@ def test_reliable_fits_warn_nothing_and_keep_golden_bytes(tmp_path, capsys, args
     assert capsys.readouterr().err == ""
     assert trials.read_bytes() == (GOLDEN / f"{prefix}_trials.csv").read_bytes()
     assert fits.read_bytes() == (GOLDEN / f"{prefix}_fits.csv").read_bytes()
+
+
+def test_cli_import_freezes_the_import_heap(tmp_path):
+    # the collections at interpreter exit skip frozen objects; a command
+    # run through main freezes nothing more
+    script = """
+import gc
+
+import echochain.cli
+
+frozen = gc.get_freeze_count()
+assert frozen > 0, frozen
+assert echochain.cli.main(["transfer", "--n", "3", "--points", "2"]) == 0
+assert gc.get_freeze_count() == frozen, (frozen, gc.get_freeze_count())
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                            capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
 
 
 def test_commands_never_import_the_dense_oracle(tmp_path):

@@ -1,5 +1,7 @@
-"""The batched one-magnon engine against the dense 2^n oracle."""
+"""The batched one-magnon engine against the dense 2^n oracle, and its
+array kernel against the per-step kernel it replaced."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -77,17 +79,81 @@ def chains(draw):
 )
 def test_trotter_plans_match_dense_oracle(spec, t, steps, build, mode, v, include_fields, seed):
     # two rows with their own durations, seeds and error strengths
-    plans = [build(spec, t, steps, mode), build(spec, 0.5 * t, steps, mode)]
+    plan = build(spec, [t, 0.5 * t], steps, mode)
     seeds = [(seed, 0), (seed, 1)]
     strengths = [] if v is None else [v, 0.5 * v]
     c = sector.singlet_head(2, spec.n)
     noise = None if v is None else GateNoise(seeds, strengths, include_fields)
-    sector.evolve(c, plans, noise)
+    sector.evolve(c, plan, noise)
     for row in range(2):
         state = prepare_singlet_head(spec.n)
         model = None if v is None else NoiseModel(strengths[row], include_fields)
-        execute_plan(plans[row], state, model, make_rng(seeds[row]))
+        execute_plan(plan, state, model, make_rng(seeds[row]), row=row)
         assert phase_aligned_gap(state.amplitudes, c[row]) <= TOL
+
+
+def per_step_evolve(c, plan, noise=None):
+    """The kernel `sector.evolve` replaced, kept as its reference: per
+    step and per layer, gather the layer's amplitudes by index arrays,
+    draw its errors, take one exp and scatter the result back."""
+    rows, n = c.shape
+    sites = np.arange(n)
+    column = 0
+    ops = []
+    for layer in plan.layers:
+        left = sites[layer.left]
+        right = None if layer.right is None else sites[layer.right]
+        angles = plan.angles[:, column:column + layer.width]
+        column += layer.width
+        noisy = noise is not None and (right is not None or noise.include_fields)
+        ops.append((left, right, angles, noisy))
+    for _ in range(plan.steps):
+        for left, right, angles, noisy in ops:
+            if noisy:
+                angles = angles * (1.0 + noise.take(len(left)))
+            phase = np.exp((1j if right is not None else 2j) * angles)
+            if right is None:
+                c[:, left] *= phase
+            else:
+                ci, cj = c[:, left], c[:, right]
+                sym = 0.5 * (ci + cj)
+                anti = 0.5 * (ci - cj) * phase
+                c[:, left] = sym + anti
+                c[:, right] = sym - anti
+    return c
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    spec=chains(),
+    t=st.floats(min_value=0.0, max_value=1.5),
+    steps=st.integers(min_value=1, max_value=5),
+    build=st.sampled_from([second_order_plan, three_term_plan]),
+    mode=st.sampled_from([MODE_DIRECT, MODE_SIMULATED_FM]),
+    shared=st.booleans(),
+    noise_kind=st.sampled_from(["off", "on", "fields"]),
+    draw_bytes=st.sampled_from([sector.DRAW_BYTES, 1]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_array_kernel_equals_per_step_kernel_bit_for_bit(
+    spec, t, steps, build, mode, shared, noise_kind, draw_bytes, seed
+):
+    # chains with zero bonds or fields lay some layers out as index
+    # arrays, the others as slices; three rows share one angle row or
+    # run their own times
+    plan = build(spec, [t] if shared else [t, 0.5 * t, 0.0], steps, mode)
+    rng = np.random.default_rng(seed)
+    start = rng.normal(size=(3, spec.n)) + 1j * rng.normal(size=(3, spec.n))
+    start /= np.linalg.norm(start, axis=1, keepdims=True)
+
+    def noise():
+        if noise_kind == "off":
+            return None
+        return GateNoise([(seed, k) for k in range(3)], [0.1, 0.02, 0.0], noise_kind == "fields")
+
+    with mock.patch.object(sector, "DRAW_BYTES", draw_bytes):
+        fast = sector.evolve(start.copy(), plan, noise())
+    assert np.array_equal(fast, per_step_evolve(start.copy(), plan, noise()))
 
 
 @settings(max_examples=30, deadline=None)
@@ -125,7 +191,7 @@ def test_draws_chunked_over_steps_give_the_same_states(monkeypatch):
     def final(draw_bytes):
         monkeypatch.setattr(sector, "DRAW_BYTES", draw_bytes)
         c = sector.singlet_head(3, 6)
-        return sector.evolve(c, [plan], GateNoise(seeds, [0.01, 0.02, 0.03], True))
+        return sector.evolve(c, plan, GateNoise(seeds, [0.01, 0.02, 0.03], True))
 
     assert np.array_equal(final(sector.DRAW_BYTES), final(1))
 
@@ -134,9 +200,11 @@ def test_mismatched_plans_rejected():
     spec = uniform_echo_chain(5, 1.0)
     c = sector.singlet_head(2, 5)
     with pytest.raises(ValueError):
-        sector.evolve(c, [second_order_plan(spec, 1.0, 2), second_order_plan(spec, 1.0, 3)])
+        sector.evolve(c, second_order_plan(spec, [1.0, 0.5, 0.2], 2))
     with pytest.raises(ValueError):
-        sector.evolve(c, [second_order_plan(spec, 1.0, 2)], GateNoise([1], [0.1]))
+        sector.evolve(c, second_order_plan(spec, 1.0, 2), GateNoise([1], [0.1]))
+    with pytest.raises(ValueError):
+        sector.evolve(c, second_order_plan(uniform_echo_chain(4, 1.0), 1.0, 2))
 
 
 def test_norm_drift_is_caught():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from echochain.chain import transfer_chain, uniform_echo_chain
+from echochain.chain import ChainSpec, transfer_chain, uniform_echo_chain
 from echochain.noise import NoiseModel, make_rng
 from echochain.statevec import (
     StateVector,
@@ -17,11 +17,23 @@ from echochain.statevec import (
 from echochain.trotter import (
     MODE_DIRECT,
     MODE_SIMULATED_FM,
-    ExchangeLayer,
-    FieldLayer,
+    Layer,
     second_order_plan,
     three_term_plan,
 )
+
+
+def gates(plan, row=0):
+    """Each layer of one step as [(sites, angle)], 1-based: (i, j) for a
+    bond, i for a field site."""
+    sites = np.arange(1, plan.num_sites + 1)
+    angles = iter(plan.angles[row].tolist())
+    layers = []
+    for layer in plan.layers:
+        left = sites[layer.left].tolist()
+        keys = left if layer.right is None else list(zip(left, sites[layer.right].tolist()))
+        layers.append([(key, next(angles)) for key in keys])
+    return layers
 
 
 def phase_aligned_error(a: StateVector, b: StateVector) -> float:
@@ -33,16 +45,15 @@ class TestSecondOrderPlanStructure:
     def test_three_site_echo_chain_direct(self):
         plan = second_order_plan(uniform_echo_chain(3, 1.0), 1.0, 1, MODE_DIRECT)
         assert plan.steps == 1
-        odd_half, even_full, odd_half2 = plan.layers
-        assert odd_half.gates == [] and odd_half2.gates == []
-        assert even_full.gates == [((2, 3), pytest.approx(1.0))]
+        # the odd halves hold no bond, so the step is the even layer alone
+        assert gates(plan) == [[((2, 3), pytest.approx(1.0))]]
 
     def test_simulated_fm_angles_are_wrap_complements(self):
         plan = second_order_plan(uniform_echo_chain(4, 1.0), math.pi, 2, MODE_SIMULATED_FM)
         tau = math.pi / 2
-        odd_half, even_full, _ = plan.layers
-        assert even_full.gates == [((2, 3), pytest.approx(2 * math.pi - tau))]
-        assert odd_half.gates == [((3, 4), pytest.approx(2 * math.pi - tau / 2))]
+        odd_half, even_full, odd_half2 = gates(plan)
+        assert even_full == [((2, 3), pytest.approx(2 * math.pi - tau))]
+        assert odd_half == odd_half2 == [((3, 4), pytest.approx(2 * math.pi - tau / 2))]
 
     def test_zero_time_direct_plan_is_identity(self):
         spec = uniform_echo_chain(5, 1.0)
@@ -57,31 +68,70 @@ class TestSecondOrderPlanStructure:
             second_order_plan(uniform_echo_chain(4, 1.0), 4 * math.pi, 1, MODE_SIMULATED_FM)
 
 
+class TestPlanArrays:
+    def test_both_modes_check_the_batch_longest_time(self):
+        # one step's even layer takes the whole slice: 2*pi at j = 1
+        spec = uniform_echo_chain(4, 1.0)
+        for mode in (MODE_DIRECT, MODE_SIMULATED_FM):
+            assert second_order_plan(spec, [0.0, 2 * math.pi], 1, mode).angles.shape == (2, 3)
+            with pytest.raises(ValueError, match="wrap budget"):
+                second_order_plan(spec, [0.0, 2 * math.pi + 1e-6, 1.0], 1, mode)
+
+    def test_one_angle_row_per_time(self):
+        spec = uniform_echo_chain(6, 1.0)
+        times = [0.0, 0.7, 2.5]
+        for mode in (MODE_DIRECT, MODE_SIMULATED_FM):
+            batch = second_order_plan(spec, times, 3, mode)
+            for row, t in enumerate(times):
+                alone = second_order_plan(spec, t, 3, mode)
+                assert np.array_equal(batch.angles[row], alone.angles[0])
+                assert gates(batch, row) == gates(alone)
+
+    def test_evenly_spaced_sites_are_slices(self):
+        plan = three_term_plan(transfer_chain(7), 0.5, 1)
+        assert all(isinstance(layer.left, slice) for layer in plan.layers)
+        # the echo chain's odd bonds start at site 3: (3, 4), (5, 6)
+        odd = second_order_plan(uniform_echo_chain(6, 1.0), 0.5, 1).layers[0]
+        assert (odd.left, odd.right) == (slice(2, 5, 2), slice(3, 6, 2))
+
+    def test_unevenly_spaced_sites_are_index_arrays(self):
+        # odd bonds (1, 2), (3, 4), (7, 8): (5, 6) is off; field on 2, 3 and 5
+        spec = ChainSpec(n=8, couplings=[1, 1, 1, 1, 0, 1, 1],
+                         fields=[0, 1, 1, 0, 1, 0, 0, 0])
+        plan = three_term_plan(spec, 0.5, 1)
+        odd, even, field = plan.layers[:3]
+        assert np.array_equal(odd.left, [0, 2, 6]) and np.array_equal(odd.right, [1, 3, 7])
+        assert (even.left, even.right) == (slice(1, 6, 2), slice(2, 7, 2))
+        assert np.array_equal(field.left, [1, 2, 4]) and field.right is None
+        assert [g[0] for g in gates(plan)[0]] == [(1, 2), (3, 4), (7, 8)]
+        assert odd.width == 3 and field.width == 3
+
+
 class TestThreeTermPlanStructure:
     def test_two_site_transfer_layer_shapes(self):
         plan = three_term_plan(transfer_chain(2), 0.4, 1, MODE_DIRECT)
-        kinds = [type(layer) for layer in plan.layers]
-        assert kinds == [ExchangeLayer, ExchangeLayer, FieldLayer, ExchangeLayer, ExchangeLayer]
-        assert plan.layers[0].gates != [] and plan.layers[1].gates == []
+        # no even bond: odd half, field, odd half
+        assert [layer.right is None for layer in plan.layers] == [False, True, False]
+        assert [len(layer) for layer in gates(plan)] == [1, 2, 1]
 
     def test_transfer_five_direct_angles(self):
         plan = three_term_plan(transfer_chain(5), math.pi / 2, 10, MODE_DIRECT)
         tau = math.pi / 20
-        odd_half = plan.layers[0]
+        odd_half = gates(plan)[0]
         # ferromagnetic chain: direct angles carry the negative sign
         expected = {(1, 2): -2 * 2.0 * tau / 2, (3, 4): -2 * math.sqrt(6) * tau / 2}
-        assert dict(odd_half.gates) == pytest.approx(expected)
+        assert dict(odd_half) == pytest.approx(expected)
         assert 5 * plan.steps == 50
 
     def test_field_layer_phases(self):
         plan = three_term_plan(transfer_chain(3), 0.3, 1, MODE_DIRECT)
-        field = plan.layers[2]
+        field = gates(plan)[2]
         expected = {
             1: math.sqrt(2) / 2 * 0.3,
             2: math.sqrt(2) * 0.3,
             3: math.sqrt(2) / 2 * 0.3,
         }
-        assert dict(field.phases) == pytest.approx(expected)
+        assert dict(field) == pytest.approx(expected)
 
     def test_zero_time_is_identity(self):
         state = prepare_singlet_head(4)
@@ -130,13 +180,17 @@ class TestExecution:
         plan = three_term_plan(spec, 0.8, 2, MODE_DIRECT)
         state_a = prepare_singlet_head(6)
         execute_plan(plan, state_a)
+        # every layer's gates in reverse order
+        sites = np.arange(6)
+        layers, columns, column = [], [], 0
         for layer in plan.layers:
-            if isinstance(layer, ExchangeLayer):
-                layer.gates.reverse()
-            else:
-                layer.phases.reverse()
+            right = None if layer.right is None else sites[layer.right][::-1]
+            layers.append(Layer(sites[layer.left][::-1], right, layer.width))
+            columns.append(plan.angles[:, column:column + layer.width][:, ::-1])
+            column += layer.width
+        reversed_plan = replace(plan, layers=tuple(layers), angles=np.concatenate(columns, axis=1))
         state_b = prepare_singlet_head(6)
-        execute_plan(plan, state_b)
+        execute_plan(reversed_plan, state_b)
         assert np.max(np.abs(state_a.amplitudes - state_b.amplitudes)) < 1e-12
 
     def test_norm_and_sz_conserved_with_noise(self):
