@@ -21,7 +21,6 @@ from .gates import (
     EPS_TRIPLET,
     SINGLET,
     afm_duration_for_fm,
-    field_phase,
     wrap_period,
 )
 from .meanfield import IntegratorConfig, meanfield_echo_curve

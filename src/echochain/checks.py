@@ -97,15 +97,14 @@ def check_sector_vs_dense(max_n: int = 8, seed: int = 0) -> CheckResult:
     )
 
 
-def check_exchange_closed_form(inject_theta_sign_bug: bool = False) -> CheckResult:
+def check_exchange_closed_form() -> CheckResult:
     """Closed-form exchange gate vs the eigendecomposition oracle."""
     thetas = np.concatenate(
         [np.linspace(-4 * math.pi, 4 * math.pi, 41), [0.1, math.pi / 3, 2 * math.pi]]
     )
     worst = 0.0
     for theta in thetas:
-        probe = -theta if inject_theta_sign_bug else theta
-        dev = float(np.max(np.abs(exchange_unitary(probe) - exchange_unitary_reference(theta))))
+        dev = float(np.max(np.abs(exchange_unitary(theta) - exchange_unitary_reference(theta))))
         worst = max(worst, dev)
     return CheckResult(
         name="exchange-closed-form",
@@ -204,11 +203,10 @@ def run_all_checks(
     trotter_steps: tuple[int, ...] = (8, 16, 32),
     samples: int = 1000,
     seed: int = 0,
-    inject_theta_sign_bug: bool = False,
 ) -> list[CheckResult]:
     scaling_n = min(6, max_n)
     return [
-        check_exchange_closed_form(inject_theta_sign_bug),
+        check_exchange_closed_form(),
         check_two_spin_equivalence(samples=samples, seed=seed),
         check_trotter_scaling(n=scaling_n, steps=trotter_steps),
         check_conservation(n=min(8, max_n)),

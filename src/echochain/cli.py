@@ -16,6 +16,7 @@ values and the dispatch to each command's runner all read it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import gc
 import json
 import math
@@ -26,8 +27,7 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from . import svgplot
-from .echo import EchoConfig, max_leg_duration
-from .gates import fits_wrap_period
+from .echo import EchoConfig
 from .meanfield import SCHEDULE_MIRRORED, SCHEDULES, IntegratorConfig, meanfield_echo_curve
 from .noise import NoiseModel, TrialStats, default_v_grid, fidelity_curve, slope_vs_n
 from .transfer import ENGINE_EXACT, ENGINES, TransferConfig
@@ -112,7 +112,19 @@ def _merge_options(command: str, args: argparse.Namespace) -> SimpleNamespace:
     return SimpleNamespace(**merged)
 
 
-def _meanfield_integrator(opts: SimpleNamespace, mf_steps: int) -> IntegratorConfig:
+def _replace(config: EchoConfig | TransferConfig, flag: str, **changes):
+    """`config` rebuilt with `changes`, which `flag` set; the config
+    checks them, so a value past its budget is a usage error naming the
+    flag."""
+    try:
+        return dataclasses.replace(config, **changes)
+    except ValueError as exc:
+        raise UsageError(f"{flag}: {exc}") from exc
+
+
+def _meanfield_integrator(
+    opts: SimpleNamespace, config: EchoConfig, mf_steps: int
+) -> IntegratorConfig:
     """The mean-field integrator, once every mean-field option is known
     to run."""
     try:
@@ -120,17 +132,11 @@ def _meanfield_integrator(opts: SimpleNamespace, mf_steps: int) -> IntegratorCon
     except ValueError as exc:
         raise UsageError(f"--dt: {exc}") from exc
     if mf_steps < 1:
-        raise UsageError(f"need at least one mean-field step, got {mf_steps}")
-    # the mirrored pulse train fits each step's slice into one wrap
-    # period, as the quantum forward leg does
-    if opts.schedule == SCHEDULE_MIRRORED and not fits_wrap_period(
-        opts.t_max / mf_steps, opts.j
-    ):
-        longest = max_leg_duration(opts.j, mf_steps)
-        raise UsageError(
-            f"with the mirrored-pulse schedule --t-max must lie in [0, {longest!r}] "
-            f"(mf_steps * 2*pi / j), got {opts.t_max}"
-        )
+        raise UsageError(f"--mf-steps: need at least one mean-field step, got {mf_steps}")
+    # the mirrored pulse train is the echo's forward leg at mf_steps,
+    # so it has that leg's wrap budget
+    if opts.schedule == SCHEDULE_MIRRORED:
+        _replace(config, "--t-max with the mirrored-pulse schedule", n_steps=mf_steps)
     return integrator
 
 
@@ -150,16 +156,10 @@ def cmd_echo(opts: SimpleNamespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # The simulated ferromagnet fits each step's slice into one wrap
-    # period, checked as the plan builder checks it.
-    if not fits_wrap_period(opts.t_max / opts.steps, opts.j):
-        longest = max_leg_duration(opts.j, opts.steps)
-        raise UsageError(
-            f"--t-max must lie in [0, {longest!r}] (steps * 2*pi / j), got {opts.t_max}"
-        )
+    config = _replace(config, "--t-max", t=opts.t_max)
     mf_steps = opts.mf_steps if opts.mf_steps is not None else opts.steps
     if opts.with_meanfield:
-        integrator = _meanfield_integrator(opts, mf_steps)
+        integrator = _meanfield_integrator(opts, config, mf_steps)
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
     quantum = fidelity_curve(config, grid)
     header = [
@@ -201,8 +201,6 @@ def cmd_echo(opts: SimpleNamespace) -> int:
 def cmd_transfer(opts: SimpleNamespace) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
-    if not (math.isfinite(opts.t_max) and opts.t_max >= 0):
-        raise UsageError(f"--t-max must be finite and >= 0, got {opts.t_max}")
     try:
         noise = NoiseModel(v=opts.noise_v)
         config = TransferConfig(
@@ -215,12 +213,7 @@ def cmd_transfer(opts: SimpleNamespace) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    # a trotter engine's plan checks its wrap budget once per batch
-    if opts.engine != ENGINE_EXACT:
-        try:
-            config.plan([opts.t_max])
-        except ValueError as exc:
-            raise UsageError(f"--t-max: {exc}") from exc
+    config = _replace(config, "--t-max", t=opts.t_max)
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
     curve = fidelity_curve(config, grid)
     header = ["n", "t", "steps", "engine", "v", "seed", "f_tr", "i_tr"]
@@ -265,13 +258,14 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
         if opts.protocol == "echo":
             # an echo sweep without --steps runs 4 Trotter steps per leg
             steps = 4 if opts.steps is None else opts.steps
-            configs = [EchoConfig(n=n, t=opts.t, n_steps=steps) for n in ns]
+            configs = [EchoConfig(n=n, t=0.0, n_steps=steps) for n in ns]
         else:
             configs = [
-                TransferConfig(n=n, t=opts.t, n_steps=opts.steps, engine=opts.engine) for n in ns
+                TransferConfig(n=n, t=0.0, n_steps=opts.steps, engine=opts.engine) for n in ns
             ]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    configs = [_replace(config, "--t", t=opts.t) for config in configs]
 
     trial_rows: list[list] = []
 
@@ -339,8 +333,8 @@ def cmd_oracle_check(opts: SimpleNamespace) -> int:
         steps = tuple(int(s) for s in str(opts.trotter_steps).split(","))
     except ValueError as exc:
         raise UsageError(f"bad --trotter-steps '{opts.trotter_steps}'") from exc
-    if opts.max_n < 2:
-        raise UsageError("--max-n must be at least 2")
+    if opts.max_n < 3:
+        raise UsageError("--max-n must be at least 3")
     if min(steps) < 1:
         raise UsageError(f"--trotter-steps must all be at least 1, got {opts.trotter_steps}")
     if opts.samples < 1:
@@ -350,7 +344,6 @@ def cmd_oracle_check(opts: SimpleNamespace) -> int:
         trotter_steps=steps,
         samples=opts.samples,
         seed=opts.seed,
-        inject_theta_sign_bug=bool(opts.inject_theta_sign_bug),
     )
     for result in results:
         status = "true" if result.passed else "false"
@@ -417,8 +410,6 @@ COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], list[Option]]] 
         Option("trotter_steps", str, "8,16,32"),
         Option("samples", int, 1000),
         Option("seed", int, 0),
-        Option("inject_theta_sign_bug", bool, False,
-               help="testing fixture: flip the gate sign to prove the harness catches it"),
     ]),
 }
 

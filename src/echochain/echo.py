@@ -21,7 +21,6 @@ import numpy as np
 
 from . import sector
 from .chain import uniform_echo_chain
-from .gates import fits_wrap_period
 from .noise import GateNoise, NoiseModel, Seed
 from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, second_order_plan
 
@@ -47,14 +46,12 @@ class EchoConfig:
             raise ValueError(f"need at least one step, got {self.n_steps}")
         if not (math.isfinite(self.j) and self.j > 0):
             raise ValueError(f"coupling must be finite and positive, got {self.j}")
-        # the simulated ferromagnet fits each step's slice into one wrap period
-        if not fits_wrap_period(self.t / self.n_steps, self.j):
-            raise ValueError(
-                f"leg duration must lie in [0, {max_leg_duration(self.j, self.n_steps)!r}] "
-                f"(n_steps * 2*pi / j), got {self.t}"
-            )
         if self.backward_mode not in (BACKWARD_TROTTERIZED, BACKWARD_EXACT):
             raise ValueError(f"unknown backward mode '{self.backward_mode}'")
+        # t is the longest time this config runs; the simulated
+        # ferromagnet's plan raises past its wrap budget
+        second_order_plan(uniform_echo_chain(self.n, self.j), [self.t], self.n_steps,
+                          MODE_SIMULATED_FM)
 
     @property
     def steps(self) -> int:
@@ -75,8 +72,3 @@ class EchoConfig:
             c = sector.exact_evolve(spec, c, times)
         sector.check_norm(c)
         return c
-
-
-def max_leg_duration(j: float, n_steps: int) -> float:
-    """Largest t whose per-step slice fits in one wrap period."""
-    return n_steps * 2.0 * math.pi / j

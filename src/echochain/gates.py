@@ -58,10 +58,3 @@ def afm_duration_for_fm(t: float, j_afm: float, j_fm: float) -> float:
         )
     return max((j_fm / j_afm) * (period - t), 0.0)
 
-
-def field_phase(b, tau):
-    """Accumulated phase b*tau of exp(-i b tau sigma^z), elementwise
-    on arrays."""
-    if np.any(np.asarray(tau) < 0):
-        raise ValueError(f"duration must be nonnegative, got {tau}")
-    return b * tau

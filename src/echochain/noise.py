@@ -210,12 +210,14 @@ def fidelity_curve(
 ) -> list[tuple[float, float]]:
     """One run of `config` per grid point, all in one batch, scored by
     the singlet fidelity of its pair; point k draws its gate errors from
-    the sub-seed (config.seed, k)."""
+    the sub-seed (config.seed, k).  Every point lies in [0, config.t],
+    the times the config checked when it was built."""
     times = [float(t) for t in t_grid]
     if not times:
         return []
-    if not all(t >= 0 for t in times):
-        raise ValueError(f"evolution time must be nonnegative, got {min(times)}")
+    outside = [t for t in times if not 0 <= t <= config.t]
+    if outside:
+        raise ValueError(f"evolution time must lie in [0, {config.t!r}], got {outside[0]!r}")
     seeds = [child_seed(config.seed, k) for k in range(len(times))]
     c = config.final_states(times, model_noise(config.noise, seeds))
     return list(zip(times, sector.singlet_fidelity(c, *config.pair).tolist()))

@@ -76,8 +76,12 @@ class TransferConfig:
             raise ValueError(f"need at least one step, got {self.n_steps}")
         if self.engine == ENGINE_EXACT and self.noise is not None and self.noise.v > 0:
             raise ValueError("the exact engine is noise-free; use a trotter engine")
-        if self.engine != ENGINE_EXACT:
-            self.plan([self.t])  # raises past the wrap budget
+        # t is the longest time this config runs: a trotter engine's plan
+        # raises past its wrap budget, the exact engine where t*w overflows
+        if self.engine == ENGINE_EXACT:
+            sector.exact_evolve(transfer_chain(self.n), sector.singlet_head(1, self.n), self.t)
+        else:
+            self.plan([self.t])
 
     @property
     def steps(self) -> int:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import SIGN_AFM, ChainSpec, partition_odd_even
-from .gates import DELTA_EPS, field_phase, fits_wrap_period, wrap_period
+from .gates import DELTA_EPS, fits_wrap_period, wrap_period
 
 MODE_DIRECT = "direct"
 MODE_SIMULATED_FM = "simulated-fm"
@@ -115,7 +115,7 @@ def _plan(spec: ChainSpec, times, n_steps: int, mode: str, split) -> TrotterPlan
         span = tau / 2 if divisor == 2 else tau
         if group == "field":
             layers.append(Layer(_sites(index), None, len(index)))
-            columns.append(field_phase(g, span))
+            columns.append(g * span)
             continue
         if mode == MODE_DIRECT:
             theta = sign * g * span

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from echochain import cli
+from echochain import checks, cli
 from echochain.cli import main
 from echochain.chain import transfer_chain
 
@@ -188,9 +188,11 @@ class TestOracleCheck:
         assert "overall=pass" in out
         assert "check=exchange-closed-form pass=true" in out
 
-    def test_injected_bug_is_caught(self, capsys):
+    def test_injected_bug_is_caught(self, capsys, monkeypatch):
+        gate = checks.exchange_unitary
+        monkeypatch.setattr(checks, "exchange_unitary", lambda theta: gate(-theta))
         code = main(["oracle-check", "--max-n", "5", "--samples", "50",
-                     "--trotter-steps", "8,16", "--inject-theta-sign-bug"])
+                     "--trotter-steps", "8,16"])
         out = capsys.readouterr().out
         assert code == 1
         assert "check=exchange-closed-form pass=false" in out
@@ -213,17 +215,8 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     # an unwritable output surfaces as a runtime failure, not a crash
     assert main(["echo", "--n", "4", "--t-max", "1", "--points", "2",
                  "--steps", "1", "--out", str(tmp_path / "absent" / "x.csv")]) == 1
-    capsys.readouterr()
-    # t * w overflows in exact evolution: one error line, no numpy warning
-    out = tmp_path / "x.csv"
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        assert main(["transfer", "--engine", "exact", "--n", "6", "--t-max", "1e308",
-                     "--points", "3", "--out", str(out)]) == 1
-    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
     err = capsys.readouterr().err
     assert err.startswith("runtime failure:") and err.count("\n") == 1
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("t_max", ["7", str(4 * math.pi), "-1"])
@@ -245,6 +238,8 @@ def simfm_budget(n: int, steps: int) -> float:
 @pytest.mark.parametrize("flags", [
     ["--t-max", "1e308"],
     ["--steps", "1", "--t-max", repr(simfm_budget(5, 1) * (1 + 1e-9))],
+    # the exact engine's budget: every phase t*w finite
+    ["--engine", "exact", "--t-max", "1e308"],
 ])
 def test_simfm_transfer_t_max_outside_wrap_budget_is_usage_error(tmp_path, capsys, flags):
     assert main(["transfer", "--engine", "trotter-simfm", "--n", "5", "--points", "2",
@@ -295,7 +290,7 @@ def test_bad_meanfield_options_are_usage_errors(tmp_path, capsys, monkeypatch, f
     out = tmp_path / "x.csv"
     assert main(["echo", "--n", "4", "--points", "3", "--t-max", "1", "--with-meanfield",
                  *flags, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err.startswith(f"error: {flags[0]}")
     assert not out.exists()
 
 
@@ -384,6 +379,12 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
       "--points", "2"], "transfer_fidelity_curve"),
     (["robustness", "--protocol", "transfer", "--engine", "trotter-simfm", "--n", "5",
       "--t", "1e308", "--trials", "1"], "slope_vs_n"),
+    # the exact engine's phases t*w must stay finite
+    (["transfer", "--engine", "exact", "--n", "6", "--t-max", "1e308", "--points", "3"],
+     "transfer_fidelity_curve"),
+    (["robustness", "--n", "5", "--t", "1e308", "--trials", "1"], "slope_vs_n"),
+    # the echo checks need at least 3 sites
+    (["oracle-check", "--max-n", "2"], "run_all_checks"),
 ])
 def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
                                                       args, work):
@@ -393,9 +394,11 @@ def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypa
     # both protocols' curves run through cli.fidelity_curve
     monkeypatch.setattr(cli, work.removeprefix("echo_").removeprefix("transfer_"), no_work)
     monkeypatch.chdir(tmp_path)
-    assert main(args) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(args) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 

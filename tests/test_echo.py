@@ -3,12 +3,7 @@ import math
 import pytest
 
 from echochain.checks import dense_echo_state
-from echochain.echo import (
-    BACKWARD_EXACT,
-    BACKWARD_TROTTERIZED,
-    EchoConfig,
-    max_leg_duration,
-)
+from echochain.echo import BACKWARD_EXACT, BACKWARD_TROTTERIZED, EchoConfig
 from echochain.noise import NoiseModel, fidelity, fidelity_curve
 from echochain.statevec import prepare_singlet_head, total_sz
 
@@ -64,21 +59,26 @@ class TestCurve:
         assert curve == [(0.0, pytest.approx(1.0))]
 
     def test_noise_free_grid_is_flat_at_one(self):
-        curve = fidelity_curve(
-            EchoConfig(n=5, t=0.0, n_steps=4), [0.5, 1.0, 1.5]
-        )
+        grid = [0.5, 1.0, 1.5]
+        curve = fidelity_curve(EchoConfig(n=5, t=max(grid), n_steps=4), grid)
         for _, fidelity in curve:
             assert abs(fidelity - 1.0) < 1e-9
 
     def test_noisy_grid_is_deterministic_and_below_one(self):
-        config = EchoConfig(
-            n=6, t=0.0, n_steps=4, noise=NoiseModel(v=0.05), seed=17
-        )
         grid = [0.5, 1.5, 2.5]
+        config = EchoConfig(
+            n=6, t=max(grid), n_steps=4, noise=NoiseModel(v=0.05), seed=17
+        )
         first = fidelity_curve(config, grid)
         second = fidelity_curve(config, grid)
         assert first == second
         assert all(f < 1.0 for _, f in first)
+
+    @pytest.mark.parametrize("grid", [[0.5, 1.5, 1.5 + 1e-9], [0.5, math.nan]])
+    def test_grid_past_the_config_time_rejected(self, grid):
+        # the config checked its budget only up to its own t
+        with pytest.raises(ValueError, match="must lie in"):
+            fidelity_curve(EchoConfig(n=5, t=1.5, n_steps=4), grid)
 
 
 def test_config_validation():
@@ -99,7 +99,6 @@ def test_config_validation():
 
 
 def test_wrap_period_budget():
-    assert max_leg_duration(1.0, 4) == pytest.approx(8 * math.pi)
     # a leg just past the budget is rejected when the config is built,
     # and a leg at the budget is accepted
     with pytest.raises(ValueError):

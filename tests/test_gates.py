@@ -11,7 +11,6 @@ from echochain.gates import (
     EPS_TRIPLET,
     SINGLET,
     afm_duration_for_fm,
-    field_phase,
     wrap_period,
 )
 from echochain.statevec import (
@@ -118,16 +117,3 @@ def test_pulse_equivalence_up_to_global_phase(seed, j_afm, j_fm, fraction):
     w, v = np.linalg.eigh(heisenberg_pair_coupling())
     ferromagnetic = (v * np.exp(1j * j_fm * t * w)) @ v.conj().T @ psi
     assert abs(abs(np.vdot(pulsed, ferromagnetic)) - 1.0) < 1e-10
-
-
-class TestFieldPhase:
-    def test_zero_field(self):
-        assert field_phase(0.0, 7.3) == 0.0
-
-    def test_product(self):
-        assert field_phase(0.5, math.pi) == pytest.approx(math.pi / 2)
-        assert field_phase(math.sqrt(2), 0.1) == pytest.approx(0.1 * math.sqrt(2))
-
-    def test_rejects_negative_duration(self):
-        with pytest.raises(ValueError):
-            field_phase(1.0, -0.1)

@@ -1,6 +1,7 @@
 """The batched one-magnon engine against the dense 2^n oracle, and its
 array kernel against the per-step kernel it replaced."""
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -165,6 +166,14 @@ def test_exact_evolution_matches_dense_oracle(spec, t):
     assert np.max(np.abs(dense - embed(c[0]))) <= TOL
 
 
+def test_overflowing_phase_is_one_error_without_warnings():
+    spec = transfer_chain(6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflows"):
+            sector.exact_evolve(spec, sector.singlet_head(1, 6), [1.0, 1e308])
+
+
 def test_exact_evolution_takes_one_time_per_row():
     spec = transfer_chain(7)
     times = np.array([0.0, 0.4, math.pi / 2])
@@ -241,11 +250,11 @@ def test_conservation_check_reads_sz_from_the_dense_replay(monkeypatch):
 
 def test_curves_match_dense_point_by_point():
     grid = [0.0, 0.7, 1.9]
-    echo = EchoConfig(n=6, t=0.0, n_steps=2, noise=NoiseModel(v=0.05), seed=3)
+    echo = EchoConfig(n=6, t=max(grid), n_steps=2, noise=NoiseModel(v=0.05), seed=3)
     for k, (t, f) in enumerate(fidelity_curve(echo, grid)):
         point = EchoConfig(n=6, t=t, n_steps=2, noise=echo.noise, seed=child_seed(3, k))
         assert abs(f - dense_echo_fidelity(point)) <= TOL
-    transfer = TransferConfig(n=5, t=0.0, n_steps=8, engine="trotter-simfm",
+    transfer = TransferConfig(n=5, t=max(grid), n_steps=8, engine="trotter-simfm",
                               noise=NoiseModel(v=0.05), seed=3)
     for k, (t, f) in enumerate(fidelity_curve(transfer, grid)):
         point = TransferConfig(n=5, t=t, n_steps=8, engine="trotter-simfm",

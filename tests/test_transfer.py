@@ -126,6 +126,9 @@ def test_config_validation():
         TransferConfig(n=4, engine="sideways")
     with pytest.raises(ValueError):
         TransferConfig(n=4, n_steps=0)
+    # the exact engine's phases t*w must stay finite
+    with pytest.raises(ValueError, match="overflows"):
+        TransferConfig(n=5, t=1e308)
     # either trotter engine fits each half step into one wrap period
     for engine in (ENGINE_TROTTER_DIRECT, "trotter-simfm"):
         with pytest.raises(ValueError, match="wrap budget"):
