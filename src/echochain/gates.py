@@ -29,7 +29,10 @@ def wrap_period(j_fm: float) -> float:
     global phase: 2*pi / (j_fm |delta eps|)."""
     if j_fm <= 0:
         raise ValueError(f"coupling must be positive, got {j_fm}")
-    return 2.0 * math.pi / (j_fm * abs(DELTA_EPS))
+    period = 2.0 * math.pi / (float(j_fm) * abs(DELTA_EPS))
+    if not math.isfinite(period):
+        raise ValueError(f"coupling {j_fm!r} is too weak: its wrap period overflows")
+    return period
 
 
 def fits_wrap_period(t: float, j_fm: float) -> bool:

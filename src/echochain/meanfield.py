@@ -13,10 +13,10 @@ neither has any later spin.  A z field only turns phases, so p00, p11
 and every down amplitude start at 0.0 and stay exactly 0.0 in floating
 point as well: each of their updates multiplies or adds exact zeros.
 The integrator therefore advances only the n amplitudes that can be
-nonzero, as a (rows, n) complex array c:
+nonzero, as a site-major (n, rows) complex array c:
 
-  c[:, 0]  p01 of the head pair     c[:, 1]  p10 of the head pair
-  c[:, k]  site k+1's up amplitude, k >= 2
+  c[0]  p01 of the head pair     c[1]  p10 of the head pair
+  c[k]  site k+1's up amplitude, k >= 2
 
 On each of them it makes the floating-point operations the general
 (n, 2)-spinor integrator makes, in the same order, and drops only the
@@ -24,8 +24,12 @@ terms that are exact zeros (x + 0 is x), so every bit is the same; the
 tests keep the general integrator as the oracle that checks this.  A
 curve is one batched pass: every grid point is a row, and one RK4
 kernel advances all rows, each with its own drive segments and step
-size.  Each point comes back as a plain (singlet revival, final slots)
-pair, with the slots expanded back to (n, 2) spinors.
+size.  With a few rows each step costs numpy call overhead, not
+arithmetic, so the kernel writes every result into a buffer made once
+per epoch and pairs operands of one shape: each site's row block is
+contiguous, and a step size is stored at full shape, not broadcast.
+Each point comes back as a plain (singlet revival, final slots) pair,
+with the slots expanded back to (n, 2) spinors.
 
 Two drive schedules are implemented because a literal +-H mean-field
 echo provably self-cancels for this initial state (every field stays
@@ -75,90 +79,137 @@ def _initial_amplitudes(n: int) -> np.ndarray:
 
 
 def _slots(c: np.ndarray) -> np.ndarray:
-    """Amplitudes (rows, n) as slot arrays (rows, n, 2): slots 0 and 1
-    are the head pair's rows (p00, p01) and (p10, p11), and slot k >= 2
-    is site k+1's spinor (up, down).  Every other entry is 0."""
-    slots = np.zeros(c.shape + (2,), dtype=complex)
-    slots[:, 0, 1] = c[:, 0]
-    slots[:, 1:, 0] = c[:, 1:]
+    """Site-major amplitudes (n, rows) as slot arrays (rows, n, 2):
+    slots 0 and 1 are the head pair's rows (p00, p01) and (p10, p11),
+    and slot k >= 2 is site k+1's spinor (up, down).  Every other entry
+    is 0."""
+    slots = np.zeros(c.shape[::-1] + (2,), dtype=complex)
+    slots[:, 0, 1] = c[0]
+    slots[:, 1:, 0] = c[1:].T
     return slots
 
 
 class _Epoch:
     """What stays fixed while a batch of rows advances through one
     epoch: the couplings of each site to its right and left neighbor,
-    the step columns, and the work arrays of `_derivative` and
+    the step sizes, and the work arrays of `_derivative` and
     `_rk4_update` with the views they read and write.
 
-    The padded <S^z> row sz holds site 1 (which couples to nothing),
-    the head pair's site 2, sites 3..n, and a zero spin past the last
-    site.  Slot k >= 1 sits on site k+1, so the fields of slots 1..n-1
-    are the site fields of sites 2..n.  Slot 0 sits on site 2 as well,
-    but p01's site-2 spin is down, so it turns with -hz.
+    Every array is site-major, (sites, rows), so each site's values
+    for all rows are one contiguous block, and every ufunc call pairs
+    operands of one shape: no call broadcasts, which is why the step
+    sizes and the constant factors are stored at full shape.  Views
+    that pick sites are taken on flat buffers, because numpy runs a
+    1-d operand of any stride on its fast path but sends an n-d one
+    that is not contiguous through its general iterator.
+
+    The padded |c|^2 buffer w holds slots 0..n-1 and a zero past the
+    last site; `_derivative` turns slot 1 into the head pair's
+    2 <S_2^z> and halves slots 1..n-1 into <S^z>.  Slot k >= 1 sits on
+    site k+1, so its right neighbor is w[k+1] and its left one w[k-1].
+    Slot 1's left neighbor w[0] is |p01|^2, which meets only the zero
+    (1,2) bond, so it adds the same zero as site 1's zero spin.  Slot 0
+    sits on site 2 as well, but p01's site-2 spin is down, so it turns
+    with -hz.
     """
 
     def __init__(self, js: np.ndarray, step: np.ndarray) -> None:
-        rows, n = js.shape
-        self.j_right, self.j_left = js[:, 1:], js[:, :-1]
-        # complex columns, so a step times a complex array needs no cast;
+        n, rows = js.shape
+        # complex, so a step times a complex array needs no cast;
         # dt / 6.0 is taken in real arithmetic first, because complex
         # division multiplies by a rounded reciprocal
-        dt = step[:, None]
         self.dt, self.half, self.sixth = (
-            column.astype(complex) for column in (dt, 0.5 * dt, dt / 6.0)
+            np.broadcast_to(column, (n, rows)).astype(complex)
+            for column in (step, 0.5 * step, step / 6.0)
         )
-        self.w = np.empty((rows, n))
-        self.w_p01, self.w_p10, self.w_sites = self.w[:, 0], self.w[:, 1], self.w[:, 1:]
-        sz = np.zeros((rows, n + 1))
-        self.sz_sites, self.sz_right, self.sz_left = sz[:, 1:-1], sz[:, 2:], sz[:, :-2]
-        self.from_left = np.empty((rows, n - 1))
+        self.twos = np.full((n, rows), 2 + 0j)
+        self.minus_half_i = np.full((n, rows), -0.5j)
+        self.k = np.empty((4, n, rows), dtype=complex)
+        self.stage = np.empty((n, rows), dtype=complex)
+        js = js.reshape(-1)
+        self.j_right, self.j_left = js[rows:], js[:-rows]
+        w = np.zeros((n + 1) * rows)
+        self.w_live = w[:-rows].reshape(n, rows)
+        self.w_p01, self.w_p10, self.w_sites = w[:rows], w[rows:2 * rows], w[rows:-rows]
+        self.w_right, self.w_left = w[2 * rows:], w[:-2 * rows]
+        self.halves = np.full((n - 1) * rows, 0.5)
+        self.from_right, self.from_left = np.empty((2, (n - 1) * rows))
         # the field as a complex array, so hz * c needs no cast either
-        self.hz = np.zeros((rows, n), dtype=complex)
-        self.hz_p01, self.hz_site2 = self.hz.real[:, 0], self.hz.real[:, 1]
-        self.hz_sites = self.hz.real[:, 1:]
-        # the pair as (p00, p01, p10, p11), with p00 = p11 = 0
-        pair = np.zeros((rows, 1, 4), dtype=complex)
-        self.live_pair = pair[:, 0, 1:3]
-        self.re, self.im = pair.real, pair.imag
-        self.re_t, self.im_t = self.re.transpose(0, 2, 1), self.im.transpose(0, 2, 1)
+        self.hz = np.zeros((n, rows), dtype=complex)
+        hz = self.hz.reshape(-1).real
+        self.hz_p01, self.hz_site2, self.hz_sites = hz[:rows], hz[rows:2 * rows], hz[rows:]
+        # the squares of the pair's float view, p01's (re, im, re, ...)
+        # over p10's, and their sum over the pair
+        self.pair_squares = np.empty((2, 2 * rows))
+        self.pair_sum = np.empty(2 * rows)
+        self.pair_re, self.pair_im = self.pair_sum[0::2], self.pair_sum[1::2]
+        self.spin_squares = np.empty((n, rows), dtype=complex)
+        self.spin_re = self.spin_squares.reshape(-1).real[2 * rows:]
+        # each amplitude's divisor, complex with a zero imaginary part,
+        # as numpy casts a float divisor of a complex array
+        self.norm = np.zeros((n, rows), dtype=complex)
+        norm = self.norm.reshape(-1).real
+        self.norm_p01, self.norm_p10, self.norm_sites = (
+            norm[:rows], norm[rows:2 * rows], norm[2 * rows:]
+        )
 
 
-def _derivative(c: np.ndarray, epoch: _Epoch) -> np.ndarray:
-    """dc/dt = -i/2 hz c for every live amplitude, hz the signed z
-    field of its slot."""
+def _derivative(c: np.ndarray, epoch: _Epoch, out: np.ndarray) -> None:
+    """dc/dt = -i/2 hz c into out for every live amplitude, hz the
+    signed z field of its slot."""
     e = epoch
-    np.abs(c, out=e.w)
-    np.square(e.w, out=e.w)
+    np.abs(c, out=e.w_live)
+    np.square(e.w_live, out=e.w_live)
     # <S_2^z> = 0.5 (|p10|^2 - |p01|^2), <S_k^z> = 0.5 |up_k|^2
     np.subtract(e.w_p10, e.w_p01, out=e.w_p10)
-    np.multiply(0.5, e.w_sites, out=e.sz_sites)
+    np.multiply(e.halves, e.w_sites, out=e.w_sites)
     # each site's right neighbor first, then its left one
-    np.multiply(e.j_right, e.sz_right, out=e.hz_sites)
-    np.multiply(e.j_left, e.sz_left, out=e.from_left)
-    np.add(e.hz_sites, e.from_left, out=e.hz_sites)
+    np.multiply(e.j_right, e.w_right, out=e.from_right)
+    np.multiply(e.j_left, e.w_left, out=e.from_left)
+    np.add(e.from_right, e.from_left, out=e.hz_sites)
     np.negative(e.hz_site2, out=e.hz_p01)
-    d = e.hz * c
-    d *= -0.5j
-    return d
+    np.multiply(e.hz, c, out=out)
+    np.multiply(out, e.minus_half_i, out=out)
 
 
 def _rk4_update(c: np.ndarray, epoch: _Epoch) -> np.ndarray:
-    """One RK4 step of every row, then renormalization of the pair and
-    each spin."""
-    k1 = _derivative(c, epoch)
-    k2 = _derivative(c + epoch.half * k1, epoch)
-    k3 = _derivative(c + epoch.half * k2, epoch)
-    k4 = _derivative(c + epoch.dt * k3, epoch)
-    new = c + epoch.sixth * (k1 + 2 * k2 + 2 * k3 + k4)
-    # Both norms are np.linalg.norm's.  A whole vector's is a BLAS dot
-    # of the real parts plus one of the imaginary parts, here taken row
-    # by row through matmul over all four pair amplitudes with the same
-    # strides; a spinor's sums (x* x).real, whose down term is 0.
-    pair, spins = new[:, :2], new[:, 2:]
-    epoch.live_pair[...] = pair
-    pair /= np.sqrt(epoch.re @ epoch.re_t + epoch.im @ epoch.im_t)[:, 0]
-    spins /= np.sqrt((new.conj() * new).real)[:, 2:]
-    return new
+    """One RK4 step of every row of the site-major amplitudes c, in
+    place, then renormalization of the pair and each spin; returns c."""
+    e = epoch
+    k1, k2, k3, k4 = e.k
+    stage = e.stage
+    _derivative(c, e, k1)
+    np.multiply(e.half, k1, out=stage)
+    np.add(c, stage, out=stage)
+    _derivative(stage, e, k2)
+    np.multiply(e.half, k2, out=stage)
+    np.add(c, stage, out=stage)
+    _derivative(stage, e, k3)
+    np.multiply(e.dt, k3, out=stage)
+    np.add(c, stage, out=stage)
+    _derivative(stage, e, k4)
+    # c + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+    np.multiply(e.twos, k2, out=k2)
+    np.add(k1, k2, out=k1)
+    np.multiply(e.twos, k3, out=k3)
+    np.add(k1, k3, out=k1)
+    np.add(k1, k4, out=k1)
+    np.multiply(e.sixth, k1, out=k1)
+    np.add(c, k1, out=c)
+    # Both norms are np.linalg.norm's.  A whole vector's is the dot of
+    # its real parts plus that of its imaginary parts, which over the
+    # pair's (0, p01, p10, 0) is (re01^2 + re10^2) + (im01^2 + im10^2);
+    # a spinor's sums (x* x).real, whose down term is 0.
+    np.square(c[:2].view(float), out=e.pair_squares)
+    np.add(e.pair_squares[0], e.pair_squares[1], out=e.pair_sum)
+    np.add(e.pair_re, e.pair_im, out=e.norm_p01)
+    np.sqrt(e.norm_p01, out=e.norm_p01)
+    np.copyto(e.norm_p10, e.norm_p01)
+    np.conjugate(c, out=e.spin_squares)
+    np.multiply(e.spin_squares, c, out=e.spin_squares)
+    np.sqrt(e.spin_re, out=e.norm_sites)
+    np.divide(c, e.norm, out=c)
+    return c
 
 
 def _signed_couplings(couplings: np.ndarray, sign: float) -> np.ndarray:
@@ -240,31 +291,33 @@ def meanfield_echo_curve(
         raise ValueError(f"sign convention must be +1 or -1, got {sign_convention}")
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
+    if not (math.isfinite(j) and j > 0):
+        raise ValueError(f"coupling must be finite and positive, got {j}")
     times = [float(t) for t in grid]
     for t in times:
-        if not t >= 0:
-            raise ValueError(f"leg duration must be nonnegative, got {t}")
+        if not (math.isfinite(t) and t >= 0):
+            raise ValueError(f"leg duration must be finite and nonnegative, got {t}")
     config = integrator or IntegratorConfig()
     spec = uniform_echo_chain(n, j)
     dt = config.dt / j
     plans = [
         _row_segments(spec, t, schedule, n_steps, sign_convention, dt) for t in times
     ]
-    c = np.repeat(_initial_amplitudes(n)[None], len(times), axis=0)
+    c = np.repeat(_initial_amplitudes(n)[:, None], len(times), axis=1)
     position = [0] * len(times)
     left = [plan[0][0] if plan else 0 for plan in plans]
     active = [r for r, plan in enumerate(plans) if plan]
     while active:
         segments = [plans[r][position[r]] for r in active]
         epoch = _Epoch(
-            np.array([segment[2] for segment in segments]),
+            np.stack([segment[2] for segment in segments], axis=1),
             np.array([segment[1] for segment in segments]),
         )
-        batch = c[active]
+        batch = c.take(active, axis=1)
         steps = min(left[r] for r in active)
         for _ in range(steps):
             batch = _rk4_update(batch, epoch)
-        c[active] = batch
+        c[:, active] = batch
         for r in active:
             left[r] -= steps
             if left[r] == 0:

@@ -385,6 +385,10 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
     (["robustness", "--n", "5", "--t", "1e308", "--trials", "1"], "slope_vs_n"),
     # the echo checks need at least 3 sites
     (["oracle-check", "--max-n", "2"], "run_all_checks"),
+    # a coupling whose wrap period 2*pi / j overflows
+    (["echo", "--n", "4", "--points", "3", "--t-max", "1", "--steps", "2", "--j", "3e-308"],
+     "echo_fidelity_curve"),
+    (["echo", "--n", "4", "--j", "3e-308", "--with-meanfield"], "echo_fidelity_curve"),
 ])
 def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
                                                       args, work):

@@ -99,6 +99,26 @@ class TestDurationMapping:
         assert afm_duration_for_fm(2 * math.pi, 1.0, 1.0) == pytest.approx(0.0)
 
 
+# the smallest coupling whose wrap period 2*pi / (j |delta eps|) is finite
+WEAKEST_J = 3.49513784379046e-308
+
+
+class TestWrapPeriod:
+    def test_weakest_coupling_has_a_finite_period(self):
+        assert math.isfinite(wrap_period(WEAKEST_J))
+        assert afm_duration_for_fm(0.0, WEAKEST_J, WEAKEST_J) == wrap_period(WEAKEST_J)
+
+    @pytest.mark.parametrize("j", [float(np.nextafter(WEAKEST_J, 0.0)), 3e-308, 5e-324])
+    def test_overflowing_period_is_rejected(self, j):
+        with pytest.raises(ValueError, match="wrap period overflows"):
+            wrap_period(j)
+
+    @pytest.mark.parametrize("j", [0.0, -1.0])
+    def test_rejects_nonpositive_coupling(self, j):
+        with pytest.raises(ValueError):
+            wrap_period(j)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31),

@@ -292,10 +292,21 @@ def test_validation():
         meanfield_echo_curve(5, 1.0, [1.0], sign_convention=0)
     with pytest.raises(ValueError):
         meanfield_echo_curve(5, 1.0, [-1.0])
+    for t in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="leg duration"):
+            meanfield_echo_curve(5, 1.0, [1.0, t])
+    for schedule in (SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED):
+        for j in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(ValueError, match="coupling"):
+                meanfield_echo_curve(5, j, [1.0], schedule=schedule)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=0.0)
     with pytest.raises(ValueError):
         IntegratorConfig(dt=math.nan)
+
+
+# the smallest coupling `gates.wrap_period` accepts (tests/test_gates.py)
+WEAKEST_J = 3.49513784379046e-308
 
 
 def final_state_digest(result) -> str:
@@ -414,7 +425,7 @@ class TestReferenceKernel:
         schedule=st.sampled_from([SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED]),
         sign_convention=st.sampled_from([-1, 1]),
         n_steps=st.integers(min_value=1, max_value=3),
-        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=2),
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5),
     )
     def test_curve_matches_reference_bits(
         self, n, j, dt, schedule, sign_convention, n_steps, fractions
@@ -434,6 +445,52 @@ class TestReferenceKernel:
             assert off == 0.0
             assert repr(result[0]) == repr(fidelity)
             assert final_state_digest(result) == final_state_digest((fidelity, slots))
+
+    @pytest.mark.parametrize("schedule", [SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED])
+    @pytest.mark.parametrize("sign_convention", [-1, 1])
+    def test_weakest_coupling_matches_reference_bits(self, schedule, sign_convention):
+        # the intermediate products of every step go subnormal here
+        config = IntegratorConfig(dt=0.05)
+        grid = [0.7, 2.5]
+        results = meanfield_echo_curve(
+            5, WEAKEST_J, grid, config, schedule=schedule, n_steps=2,
+            sign_convention=sign_convention,
+        )
+        for t, result in zip(grid, results):
+            fidelity, slots, off = reference_echo(
+                5, WEAKEST_J, t, config, schedule, 2, sign_convention
+            )
+            assert off == 0.0
+            assert repr(result[0]) == repr(fidelity)
+            assert final_state_digest(result) == final_state_digest((fidelity, slots))
+
+    @seed(20261019)
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(min_value=3, max_value=12),
+        rows=st.integers(min_value=1, max_value=6),
+        scale=st.sampled_from([1.0, 1e-300, WEAKEST_J]),
+        draws=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_one_step_matches_reference_bits(self, n, rows, scale, draws):
+        # any echo-shaped live amplitudes, any signed couplings with the
+        # (1,2) bond off and some others off too, each row its own step
+        rng = np.random.default_rng(draws)
+        live = rng.uniform(0.05, 1.0, (rows, n)) * np.exp(2j * np.pi * rng.random((rows, n)))
+        psi = np.zeros((rows, n, 2), dtype=complex)
+        psi[:, 0, 1], psi[:, 1:, 0] = live[:, 0], live[:, 1:]
+        couplings = scale * rng.uniform(0.0, 3.0, (rows, n - 1)) * (rng.random((rows, n - 1)) < 0.7)
+        couplings[:, 0] = 0.0
+        js = np.array([
+            meanfield._signed_couplings(row, sign)
+            for row, sign in zip(couplings, rng.choice([-1.0, 1.0], rows))
+        ])
+        dt = rng.uniform(1e-3, 0.3, rows) / scale
+        expected = reference_rk4_update(psi, js, dt)
+        new = meanfield._rk4_update(
+            np.ascontiguousarray(live.T), meanfield._Epoch(np.ascontiguousarray(js.T), dt)
+        )
+        assert (meanfield._slots(new) + 0.0).tobytes() == (expected + 0.0).tobytes()
 
     @pytest.mark.parametrize("schedule", [SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED])
     @pytest.mark.parametrize("sign_convention", [-1, 1])
@@ -490,7 +547,9 @@ class TestBatching:
         kernel = meanfield._rk4_update
 
         def counted(c, epoch):
-            calls.append(len(c))
+            # c is site-major, (sites, rows)
+            assert c.shape[0] == 5
+            calls.append(c.shape[1])
             return kernel(c, epoch)
 
         monkeypatch.setattr(meanfield, "_rk4_update", counted)
