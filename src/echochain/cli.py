@@ -28,7 +28,9 @@ import numpy as np
 
 from . import svgplot
 from .echo import EchoConfig
-from .meanfield import SCHEDULE_MIRRORED, SCHEDULES, IntegratorConfig, meanfield_echo_curve
+from .meanfield import (
+    SCHEDULE_MIRRORED, SCHEDULES, IntegratorConfig, StepBudgetError, meanfield_echo_curve,
+)
 from .noise import NoiseModel, TrialStats, default_v_grid, fidelity_curve, slope_vs_n
 from .transfer import ENGINE_EXACT, ENGINES, TransferConfig
 
@@ -64,11 +66,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
+def _row(values) -> str:
+    """One CSV row, or a run of its columns, without the newline."""
+    return ",".join(_fmt(v) for v in values)
+
+
+def write_csv(path: str, header: list[str], rows: list[str]) -> None:
+    """The header, then one line per row: each row is a CSV line
+    without its newline, as `_row` formats one."""
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_fmt(v) for v in row) + "\n")
+        handle.writelines(row + "\n" for row in rows)
 
 
 def _config_value(key: str, value, option: Option):
@@ -109,6 +117,10 @@ def _merge_options(command: str, args: argparse.Namespace) -> SimpleNamespace:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = value
+    # numpy's SeedSequence takes no negative entry, and a seed that no
+    # stream reads is still written to the CSV
+    if merged.get("seed", 0) < 0:
+        raise UsageError(f"--seed: need a non-negative integer, got {merged['seed']}")
     return SimpleNamespace(**merged)
 
 
@@ -161,31 +173,35 @@ def cmd_echo(opts: SimpleNamespace) -> int:
     if opts.with_meanfield:
         integrator = _meanfield_integrator(opts, config, mf_steps)
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
+    classical: list[tuple[float, float]] = []
+    if opts.with_meanfield:
+        # first, so that a step past the pass budget fails before any work
+        try:
+            results = meanfield_echo_curve(
+                opts.n, opts.j, grid,
+                integrator=integrator,
+                schedule=opts.schedule,
+                n_steps=mf_steps,
+                sign_convention=opts.sign_convention,
+            )
+        except StepBudgetError as exc:
+            raise UsageError(f"--dt: {exc}") from exc
+        classical = [(t, f) for t, (f, _) in zip(grid, results)]
     quantum = fidelity_curve(config, grid)
     header = [
         "series", "n", "j", "t", "steps", "mode", "schedule",
         "sign_convention", "dt", "v", "seed", "f_ec", "i_ec",
     ]
     rows = [
-        ["quantum", opts.n, opts.j, t, opts.steps, opts.backward, "", "", "",
-         opts.noise_v, opts.seed, f, 1.0 - f]
+        _row(["quantum", opts.n, opts.j, t, opts.steps, opts.backward, "", "", "",
+              opts.noise_v, opts.seed, f, 1.0 - f])
         for t, f in quantum
     ]
-    classical: list[tuple[float, float]] = []
-    if opts.with_meanfield:
-        results = meanfield_echo_curve(
-            opts.n, opts.j, grid,
-            integrator=integrator,
-            schedule=opts.schedule,
-            n_steps=mf_steps,
-            sign_convention=opts.sign_convention,
-        )
-        classical = [(t, f) for t, (f, _) in zip(grid, results)]
-        rows += [
-            ["meanfield", opts.n, opts.j, t, mf_steps, "", opts.schedule,
-             opts.sign_convention, opts.dt, "", "", f, 1.0 - f]
-            for t, f in classical
-        ]
+    rows += [
+        _row(["meanfield", opts.n, opts.j, t, mf_steps, "", opts.schedule,
+              opts.sign_convention, opts.dt, "", "", f, 1.0 - f])
+        for t, f in classical
+    ]
     write_csv(opts.out, header, rows)
     if opts.plot:
         series = [svgplot.Series("quantum", quantum)]
@@ -219,7 +235,7 @@ def cmd_transfer(opts: SimpleNamespace) -> int:
     header = ["n", "t", "steps", "engine", "v", "seed", "f_tr", "i_tr"]
     shown_steps = "" if opts.engine == ENGINE_EXACT else config.steps
     rows = [
-        [opts.n, t, shown_steps, opts.engine, opts.noise_v, opts.seed, f, 1.0 - f]
+        _row([opts.n, t, shown_steps, opts.engine, opts.noise_v, opts.seed, f, 1.0 - f])
         for t, f in curve
     ]
     write_csv(opts.out, header, rows)
@@ -267,14 +283,17 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
         raise UsageError(str(exc)) from exc
     configs = [_replace(config, "--t", t=opts.t) for config in configs]
 
-    trial_rows: list[list] = []
+    trial_rows: list[str] = []
+    seed = _fmt(opts.seed)
 
     def collect(stats: TrialStats) -> None:
-        for k, infidelity in enumerate(stats.infidelities):
-            trial_rows.append(
-                [opts.protocol, stats.n, opts.t, stats.steps, stats.v, k,
-                 opts.seed, float(infidelity)]
-            )
+        # the columns one (n, v) block shares are formatted once, and
+        # each trial adds its index, the seed and repr of its float
+        block = _row([opts.protocol, stats.n, opts.t, stats.steps, stats.v])
+        trial_rows.extend(
+            f"{block},{k},{seed},{infidelity!r}"
+            for k, infidelity in enumerate(stats.infidelities.tolist())
+        )
 
     fits = slope_vs_n(
         configs, v_grid, opts.trials, opts.seed,
@@ -286,9 +305,9 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
                   f"b={fit.b:.3f} is not a reliable exponent", file=sys.stderr)
     slope_points = [(n, fit.b) for n, fit in fits]
     fit_rows = [
-        [opts.protocol, n,
-         ("even" if n % 2 == 0 else "odd") if opts.protocol == "transfer" else "",
-         fit.a, fit.b, fit.r_squared, len(fit.points)]
+        _row([opts.protocol, n,
+              ("even" if n % 2 == 0 else "odd") if opts.protocol == "transfer" else "",
+              fit.a, fit.b, fit.r_squared, len(fit.points)])
         for n, fit in fits
     ]
     write_csv(

@@ -22,7 +22,7 @@ import numpy as np
 from . import sector
 from .chain import uniform_echo_chain
 from .noise import GateNoise, NoiseModel, Seed
-from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, second_order_plan
+from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, check_second_order, second_order_plan
 
 BACKWARD_TROTTERIZED = "trotterized"
 BACKWARD_EXACT = "exact-continuous"
@@ -49,9 +49,10 @@ class EchoConfig:
         if self.backward_mode not in (BACKWARD_TROTTERIZED, BACKWARD_EXACT):
             raise ValueError(f"unknown backward mode '{self.backward_mode}'")
         # t is the longest time this config runs; the simulated
-        # ferromagnet's plan raises past its wrap budget
-        second_order_plan(uniform_echo_chain(self.n, self.j), [self.t], self.n_steps,
-                          MODE_SIMULATED_FM)
+        # ferromagnet's plan raises past its wrap budget, and the direct
+        # leg's budget is the same
+        check_second_order(uniform_echo_chain(self.n, self.j), self.t, self.n_steps,
+                           MODE_SIMULATED_FM)
 
     @property
     def steps(self) -> int:

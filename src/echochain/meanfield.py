@@ -57,6 +57,15 @@ from .gates import SINGLET, afm_duration_for_fm
 SCHEDULE_CONTINUOUS = "continuous"
 SCHEDULE_MIRRORED = "mirrored-pulse"
 SCHEDULES = (SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED)
+# Most batched RK4 steps one curve's pass may take: its longest row's
+# step count.  One step of a 59-row curve at n = 10 takes about 80 us
+# on a 2-core host, so a full pass takes about 13 minutes; the default
+# `echo --with-meanfield` takes about 302 000 steps.
+MAX_PASS_STEPS = 10**7
+
+
+class StepBudgetError(ValueError):
+    """A curve's step size would take more than MAX_PASS_STEPS steps."""
 
 
 @dataclass(frozen=True)
@@ -250,14 +259,23 @@ def _row_segments(
     spec: ChainSpec, t: float, schedule: str, n_steps: int, sign_convention: int, dt: float
 ) -> list[tuple[int, float, np.ndarray]]:
     """(steps, step size, signed couplings) of each driven segment of
-    one grid point; a zero-duration echo applies no drive at all."""
+    one grid point; a zero-duration echo applies no drive at all.
+    Raises StepBudgetError past MAX_PASS_STEPS steps in all."""
     if t == 0:
         return []
     segments = []
     for duration, js in _schedule_segments(spec, t, schedule, n_steps, sign_convention):
         if duration > 0:
-            steps = max(1, math.ceil(duration / dt))
+            # a count past the budget stays unrounded: it may be inf
+            count = duration / dt
+            steps = max(1, math.ceil(count)) if count <= MAX_PASS_STEPS else count
             segments.append((steps, duration / steps, js))
+    total = sum(steps for steps, _, _ in segments)
+    if total > MAX_PASS_STEPS:
+        raise StepBudgetError(
+            f"leg duration {t!r} takes {total:.3g} RK4 steps of at most {dt!r}, "
+            f"past the budget of {MAX_PASS_STEPS} steps per pass; use a larger step"
+        )
     return segments
 
 
@@ -284,6 +302,9 @@ def meanfield_echo_curve(
     mean fields (-1 matches the Hamiltonian sign; +1 is the literal
     positive-J reading); the backward leg always gets the opposite
     sign.
+
+    Every row is planned before any step runs; a row past
+    MAX_PASS_STEPS steps raises StepBudgetError, a ValueError.
     """
     if schedule not in SCHEDULES:
         raise ValueError(f"unknown schedule '{schedule}'")

@@ -15,11 +15,24 @@ single run is a one-row batch drawn from config.seed itself.  Trials are
 seeded with SeedSequence([master_seed, trial]) so every trial has an
 independent stream and results do not depend on how the trials are
 batched.  All trials of a sweep at one chain length run as one batch
-of the one-magnon engine (`echochain.sector`).
+of the one-magnon engine (`echochain.sector`), and their statistics
+come from one pass over the batch's (v, trials) infidelities.
+
+A batch's streams are seeded together: `GateNoise` runs numpy's
+SeedSequence hash (integer arithmetic with fixed constants, the same
+for every input) as uint32 column operations over all rows with the
+same number of entropy words, and starts each row's PCG64 from its four
+hashed words.  Every stream is bit for bit the one
+`make_rng(seed)` = default_rng(SeedSequence(seed)) gives, which the
+dense oracle and `echochain.checks` still use one seed at a time.
+`numpy.random` is imported on the first draw, not with this module, so
+commands that never draw noise never load it.
 """
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -66,13 +79,132 @@ def child_seed(seed: Seed, index: int) -> tuple[int, ...]:
     return (int(seed), int(index))
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its
+# default pool of 4 uint32 words.  A hash call xors a word with the
+# running constant h, multiplies it by h * MULT and xor-shifts it; h
+# advances the same way whatever the data.
+_MASK32 = 0xFFFFFFFF
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = 16
+
+
+def _entropy_bytes(seed: Seed) -> bytes:
+    """The words SeedSequence assembles from `seed`, little-endian: each
+    int as its 32-bit words, low word first, and 0 as one zero word."""
+    entries = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
+    try:
+        return struct.pack(f"<{len(entries)}I", *entries)
+    except struct.error:
+        pass  # an entry past one word, negative or not an int
+    words = b""
+    for entry in entries:
+        entry = int(entry)
+        if entry < 0:
+            raise ValueError("expected non-negative integer")
+        words += entry.to_bytes(max(1, -(-entry.bit_length() // 32)) * 4, "little")
+    return words
+
+
+def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:
+    """The running constant before each of `calls` hash calls, then after the last."""
+    constants = [init]
+    for _ in range(calls):
+        constants.append(constants[-1] * mult & _MASK32)
+    return np.array(constants, dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """One hash call per column of `values`, column k with constants[k]
+    and constants[k + 1]; columns broadcast against the constants."""
+    values = (values ^ constants[:-1]) * constants[1:]
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's mix of pool words x with hashed words y."""
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    """SeedSequence(row).generate_state(4, uint64) for every row of the
+    (rows, words) uint32 entropy, as a (rows, 4) uint64 array.
+
+    Each loop runs the hash calls of numpy's own loops in their order;
+    the calls of one pool column's mixing read that column only, so
+    they run together.
+    """
+    rows, count = entropy.shape
+    extra = max(count - _POOL, 0)
+    constants = _hash_constants(_INIT_A, _MULT_A, _POOL * _POOL + _POOL * extra)
+    pool = np.zeros((rows, _POOL), dtype=np.uint32)
+    pool[:, :min(count, _POOL)] = entropy[:, :_POOL]
+    pool = _hashmix(pool, constants[:_POOL + 1])
+    call = _POOL
+    # mix every pool word into every other one
+    for src in range(_POOL):
+        dst = [d for d in range(_POOL) if d != src]
+        hashed = _hashmix(pool[:, src:src + 1], constants[call:call + _POOL])
+        pool[:, dst] = _mix(pool[:, dst], hashed)
+        call += _POOL - 1
+    # then every word past the pool into each pool word
+    for src in range(_POOL, count):
+        pool = _mix(pool, _hashmix(entropy[:, src:src + 1], constants[call:call + _POOL + 1]))
+        call += _POOL
+    # generate_state: 8 uint32 words cycling through the pool, read as
+    # 4 little-endian uint64 words
+    state = _hashmix(np.tile(pool, 2), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL))
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _hashed_seed_class() -> type:
+    """An ISeedSequence handing PCG64 one row's hashed state words,
+    defined on first use so that importing this module does not load
+    numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != _POOL or np.dtype(dtype) != np.uint64:
+                raise ValueError("holds the 4 uint64 words PCG64 asks for only")
+            return self.state
+
+    return HashedSeed
+
+
+def _generators(seeds: Sequence[Seed]) -> list[np.random.Generator]:
+    """make_rng(seed) for every seed, hashed one batch per entropy word
+    count rather than one seed at a time."""
+    from numpy.random import PCG64, Generator
+
+    hashed_seed = _hashed_seed_class()
+    by_width: dict[int, list[int]] = {}
+    entropy = [_entropy_bytes(seed) for seed in seeds]
+    for row, words in enumerate(entropy):
+        by_width.setdefault(len(words), []).append(row)
+    generators: list = [None] * len(seeds)
+    for width, rows in by_width.items():
+        words = np.frombuffer(b"".join(entropy[r] for r in rows), dtype="<u4")
+        states = _seed_states(words.astype(np.uint32).reshape(len(rows), width // 4))
+        for row, state in zip(rows, states):
+            generators[row] = Generator(PCG64(hashed_seed(state)))
+    return generators
+
+
 class GateNoise:
     """Gate errors for a batch of trials, one independent stream per row.
 
-    Row r draws standard normals z from make_rng(seeds[r]) in gate
-    execution order and perturbs an angle by eta = z * v[r]: the same
-    values, bit for bit, that the dense oracle's
-    `echochain.statevec.sample_eta` draws one gate at a time.
+    Row r draws standard normals z from the stream make_rng(seeds[r])
+    gives, in gate execution order, and perturbs an angle by
+    eta = z * v[r]: the same values, bit for bit, that the dense
+    oracle's `echochain.statevec.sample_eta` draws one gate at a time.
     """
 
     def __init__(self, seeds: Sequence[Seed], v, include_fields: bool = False) -> None:
@@ -82,7 +214,7 @@ class GateNoise:
         if not np.all(np.isfinite(self.v) & (self.v >= 0)):
             raise ValueError("noise strength must be finite and >= 0")
         self.include_fields = include_fields
-        self._rngs = [make_rng(seed) for seed in seeds]
+        self._rngs = _generators(seeds)
 
     def __len__(self) -> int:
         return len(self._rngs)
@@ -132,18 +264,19 @@ class FitResult:
         return self.r_squared >= 0.95
 
 
-def _trial_stats(n: int, v: float, steps: int, infidelities: np.ndarray) -> TrialStats:
-    if not np.all((infidelities >= -1e-12) & (infidelities <= 1 + 1e-12)):
+def _grid_stats(n: int, steps: int, v_grid: Sequence[float], rows: np.ndarray) -> list[TrialStats]:
+    """One TrialStats per v_grid[i] from rows[i], the contiguous
+    (v, trials) infidelities of one batch: one range check for the
+    batch, and each row's mean and spread along axis 1, the same bits
+    as the row's own mean() and std()."""
+    if not np.all((rows >= -1e-12) & (rows <= 1 + 1e-12)):
         raise RuntimeError("trial infidelity left [0, 1]")
-    return TrialStats(
-        n=n,
-        v=v,
-        trials=len(infidelities),
-        steps=steps,
-        mean_infidelity=float(infidelities.mean()),
-        std_infidelity=float(infidelities.std()),
-        infidelities=infidelities,
-    )
+    means, stds = rows.mean(axis=1).tolist(), rows.std(axis=1).tolist()
+    return [
+        TrialStats(n=n, v=v, trials=rows.shape[1], steps=steps, mean_infidelity=mean,
+                   std_infidelity=std, infidelities=row)
+        for v, mean, std, row in zip(v_grid, means, stds, rows)
+    ]
 
 
 def _batch_stats(
@@ -159,7 +292,7 @@ def _batch_stats(
     noise = GateNoise(seeds, np.repeat(v_grid, trials), include_fields)
     c = config.final_states([config.t], noise)
     rows = (1.0 - sector.singlet_fidelity(c, *config.pair)).reshape(len(v_grid), trials)
-    return [_trial_stats(config.n, v, config.steps, row) for v, row in zip(v_grid, rows)]
+    return _grid_stats(config.n, config.steps, v_grid, rows)
 
 
 def loglog_fit(points: Iterable[tuple[float, float]]) -> FitResult:

@@ -22,7 +22,9 @@ import numpy as np
 from . import sector
 from .chain import transfer_chain
 from .noise import GateNoise, NoiseModel, Seed
-from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, TrotterPlan, three_term_plan
+from .trotter import (
+    MODE_DIRECT, MODE_SIMULATED_FM, TrotterPlan, check_three_term, three_term_plan,
+)
 
 ENGINE_EXACT = "exact"
 ENGINE_TROTTER_DIRECT = "trotter-direct"
@@ -81,7 +83,7 @@ class TransferConfig:
         if self.engine == ENGINE_EXACT:
             sector.exact_evolve(transfer_chain(self.n), sector.singlet_head(1, self.n), self.t)
         else:
-            self.plan([self.t])
+            check_three_term(transfer_chain(self.n), self.t, self.steps, self._mode)
 
     @property
     def steps(self) -> int:
@@ -97,8 +99,12 @@ class TransferConfig:
         """A trotter engine's three-term plan, one angle row per time.
         Every half step t / (2 steps) must fit one wrap period 2*pi/g of
         the strongest bond g, so t may reach 2 * steps * 2*pi/g."""
-        mode = MODE_DIRECT if self.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
-        return three_term_plan(transfer_chain(self.n), times, self.steps, mode)
+        return three_term_plan(transfer_chain(self.n), times, self.steps, self._mode)
+
+    @property
+    def _mode(self) -> str:
+        """The plan mode of a trotter engine."""
+        return MODE_DIRECT if self.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
 
     def final_states(self, times: Sequence[float], noise: GateNoise | None) -> np.ndarray:
         """One transfer per row: row r runs for times[r] (or times[0] for

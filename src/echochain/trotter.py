@@ -28,6 +28,10 @@ Both modes keep every exchange slice within one wrap period of its
 bond, checked once per batch against the strongest bond of each layer:
 the simulated ferromagnet cannot map a longer slice, and a direct
 slice that long is far outside the Trotter product's accuracy.
+`check_second_order` and `check_three_term` make every check of a plan,
+this budget included, without building its angles, so a protocol
+config can check its longest time when it is built and build only the
+plans it runs.
 """
 from __future__ import annotations
 
@@ -76,7 +80,10 @@ def _sites(index: np.ndarray) -> slice | np.ndarray:
     return sites if np.array_equal(np.arange(sites.stop)[sites], index) else index
 
 
-def _plan(spec: ChainSpec, times, n_steps: int, mode: str, split) -> TrotterPlan:
+def _layout(spec: ChainSpec, times, n_steps: int, mode: str, split):
+    """The times as an array and (group, divisor, first sites,
+    strengths) per nonempty layer, after every check a plan makes:
+    mode, step count, times and the wrap budget."""
     if mode not in (MODE_DIRECT, MODE_SIMULATED_FM):
         raise ValueError(f"unknown mode '{mode}'")
     if n_steps < 1:
@@ -87,7 +94,6 @@ def _plan(spec: ChainSpec, times, n_steps: int, mode: str, split) -> TrotterPlan
         raise ValueError(f"invalid evolution time {float(bad[0])}")
     part = partition_odd_even(spec)
     bonds = {"odd": part.odd_bonds, "even": part.even_bonds}
-    # (group, divisor, first sites, strengths) per nonempty layer
     layout = []
     for group, divisor in split:
         if group == "field":
@@ -107,6 +113,11 @@ def _plan(spec: ChainSpec, times, n_steps: int, mode: str, split) -> TrotterPlan
             "(each slice within one wrap period of its layer's strongest bond); "
             "use more steps"
         )
+    return times, layout
+
+
+def _plan(spec: ChainSpec, times, n_steps: int, mode: str, split) -> TrotterPlan:
+    times, layout = _layout(spec, times, n_steps, mode, split)
     tau = (times / n_steps)[:, None]
     sign = 1.0 if spec.sign == SIGN_AFM else -1.0
     layers: list[Layer] = []
@@ -147,3 +158,15 @@ def three_term_plan(
     """Palindromic plan for chains with fields:
     (odd/2, even/2, field, even/2, odd/2) x N, one angle row per time."""
     return _plan(spec, times, n_steps, mode, _THREE_TERM)
+
+
+def check_second_order(spec: ChainSpec, times, n_steps: int, mode: str) -> None:
+    """Raise where `second_order_plan` with these arguments would,
+    without building its angles."""
+    _layout(spec, times, n_steps, mode, _SECOND_ORDER)
+
+
+def check_three_term(spec: ChainSpec, times, n_steps: int, mode: str) -> None:
+    """Raise where `three_term_plan` with these arguments would,
+    without building its angles."""
+    _layout(spec, times, n_steps, mode, _THREE_TERM)

@@ -281,6 +281,9 @@ def test_meanfield_csv_is_byte_identical_to_golden(tmp_path, golden, flags):
     ["--mf-steps", "0"],
     # one mirrored step fits a leg of at most 2*pi / j
     ["--t-max", "10", "--steps", "2", "--mf-steps", "1"],
+    # a pass past meanfield.MAX_PASS_STEPS RK4 steps
+    ["--dt", "1e-300"],
+    ["--dt", "1e-300", "--schedule", "continuous"],
 ])
 def test_bad_meanfield_options_are_usage_errors(tmp_path, capsys, monkeypatch, flags):
     def no_quantum_curve(*args, **kwargs):
@@ -404,6 +407,29 @@ def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypa
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("args,work", [
+    (["echo", "--n", "5", "--points", "3"], "fidelity_curve"),
+    (["echo", "--n", "5", "--points", "3", "--noise-v", "0.1"], "fidelity_curve"),
+    (["transfer", "--points", "3"], "fidelity_curve"),
+    (["robustness", "--n", "5", "--trials", "2"], "slope_vs_n"),
+    (["oracle-check"], "run_all_checks"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_is_usage_error_naming_seed(tmp_path, capsys, monkeypatch, args, work,
+                                                  source):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before the seed was checked")
+
+    monkeypatch.setattr(cli, work, no_work)
+    monkeypatch.chdir(tmp_path)
+    seed = ["--seed", "-3"] if source == "flag" else [
+        "--config", str(CONFIGS / "seed_negative.json")]
+    assert main([*args, *seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --seed: ") and captured.err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
 
 

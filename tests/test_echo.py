@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from echochain import echo
 from echochain.checks import dense_echo_state
 from echochain.echo import BACKWARD_EXACT, BACKWARD_TROTTERIZED, EchoConfig
 from echochain.noise import NoiseModel, fidelity, fidelity_curve
@@ -104,3 +105,23 @@ def test_wrap_period_budget():
     with pytest.raises(ValueError):
         fidelity(EchoConfig(n=4, t=2 * math.pi + 0.1, n_steps=1))
     EchoConfig(n=4, t=8 * math.pi, n_steps=4)
+
+
+def test_one_plan_build_per_leg(monkeypatch):
+    # building a config checks its wrap budget without a plan; a run
+    # builds the plan of each leg it runs, once
+    built = []
+
+    def counting_plan(*args, **kwargs):
+        built.append(args[3])
+        return second_order_plan(*args, **kwargs)
+
+    second_order_plan = echo.second_order_plan
+    monkeypatch.setattr(echo, "second_order_plan", counting_plan)
+    config = EchoConfig(n=6, t=1.0, n_steps=2, noise=NoiseModel(0.01))
+    assert built == []
+    fidelity_curve(config, [0.0, 0.5, 1.0])
+    assert built == [echo.MODE_SIMULATED_FM, echo.MODE_DIRECT]
+    built.clear()
+    fidelity_curve(EchoConfig(n=6, t=1.0, n_steps=2, backward_mode=BACKWARD_EXACT), [1.0])
+    assert built == [echo.MODE_SIMULATED_FM]

@@ -305,6 +305,35 @@ def test_validation():
         IntegratorConfig(dt=math.nan)
 
 
+@pytest.mark.parametrize("schedule,grid,dt,n_steps", [
+    (SCHEDULE_CONTINUOUS, [1e300], 1e-3, 1),
+    (SCHEDULE_CONTINUOUS, [0.0, 1.0], 1e-300, 1),
+    (SCHEDULE_CONTINUOUS, [1e300], 1e-300, 1),   # 2t / dt is inf
+    (SCHEDULE_MIRRORED, [0.0, 1.0], 1e-300, 1),
+    # the pulse train takes about 6*pi*N / dt steps, whatever t
+    (SCHEDULE_MIRRORED, [1.0], 1e-5, 200),
+])
+def test_pass_past_the_step_budget_raises_before_any_step(monkeypatch, schedule, grid, dt,
+                                                          n_steps):
+    def no_step(*args):
+        raise AssertionError("an RK4 step ran before the budget was checked")
+
+    monkeypatch.setattr(meanfield, "_rk4_update", no_step)
+    with pytest.raises(ValueError, match="budget"):
+        meanfield_echo_curve(5, 1.0, grid, IntegratorConfig(dt=dt), schedule=schedule,
+                             n_steps=n_steps)
+
+
+def test_pass_at_the_step_budget_is_planned():
+    # the continuous schedule's row takes 2 ceil(t / dt) steps
+    spec = uniform_echo_chain(5, 1.0)
+    half = meanfield.MAX_PASS_STEPS // 2
+    segments = meanfield._row_segments(spec, half * 0.5, SCHEDULE_CONTINUOUS, 1, -1, 0.5)
+    assert sum(steps for steps, _, _ in segments) == meanfield.MAX_PASS_STEPS
+    with pytest.raises(meanfield.StepBudgetError):
+        meanfield._row_segments(spec, (half + 1) * 0.5, SCHEDULE_CONTINUOUS, 1, -1, 0.5)
+
+
 # the smallest coupling `gates.wrap_period` accepts (tests/test_gates.py)
 WEAKEST_J = 3.49513784379046e-308
 

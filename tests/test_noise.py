@@ -1,7 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+import echochain
 
 from echochain.echo import EchoConfig
 from echochain.noise import (
@@ -9,7 +17,7 @@ from echochain.noise import (
     GateNoise,
     NoiseModel,
     _batch_stats,
-    _trial_stats,
+    _grid_stats,
     child_seed,
     default_v_grid,
     loglog_fit,
@@ -69,6 +77,75 @@ class TestSeeding:
         assert np.array_equal(make_rng((9, 2)).standard_normal(8), make_rng((9, 2)).standard_normal(8))
 
 
+# Entries that take one, two and three 32-bit words, with the edges of
+# each word count; mixing them gives rows of different word counts.
+EDGE_ENTRIES = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1]
+entries = st.one_of(st.sampled_from(EDGE_ENTRIES), st.integers(min_value=0, max_value=2**80))
+seeds = st.one_of(entries, st.lists(entries, min_size=1, max_size=6).map(tuple))
+
+
+def reference_streams(seeds_, count):
+    """`count` normals of every seed from numpy's own SeedSequence."""
+    import numpy.random
+
+    return np.array([
+        numpy.random.default_rng(
+            numpy.random.SeedSequence(list(s) if isinstance(s, tuple) else s)
+        ).standard_normal(count)
+        for s in seeds_
+    ]).reshape(len(seeds_), count)
+
+
+class TestBatchSeeding:
+    """GateNoise hashes a batch's seeds together; every stream must be
+    the one numpy's SeedSequence gives, bit for bit."""
+
+    @seed(20261019)
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.lists(seeds, min_size=1, max_size=12), first=st.integers(1, 63))
+    def test_streams_match_seed_sequence(self, batch, first):
+        noise = GateNoise(batch, np.ones(len(batch)))
+        drawn = np.concatenate([noise.take(first), noise.take(64 - first)], axis=1)
+        assert np.array_equal(drawn, reference_streams(batch, 64))
+
+    def test_mixed_word_counts_in_one_batch(self):
+        # 1 to 11 words per row, ints and tuples of 1-6 entries
+        batch = [0, 2**32 - 1, 2**32, 2**64 + 1, (0,), (5, 2**32), (1, 2, 3),
+                 (2**64 + 1, 0, 2**32 - 1, 7), (1, 2, 3, 4, 5), (2**32,) * 6, (9, 8, 7, 6, 5, 4)]
+        noise = GateNoise(batch, np.ones(len(batch)))
+        assert np.array_equal(noise.take(70), reference_streams(batch, 70))
+
+    def test_matches_make_rng(self):
+        batch = [3, (3, 1), (2**70, 0, 4)]
+        noise = GateNoise(batch, np.ones(3))
+        expected = np.array([make_rng(s).standard_normal(10) for s in batch])
+        assert np.array_equal(noise.take(10), expected)
+
+    def test_empty_batch(self):
+        noise = GateNoise([], [])
+        assert len(noise) == 0
+        assert noise.take(5).shape == (0, 5)
+
+    @pytest.mark.parametrize("bad", [-1, (4, -1), (2**64, 0, -(2**40))])
+    def test_negative_entry_raises_like_seed_sequence(self, bad):
+        import numpy.random
+
+        with pytest.raises(ValueError) as ours:
+            GateNoise([0, bad], [0.1, 0.1])
+        with pytest.raises(ValueError) as numpys:
+            numpy.random.SeedSequence(list(bad) if isinstance(bad, tuple) else bad)
+        assert str(ours.value) == str(numpys.value)
+
+    def test_cli_import_leaves_numpy_random_unloaded(self, tmp_path):
+        # exact and mean-field curves never draw noise, so they never
+        # pay for numpy.random's import
+        script = "import sys\nimport echochain.cli\nassert 'numpy.random' not in sys.modules\n"
+        env = dict(os.environ, PYTHONPATH=str(Path(echochain.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                capture_output=True)
+        assert result.returncode == 0, result.stderr.decode()
+
+
 class TestRunTrials:
     def test_noise_free_echo_has_no_spread(self):
         config = EchoConfig(n=5, t=1.0, n_steps=2)
@@ -106,9 +183,17 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             slope_vs_n([EchoConfig(n=5, t=1.0, n_steps=2)], [0.01, 0.02, 0.03], 0, 1)
 
+    @pytest.mark.parametrize("trials", [1, 3, 10, 17, 100, 1000])
+    def test_grid_stats_match_per_row_stats(self, trials):
+        rows = np.random.default_rng(trials).random((8, trials))
+        for stats, row in zip(_grid_stats(5, 2, list(range(8)), rows), rows):
+            assert stats.mean_infidelity == float(row.mean())
+            assert stats.std_infidelity == float(row.std())
+            assert stats.trials == trials and np.array_equal(stats.infidelities, row)
+
     def test_nan_infidelity_fails_the_trial_guard(self):
         with pytest.raises(RuntimeError):
-            _trial_stats(5, 0.1, 2, np.array([0.1, math.nan]))
+            _grid_stats(5, 2, [0.1, 0.2], np.array([[0.1, 0.2], [0.1, math.nan]]))
 
     def test_transfer_config_runs_noisy_trials(self):
         config = TransferConfig(n=4, engine="trotter-simfm", n_steps=8)

@@ -18,6 +18,8 @@ from echochain.trotter import (
     MODE_DIRECT,
     MODE_SIMULATED_FM,
     Layer,
+    check_second_order,
+    check_three_term,
     second_order_plan,
     three_term_plan,
 )
@@ -76,6 +78,31 @@ class TestPlanArrays:
             assert second_order_plan(spec, [0.0, 2 * math.pi], 1, mode).angles.shape == (2, 3)
             with pytest.raises(ValueError, match="wrap budget"):
                 second_order_plan(spec, [0.0, 2 * math.pi + 1e-6, 1.0], 1, mode)
+
+    @pytest.mark.parametrize("build,check", [
+        (second_order_plan, check_second_order),
+        (three_term_plan, check_three_term),
+    ])
+    @pytest.mark.parametrize("times,steps,mode", [
+        ([0.0, 2 * math.pi], 1, MODE_DIRECT),
+        ([0.0, 2 * math.pi + 1e-6, 1.0], 1, MODE_SIMULATED_FM),
+        (4 * math.pi + 1e-6, 1, MODE_DIRECT),   # past the three-term budget too
+        (8 * math.pi, 4, MODE_SIMULATED_FM),
+        (1.0, 0, MODE_DIRECT),
+        ([1.0, math.nan], 2, MODE_DIRECT),
+        (-1.0, 2, MODE_DIRECT),
+        (1.0, 2, "sideways"),
+    ])
+    def test_checks_raise_where_the_plan_raises(self, build, check, times, steps, mode):
+        for spec in (uniform_echo_chain(5, 1.0), transfer_chain(5)):
+            try:
+                build(spec, times, steps, mode)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as checked:
+                    check(spec, times, steps, mode)
+                assert str(checked.value) == str(exc)
+            else:
+                assert check(spec, times, steps, mode) is None
 
     def test_one_angle_row_per_time(self):
         spec = uniform_echo_chain(6, 1.0)
