@@ -185,7 +185,9 @@ def cmd_echo(opts: SimpleNamespace) -> int:
                 sign_convention=opts.sign_convention,
             )
         except StepBudgetError as exc:
-            raise UsageError(f"--dt: {exc}") from exc
+            # the pulse train's step count grows with its pulse count too
+            flags = "--dt/--mf-steps" if opts.schedule == SCHEDULE_MIRRORED else "--dt"
+            raise UsageError(f"{flags}: {exc}") from exc
         classical = [(t, f) for t, (f, _) in zip(grid, results)]
     quantum = fidelity_curve(config, grid)
     header = [

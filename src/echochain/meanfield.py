@@ -45,9 +45,10 @@ along z and the accumulated phases unwind):
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -236,8 +237,10 @@ def _masked_couplings(spec: ChainSpec, bonds: list[tuple[int, int]]) -> np.ndarr
 
 def _schedule_segments(
     spec: ChainSpec, t: float, schedule: str, n_steps: int, sign_convention: int
-) -> list[tuple[float, np.ndarray]]:
-    """(duration, signed couplings) drive segments."""
+) -> Iterable[tuple[float, np.ndarray]]:
+    """(duration, signed couplings) drive segments, in order.  The pulse
+    train is generated lazily, so a row past the step budget stops
+    early whatever the pulse count."""
     if schedule == SCHEDULE_CONTINUOUS:
         return [
             (t, _signed_couplings(spec.couplings, sign_convention)),
@@ -252,7 +255,9 @@ def _schedule_segments(
     pulse_full = afm_duration_for_fm(tau, j, j)
     forward = [(pulse_half, odd), (pulse_full, even), (pulse_half, odd)]
     backward = [(tau / 2, odd), (tau, even), (tau / 2, odd)]
-    return forward * n_steps + backward * n_steps
+    return itertools.chain.from_iterable(
+        itertools.chain(itertools.repeat(forward, n_steps), itertools.repeat(backward, n_steps))
+    )
 
 
 def _row_segments(
@@ -260,22 +265,25 @@ def _row_segments(
 ) -> list[tuple[int, float, np.ndarray]]:
     """(steps, step size, signed couplings) of each driven segment of
     one grid point; a zero-duration echo applies no drive at all.
-    Raises StepBudgetError past MAX_PASS_STEPS steps in all."""
+    Raises StepBudgetError once the segments pass MAX_PASS_STEPS steps
+    in all."""
     if t == 0:
         return []
     segments = []
+    total = 0
     for duration, js in _schedule_segments(spec, t, schedule, n_steps, sign_convention):
         if duration > 0:
-            # a count past the budget stays unrounded: it may be inf
-            count = duration / dt
-            steps = max(1, math.ceil(count)) if count <= MAX_PASS_STEPS else count
+            # an infinite count stops one step past the budget
+            steps = max(1, math.ceil(min(duration / dt, MAX_PASS_STEPS + 1)))
+            total += steps
+            if total > MAX_PASS_STEPS:
+                remedy = ("a larger step" if schedule == SCHEDULE_CONTINUOUS
+                          else "a larger step or fewer pulses")
+                raise StepBudgetError(
+                    f"leg duration {t!r} takes more than the budget of {MAX_PASS_STEPS} "
+                    f"RK4 steps of at most {dt!r} per pass; use {remedy}"
+                )
             segments.append((steps, duration / steps, js))
-    total = sum(steps for steps, _, _ in segments)
-    if total > MAX_PASS_STEPS:
-        raise StepBudgetError(
-            f"leg duration {t!r} takes {total:.3g} RK4 steps of at most {dt!r}, "
-            f"past the budget of {MAX_PASS_STEPS} steps per pass; use a larger step"
-        )
     return segments
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -95,17 +95,13 @@ def _entropy_bytes(seed: Seed) -> bytes:
     """The words SeedSequence assembles from `seed`, little-endian: each
     int as its 32-bit words, low word first, and 0 as one zero word."""
     entries = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
-    try:
-        return struct.pack(f"<{len(entries)}I", *entries)
-    except struct.error:
-        pass  # an entry past one word, negative or not an int
-    words = b""
+    words = []
     for entry in entries:
-        entry = int(entry)
+        entry = operator.index(entry)
         if entry < 0:
             raise ValueError("expected non-negative integer")
-        words += entry.to_bytes(max(1, -(-entry.bit_length() // 32)) * 4, "little")
-    return words
+        words.append(entry.to_bytes(max(1, -(-entry.bit_length() // 32)) * 4, "little"))
+    return b"".join(words)
 
 
 def _hash_constants(init: int, mult: int, calls: int) -> np.ndarray:

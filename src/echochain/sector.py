@@ -16,10 +16,9 @@ one row per trial or time point.  In this sector
 
 `evolve` applies a Trotter plan (`echochain.trotter`) one whole layer
 per call.  A layer whose sites are evenly spaced is a slice, so its
-amplitudes are read through strided views of the batch and an
-exchange layer's results are written into those views; an uneven
-layer is an index array, read by the same expressions and assigned
-back.  Noisy angles become phases one exp per layer per chunk
+amplitudes are read and written through strided views of the batch;
+an uneven layer is an index array, read and written by the same
+expressions.  Noisy angles become phases one exp per layer per chunk
 of steps, not per step.
 
 Exact evolution diagonalizes the n x n sector Hamiltonian, global phase
@@ -74,17 +73,12 @@ def check_norm(c: np.ndarray) -> None:
 
 def _exchange(c: np.ndarray, left, right, phase: np.ndarray) -> None:
     """One exchange layer on every row, in place.  With slice sites the
-    reads are views of c and the results are written straight into
-    them; index-array sites read copies, so they are assigned back."""
+    reads are views of c and the writes go straight into it."""
     ci, cj = c[:, left], c[:, right]
     sym = 0.5 * (ci + cj)
     anti = 0.5 * (ci - cj) * phase
-    if isinstance(left, slice):
-        np.add(sym, anti, out=ci)
-        np.subtract(sym, anti, out=cj)
-    else:
-        c[:, left] = sym + anti
-        c[:, right] = sym - anti
+    c[:, left] = sym + anti
+    c[:, right] = sym - anti
 
 
 def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from echochain import checks, cli
+from echochain import checks, cli, meanfield
 from echochain.cli import main
 from echochain.chain import transfer_chain
 
@@ -294,6 +294,22 @@ def test_bad_meanfield_options_are_usage_errors(tmp_path, capsys, monkeypatch, f
     assert main(["echo", "--n", "4", "--points", "3", "--t-max", "1", "--with-meanfield",
                  *flags, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flags[0]}")
+    assert not out.exists()
+
+
+def test_long_pulse_train_is_usage_error_naming_dt_and_mf_steps(tmp_path, capsys, monkeypatch):
+    # at the default --dt one mirrored step takes about 18,850 RK4 steps,
+    # so 600 of them pass meanfield.MAX_PASS_STEPS
+    def no_step(*args):
+        raise AssertionError("an RK4 step ran before the budget was checked")
+
+    monkeypatch.setattr(cli, "fidelity_curve", no_step)
+    monkeypatch.setattr(meanfield, "_rk4_update", no_step)
+    out = tmp_path / "x.csv"
+    assert main(["echo", "--n", "4", "--points", "3", "--t-max", "1", "--with-meanfield",
+                 "--mf-steps", "600", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --dt/--mf-steps: ") and "fewer pulses" in err
     assert not out.exists()
 
 

@@ -136,6 +136,15 @@ class TestBatchSeeding:
             numpy.random.SeedSequence(list(bad) if isinstance(bad, tuple) else bad)
         assert str(ours.value) == str(numpys.value)
 
+    @pytest.mark.parametrize("bad", [1.5, (4, 2.0)])
+    def test_non_integer_entry_raises_like_seed_sequence(self, bad):
+        import numpy.random
+
+        with pytest.raises(TypeError):
+            GateNoise([0, bad], [0.1, 0.1])
+        with pytest.raises(TypeError):
+            numpy.random.SeedSequence(list(bad) if isinstance(bad, tuple) else bad)
+
     def test_cli_import_leaves_numpy_random_unloaded(self, tmp_path):
         # exact and mean-field curves never draw noise, so they never
         # pay for numpy.random's import
