@@ -28,6 +28,9 @@ size.  With a few rows each step costs numpy call overhead, not
 arithmetic, so the kernel writes every result into a buffer made once
 per epoch and pairs operands of one shape: each site's row block is
 contiguous, and a step size is stored at full shape, not broadcast.
+Each epoch also records its step once, as a list of numpy calls bound
+to their operands and positional outputs, so a step runs those calls
+and looks nothing up.
 Each point comes back as a plain (singlet revival, final slots) pair,
 with the slots expanded back to (n, 2) spinors.
 
@@ -48,6 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -59,8 +63,8 @@ SCHEDULE_CONTINUOUS = "continuous"
 SCHEDULE_MIRRORED = "mirrored-pulse"
 SCHEDULES = (SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED)
 # Most batched RK4 steps one curve's pass may take: its longest row's
-# step count.  One step of a 59-row curve at n = 10 takes about 80 us
-# on a 2-core host, so a full pass takes about 13 minutes; the default
+# step count.  One step of a 59-row curve at n = 10 takes 45-70 us on
+# a 2-core host, so a full pass takes 8-12 minutes; the default
 # `echo --with-meanfield` takes about 302 000 steps.
 MAX_PASS_STEPS = 10**7
 
@@ -100,10 +104,13 @@ def _slots(c: np.ndarray) -> np.ndarray:
 
 
 class _Epoch:
-    """What stays fixed while a batch of rows advances through one
-    epoch: the couplings of each site to its right and left neighbor,
-    the step sizes, and the work arrays of `_derivative` and
-    `_rk4_update` with the views they read and write.
+    """One epoch's RK4 step for one batch of rows, recorded once: what
+    stays fixed while the batch advances through the epoch (the
+    couplings of each site to its right and left neighbor, the step
+    sizes, the work arrays and the views they are read and written
+    through) bound into `calls`, the step's numpy calls in order.  A
+    step is then `for call in calls: call()` on the batch c the epoch
+    was built for, with no lookups or keyword arguments per call.
 
     Every array is site-major, (sites, rows), so each site's values
     for all rows are one contiguous block, and every ufunc call pairs
@@ -114,7 +121,7 @@ class _Epoch:
     that is not contiguous through its general iterator.
 
     The padded |c|^2 buffer w holds slots 0..n-1 and a zero past the
-    last site; `_derivative` turns slot 1 into the head pair's
+    last site; each derivative turns slot 1 into the head pair's
     2 <S_2^z> and halves slots 1..n-1 into <S^z>.  Slot k >= 1 sits on
     site k+1, so its right neighbor is w[k+1] and its left one w[k-1].
     Slot 1's left neighbor w[0] is |p01|^2, which meets only the zero
@@ -123,102 +130,108 @@ class _Epoch:
     with -hz.
     """
 
-    def __init__(self, js: np.ndarray, step: np.ndarray) -> None:
+    def __init__(self, js: np.ndarray, step: np.ndarray, c: np.ndarray) -> None:
         n, rows = js.shape
         # complex, so a step times a complex array needs no cast;
         # dt / 6.0 is taken in real arithmetic first, because complex
         # division multiplies by a rounded reciprocal
-        self.dt, self.half, self.sixth = (
-            np.broadcast_to(column, (n, rows)).astype(complex)
-            for column in (step, 0.5 * step, step / 6.0)
-        )
-        self.twos = np.full((n, rows), 2 + 0j)
-        self.minus_half_i = np.full((n, rows), -0.5j)
-        self.k = np.empty((4, n, rows), dtype=complex)
-        self.stage = np.empty((n, rows), dtype=complex)
+        dt, half, sixth = np.empty((3, n, rows), dtype=complex)
+        dt[...], half[...], sixth[...] = step, 0.5 * step, step / 6.0
+        twos = np.full((n, rows), 2 + 0j)
+        minus_half_i = np.full((n, rows), -0.5j)
+        k1, k2, k3, k4 = np.empty((4, n, rows), dtype=complex)
+        stage = np.empty((n, rows), dtype=complex)
         js = js.reshape(-1)
-        self.j_right, self.j_left = js[rows:], js[:-rows]
+        j_right, j_left = js[rows:], js[:-rows]
         w = np.zeros((n + 1) * rows)
-        self.w_live = w[:-rows].reshape(n, rows)
-        self.w_p01, self.w_p10, self.w_sites = w[:rows], w[rows:2 * rows], w[rows:-rows]
-        self.w_right, self.w_left = w[2 * rows:], w[:-2 * rows]
-        self.halves = np.full((n - 1) * rows, 0.5)
-        self.from_right, self.from_left = np.empty((2, (n - 1) * rows))
+        w_live = w[:-rows].reshape(n, rows)
+        w_p01, w_p10, w_sites = w[:rows], w[rows:2 * rows], w[rows:-rows]
+        w_right, w_left = w[2 * rows:], w[:-2 * rows]
+        halves = np.full((n - 1) * rows, 0.5)
+        from_right, from_left = np.empty((2, (n - 1) * rows))
         # the field as a complex array, so hz * c needs no cast either
-        self.hz = np.zeros((n, rows), dtype=complex)
-        hz = self.hz.reshape(-1).real
-        self.hz_p01, self.hz_site2, self.hz_sites = hz[:rows], hz[rows:2 * rows], hz[rows:]
+        hz = np.zeros((n, rows), dtype=complex)
+        hz_real = hz.reshape(-1).real
+        hz_p01, hz_site2, hz_sites = hz_real[:rows], hz_real[rows:2 * rows], hz_real[rows:]
         # the squares of the pair's float view, p01's (re, im, re, ...)
         # over p10's, and their sum over the pair
-        self.pair_squares = np.empty((2, 2 * rows))
-        self.pair_sum = np.empty(2 * rows)
-        self.pair_re, self.pair_im = self.pair_sum[0::2], self.pair_sum[1::2]
-        self.spin_squares = np.empty((n, rows), dtype=complex)
-        self.spin_re = self.spin_squares.reshape(-1).real[2 * rows:]
+        pair_squares = np.empty((2, 2 * rows))
+        pair_sum = np.empty(2 * rows)
+        pair_re, pair_im = pair_sum[0::2], pair_sum[1::2]
+        spin_squares = np.empty((n, rows), dtype=complex)
+        spin_re = spin_squares.reshape(-1).real[2 * rows:]
         # each amplitude's divisor, complex with a zero imaginary part,
         # as numpy casts a float divisor of a complex array
-        self.norm = np.zeros((n, rows), dtype=complex)
-        norm = self.norm.reshape(-1).real
-        self.norm_p01, self.norm_p10, self.norm_sites = (
-            norm[:rows], norm[rows:2 * rows], norm[2 * rows:]
+        norm = np.zeros((n, rows), dtype=complex)
+        norm_real = norm.reshape(-1).real
+        norm_p01, norm_p10, norm_sites = (
+            norm_real[:rows], norm_real[rows:2 * rows], norm_real[2 * rows:]
         )
 
+        def derivative(x: np.ndarray, out: np.ndarray) -> list[partial]:
+            """dc/dt = -i/2 hz x into out for every live amplitude of x,
+            hz the signed z field of its slot."""
+            return [
+                partial(np.abs, x, w_live),
+                partial(np.square, w_live, w_live),
+                # <S_2^z> = 0.5 (|p10|^2 - |p01|^2), <S_k^z> = 0.5 |up_k|^2
+                partial(np.subtract, w_p10, w_p01, w_p10),
+                partial(np.multiply, halves, w_sites, w_sites),
+                # each site's right neighbor first, then its left one
+                partial(np.multiply, j_right, w_right, from_right),
+                partial(np.multiply, j_left, w_left, from_left),
+                partial(np.add, from_right, from_left, hz_sites),
+                partial(np.negative, hz_site2, hz_p01),
+                partial(np.multiply, hz, x, out),
+                partial(np.multiply, out, minus_half_i, out),
+            ]
 
-def _derivative(c: np.ndarray, epoch: _Epoch, out: np.ndarray) -> None:
-    """dc/dt = -i/2 hz c into out for every live amplitude, hz the
-    signed z field of its slot."""
-    e = epoch
-    np.abs(c, out=e.w_live)
-    np.square(e.w_live, out=e.w_live)
-    # <S_2^z> = 0.5 (|p10|^2 - |p01|^2), <S_k^z> = 0.5 |up_k|^2
-    np.subtract(e.w_p10, e.w_p01, out=e.w_p10)
-    np.multiply(e.halves, e.w_sites, out=e.w_sites)
-    # each site's right neighbor first, then its left one
-    np.multiply(e.j_right, e.w_right, out=e.from_right)
-    np.multiply(e.j_left, e.w_left, out=e.from_left)
-    np.add(e.from_right, e.from_left, out=e.hz_sites)
-    np.negative(e.hz_site2, out=e.hz_p01)
-    np.multiply(e.hz, c, out=out)
-    np.multiply(out, e.minus_half_i, out=out)
+        self.c = c
+        self.calls = [
+            *derivative(c, k1),
+            partial(np.multiply, half, k1, stage),
+            partial(np.add, c, stage, stage),
+            *derivative(stage, k2),
+            partial(np.multiply, half, k2, stage),
+            partial(np.add, c, stage, stage),
+            *derivative(stage, k3),
+            partial(np.multiply, dt, k3, stage),
+            partial(np.add, c, stage, stage),
+            *derivative(stage, k4),
+            # c + dt/6 (k1 + 2 k2 + 2 k3 + k4)
+            partial(np.multiply, twos, k2, k2),
+            partial(np.add, k1, k2, k1),
+            partial(np.multiply, twos, k3, k3),
+            partial(np.add, k1, k3, k1),
+            partial(np.add, k1, k4, k1),
+            partial(np.multiply, sixth, k1, k1),
+            partial(np.add, c, k1, c),
+            # Both norms are np.linalg.norm's.  A whole vector's is the
+            # dot of its real parts plus that of its imaginary parts,
+            # which over the pair's (0, p01, p10, 0) is
+            # (re01^2 + re10^2) + (im01^2 + im10^2); a spinor's sums
+            # (x* x).real, whose down term is 0.
+            partial(np.square, c[:2].view(float), pair_squares),
+            partial(np.add, pair_squares[0], pair_squares[1], pair_sum),
+            partial(np.add, pair_re, pair_im, norm_p01),
+            partial(np.sqrt, norm_p01, norm_p01),
+            partial(np.copyto, norm_p10, norm_p01),
+            partial(np.conjugate, c, spin_squares),
+            partial(np.multiply, spin_squares, c, spin_squares),
+            partial(np.sqrt, spin_re, norm_sites),
+            partial(np.divide, c, norm, c),
+        ]
 
 
 def _rk4_update(c: np.ndarray, epoch: _Epoch) -> np.ndarray:
     """One RK4 step of every row of the site-major amplitudes c, in
-    place, then renormalization of the pair and each spin; returns c."""
-    e = epoch
-    k1, k2, k3, k4 = e.k
-    stage = e.stage
-    _derivative(c, e, k1)
-    np.multiply(e.half, k1, out=stage)
-    np.add(c, stage, out=stage)
-    _derivative(stage, e, k2)
-    np.multiply(e.half, k2, out=stage)
-    np.add(c, stage, out=stage)
-    _derivative(stage, e, k3)
-    np.multiply(e.dt, k3, out=stage)
-    np.add(c, stage, out=stage)
-    _derivative(stage, e, k4)
-    # c + dt/6 (k1 + 2 k2 + 2 k3 + k4)
-    np.multiply(e.twos, k2, out=k2)
-    np.add(k1, k2, out=k1)
-    np.multiply(e.twos, k3, out=k3)
-    np.add(k1, k3, out=k1)
-    np.add(k1, k4, out=k1)
-    np.multiply(e.sixth, k1, out=k1)
-    np.add(c, k1, out=c)
-    # Both norms are np.linalg.norm's.  A whole vector's is the dot of
-    # its real parts plus that of its imaginary parts, which over the
-    # pair's (0, p01, p10, 0) is (re01^2 + re10^2) + (im01^2 + im10^2);
-    # a spinor's sums (x* x).real, whose down term is 0.
-    np.square(c[:2].view(float), out=e.pair_squares)
-    np.add(e.pair_squares[0], e.pair_squares[1], out=e.pair_sum)
-    np.add(e.pair_re, e.pair_im, out=e.norm_p01)
-    np.sqrt(e.norm_p01, out=e.norm_p01)
-    np.copyto(e.norm_p10, e.norm_p01)
-    np.conjugate(c, out=e.spin_squares)
-    np.multiply(e.spin_squares, c, out=e.spin_squares)
-    np.sqrt(e.spin_re, out=e.norm_sites)
-    np.divide(c, e.norm, out=c)
+    place, then renormalization of the pair and each spin; returns c.
+    c must be the array the epoch was built for: its calls are bound
+    to c and its views."""
+    if c is not epoch.c:
+        raise ValueError("the epoch was built for another amplitude array")
+    for call in epoch.calls:
+        call()
     return c
 
 
@@ -338,11 +351,12 @@ def meanfield_echo_curve(
     active = [r for r, plan in enumerate(plans) if plan]
     while active:
         segments = [plans[r][position[r]] for r in active]
+        batch = c.take(active, axis=1)
         epoch = _Epoch(
             np.stack([segment[2] for segment in segments], axis=1),
             np.array([segment[1] for segment in segments]),
+            batch,
         )
-        batch = c.take(active, axis=1)
         steps = min(left[r] for r in active)
         for _ in range(steps):
             batch = _rk4_update(batch, epoch)

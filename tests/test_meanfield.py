@@ -516,10 +516,21 @@ class TestReferenceKernel:
         ])
         dt = rng.uniform(1e-3, 0.3, rows) / scale
         expected = reference_rk4_update(psi, js, dt)
-        new = meanfield._rk4_update(
-            np.ascontiguousarray(live.T), meanfield._Epoch(np.ascontiguousarray(js.T), dt)
-        )
+        c = np.ascontiguousarray(live.T)
+        new = meanfield._rk4_update(c, meanfield._Epoch(np.ascontiguousarray(js.T), dt, c))
         assert (meanfield._slots(new) + 0.0).tobytes() == (expected + 0.0).tobytes()
+
+    def test_step_refuses_an_array_its_epoch_was_not_built_for(self):
+        c = np.repeat(meanfield._initial_amplitudes(5)[:, None], 2, axis=1)
+        js = np.repeat(meanfield._signed_couplings(np.ones(4), -1.0)[:, None], 2, axis=1)
+        epoch = meanfield._Epoch(js, np.array([0.1, 0.2]), c)
+        for other in (c.copy(), c[:, :1], np.ascontiguousarray(c[:, ::-1])):
+            before = other.copy()
+            with pytest.raises(ValueError, match="built for another"):
+                meanfield._rk4_update(other, epoch)
+            assert other.tobytes() == before.tobytes()
+        # the bound array itself still steps
+        assert meanfield._rk4_update(c, epoch) is c
 
     @pytest.mark.parametrize("schedule", [SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED])
     @pytest.mark.parametrize("sign_convention", [-1, 1])
