@@ -1,8 +1,7 @@
 """Loschmidt echo: forward evolution under the simulated ferromagnet,
 backward under the antiferromagnet, scored by singlet revival on the
-first pair.  `EchoConfig` runs its own batches, which
-`echochain.noise` turns into single runs (`fidelity`), curves and
-robustness sweeps.
+first pair.  `EchoConfig` names its two legs, which `echochain.noise`
+runs as single runs (`fidelity`), curves and robustness sweeps.
 
 Both legs share one Trotter step count.  Because the forward gates are
 exact inverses of the backward gates up to global phases (each forward
@@ -15,14 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
-import numpy as np
-
-from . import sector
 from .chain import uniform_echo_chain
-from .noise import GateNoise, NoiseModel, Seed
-from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, check_second_order, second_order_plan
+from .noise import NoiseModel, Seed
+from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, SECOND_ORDER, check_second_order
 
 BACKWARD_TROTTERIZED = "trotterized"
 BACKWARD_EXACT = "exact-continuous"
@@ -59,17 +54,11 @@ class EchoConfig:
         """Trotter steps per leg."""
         return self.n_steps
 
-    def final_states(self, times: Sequence[float], noise: GateNoise | None) -> np.ndarray:
-        """One echo per row: row r runs for times[r] (or times[0] for every
-        row) and draws its gate errors from row r of `noise`."""
+    def legs(self) -> tuple[tuple, ...]:
+        """The forward and backward legs as (split, chain, plan mode);
+        a mode of None runs the chain continuously."""
         spec = uniform_echo_chain(self.n, self.j)
-        c = sector.singlet_head(len(noise) if noise is not None else len(times), self.n)
-        sector.evolve(c, second_order_plan(spec, times, self.n_steps, MODE_SIMULATED_FM), noise)
-        if self.backward_mode == BACKWARD_TROTTERIZED:
-            sector.evolve(c, second_order_plan(spec, times, self.n_steps, MODE_DIRECT), noise)
-        else:
-            # Continuous antiferromagnetic return; used as a probe of the
-            # forward leg's Trotter error, so it is never noisy.
-            c = sector.exact_evolve(spec, c, times)
-        sector.check_norm(c)
-        return c
+        # The continuous antiferromagnetic return probes the forward
+        # leg's Trotter error, so it is never noisy.
+        backward = MODE_DIRECT if self.backward_mode == BACKWARD_TROTTERIZED else None
+        return ((SECOND_ORDER, spec, MODE_SIMULATED_FM), (SECOND_ORDER, spec, backward))

@@ -8,15 +8,19 @@ step.  This multiplies the coupling at fixed duration, so a long pulse
 is proportionally more sensitive than a short one.
 
 A protocol config (`echochain.echo.EchoConfig` or
-`echochain.transfer.TransferConfig`, imported for type hints only) runs
-its own batch of final states and names the pair it scores, so
-`fidelity`, `fidelity_curve` and `slope_vs_n` serve both protocols: a
-single run is a one-row batch drawn from config.seed itself.  Trials are
-seeded with SeedSequence([master_seed, trial]) so every trial has an
-independent stream and results do not depend on how the trials are
-batched.  All trials of a sweep at one chain length run as one batch
-of the one-magnon engine (`echochain.sector`), and their statistics
-come from one pass over the batch's (v, trials) infidelities.
+`echochain.transfer.TransferConfig`, imported for type hints only)
+names its legs (a Trotter plan's split, chain and mode, or continuous
+evolution) and the pair it scores, and `_pair_fidelities` runs any
+configs with the same legs as blocks of one batch of the one-magnon
+engine (`echochain.sector`).  So `fidelity`, `fidelity_curve` and
+`slope_vs_n` serve both protocols on one path: a single run is a
+one-row batch of one block drawn from config.seed itself, a curve one
+block with a row per time.  Trials are seeded with
+SeedSequence([master_seed, trial]) so every trial has an independent
+stream and results do not depend on how the trials are batched.  A
+sweep runs chains of similar length together (`_batches`), every trial
+of each in the batch, and each chain's statistics come from one pass
+over its (v, trials) infidelities.
 
 A batch's streams are seeded together: `GateNoise` runs numpy's
 SeedSequence hash (integer arithmetic with fixed constants, the same
@@ -39,6 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from . import sector
+from .trotter import batch_plan
 
 if TYPE_CHECKING:
     from .echo import EchoConfig
@@ -215,12 +220,13 @@ class GateNoise:
     def __len__(self) -> int:
         return len(self._rngs)
 
-    def take(self, count: int) -> np.ndarray:
-        """The next `count` errors of every row, shape (rows, count)."""
-        z = np.empty((len(self._rngs), count))
-        for row, rng in zip(z, self._rngs):
+    def take(self, count: int, rows: slice = slice(None)) -> np.ndarray:
+        """The next `count` errors of each of `rows`, shape (rows, count)."""
+        rngs = self._rngs[rows]
+        z = np.empty((len(rngs), count))
+        for row, rng in zip(z, rngs):
             rng.standard_normal(out=row)
-        return z * self.v
+        return z * self.v[rows]
 
 
 def model_noise(model: NoiseModel | None, seeds: Sequence[Seed]) -> GateNoise | None:
@@ -275,20 +281,68 @@ def _grid_stats(n: int, steps: int, v_grid: Sequence[float], rows: np.ndarray) -
     ]
 
 
+def _pair_fidelities(
+    configs: Sequence[EchoConfig | TransferConfig],
+    times: Sequence[Sequence[float]],
+    rows: Sequence[int],
+    noise: GateNoise | None,
+) -> list[np.ndarray]:
+    """One batched pass over every config's rows: block b is configs[b]
+    on rows[b] rows, with times[b] one time per row or one for all of
+    them, and the configs come by descending step count.  Returns each
+    block's singlet fidelities of its config's pair.
+
+    Each row is padded with zero amplitudes to the longest chain.  Plan
+    legs run as one `sector.evolve` pass over the batch; continuous legs
+    run `sector.exact_evolve` on each block's own sites and take no
+    noise.  Every config must run the same legs.
+    """
+    starts = np.cumsum([0, *rows]).tolist()
+    legs = [config.legs() for config in configs]
+    if noise is not None and np.any(noise.v > 0) and all(mode is None for _, _, mode in legs[0]):
+        raise ValueError("the exact engine is noise-free; use a trotter engine")
+    c = sector.singlet_head(starts[-1], max(config.n for config in configs))
+    for leg in zip(*legs):
+        split, _, mode = leg[0]
+        if any((other_split, other_mode) != (split, mode) for other_split, _, other_mode in leg):
+            raise ValueError("the configs of one batch must run the same legs")
+        if mode is not None:
+            chains = [(spec, t, config.steps, count)
+                      for (_, spec, _), t, config, count in zip(leg, times, configs, rows)]
+            sector.evolve(c, batch_plan(split, chains, mode), noise)
+            continue
+        for (_, spec, _), t, start, stop in zip(leg, times, starts, starts[1:]):
+            c[start:stop, :spec.n] = sector.exact_evolve(spec, c[start:stop, :spec.n], t)
+    scores = []
+    for config, start, stop in zip(configs, starts, starts[1:]):
+        block = c[start:stop, :config.n]
+        sector.check_norm(block)
+        scores.append(sector.singlet_fidelity(block, *config.pair))
+    return scores
+
+
 def _batch_stats(
-    config: EchoConfig | TransferConfig,
+    configs: Sequence[EchoConfig | TransferConfig],
     v_grid: Sequence[float],
-    base_seeds: Sequence[Seed],
+    base_seeds: Sequence[Sequence[Seed]],
     trials: int,
     include_fields: bool,
-) -> list[TrialStats]:
-    """Every trial of `config` at every v_grid[i] as one batch; trial k
-    of v_grid[i] draws its gate errors from child_seed(base_seeds[i], k)."""
-    seeds = [child_seed(base, k) for base in base_seeds for k in range(trials)]
-    noise = GateNoise(seeds, np.repeat(v_grid, trials), include_fields)
-    c = config.final_states([config.t], noise)
-    rows = (1.0 - sector.singlet_fidelity(c, *config.pair)).reshape(len(v_grid), trials)
-    return _grid_stats(config.n, config.steps, v_grid, rows)
+) -> list[list[TrialStats]]:
+    """Every trial of every config at every v_grid[i] as one batch, one
+    TrialStats list per config in the configs' order; trial k of config
+    b at v_grid[i] draws its gate errors from
+    child_seed(base_seeds[b][i], k)."""
+    order = sorted(range(len(configs)), key=lambda b: -configs[b].steps)
+    seeds = [child_seed(base, k) for b in order for base in base_seeds[b] for k in range(trials)]
+    v = np.tile(np.repeat(v_grid, trials), len(order))
+    scores = _pair_fidelities([configs[b] for b in order], [[configs[b].t] for b in order],
+                              [len(v_grid) * trials] * len(order),
+                              GateNoise(seeds, v, include_fields))
+    stats: list[list[TrialStats]] = [[] for _ in configs]
+    for b, fidelities in zip(order, scores):
+        infidelities = (1.0 - fidelities).reshape(len(v_grid), trials)
+        stats[b] = _grid_stats(configs[b].n, configs[b].steps, v_grid, infidelities)
+    return stats
 
 
 def loglog_fit(points: Iterable[tuple[float, float]]) -> FitResult:
@@ -327,8 +381,8 @@ def default_v_grid(
 def fidelity(config: EchoConfig | TransferConfig) -> float:
     """One run of `config` at config.t, drawing its gate errors from
     config.seed itself, scored by the singlet fidelity of its pair."""
-    c = config.final_states([config.t], model_noise(config.noise, [config.seed]))
-    value = float(sector.singlet_fidelity(c, *config.pair)[0])
+    noise = model_noise(config.noise, [config.seed])
+    value = float(_pair_fidelities([config], [[config.t]], [1], noise)[0][0])
     if not -1e-12 <= value <= 1 + 1e-12:
         raise ValueError(f"fidelity {value} outside [0, 1]")
     return value
@@ -348,8 +402,41 @@ def fidelity_curve(
     if outside:
         raise ValueError(f"evolution time must lie in [0, {config.t!r}], got {outside[0]!r}")
     seeds = [child_seed(config.seed, k) for k in range(len(times))]
-    c = config.final_states(times, model_noise(config.noise, seeds))
-    return list(zip(times, sector.singlet_fidelity(c, *config.pair).tolist()))
+    fidelities = _pair_fidelities([config], [times], [len(times)],
+                                  model_noise(config.noise, seeds))[0]
+    return list(zip(times, fidelities.tolist()))
+
+
+# A chain joins a batch only when it is at most BATCH_SPAN sites shorter
+# than the batch's longest chain, and while the batch holds at most
+# BATCH_AMPLITUDES amplitudes (rows x longest chain).  A shared pass
+# saves numpy's per-call cost, which dominates small batches; the span
+# bounds the pads' share of the work, and past the amplitude cap a
+# batch's arrays outgrow the core's cache, so that a shared pass was
+# measured slower than one pass per chain (README, "Library layout").
+BATCH_SPAN = 8
+BATCH_AMPLITUDES = 1 << 13
+
+
+def _batches(configs: Sequence[EchoConfig | TransferConfig], rows: int) -> list[list[int]]:
+    """Indexes of the configs that run as one batch, `rows` rows each:
+    configs with the same legs, longest chain first."""
+    by_legs: dict[tuple, list[int]] = {}
+    for index in sorted(range(len(configs)), key=lambda i: -configs[i].n):
+        legs = tuple((split, mode) for split, _, mode in configs[index].legs())
+        by_legs.setdefault(legs, []).append(index)
+    batches: list[list[int]] = []
+    for indexes in by_legs.values():
+        batch: list[int] = []
+        for index in indexes:
+            longest = configs[batch[0]].n if batch else configs[index].n
+            if batch and (longest - configs[index].n > BATCH_SPAN
+                          or (len(batch) + 1) * rows * longest > BATCH_AMPLITUDES):
+                batches.append(batch)
+                batch = []
+            batch.append(index)
+        batches.append(batch)
+    return batches
 
 
 def slope_vs_n(
@@ -361,25 +448,33 @@ def slope_vs_n(
     on_stats: Callable[[TrialStats], None] | None = None,
     include_fields: bool = False,
 ) -> list[tuple[int, FitResult]]:
-    """One log-log fit per config, each config one chain length.
+    """One log-log fit per config, each config one chain length, in the
+    configs' order.
 
     Each (n, v) point runs `trials` noisy repetitions of config.t seeded
-    from (master_seed, n, v-index, trial); every trial of one n runs in
-    one batch.  Points with zero mean infidelity are dropped before
-    fitting.  on_stats, when given, receives every TrialStats as it is
-    produced (for CSV capture).
+    from (master_seed, n, v-index, trial).  Chains of similar length run
+    in one batch (`_batches`), every trial of each in it.  Points with
+    zero mean infidelity are dropped before fitting.  on_stats, when
+    given, receives every TrialStats in the configs' order (for CSV
+    capture).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     v_grid = [float(v) for v in v_grid]
+    stats: list[list[TrialStats]] = [[] for _ in configs]
+    for batch in _batches(configs, len(v_grid) * trials):
+        bases = [[child_seed(child_seed(master_seed, configs[b].n), vi)
+                  for vi in range(len(v_grid))] for b in batch]
+        for b, point_stats in zip(batch, _batch_stats([configs[b] for b in batch], v_grid,
+                                                      bases, trials, include_fields)):
+            stats[b] = point_stats
     results: list[tuple[int, FitResult]] = []
-    for config in configs:
-        bases = [child_seed(child_seed(master_seed, config.n), vi) for vi in range(len(v_grid))]
+    for config, point_stats in zip(configs, stats):
         points: list[tuple[float, float]] = []
-        for stats in _batch_stats(config, v_grid, bases, trials, include_fields):
+        for point in point_stats:
             if on_stats is not None:
-                on_stats(stats)
-            if stats.mean_infidelity > 0:
-                points.append((stats.v, stats.mean_infidelity))
+                on_stats(point)
+            if point.mean_infidelity > 0:
+                points.append((point.v, point.mean_infidelity))
         results.append((config.n, loglog_fit(points)))
     return results

@@ -1,12 +1,14 @@
-"""Batched one-magnon engine: the kernels every protocol config's
-`final_states` runs, for single runs, curves and sweeps alike.
+"""Batched one-magnon engine: the kernels `echochain.noise` runs for
+single runs, curves and sweeps alike.
 
 Every exchange pulse and sigma^z phase conserves total S^z, and the
 head singlet holds exactly one down spin, so a chain state is n
 amplitudes c_m, one per position m of the flipped spin: c_m is the
 dense amplitude of the basis state with site m down and every other
 site up, up to a global phase.  A batch is a (rows, n) complex array,
-one row per trial or time point.  In this sector
+one row per trial or time point; chains of several lengths share one
+batch with each row padded by zero amplitudes to the longest chain.
+In this sector
 
 * exp(-i theta S_i.S_j) leaves (c_i + c_j)/2 alone and multiplies
   (c_i - c_j)/2 by e^{i theta}, up to the global phase e^{-i theta/4};
@@ -19,7 +21,13 @@ per call.  A layer whose sites are evenly spaced is a slice, so its
 amplitudes are read and written through strided views of the batch;
 an uneven layer is an index array, read and written by the same
 expressions.  Noisy angles become phases one exp per layer per chunk
-of steps, not per step.
+of steps, not per step.  A plan's blocks (one chain each) run their
+own step counts: blocks come by descending step count, so each step
+runs on the prefix of rows still stepping.  A padded row turns the
+gates its chain lacks by exactly 0: phase 1 on (c, 0) returns (c, 0)
+and a field phase of 1 leaves c alone, bit for bit whenever c's parts
+are 0 or normal floats (halving a subnormal part rounds it, far below
+any score), and such pads take no gate errors.
 
 Exact evolution diagonalizes the n x n sector Hamiltonian, global phase
 included.  The dense 2^n oracle this engine is tested against is one
@@ -87,52 +95,79 @@ def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> 
     The plan holds one angle row shared by every row of c, or one per
     row.  Under `noise` every exchange angle of row r becomes
     theta * (1 + eta) with eta from the row's own stream, drawn per gate
-    per step in execution order; field phases are perturbed the same
-    way only when the noise includes fields.  Bonds within a layer share
-    no site, so a layer is applied all at once.  The draws come a chunk
-    of steps at a time, and each noisy layer turns a whole chunk's
-    angles into phases with one exp.
+    of the row's own chain per step in execution order; field phases are
+    perturbed the same way only when the noise includes fields.  Bonds
+    within a layer share no site, so a layer is applied all at once.
+
+    The plan's blocks come by descending step count, so the rows still
+    stepping are always a prefix of c.  Each stretch of steps over which
+    that prefix holds runs a chunk of steps at a time: the chunk's draws
+    come at once, and each noisy layer turns a whole chunk's angles into
+    phases with one exp.
     """
     rows, n = c.shape
-    steps = plan.steps
     if plan.num_sites != n:
         raise ValueError("plan and batch disagree on sites")
     if len(plan.angles) not in (1, rows) or (noise is not None and len(noise) != rows):
         raise ValueError("plan angles and noise need one row per batch row, or one for all")
-    # Each layer keeps its angles and eta columns when noisy, else its
-    # fixed phases and None.
+    # Each layer keeps its angles and the slice of the drawn columns
+    # holding its errors when noisy, else its fixed phases and None.
     ops = []
     column = drawn = 0
-    for layer in plan.layers:
+    noisy = []  # (layer, first drawn column) per noisy layer
+    for k, layer in enumerate(plan.layers):
         factor = 1j if layer.right is not None else 2j
         angles = plan.angles[:, column:column + layer.width]
         column += layer.width
         if noise is not None and (layer.right is not None or noise.include_fields):
             ops.append((layer, factor, angles, slice(drawn, drawn + layer.width)))
+            noisy.append((k, drawn))
             drawn += layer.width
         else:
             ops.append((layer, factor, np.exp(factor * angles), None))
-    # The draws (8 bytes each) and their phases (16) share DRAW_BYTES.
-    chunk = steps
-    if drawn:
-        chunk = max(1, min(steps, DRAW_BYTES // (24 * rows * drawn)))
-    for start in range(0, steps, chunk):
-        count = min(chunk, steps - start)
-        eta = noise.take(count * drawn).reshape(rows, count, drawn) if drawn else None
-        # (rows, count, width) phases per noisy layer, one exp each
-        phases = [
-            fixed if etas is None
-            else np.exp(factor * (fixed[:, None, :] * (1.0 + eta[:, :, etas])))
-            for _, factor, fixed, etas in ops
-        ]
-        for step in range(count):
-            for (layer, _, _, etas), phase in zip(ops, phases):
-                if etas is not None:
-                    phase = phase[:, step]
-                if layer.right is None:
-                    c[:, layer.left] *= phase
-                else:
-                    _exchange(c, layer.left, layer.right, phase)
+    # each block draws for its own gates, the first of each noisy layer
+    owns = [[block.widths[k] for k, _ in noisy] for block in plan.blocks]
+    stops = [block.start for block in plan.blocks[1:]] + [rows]
+    done = 0
+    for last in reversed(range(len(plan.blocks))):
+        # blocks 0..last step on, rows [0, active), up to block last's end
+        active, end = stops[last], plan.blocks[last].steps
+        # The draws (8 bytes each) and their phases (16) share DRAW_BYTES.
+        chunk = max(1, DRAW_BYTES // (24 * active * drawn)) if drawn else end
+        for start in range(done, end, chunk):
+            count = min(chunk, end - start)
+            if drawn:
+                # a lone block that owns every drawn column keeps its draws
+                # as they come; otherwise each block's draws go to its own
+                # gates, and its pads keep eta = 0
+                alone = last == 0 and sum(owns[0]) == drawn
+                eta = None if alone else np.zeros((active, count, drawn))
+                for block, stop, own in zip(plan.blocks[:last + 1], stops, owns):
+                    z = noise.take(count * sum(own), slice(block.start, stop))
+                    z = z.reshape(stop - block.start, count, sum(own))
+                    if alone:
+                        eta = z
+                        continue
+                    at = 0
+                    for (_, first), width in zip(noisy, own):
+                        eta[block.start:stop, :, first:first + width] = z[:, :, at:at + width]
+                        at += width
+            # (active, count, width) phases per noisy layer, one exp each
+            phases = [
+                fixed[:active] if etas is None
+                else np.exp(factor * (fixed[:active, None, :] * (1.0 + eta[:, :, etas])))
+                for _, factor, fixed, etas in ops
+            ]
+            stepping = c[:active]
+            for step in range(count):
+                for (layer, _, _, etas), phase in zip(ops, phases):
+                    if etas is not None:
+                        phase = phase[:, step]
+                    if layer.right is None:
+                        stepping[:, layer.left] *= phase
+                    else:
+                        _exchange(stepping, layer.left, layer.right, phase)
+        done = end
     return c
 
 

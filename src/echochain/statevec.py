@@ -277,8 +277,8 @@ def execute_plan(
     with a fresh eta per gate per step; field phases are perturbed the
     same way only when the model requests it.
     """
-    if plan.num_sites != state.num_sites:
-        raise ValueError("plan and state site counts differ")
+    if plan.num_sites != state.num_sites or len(plan.blocks) != 1:
+        raise ValueError("plan and state site counts differ, or the plan holds several chains")
     if noise is not None and rng is None:
         raise ValueError("noisy execution needs an explicit rng")
     sites = np.arange(1, plan.num_sites + 1)

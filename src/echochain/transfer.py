@@ -1,8 +1,8 @@
 """Perfect state transfer: the engineered chain carries the head
 singlet to the far end of the chain at t = pi/2, scored by the singlet
-projection of the last two spins.  `TransferConfig` runs its own
-batches, which `echochain.noise` turns into single runs (`fidelity`),
-curves and robustness sweeps.
+projection of the last two spins.  `TransferConfig` names its one leg,
+which `echochain.noise` runs as single runs (`fidelity`), curves and
+robustness sweeps.
 
 Engines:
   exact              continuous evolution from an n x n eigendecomposition
@@ -15,16 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
-import numpy as np
 
 from . import sector
 from .chain import transfer_chain
-from .noise import GateNoise, NoiseModel, Seed
-from .trotter import (
-    MODE_DIRECT, MODE_SIMULATED_FM, TrotterPlan, check_three_term, three_term_plan,
-)
+from .noise import NoiseModel, Seed
+from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, THREE_TERM, check_three_term
 
 ENGINE_EXACT = "exact"
 ENGINE_TROTTER_DIRECT = "trotter-direct"
@@ -95,26 +90,16 @@ class TransferConfig:
         """The far-end pair whose singlet fidelity scores the transfer."""
         return (self.n - 1, self.n)
 
-    def plan(self, times: Sequence[float]) -> TrotterPlan:
-        """A trotter engine's three-term plan, one angle row per time.
-        Every half step t / (2 steps) must fit one wrap period 2*pi/g of
-        the strongest bond g, so t may reach 2 * steps * 2*pi/g."""
-        return three_term_plan(transfer_chain(self.n), times, self.steps, self._mode)
-
     @property
     def _mode(self) -> str:
         """The plan mode of a trotter engine."""
         return MODE_DIRECT if self.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
 
-    def final_states(self, times: Sequence[float], noise: GateNoise | None) -> np.ndarray:
-        """One transfer per row: row r runs for times[r] (or times[0] for
-        every row) and draws its gate errors from row r of `noise`."""
-        c = sector.singlet_head(len(noise) if noise is not None else len(times), self.n)
-        if self.engine == ENGINE_EXACT:
-            if noise is not None and np.any(noise.v > 0):
-                raise ValueError("the exact engine is noise-free; use a trotter engine")
-            c = sector.exact_evolve(transfer_chain(self.n), c, times)
-        else:
-            sector.evolve(c, self.plan(times), noise)
-        sector.check_norm(c)
-        return c
+    def legs(self) -> tuple[tuple, ...]:
+        """The one leg as (split, chain, plan mode); the exact engine's
+        mode is None, continuous evolution.  Every half step
+        t / (2 steps) of a trotter engine must fit one wrap period
+        2*pi/g of the strongest bond g, so t may reach
+        2 * steps * 2*pi/g."""
+        mode = None if self.engine == ENGINE_EXACT else self._mode
+        return ((THREE_TERM, transfer_chain(self.n), mode),)

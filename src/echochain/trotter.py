@@ -1,19 +1,26 @@
 """Second-order Trotter plans for chain evolution, as arrays.
 
 A plan holds the layers of ONE Trotter step, the angles of every gate
-of that step for every row of a batch, and the repeat count N.
+of that step for every row of a batch, and its blocks: the rows of
+each chain with the chain's repeat count N.  A plan of one chain has
+one block; `batch_plan` lays chains of several lengths out on the
+longest one, each chain's gates leading every layer and the gates
+past them given angle 0 on its rows.
+
 Two-term plans use the palindromic split (odd/2, even, odd/2);
 three-term plans (for chains with fields) use (odd/2, even/2, field,
 even/2, odd/2).  Bonds within a layer share no site, so the gates of a
 layer commute and may execute in any order.
 
-A layer's sites are built once per chain: a slice where they are
+A layer's sites are built once per plan: a slice where they are
 evenly spaced (stride 2 for bonds), so `c[:, sites]` is a view of a
 batch, or an index array where a chain's nonzero bonds or fields are
 unevenly spaced; `c[:, sites]` reads either.  The angles are one
 `(rows, gates)` array built once per batch from tau = times / N, one
-row per time.  Runs execute plans with `echochain.sector.evolve`; the
-dense test oracle replays the same arrays one row at a time with
+row per time (a plan of one chain at one time has one row, which every
+row of a batch shares).  Runs execute plans with
+`echochain.sector.evolve`; the dense test oracle replays the same
+arrays of a one-chain plan one row at a time with
 `echochain.statevec.execute_plan`.
 
 Modes:
@@ -25,7 +32,7 @@ Modes:
                 so every angle is the nonnegative 2*pi - g*tau.
 
 Both modes keep every exchange slice within one wrap period of its
-bond, checked once per batch against the strongest bond of each layer:
+bond, checked once per chain against its strongest bond of each layer:
 the simulated ferromagnet cannot map a longer slice, and a direct
 slice that long is far outside the Trotter product's accuracy.
 `check_second_order` and `check_three_term` make every check of a plan,
@@ -37,18 +44,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .chain import SIGN_AFM, ChainSpec, partition_odd_even
+from .chain import SIGN_AFM, ChainSpec
 from .gates import DELTA_EPS, fits_wrap_period, wrap_period
 
 MODE_DIRECT = "direct"
 MODE_SIMULATED_FM = "simulated-fm"
 
-# One Trotter step as (bond group or "field", divisor of tau) per layer.
-_SECOND_ORDER = (("odd", 2), ("even", 1), ("odd", 2))
-_THREE_TERM = (("odd", 2), ("even", 2), ("field", 1), ("even", 2), ("odd", 2))
+# One Trotter step as (bond group or "field", divisor of tau) per layer;
+# a bond's group is the parity of its first site, counted from 1.
+SECOND_ORDER = (("odd", 2), ("even", 1), ("odd", 2))
+THREE_TERM = (("odd", 2), ("even", 2), ("field", 1), ("even", 2), ("odd", 2))
 
 
 @dataclass(frozen=True)
@@ -64,26 +73,47 @@ class Layer:
 
 
 @dataclass(frozen=True)
+class Block:
+    """The rows of one chain in a plan: from `start` up to the next
+    block's start, the last block up to the end of the batch.  They run
+    `steps` Trotter steps of their chain's gates, the first widths[k]
+    gates of layer k; the layer's other gates are pads of angle 0."""
+
+    start: int
+    steps: int
+    widths: tuple[int, ...]  # one per layer
+
+
+@dataclass(frozen=True)
 class TrotterPlan:
-    num_sites: int
+    num_sites: int  # the longest chain's
     layers: tuple[Layer, ...]  # the nonempty layers of one step, in order
     # (rows, gates): row r's angle of every gate of one step, layer by
-    # layer; the same step runs `steps` times.
+    # layer; each block repeats the step its own number of times.
     angles: np.ndarray
-    steps: int
+    blocks: tuple[Block, ...]  # by descending step count
+
+    @property
+    def steps(self) -> int:
+        """The step count of the first block: the longest, and the only
+        one of a one-chain plan."""
+        return self.blocks[0].steps
 
 
 def _sites(index: np.ndarray) -> slice | np.ndarray:
     """Evenly spaced sites as a slice, so indexing gives a view."""
-    stride = int(index[1] - index[0]) if len(index) > 1 else 1
-    sites = slice(int(index[0]), int(index[-1]) + 1, stride)
-    return sites if np.array_equal(np.arange(sites.stop)[sites], index) else index
+    sites = index.tolist()
+    stride = sites[1] - sites[0] if len(sites) > 1 else 1
+    if sites != list(range(sites[0], sites[-1] + 1, stride)):
+        return index
+    return slice(sites[0], sites[-1] + 1, stride)
 
 
 def _layout(spec: ChainSpec, times, n_steps: int, mode: str, split):
     """The times as an array and (group, divisor, first sites,
-    strengths) per nonempty layer, after every check a plan makes:
-    mode, step count, times and the wrap budget."""
+    strengths) per layer of the split, empty layers included, after
+    every check a plan makes: mode, step count, times and the wrap
+    budget."""
     if mode not in (MODE_DIRECT, MODE_SIMULATED_FM):
         raise ValueError(f"unknown mode '{mode}'")
     if n_steps < 1:
@@ -92,20 +122,17 @@ def _layout(spec: ChainSpec, times, n_steps: int, mode: str, split):
     bad = times[~(np.isfinite(times) & (times >= 0))]
     if len(bad):
         raise ValueError(f"invalid evolution time {float(bad[0])}")
-    part = partition_odd_even(spec)
-    bonds = {"odd": part.odd_bonds, "even": part.even_bonds}
-    layout = []
-    for group, divisor in split:
-        if group == "field":
-            index = np.flatnonzero(spec.fields)
-            strength = spec.fields[index]
-        else:
-            index = np.array([i for i, _ in bonds[group]], dtype=np.intp) - 1
-            strength = spec.exchange_prefactor * spec.couplings[index]
-        if len(index):
-            layout.append((group, divisor, index, strength))
-    budget = [(divisor, float(np.max(g))) for group, divisor, _, g in layout if group != "field"]
+    bonds = np.flatnonzero(spec.couplings)
+    odd = bonds % 2 == 0
+    groups = {}
+    for group, index in (("odd", bonds[odd]), ("even", bonds[~odd])):
+        groups[group] = (index, spec.exchange_prefactor * spec.couplings[index])
+    index = np.flatnonzero(spec.fields)
+    groups["field"] = (index, spec.fields[index])
     t_max = float(np.max(times, initial=0.0))
+    strongest = {group: float(g.max()) for group, (_, g) in groups.items()
+                 if group != "field" and len(g)}
+    budget = [(divisor, strongest[group]) for group, divisor in split if group in strongest]
     if not all(fits_wrap_period(t_max / n_steps / divisor, g) for divisor, g in budget):
         longest = min(n_steps * divisor * wrap_period(g) for divisor, g in budget)
         raise ValueError(
@@ -113,34 +140,80 @@ def _layout(spec: ChainSpec, times, n_steps: int, mode: str, split):
             "(each slice within one wrap period of its layer's strongest bond); "
             "use more steps"
         )
-    return times, layout
+    return times, [(group, divisor, *groups[group]) for group, divisor in split]
 
 
-def _plan(spec: ChainSpec, times, n_steps: int, mode: str, split) -> TrotterPlan:
-    times, layout = _layout(spec, times, n_steps, mode, split)
-    tau = (times / n_steps)[:, None]
-    sign = 1.0 if spec.sign == SIGN_AFM else -1.0
+def batch_plan(
+    split, chains: Sequence[tuple[ChainSpec, Sequence[float], int, int]], mode: str
+) -> TrotterPlan:
+    """One plan for a batch of chains: block b runs chains[b] = (spec,
+    times, n_steps, rows) on `rows` rows, with one time per row or one
+    for all of them, and the blocks come by descending step count.
+
+    Each layer holds the gates of its kind of every chain, laid out on
+    the longest one, and a chain's own gates must lead the layer.  Its
+    rows turn the layer's other gates (pads) by exactly 0: a pad bond
+    must have a site past the chain's end, where the row's amplitude is
+    0, so it leaves the row unchanged bit for bit; it takes no gate
+    error.
+    """
+    layouts = [_layout(spec, times, n_steps, mode, split) for spec, times, n_steps, _ in chains]
+    steps = [n_steps for _, _, n_steps, _ in chains]
+    if steps != sorted(steps, reverse=True):
+        raise ValueError("a plan's chains must come by descending step count")
+    starts = np.cumsum([0] + [rows for *_, rows in chains]).tolist()
+    if any(len(times) not in (1, rows) for (times, _), (*_, rows) in zip(layouts, chains)):
+        raise ValueError("a chain needs one time per row, or one for all")
+    # every chain's gates of a layer are the first of the longest chain's
+    firsts = [max((layout[k][2] for _, layout in layouts), key=len) for k in range(len(split))]
+    taus = [(times / n_steps)[:, None] for (times, _), (_, _, n_steps, _) in zip(layouts, chains)]
+    # a lone chain's rows share its angle row when it runs one time
+    bounds = starts if len(chains) > 1 else [0, len(layouts[0][0])]
+    angles = np.zeros((bounds[-1], sum(map(len, firsts))))
+    widths: list[list[int]] = [[] for _ in chains]
     layers: list[Layer] = []
-    columns: list[np.ndarray] = [np.empty((len(times), 0))]
-    for group, divisor, index, g in layout:
-        span = tau / 2 if divisor == 2 else tau
-        if group == "field":
-            layers.append(Layer(_sites(index), None, len(index)))
-            columns.append(g * span)
+    column = 0
+    for k, first in enumerate(firsts):
+        if not len(first):
             continue
-        if mode == MODE_DIRECT:
-            theta = sign * g * span
+        group, divisor = split[k]
+        for b, ((spec, _, n_steps, _), (times, layout)) in enumerate(zip(chains, layouts)):
+            index, g = layout[k][2:]
+            width = len(index)
+            # the chain's gates lead the layer, and its first pad bond
+            # reaches past the chain's end (a pad field may sit anywhere)
+            leads = index is first or np.array_equal(index, first[:width])
+            if not leads or group != "field" and width < len(first) and \
+                    first[width] < spec.n - 1:
+                raise ValueError("a chain's gates must lead each layer, and its pad bonds "
+                                 "must reach past its end")
+            tau = taus[b]
+            span = tau / 2 if divisor == 2 else tau
+            if group == "field":
+                theta = g * span
+            elif mode == MODE_DIRECT:
+                sign = 1.0 if spec.sign == SIGN_AFM else -1.0
+                theta = sign * g * span
+            else:
+                # g * gates.afm_duration_for_fm(span, g, g), same operations:
+                # the AFM pulse at the bond's own strength, so the executed
+                # angle g * t' = 2*pi - g*span is what the hardware applies.
+                period = 2.0 * math.pi / (g * abs(DELTA_EPS))
+                theta = g * np.maximum((g / g) * (period - span), 0.0)
+            angles[bounds[b]:bounds[b + 1], column:column + width] = theta
+            widths[b].append(width)
+        left = _sites(first)
+        if group == "field":
+            layers.append(Layer(left, None, len(first)))
         else:
-            # g * gates.afm_duration_for_fm(span, g, g), same operations:
-            # the AFM pulse at the bond's own strength, so the executed
-            # angle g * t' = 2*pi - g*span is what the hardware applies.
-            period = 2.0 * math.pi / (g * abs(DELTA_EPS))
-            theta = g * np.maximum((g / g) * (period - span), 0.0)
-        layers.append(Layer(_sites(index), _sites(index + 1), len(index)))
-        columns.append(theta)
+            right = first + 1 if isinstance(left, np.ndarray) else \
+                slice(left.start + 1, left.stop + 1, left.step)
+            layers.append(Layer(left, right, len(first)))
+        column += len(first)
     return TrotterPlan(
-        num_sites=spec.n, layers=tuple(layers), angles=np.concatenate(columns, axis=1),
-        steps=n_steps,
+        num_sites=max(spec.n for spec, *_ in chains), layers=tuple(layers), angles=angles,
+        blocks=tuple(Block(start, n_steps, tuple(own))
+                     for start, n_steps, own in zip(starts, steps, widths)),
     )
 
 
@@ -149,7 +222,7 @@ def second_order_plan(
 ) -> TrotterPlan:
     """Palindromic two-term plan: (odd/2, even, odd/2) x N, one angle
     row per time (`times` is one time or a sequence)."""
-    return _plan(spec, times, n_steps, mode, _SECOND_ORDER)
+    return batch_plan(SECOND_ORDER, [(spec, times, n_steps, np.size(times))], mode)
 
 
 def three_term_plan(
@@ -157,16 +230,16 @@ def three_term_plan(
 ) -> TrotterPlan:
     """Palindromic plan for chains with fields:
     (odd/2, even/2, field, even/2, odd/2) x N, one angle row per time."""
-    return _plan(spec, times, n_steps, mode, _THREE_TERM)
+    return batch_plan(THREE_TERM, [(spec, times, n_steps, np.size(times))], mode)
 
 
 def check_second_order(spec: ChainSpec, times, n_steps: int, mode: str) -> None:
     """Raise where `second_order_plan` with these arguments would,
     without building its angles."""
-    _layout(spec, times, n_steps, mode, _SECOND_ORDER)
+    _layout(spec, times, n_steps, mode, SECOND_ORDER)
 
 
 def check_three_term(spec: ChainSpec, times, n_steps: int, mode: str) -> None:
     """Raise where `three_term_plan` with these arguments would,
     without building its angles."""
-    _layout(spec, times, n_steps, mode, _THREE_TERM)
+    _layout(spec, times, n_steps, mode, THREE_TERM)

@@ -127,6 +127,23 @@ class TestRobustnessCommand:
         _, rows = read_csv(fits)
         assert [row["parity"] for row in rows] == ["even", "odd"]
 
+    @pytest.mark.parametrize("protocol", ["echo", "transfer"])
+    def test_chain_rows_of_a_range_equal_its_own_sweep(self, tmp_path, protocol):
+        # n=7 shares a batch with the other chain lengths of the range
+        def sweep(tag, *chains):
+            trials, fits = tmp_path / f"{tag}_trials.csv", tmp_path / f"{tag}_fits.csv"
+            assert main(["robustness", "--protocol", protocol, *chains, "--trials", "3",
+                         "--seed", "5", "--out-trials", str(trials),
+                         "--out-fits", str(fits)]) == 0
+            return trials.read_bytes().splitlines(), fits.read_bytes().splitlines()
+
+        range_trials, range_fits = sweep("range", "--n-range", "4:11")
+        alone_trials, alone_fits = sweep("alone", "--n", "7")
+        assert [row for row in range_trials if row.split(b",")[1] == b"7"] == alone_trials[1:]
+        assert [row.split(b",")[1] for row in range_fits[1:]] == \
+            [str(n).encode() for n in range(4, 12)]
+        assert range_fits[1 + 7 - 4] == alone_fits[1]
+
     def test_zero_trials_is_usage_error(self, tmp_path):
         assert main(["robustness", "--protocol", "echo", "--n", "5",
                      "--trials", "0"]) == 2

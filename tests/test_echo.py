@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from echochain import echo
+from echochain import echo, noise
 from echochain.checks import dense_echo_state
 from echochain.echo import BACKWARD_EXACT, BACKWARD_TROTTERIZED, EchoConfig
 from echochain.noise import NoiseModel, fidelity, fidelity_curve
@@ -113,11 +113,11 @@ def test_one_plan_build_per_leg(monkeypatch):
     built = []
 
     def counting_plan(*args, **kwargs):
-        built.append(args[3])
-        return second_order_plan(*args, **kwargs)
+        built.append(args[2])
+        return batch_plan(*args, **kwargs)
 
-    second_order_plan = echo.second_order_plan
-    monkeypatch.setattr(echo, "second_order_plan", counting_plan)
+    batch_plan = noise.batch_plan
+    monkeypatch.setattr(noise, "batch_plan", counting_plan)
     config = EchoConfig(n=6, t=1.0, n_steps=2, noise=NoiseModel(0.01))
     assert built == []
     fidelity_curve(config, [0.0, 0.5, 1.0])

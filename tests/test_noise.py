@@ -35,7 +35,7 @@ GOLDEN_ECHO_MEAN_INFIDELITY = 0.02660586876691544
 def run_trials(config, v, trials, master_seed, *, include_fields=False):
     """`trials` noisy runs of config at strength v as one batch, as a
     sweep runs one point: trial k draws from child_seed(master_seed, k)."""
-    return _batch_stats(config, [v], [master_seed], trials, include_fields)[0]
+    return _batch_stats([config], [v], [[master_seed]], trials, include_fields)[0][0]
 
 
 class TestSampleEta:
@@ -203,6 +203,11 @@ class TestRunTrials:
     def test_nan_infidelity_fails_the_trial_guard(self):
         with pytest.raises(RuntimeError):
             _grid_stats(5, 2, [0.1, 0.2], np.array([[0.1, 0.2], [0.1, math.nan]]))
+
+    def test_exact_transfer_engine_takes_no_noise(self):
+        with pytest.raises(ValueError, match="noise-free"):
+            run_trials(TransferConfig(n=4), 0.02, 3, 2)
+        assert run_trials(TransferConfig(n=4), 0.0, 3, 2).mean_infidelity < 1e-12
 
     def test_transfer_config_runs_noisy_trials(self):
         config = TransferConfig(n=4, engine="trotter-simfm", n_steps=8)

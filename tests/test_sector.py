@@ -1,5 +1,7 @@
-"""The batched one-magnon engine against the dense 2^n oracle, and its
-array kernel against the per-step kernel it replaced."""
+"""The batched one-magnon engine against the dense 2^n oracle, its
+array kernel against the per-step kernel it replaced, and sweeps whose
+chain lengths share a batch against a per-chain runner."""
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echochain import checks, sector
+from echochain import noise as noise_module
 from echochain.chain import ChainSpec, transfer_chain, uniform_echo_chain
 from echochain.checks import (
     check_conservation,
@@ -17,10 +20,11 @@ from echochain.checks import (
     dense_echo_fidelity,
     dense_transfer_fidelity,
 )
-from echochain.echo import EchoConfig
+from echochain.echo import BACKWARD_EXACT, BACKWARD_TROTTERIZED, EchoConfig
 from echochain.noise import (
     GateNoise,
     NoiseModel,
+    _batches,
     child_seed,
     fidelity_curve,
     make_rng,
@@ -33,7 +37,12 @@ from echochain.statevec import (
     prepare_singlet_head,
     sample_eta,
 )
-from echochain.transfer import TransferConfig
+from echochain.transfer import (
+    ENGINE_EXACT,
+    ENGINE_TROTTER_DIRECT,
+    ENGINE_TROTTER_SIMFM,
+    TransferConfig,
+)
 from echochain.trotter import MODE_DIRECT, MODE_SIMULATED_FM, second_order_plan, three_term_plan
 
 TOL = 1e-12
@@ -262,16 +271,109 @@ def test_curves_match_dense_point_by_point():
         assert abs(f - dense_transfer_fidelity(point)) <= TOL
 
 
+def per_chain_fidelities(config, times, noise=None):
+    """The runner chains had before they shared a batch, kept as the
+    reference: one config's rows on its own sites, each leg its own
+    chain's plan through the per-step kernel, scored on its pair."""
+    c = sector.singlet_head(len(times), config.n)
+    if isinstance(config, EchoConfig):
+        spec = uniform_echo_chain(config.n, config.j)
+        per_step_evolve(c, second_order_plan(spec, times, config.steps, MODE_SIMULATED_FM), noise)
+        if config.backward_mode == BACKWARD_TROTTERIZED:
+            per_step_evolve(c, second_order_plan(spec, times, config.steps, MODE_DIRECT), noise)
+        else:
+            c = sector.exact_evolve(spec, c, times)
+    elif config.engine == ENGINE_EXACT:
+        c = sector.exact_evolve(transfer_chain(config.n), c, times)
+    else:
+        mode = MODE_DIRECT if config.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
+        per_step_evolve(c, three_term_plan(transfer_chain(config.n), times, config.steps, mode),
+                        noise)
+    return sector.singlet_fidelity(c, *config.pair)
+
+
+def sweep_matches_per_chain_runs(configs, grid, trials, seed, include_fields):
+    """slope_vs_n against per_chain_fidelities for every (n, v) point,
+    bit for bit, with the points and fits in the configs' order.  The
+    fit hands back its points, so chains whose infidelity is exactly 0
+    (the two-site transfer without field noise) are checked too."""
+    collected = []
+    with mock.patch.object(noise_module, "loglog_fit", lambda points: points):
+        fits = slope_vs_n(configs, grid, trials=trials, master_seed=seed,
+                          on_stats=collected.append, include_fields=include_fields)
+    assert [n for n, _ in fits] == [config.n for config in configs]
+    assert [points for _, points in fits] == [
+        [(s.v, s.mean_infidelity) for s in collected[k * len(grid):(k + 1) * len(grid)]
+         if s.mean_infidelity > 0] for k in range(len(configs))
+    ]
+    assert [(s.n, s.v) for s in collected] == [(c.n, v) for c in configs for v in grid]
+    for point, (config, (vi, v)) in zip(collected, itertools.product(configs, enumerate(grid))):
+        seeds = [child_seed(child_seed(child_seed(seed, config.n), vi), k) for k in range(trials)]
+        noise = GateNoise(seeds, np.full(trials, v), include_fields)
+        alone = 1.0 - per_chain_fidelities(config, [config.t] * trials, noise)
+        assert np.array_equal(point.infidelities, alone)
+        assert point.steps == config.steps
+
+
 def test_sweep_batch_equals_per_point_trials():
     # slope_vs_n runs every v and trial of one n in one batch
-    grid = [0.003, 0.01, 0.03]
-    collected = []
     config = TransferConfig(n=4, n_steps=8, engine="trotter-simfm")
-    slope_vs_n([config], grid, trials=5, master_seed=8, on_stats=collected.append,
-               include_fields=True)
-    for vi, stats in enumerate(collected):
-        seeds = [child_seed(child_seed(child_seed(8, 4), vi), k) for k in range(5)]
-        c = config.final_states([config.t], GateNoise(seeds, np.full(5, grid[vi]), True))
-        alone = 1.0 - sector.singlet_fidelity(c, *config.pair)
-        assert np.array_equal(stats.infidelities, alone)
-        assert stats.steps == 8
+    sweep_matches_per_chain_runs([config], [0.003, 0.01, 0.03], 5, 8, True)
+
+
+@st.composite
+def sweeps(draw):
+    """Configs of one protocol and engine at distinct chain lengths in
+    any order, each with the step table or its own step count."""
+    if draw(st.booleans()):
+        backward = draw(st.sampled_from([BACKWARD_TROTTERIZED, BACKWARD_EXACT]))
+        ns = draw(st.lists(st.integers(3, 14), min_size=1, max_size=5, unique=True))
+        t = draw(st.sampled_from([0.5, math.pi / 2]))
+        return [EchoConfig(n=n, t=t, n_steps=draw(st.integers(1, 4)), backward_mode=backward)
+                for n in ns]
+    engine = draw(st.sampled_from([ENGINE_TROTTER_DIRECT, ENGINE_TROTTER_SIMFM]))
+    ns = draw(st.lists(st.integers(2, 12), min_size=1, max_size=5, unique=True))
+    steps = st.one_of(st.none(), st.sampled_from([3, 5, 8]))
+    return [TransferConfig(n=n, n_steps=draw(steps), engine=engine) for n in ns]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    configs=sweeps(),
+    include_fields=st.booleans(),
+    draw_bytes=st.sampled_from([sector.DRAW_BYTES, 1, 4000]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batched_sweep_equals_per_chain_runs_bit_for_bit(configs, include_fields, draw_bytes,
+                                                          seed):
+    # chains of several lengths and step counts share one padded pass;
+    # a small DRAW_BYTES cuts the draws into chunks inside blocks
+    with mock.patch.object(sector, "DRAW_BYTES", draw_bytes):
+        sweep_matches_per_chain_runs(configs, [0.004, 0.03, 0.1], 2, seed, include_fields)
+
+
+def test_batches_join_chains_within_the_span_and_the_amplitude_cap():
+    def batches(configs, rows):
+        return [[configs[i].n for i in batch] for batch in _batches(configs, rows)]
+
+    echo = [EchoConfig(n=n, t=1.0, n_steps=4) for n in range(5, 41)]
+    # one trial per v: chains within 8 sites of the longest share a batch
+    assert batches(echo, 8) == [list(range(40, 31, -1)), list(range(31, 22, -1)),
+                                list(range(22, 13, -1)), list(range(13, 4, -1))]
+    # 20 trials per v: at most 8192 amplitudes (rows x longest chain)
+    assert batches(echo, 160) == [[n] for n in range(40, 25, -1)] + [
+        [25, 24], [23, 22], [21, 20], [19, 18], [17, 16, 15], [14, 13, 12], [11, 10, 9, 8],
+        [7, 6, 5],
+    ]
+    transfer = [TransferConfig(n=n, engine=ENGINE_TROTTER_SIMFM) for n in range(2, 25)]
+    assert batches(transfer, 16) == [list(range(24, 15, -1)), list(range(15, 6, -1)),
+                                     list(range(6, 1, -1))]
+    # the benchmark's sweeps each run as one batch
+    assert batches(echo[:8], 80) == [list(range(12, 4, -1))]
+    assert batches(transfer[2:10], 16) == [list(range(11, 3, -1))]
+    # configs that run other legs never share a batch
+    mixed = [EchoConfig(n=6, t=1.0, n_steps=2),
+             EchoConfig(n=5, t=1.0, n_steps=2, backward_mode=BACKWARD_EXACT),
+             TransferConfig(n=5, engine=ENGINE_TROTTER_SIMFM),
+             TransferConfig(n=4, engine=ENGINE_TROTTER_DIRECT)]
+    assert sorted(_batches(mixed, 8)) == [[0], [1], [2], [3]]
