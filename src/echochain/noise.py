@@ -18,9 +18,9 @@ one-row batch of one block drawn from config.seed itself, a curve one
 block with a row per time.  Trials are seeded with
 SeedSequence([master_seed, trial]) so every trial has an independent
 stream and results do not depend on how the trials are batched.  A
-sweep runs chains of similar length together (`_batches`), every trial
-of each in the batch, and each chain's statistics come from one pass
-over its (v, trials) infidelities.
+sweep runs its chains together up to an amplitude cap (`_batches`),
+every trial of each in the batch, and each chain's statistics come
+from one pass over its (v, trials) infidelities.
 
 A batch's streams are seeded together: `GateNoise` runs numpy's
 SeedSequence hash (integer arithmetic with fixed constants, the same
@@ -407,14 +407,13 @@ def fidelity_curve(
     return list(zip(times, fidelities.tolist()))
 
 
-# A chain joins a batch only when it is at most BATCH_SPAN sites shorter
-# than the batch's longest chain, and while the batch holds at most
-# BATCH_AMPLITUDES amplitudes (rows x longest chain).  A shared pass
-# saves numpy's per-call cost, which dominates small batches; the span
-# bounds the pads' share of the work, and past the amplitude cap a
-# batch's arrays outgrow the core's cache, so that a shared pass was
-# measured slower than one pass per chain (README, "Library layout").
-BATCH_SPAN = 8
+# A chain joins a batch while the batch holds at most BATCH_AMPLITUDES
+# amplitudes (rows x longest chain).  A shared pass saves numpy's
+# per-call cost, which dominates small batches; past the cap a batch's
+# arrays outgrow the core's cache, so that a shared pass was measured
+# slower than one pass per chain (README, "Library layout").  Chains of
+# any lengths may share a batch: many chains fit only when the arrays
+# are small, where numpy's per-call cost outweighs the pads' arithmetic.
 BATCH_AMPLITUDES = 1 << 13
 
 
@@ -430,8 +429,7 @@ def _batches(configs: Sequence[EchoConfig | TransferConfig], rows: int) -> list[
         batch: list[int] = []
         for index in indexes:
             longest = configs[batch[0]].n if batch else configs[index].n
-            if batch and (longest - configs[index].n > BATCH_SPAN
-                          or (len(batch) + 1) * rows * longest > BATCH_AMPLITUDES):
+            if batch and (len(batch) + 1) * rows * longest > BATCH_AMPLITUDES:
                 batches.append(batch)
                 batch = []
             batch.append(index)
@@ -452,9 +450,9 @@ def slope_vs_n(
     configs' order.
 
     Each (n, v) point runs `trials` noisy repetitions of config.t seeded
-    from (master_seed, n, v-index, trial).  Chains of similar length run
-    in one batch (`_batches`), every trial of each in it.  Points with
-    zero mean infidelity are dropped before fitting.  on_stats, when
+    from (master_seed, n, v-index, trial).  Chains run together up to an
+    amplitude cap (`_batches`), every trial of each in the batch.  Points
+    with zero mean infidelity are dropped before fitting.  on_stats, when
     given, receives every TrialStats in the configs' order (for CSV
     capture).
     """

@@ -137,17 +137,11 @@ def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> 
         for start in range(done, end, chunk):
             count = min(chunk, end - start)
             if drawn:
-                # a lone block that owns every drawn column keeps its draws
-                # as they come; otherwise each block's draws go to its own
-                # gates, and its pads keep eta = 0
-                alone = last == 0 and sum(owns[0]) == drawn
-                eta = None if alone else np.zeros((active, count, drawn))
+                # each block's draws go to its own gates; its pads keep eta = 0
+                eta = np.zeros((active, count, drawn))
                 for block, stop, own in zip(plan.blocks[:last + 1], stops, owns):
                     z = noise.take(count * sum(own), slice(block.start, stop))
                     z = z.reshape(stop - block.start, count, sum(own))
-                    if alone:
-                        eta = z
-                        continue
                     at = 0
                     for (_, first), width in zip(noisy, own):
                         eta[block.start:stop, :, first:first + width] = z[:, :, at:at + width]

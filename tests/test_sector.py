@@ -352,22 +352,21 @@ def test_batched_sweep_equals_per_chain_runs_bit_for_bit(configs, include_fields
         sweep_matches_per_chain_runs(configs, [0.004, 0.03, 0.1], 2, seed, include_fields)
 
 
-def test_batches_join_chains_within_the_span_and_the_amplitude_cap():
+def test_batches_join_chains_up_to_the_amplitude_cap():
     def batches(configs, rows):
         return [[configs[i].n for i in batch] for batch in _batches(configs, rows)]
 
     echo = [EchoConfig(n=n, t=1.0, n_steps=4) for n in range(5, 41)]
-    # one trial per v: chains within 8 sites of the longest share a batch
-    assert batches(echo, 8) == [list(range(40, 31, -1)), list(range(31, 22, -1)),
-                                list(range(22, 13, -1)), list(range(13, 4, -1))]
-    # 20 trials per v: at most 8192 amplitudes (rows x longest chain)
+    # at most 8192 amplitudes (rows x longest chain), at any span:
+    # one trial per v
+    assert batches(echo, 8) == [list(range(40, 15, -1)), list(range(15, 4, -1))]
+    # 20 trials per v
     assert batches(echo, 160) == [[n] for n in range(40, 25, -1)] + [
         [25, 24], [23, 22], [21, 20], [19, 18], [17, 16, 15], [14, 13, 12], [11, 10, 9, 8],
         [7, 6, 5],
     ]
     transfer = [TransferConfig(n=n, engine=ENGINE_TROTTER_SIMFM) for n in range(2, 25)]
-    assert batches(transfer, 16) == [list(range(24, 15, -1)), list(range(15, 6, -1)),
-                                     list(range(6, 1, -1))]
+    assert batches(transfer, 16) == [list(range(24, 3, -1)), [3, 2]]
     # the benchmark's sweeps each run as one batch
     assert batches(echo[:8], 80) == [list(range(12, 4, -1))]
     assert batches(transfer[2:10], 16) == [list(range(11, 3, -1))]
