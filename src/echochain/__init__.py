@@ -7,13 +7,7 @@ The package exports the production API only; the dense 2^n test
 oracle is the module `echochain.statevec`.
 """
 
-from .chain import (
-    ChainSpec,
-    BondPartition,
-    partition_odd_even,
-    transfer_chain,
-    uniform_echo_chain,
-)
+from .chain import ChainSpec, transfer_chain, uniform_echo_chain
 from .echo import EchoConfig
 from .gates import (
     DELTA_EPS,

@@ -1,4 +1,4 @@
-"""Chain specifications and the odd/even bond partition.
+"""Chain specifications: the echo chain and the engineered transfer chain.
 
 A ChainSpec fixes the Hamiltonian
 
@@ -10,7 +10,8 @@ transfer chain below achieves unit end-to-end fidelity at t = pi/2
 under exactly this normalization, which pins the convention.
 
 Runs evolve under H in the one-magnon sector (`echochain.sector`); the
-dense test oracle builds the full 2^n H (`echochain.statevec`).
+dense test oracle builds the full 2^n H (`echochain.statevec`).  The
+odd/even grouping of the bonds is `echochain.trotter`'s.
 """
 from __future__ import annotations
 
@@ -49,14 +50,6 @@ class ChainSpec:
             raise ValueError("exchange prefactor must be positive")
 
 
-@dataclass
-class BondPartition:
-    """Bonds grouped so every bond within a group shares no site."""
-
-    odd_bonds: list[tuple[int, int]]
-    even_bonds: list[tuple[int, int]]
-
-
 def uniform_echo_chain(n: int, j: float) -> ChainSpec:
     """Uniform chain with the (1,2) bond turned off: the first spin stays
     a reference while the rest of the chain evolves."""
@@ -82,16 +75,4 @@ def transfer_chain(n: int) -> ChainSpec:
     return ChainSpec(
         n=n, couplings=couplings, fields=fields, sign=SIGN_FM, exchange_prefactor=2.0
     )
-
-
-def partition_odd_even(spec: ChainSpec) -> BondPartition:
-    """Split nonzero bonds by the parity of their starting site."""
-    odd: list[tuple[int, int]] = []
-    even: list[tuple[int, int]] = []
-    for b, j in enumerate(spec.couplings):
-        if j == 0.0:
-            continue
-        start = b + 1
-        (odd if start % 2 == 1 else even).append((start, start + 1))
-    return BondPartition(odd_bonds=odd, even_bonds=even)
 

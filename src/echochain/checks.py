@@ -4,7 +4,9 @@ Each check compares the production path (single runs through
 `echochain.noise.fidelity`) against an independent route (the dense 2^n
 oracle in `echochain.statevec`: eigendecomposition gate oracle, dense
 state vectors and exact evolution) or asserts a conservation law, and
-reports a named pass/fail with a numeric detail.
+reports a named pass/fail with a numeric detail.  The dense replay of a
+run (`dense_state`) walks the config's `legs()`, the description of the
+run that the production path reads too.
 This is the only production module that imports the oracle, and the
 CLI imports it only for oracle-check.
 """
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import transfer_chain, uniform_echo_chain
+from .chain import transfer_chain
 from .echo import BACKWARD_EXACT, BACKWARD_TROTTERIZED, EchoConfig
 from .gates import SINGLET, afm_duration_for_fm, wrap_period
 from .noise import NoiseModel, fidelity, make_rng
@@ -23,8 +25,8 @@ from .statevec import (
     StateVector, exact_evolve, exchange_unitary, exchange_unitary_reference, execute_plan,
     heisenberg_pair_coupling, norm, pair_projection_fidelity, prepare_singlet_head, total_sz,
 )
-from .transfer import ENGINE_EXACT, ENGINE_TROTTER_DIRECT, ENGINES, TransferConfig
-from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, second_order_plan, three_term_plan
+from .transfer import ENGINE_EXACT, ENGINES, TransferConfig
+from .trotter import MODE_DIRECT, batch_plan, three_term_plan
 
 
 @dataclass
@@ -34,42 +36,25 @@ class CheckResult:
     detail: str
 
 
-def dense_echo_state(config: EchoConfig) -> StateVector:
-    """The echo `fidelity(config)` runs, replayed gate by gate on dense 2^n states."""
-    spec = uniform_echo_chain(config.n, config.j)
+def dense_state(config: EchoConfig | TransferConfig) -> StateVector:
+    """The run `fidelity(config)` makes, replayed gate by gate on dense
+    2^n states: each leg of `config.legs()` in order, a plan leg as a
+    one-chain plan and a continuous leg as exact evolution, with one
+    make_rng(config.seed) stream across the legs."""
     state = prepare_singlet_head(config.n)
     rng = make_rng(config.seed)
-    forward = second_order_plan(spec, config.t, config.n_steps, MODE_SIMULATED_FM)
-    execute_plan(forward, state, config.noise, rng)
-    if config.backward_mode == BACKWARD_TROTTERIZED:
-        backward = second_order_plan(spec, config.t, config.n_steps, MODE_DIRECT)
-        execute_plan(backward, state, config.noise, rng)
-    else:
-        state = exact_evolve(spec, state, config.t)
+    for split, spec, mode in config.legs():
+        if mode is None:
+            state = exact_evolve(spec, state, config.t)
+        else:
+            plan = batch_plan(split, [(spec, config.t, config.steps, 1)], mode)
+            execute_plan(plan, state, config.noise, rng)
     return state
 
 
-def dense_echo_fidelity(config: EchoConfig) -> float:
-    """`fidelity(config)` of an echo, from the dense replay."""
-    return pair_projection_fidelity(dense_echo_state(config), config.pair, SINGLET)
-
-
-def dense_transfer_state(config: TransferConfig) -> StateVector:
-    """The transfer `fidelity(config)` runs, replayed gate by gate on dense 2^n states."""
-    spec = transfer_chain(config.n)
-    state = prepare_singlet_head(config.n)
-    if config.engine == ENGINE_EXACT:
-        state = exact_evolve(spec, state, config.t)
-    else:
-        mode = MODE_DIRECT if config.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
-        plan = three_term_plan(spec, config.t, config.steps, mode)
-        execute_plan(plan, state, config.noise, make_rng(config.seed))
-    return state
-
-
-def dense_transfer_fidelity(config: TransferConfig) -> float:
-    """`fidelity(config)` of a transfer, from the dense replay."""
-    return pair_projection_fidelity(dense_transfer_state(config), config.pair, SINGLET)
+def dense_fidelity(config: EchoConfig | TransferConfig) -> float:
+    """`fidelity(config)` from the dense replay."""
+    return pair_projection_fidelity(dense_state(config), config.pair, SINGLET)
 
 
 def check_sector_vs_dense(max_n: int = 8, seed: int = 0) -> CheckResult:
@@ -83,15 +68,14 @@ def check_sector_vs_dense(max_n: int = 8, seed: int = 0) -> CheckResult:
                 n=n, t=1.3, n_steps=3, backward_mode=backward,
                 noise=NoiseModel(v=0.05), seed=(seed, n),
             )
-            worst = max(worst, abs(fidelity(echo) - dense_echo_fidelity(echo)))
+            worst = max(worst, abs(fidelity(echo) - dense_fidelity(echo)))
         for engine in ENGINES:
             noisy = engine != ENGINE_EXACT
             transfer = TransferConfig(
                 n=n, n_steps=8, engine=engine, seed=(seed, n),
                 noise=NoiseModel(v=0.05, include_fields=True) if noisy else None,
             )
-            gap = abs(fidelity(transfer) - dense_transfer_fidelity(transfer))
-            worst = max(worst, gap)
+            worst = max(worst, abs(fidelity(transfer) - dense_fidelity(transfer)))
     return CheckResult(
         name="sector-vs-dense", passed=worst < 1e-12, detail=f"max_dev={worst:.3e}"
     )
@@ -169,7 +153,7 @@ def check_conservation(n: int = 8) -> CheckResult:
     )
     sz_initial = total_sz(prepare_singlet_head(n))
     worst = 0.0
-    for state in (dense_echo_state(echo), dense_transfer_state(transfer)):
+    for state in (dense_state(echo), dense_state(transfer)):
         worst = max(worst, abs(total_sz(state) - sz_initial), abs(norm(state) - 1.0))
     return CheckResult(
         name="sz-and-norm-conservation",

@@ -134,6 +134,22 @@ def _replace(config: EchoConfig | TransferConfig, flag: str, **changes):
         raise UsageError(f"{flag}: {exc}") from exc
 
 
+def _build(make: Callable[[float], list], flag: str, t: float) -> list:
+    """make(t), the configs at `flag`'s time t, each built once.  When
+    one raises, they are built again in two passes, every config at
+    t = 0 and then each at t, so that the usage error names the flag
+    only when the time is at fault."""
+    try:
+        return make(t)
+    except ValueError:
+        pass
+    try:
+        configs = make(0.0)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    return [_replace(config, flag, t=t) for config in configs]
+
+
 def _meanfield_integrator(
     opts: SimpleNamespace, config: EchoConfig, mf_steps: int
 ) -> IntegratorConfig:
@@ -155,20 +171,20 @@ def _meanfield_integrator(
 def cmd_echo(opts: SimpleNamespace) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
-    try:
+
+    def make(t: float) -> list[EchoConfig]:
         noise = NoiseModel(v=opts.noise_v)
-        config = EchoConfig(
+        return [EchoConfig(
             n=opts.n,
-            t=0.0,
+            t=t,
             n_steps=opts.steps,
             j=opts.j,
             backward_mode=opts.backward,
             noise=noise if noise.v > 0 else None,
             seed=opts.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    config = _replace(config, "--t-max", t=opts.t_max)
+        )]
+
+    (config,) = _build(make, "--t-max", opts.t_max)
     mf_steps = opts.mf_steps if opts.mf_steps is not None else opts.steps
     if opts.with_meanfield:
         integrator = _meanfield_integrator(opts, config, mf_steps)
@@ -219,19 +235,19 @@ def cmd_echo(opts: SimpleNamespace) -> int:
 def cmd_transfer(opts: SimpleNamespace) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
-    try:
+
+    def make(t: float) -> list[TransferConfig]:
         noise = NoiseModel(v=opts.noise_v)
-        config = TransferConfig(
+        return [TransferConfig(
             n=opts.n,
-            t=0.0,
+            t=t,
             n_steps=opts.steps,
             engine=opts.engine,
             noise=noise if noise.v > 0 else None,
             seed=opts.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    config = _replace(config, "--t-max", t=opts.t_max)
+        )]
+
+    (config,) = _build(make, "--t-max", opts.t_max)
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
     curve = fidelity_curve(config, grid)
     header = ["n", "t", "steps", "engine", "v", "seed", "f_tr", "i_tr"]
@@ -272,18 +288,18 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
     ns = _parse_n_range(opts)
     try:
         v_grid = default_v_grid(opts.v_min, opts.v_max, opts.v_points)
-        # every swept n's config is checked before any trial runs
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+    # every swept n's config is checked before any trial runs
+    def make(t: float) -> list[EchoConfig | TransferConfig]:
         if opts.protocol == "echo":
             # an echo sweep without --steps runs 4 Trotter steps per leg
             steps = 4 if opts.steps is None else opts.steps
-            configs = [EchoConfig(n=n, t=0.0, n_steps=steps) for n in ns]
-        else:
-            configs = [
-                TransferConfig(n=n, t=0.0, n_steps=opts.steps, engine=opts.engine) for n in ns
-            ]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    configs = [_replace(config, "--t", t=opts.t) for config in configs]
+            return [EchoConfig(n=n, t=t, n_steps=steps) for n in ns]
+        return [TransferConfig(n=n, t=t, n_steps=opts.steps, engine=opts.engine) for n in ns]
+
+    configs = _build(make, "--t", opts.t)
 
     trial_rows: list[str] = []
     seed = _fmt(opts.seed)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .chain import uniform_echo_chain
 from .noise import NoiseModel, Seed
-from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, SECOND_ORDER, check_second_order
+from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, SECOND_ORDER, check_plan
 
 BACKWARD_TROTTERIZED = "trotterized"
 BACKWARD_EXACT = "exact-continuous"
@@ -43,11 +43,10 @@ class EchoConfig:
             raise ValueError(f"coupling must be finite and positive, got {self.j}")
         if self.backward_mode not in (BACKWARD_TROTTERIZED, BACKWARD_EXACT):
             raise ValueError(f"unknown backward mode '{self.backward_mode}'")
-        # t is the longest time this config runs; the simulated
-        # ferromagnet's plan raises past its wrap budget, and the direct
-        # leg's budget is the same
-        check_second_order(uniform_echo_chain(self.n, self.j), self.t, self.n_steps,
-                           MODE_SIMULATED_FM)
+        # t is the longest time this config runs; the forward leg's plan
+        # raises past its wrap budget, and the direct leg's budget is the same
+        split, spec, mode = self.legs()[0]
+        check_plan(split, spec, self.t, self.n_steps, mode)
 
     @property
     def steps(self) -> int:

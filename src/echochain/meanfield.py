@@ -41,10 +41,12 @@ along z and the accumulated phases unwind):
   continuous      forward with the ferromagnetic sign for t, backward
                   with the antiferromagnetic sign for t.
   mirrored-pulse  the same antiferromagnetic pulse train the quantum
-                  forward leg uses (per-step 2*pi-complement pulses on
-                  the odd/even bond groups) followed by the short
-                  backward pulses; this is the schedule that fails to
-                  revive (analytically cos^2(N*pi/2) for N steps).
+                  forward leg uses, built from `trotter.SECOND_ORDER`
+                  and `trotter.bond_groups`: per step, a 2*pi-complement
+                  pulse of tau/divisor on each layer's bond group,
+                  followed by the short backward pulses tau/divisor;
+                  this is the schedule that fails to revive
+                  (analytically cos^2(N*pi/2) for N steps).
 """
 from __future__ import annotations
 
@@ -56,8 +58,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .chain import ChainSpec, partition_odd_even, uniform_echo_chain
+from .chain import ChainSpec, uniform_echo_chain
 from .gates import SINGLET, afm_duration_for_fm
+from .trotter import SECOND_ORDER, bond_groups
 
 SCHEDULE_CONTINUOUS = "continuous"
 SCHEDULE_MIRRORED = "mirrored-pulse"
@@ -241,13 +244,6 @@ def _signed_couplings(couplings: np.ndarray, sign: float) -> np.ndarray:
     return sign * np.append(couplings, 0.0)
 
 
-def _masked_couplings(spec: ChainSpec, bonds: list[tuple[int, int]]) -> np.ndarray:
-    masked = np.zeros_like(spec.couplings)
-    for i, _ in bonds:
-        masked[i - 1] = spec.couplings[i - 1]
-    return masked
-
-
 def _schedule_segments(
     spec: ChainSpec, t: float, schedule: str, n_steps: int, sign_convention: int
 ) -> Iterable[tuple[float, np.ndarray]]:
@@ -259,15 +255,17 @@ def _schedule_segments(
             (t, _signed_couplings(spec.couplings, sign_convention)),
             (t, _signed_couplings(spec.couplings, -sign_convention)),
         ]
-    part = partition_odd_even(spec)
-    odd = _signed_couplings(_masked_couplings(spec, part.odd_bonds), -sign_convention)
-    even = _signed_couplings(_masked_couplings(spec, part.even_bonds), -sign_convention)
+    # each bond group's own couplings, the others' zero
+    drive = {}
+    for group, bonds in bond_groups(spec).items():
+        masked = np.zeros_like(spec.couplings)
+        masked[bonds] = spec.couplings[bonds]
+        drive[group] = _signed_couplings(masked, -sign_convention)
     j = float(np.max(spec.couplings))
     tau = t / n_steps
-    pulse_half = afm_duration_for_fm(tau / 2, j, j)
-    pulse_full = afm_duration_for_fm(tau, j, j)
-    forward = [(pulse_half, odd), (pulse_full, even), (pulse_half, odd)]
-    backward = [(tau / 2, odd), (tau, even), (tau / 2, odd)]
+    forward = [(afm_duration_for_fm(tau / divisor, j, j), drive[group])
+               for group, divisor in SECOND_ORDER]
+    backward = [(tau / divisor, drive[group]) for group, divisor in SECOND_ORDER]
     return itertools.chain.from_iterable(
         itertools.chain(itertools.repeat(forward, n_steps), itertools.repeat(backward, n_steps))
     )

@@ -454,11 +454,14 @@ def slope_vs_n(
     amplitude cap (`_batches`), every trial of each in the batch.  Points
     with zero mean infidelity are dropped before fitting.  on_stats, when
     given, receives every TrialStats in the configs' order (for CSV
-    capture).
+    capture).  No trials, or fewer than the 3 error strengths a fit
+    needs, raise ValueError before any trial runs.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     v_grid = [float(v) for v in v_grid]
+    if len(v_grid) < 3:
+        raise ValueError(f"need at least 3 noise strengths to fit, got {len(v_grid)}")
     stats: list[list[TrialStats]] = [[] for _ in configs]
     for batch in _batches(configs, len(v_grid) * trials):
         bases = [[child_seed(child_seed(master_seed, configs[b].n), vi)

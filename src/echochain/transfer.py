@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import sector
 from .chain import transfer_chain
 from .noise import NoiseModel, Seed
-from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, THREE_TERM, check_three_term
+from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, THREE_TERM, check_plan
 
 ENGINE_EXACT = "exact"
 ENGINE_TROTTER_DIRECT = "trotter-direct"
@@ -75,10 +75,11 @@ class TransferConfig:
             raise ValueError("the exact engine is noise-free; use a trotter engine")
         # t is the longest time this config runs: a trotter engine's plan
         # raises past its wrap budget, the exact engine where t*w overflows
-        if self.engine == ENGINE_EXACT:
-            sector.exact_evolve(transfer_chain(self.n), sector.singlet_head(1, self.n), self.t)
+        ((split, spec, mode),) = self.legs()
+        if mode is None:
+            sector.exact_evolve(spec, sector.singlet_head(1, self.n), self.t)
         else:
-            check_three_term(transfer_chain(self.n), self.t, self.steps, self._mode)
+            check_plan(split, spec, self.t, self.steps, mode)
 
     @property
     def steps(self) -> int:
@@ -90,16 +91,12 @@ class TransferConfig:
         """The far-end pair whose singlet fidelity scores the transfer."""
         return (self.n - 1, self.n)
 
-    @property
-    def _mode(self) -> str:
-        """The plan mode of a trotter engine."""
-        return MODE_DIRECT if self.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
-
     def legs(self) -> tuple[tuple, ...]:
         """The one leg as (split, chain, plan mode); the exact engine's
         mode is None, continuous evolution.  Every half step
         t / (2 steps) of a trotter engine must fit one wrap period
         2*pi/g of the strongest bond g, so t may reach
         2 * steps * 2*pi/g."""
-        mode = None if self.engine == ENGINE_EXACT else self._mode
+        mode = {ENGINE_EXACT: None, ENGINE_TROTTER_DIRECT: MODE_DIRECT,
+                ENGINE_TROTTER_SIMFM: MODE_SIMULATED_FM}[self.engine]
         return ((THREE_TERM, transfer_chain(self.n), mode),)

@@ -9,8 +9,11 @@ past them given angle 0 on its rows.
 
 Two-term plans use the palindromic split (odd/2, even, odd/2);
 three-term plans (for chains with fields) use (odd/2, even/2, field,
-even/2, odd/2).  Bonds within a layer share no site, so the gates of a
-layer commute and may execute in any order.
+even/2, odd/2).  A bond's group is the parity of its first site,
+counted from 1 (`bond_groups`), so bonds within a group share no site:
+the gates of a layer commute and may execute in any order.  These two
+splits and this grouping are the one statement of a run's pulse
+sequence; the mean-field mirrored-pulse train reads them too.
 
 A layer's sites are built once per plan: a slice where they are
 evenly spaced (stride 2 for bonds), so `c[:, sites]` is a view of a
@@ -35,10 +38,9 @@ Both modes keep every exchange slice within one wrap period of its
 bond, checked once per chain against its strongest bond of each layer:
 the simulated ferromagnet cannot map a longer slice, and a direct
 slice that long is far outside the Trotter product's accuracy.
-`check_second_order` and `check_three_term` make every check of a plan,
-this budget included, without building its angles, so a protocol
-config can check its longest time when it is built and build only the
-plans it runs.
+`check_plan` makes every check of a plan, this budget included,
+without building its angles, so a protocol config can check its
+longest time when it is built and build only the plans it runs.
 """
 from __future__ import annotations
 
@@ -54,8 +56,7 @@ from .gates import DELTA_EPS, fits_wrap_period, wrap_period
 MODE_DIRECT = "direct"
 MODE_SIMULATED_FM = "simulated-fm"
 
-# One Trotter step as (bond group or "field", divisor of tau) per layer;
-# a bond's group is the parity of its first site, counted from 1.
+# One Trotter step as (bond group or "field", divisor of tau) per layer.
 SECOND_ORDER = (("odd", 2), ("even", 1), ("odd", 2))
 THREE_TERM = (("odd", 2), ("even", 2), ("field", 1), ("even", 2), ("odd", 2))
 
@@ -109,6 +110,14 @@ def _sites(index: np.ndarray) -> slice | np.ndarray:
     return slice(sites[0], sites[-1] + 1, stride)
 
 
+def bond_groups(spec: ChainSpec) -> dict[str, np.ndarray]:
+    """The 0-based first sites of the chain's nonzero bonds by group,
+    "odd" and "even": the parity of a bond's first site, counted from 1."""
+    bonds = np.flatnonzero(spec.couplings)
+    odd = bonds % 2 == 0
+    return {"odd": bonds[odd], "even": bonds[~odd]}
+
+
 def _layout(spec: ChainSpec, times, n_steps: int, mode: str, split):
     """The times as an array and (group, divisor, first sites,
     strengths) per layer of the split, empty layers included, after
@@ -122,11 +131,8 @@ def _layout(spec: ChainSpec, times, n_steps: int, mode: str, split):
     bad = times[~(np.isfinite(times) & (times >= 0))]
     if len(bad):
         raise ValueError(f"invalid evolution time {float(bad[0])}")
-    bonds = np.flatnonzero(spec.couplings)
-    odd = bonds % 2 == 0
-    groups = {}
-    for group, index in (("odd", bonds[odd]), ("even", bonds[~odd])):
-        groups[group] = (index, spec.exchange_prefactor * spec.couplings[index])
+    groups = {group: (index, spec.exchange_prefactor * spec.couplings[index])
+              for group, index in bond_groups(spec).items()}
     index = np.flatnonzero(spec.fields)
     groups["field"] = (index, spec.fields[index])
     t_max = float(np.max(times, initial=0.0))
@@ -233,13 +239,7 @@ def three_term_plan(
     return batch_plan(THREE_TERM, [(spec, times, n_steps, np.size(times))], mode)
 
 
-def check_second_order(spec: ChainSpec, times, n_steps: int, mode: str) -> None:
-    """Raise where `second_order_plan` with these arguments would,
-    without building its angles."""
-    _layout(spec, times, n_steps, mode, SECOND_ORDER)
-
-
-def check_three_term(spec: ChainSpec, times, n_steps: int, mode: str) -> None:
-    """Raise where `three_term_plan` with these arguments would,
-    without building its angles."""
-    _layout(spec, times, n_steps, mode, THREE_TERM)
+def check_plan(split, spec: ChainSpec, times, n_steps: int, mode: str) -> None:
+    """Raise where a one-chain plan of `split` with these arguments
+    would, without building its angles."""
+    _layout(spec, times, n_steps, mode, split)

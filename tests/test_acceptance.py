@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from echochain.chain import transfer_chain
-from echochain.checks import dense_echo_state, dense_transfer_state
+from echochain.checks import dense_state
 from echochain.echo import EchoConfig
 from echochain.gates import afm_duration_for_fm, wrap_period
 from echochain.meanfield import IntegratorConfig, meanfield_echo_curve
@@ -124,11 +124,9 @@ def test_criterion_5_conservation_suite():
         TransferConfig(n=9),
     ]
     # the norm and S^z of each run's dense replay
-    runs = [(dense_echo_state, config) for config in echoes]
-    runs += [(dense_transfer_state, config) for config in transfers]
     worst = 0.0
-    for replay, config in runs:
-        state = replay(config)
+    for config in echoes + transfers:
+        state = dense_state(config)
         worst = max(worst, abs(norm(state) - 1.0))
         sz_initial = total_sz(prepare_singlet_head(config.n))
         worst = max(worst, abs(total_sz(state) - sz_initial))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echochain.chain import ChainSpec, partition_odd_even, transfer_chain, uniform_echo_chain
+from echochain.chain import ChainSpec, transfer_chain, uniform_echo_chain
 from echochain.gates import SINGLET
 from echochain.statevec import (
     ResourceLimitError,
@@ -15,6 +15,7 @@ from echochain.statevec import (
     pair_projection_fidelity,
     prepare_singlet_head,
 )
+from echochain.trotter import bond_groups
 
 
 class TestUniformEchoChain:
@@ -62,31 +63,34 @@ class TestTransferChain:
         assert spec.exchange_prefactor == 2.0
 
 
+def partition(spec):
+    """trotter's bond groups as 1-based bonds (i, i+1), odd then even."""
+    groups = bond_groups(spec)
+    return [[(i + 1, i + 2) for i in groups[group].tolist()] for group in ("odd", "even")]
+
+
 class TestPartition:
+    """The odd/even bond groups every Trotter layer and the mean-field
+    pulse train read."""
+
     def test_echo_chain_five(self):
-        part = partition_odd_even(uniform_echo_chain(5, 1.0))
-        assert part.odd_bonds == [(3, 4)]
-        assert part.even_bonds == [(2, 3), (4, 5)]
+        assert partition(uniform_echo_chain(5, 1.0)) == [[(3, 4)], [(2, 3), (4, 5)]]
 
     def test_transfer_chain_four(self):
-        part = partition_odd_even(transfer_chain(4))
-        assert part.odd_bonds == [(1, 2), (3, 4)]
-        assert part.even_bonds == [(2, 3)]
+        assert partition(transfer_chain(4)) == [[(1, 2), (3, 4)], [(2, 3)]]
 
     def test_echo_chain_three_has_empty_odd_group(self):
-        part = partition_odd_even(uniform_echo_chain(3, 1.0))
-        assert part.odd_bonds == []
-        assert part.even_bonds == [(2, 3)]
+        assert partition(uniform_echo_chain(3, 1.0)) == [[], [(2, 3)]]
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(min_value=2, max_value=12))
     def test_groups_are_disjoint_and_cover_nonzero_bonds(self, n):
         spec = transfer_chain(n)
-        part = partition_odd_even(spec)
-        for group in (part.odd_bonds, part.even_bonds):
+        odd, even = partition(spec)
+        for group in (odd, even):
             sites = [s for bond in group for s in bond]
             assert len(sites) == len(set(sites))
-        assert sorted(part.odd_bonds + part.even_bonds) == [
+        assert sorted(odd + even) == [
             (i, i + 1) for i in range(1, n) if spec.couplings[i - 1] != 0
         ]
 

@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from echochain import checks, cli, meanfield
@@ -234,6 +235,22 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
                  "--steps", "1", "--out", str(tmp_path / "absent" / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("runtime failure:") and err.count("\n") == 1
+
+
+def test_exact_transfer_curve_builds_its_config_once(tmp_path, monkeypatch):
+    # one eigendecomposition checks t when the config is built, and one
+    # runs the curve
+    eigh = np.linalg.eigh
+    calls = []
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert main(["transfer", "--engine", "exact", "--n", "1000", "--points", "50",
+                 "--out", str(tmp_path / "x.csv")]) == 0
+    assert calls == [(1000, 1000)] * 2
 
 
 @pytest.mark.parametrize("t_max", ["7", str(4 * math.pi), "-1"])

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from echochain import echo, noise
-from echochain.checks import dense_echo_state
+from echochain.checks import dense_state
 from echochain.echo import BACKWARD_EXACT, BACKWARD_TROTTERIZED, EchoConfig
 from echochain.noise import NoiseModel, fidelity, fidelity_curve
 from echochain.statevec import prepare_singlet_head, total_sz
@@ -51,7 +51,7 @@ def test_conservation_metadata():
     config = EchoConfig(n=9, t=2.0, n_steps=8, noise=NoiseModel(v=0.04), seed=3)
     # S^z of the same run replayed on dense 2^n states, where it can drift
     sz_initial = total_sz(prepare_singlet_head(config.n))
-    assert abs(total_sz(dense_echo_state(config)) - sz_initial) < 1e-10
+    assert abs(total_sz(dense_state(config)) - sz_initial) < 1e-10
 
 
 class TestCurve:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from echochain import meanfield
 from echochain.chain import uniform_echo_chain
+from echochain.echo import EchoConfig
 from echochain.meanfield import (
     SCHEDULE_CONTINUOUS,
     SCHEDULE_MIRRORED,
@@ -15,6 +16,7 @@ from echochain.meanfield import (
     meanfield_echo_curve,
 )
 from echochain.gates import SINGLET
+from echochain.trotter import batch_plan
 
 
 # The general spinor integrator: any product state of the head pair
@@ -283,6 +285,36 @@ class TestEchoSchedules:
             assert abs(np.linalg.norm(spin_expectation(spinor)) - 0.5) < 1e-6
         _, s2 = pair_site_expectations(pair_state(final))
         assert np.linalg.norm(s2) < 1e-6
+
+
+@pytest.mark.parametrize("n,j,t,steps", [
+    (3, 1.0, 1.0, 2), (4, 1.0, 0.8, 1), (5, 0.7, 2.9, 3), (7, 1.3, 3.0, 2),
+])
+@pytest.mark.parametrize("sign_convention", [-1, 1])
+def test_mirrored_pulse_train_is_the_echo_forward_leg(n, j, t, steps, sign_convention):
+    # each forward pulse turns its bond group by the angle the echo's
+    # simulated-ferromagnet plan gives that layer, bit for bit, and each
+    # backward pulse lasts tau / divisor
+    split, spec, mode = EchoConfig(n=n, t=t, n_steps=steps, j=j).legs()[0]
+    plan = batch_plan(split, [(spec, t, steps, 1)], mode)
+    columns = np.cumsum([0] + [layer.width for layer in plan.layers]).tolist()
+    layers = [(np.arange(n)[layer.left].tolist(), plan.angles[0, start:stop].tolist())
+              for layer, start, stop in zip(plan.layers, columns, columns[1:])]
+    segments = list(meanfield._schedule_segments(
+        spec, t, SCHEDULE_MIRRORED, steps, sign_convention
+    ))
+    assert len(segments) == 2 * steps * len(split)
+    forward, backward = segments[:steps * len(split)], segments[steps * len(split):]
+    for step in range(steps):
+        pulses = []
+        for duration, js in forward[step * len(split):(step + 1) * len(split)]:
+            bonds = np.flatnonzero(js).tolist()
+            if bonds:
+                assert np.array_equal(js[bonds], np.full(len(bonds), -sign_convention * j))
+                pulses.append((bonds, [j * duration] * len(bonds)))
+        assert pulses == layers
+    for k, (duration, _) in enumerate(backward):
+        assert duration == t / steps / split[k % len(split)][1]
 
 
 def test_validation():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import echochain
 
+from echochain import noise as noise_module
 from echochain.echo import EchoConfig
 from echochain.noise import (
     FitResult,
@@ -191,6 +192,15 @@ class TestRunTrials:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             slope_vs_n([EchoConfig(n=5, t=1.0, n_steps=2)], [0.01, 0.02, 0.03], 0, 1)
+
+    @pytest.mark.parametrize("v_grid", [[], [0.01], [0.01, 0.02]])
+    def test_rejects_a_grid_too_short_to_fit_before_any_work(self, v_grid, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(noise_module, "_batch_stats", no_work)
+        with pytest.raises(ValueError, match="at least 3 noise strengths to fit, got"):
+            slope_vs_n([EchoConfig(n=5, t=1.0, n_steps=2)], v_grid, 1, 1)
 
     @pytest.mark.parametrize("trials", [1, 3, 10, 17, 100, 1000])
     def test_grid_stats_match_per_row_stats(self, trials):

@@ -17,8 +17,7 @@ from echochain.chain import ChainSpec, transfer_chain, uniform_echo_chain
 from echochain.checks import (
     check_conservation,
     check_sector_vs_dense,
-    dense_echo_fidelity,
-    dense_transfer_fidelity,
+    dense_fidelity,
 )
 from echochain.echo import BACKWARD_EXACT, BACKWARD_TROTTERIZED, EchoConfig
 from echochain.noise import (
@@ -244,14 +243,17 @@ def test_protocols_match_dense_oracle():
 
 def test_conservation_check_reads_sz_from_the_dense_replay(monkeypatch):
     assert check_conservation(n=4).passed
-    replay = checks.dense_transfer_state
+    replay = checks.dense_state
     flip_site_1 = np.kron([[0, 1], [1, 0]], np.eye(2))
 
     def leaky_replay(config):
         # the transfer ends with site 1 up; flipping it moves S^z by about 1
-        return apply_two_site(replay(config), 1, 2, flip_site_1)
+        state = replay(config)
+        if isinstance(config, TransferConfig):
+            state = apply_two_site(state, 1, 2, flip_site_1)
+        return state
 
-    monkeypatch.setattr(checks, "dense_transfer_state", leaky_replay)
+    monkeypatch.setattr(checks, "dense_state", leaky_replay)
     result = check_conservation(n=4)
     assert not result.passed
     assert float(result.detail.removeprefix("max_dev=")) > 0.5
@@ -262,13 +264,13 @@ def test_curves_match_dense_point_by_point():
     echo = EchoConfig(n=6, t=max(grid), n_steps=2, noise=NoiseModel(v=0.05), seed=3)
     for k, (t, f) in enumerate(fidelity_curve(echo, grid)):
         point = EchoConfig(n=6, t=t, n_steps=2, noise=echo.noise, seed=child_seed(3, k))
-        assert abs(f - dense_echo_fidelity(point)) <= TOL
+        assert abs(f - dense_fidelity(point)) <= TOL
     transfer = TransferConfig(n=5, t=max(grid), n_steps=8, engine="trotter-simfm",
                               noise=NoiseModel(v=0.05), seed=3)
     for k, (t, f) in enumerate(fidelity_curve(transfer, grid)):
         point = TransferConfig(n=5, t=t, n_steps=8, engine="trotter-simfm",
                                noise=transfer.noise, seed=child_seed(3, k))
-        assert abs(f - dense_transfer_fidelity(point)) <= TOL
+        assert abs(f - dense_fidelity(point)) <= TOL
 
 
 def per_chain_fidelities(config, times, noise=None):

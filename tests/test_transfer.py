@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import echochain
-from echochain.checks import dense_transfer_state
+from echochain.checks import dense_state
 from echochain.noise import NoiseModel, fidelity, fidelity_curve
 from echochain.statevec import prepare_singlet_head, total_sz
 from echochain.transfer import (
@@ -77,7 +77,7 @@ class TestTrotterEngines:
         )
         # S^z of the same run replayed on dense 2^n states, where it can drift
         sz_initial = total_sz(prepare_singlet_head(config.n))
-        assert abs(total_sz(dense_transfer_state(config)) - sz_initial) < 1e-10
+        assert abs(total_sz(dense_state(config)) - sz_initial) < 1e-10
 
 
 class TestCurve:

@@ -17,9 +17,10 @@ from echochain.statevec import (
 from echochain.trotter import (
     MODE_DIRECT,
     MODE_SIMULATED_FM,
+    SECOND_ORDER,
+    THREE_TERM,
     Layer,
-    check_second_order,
-    check_three_term,
+    check_plan,
     second_order_plan,
     three_term_plan,
 )
@@ -79,9 +80,9 @@ class TestPlanArrays:
             with pytest.raises(ValueError, match="wrap budget"):
                 second_order_plan(spec, [0.0, 2 * math.pi + 1e-6, 1.0], 1, mode)
 
-    @pytest.mark.parametrize("build,check", [
-        (second_order_plan, check_second_order),
-        (three_term_plan, check_three_term),
+    @pytest.mark.parametrize("build,split", [
+        (second_order_plan, SECOND_ORDER),
+        (three_term_plan, THREE_TERM),
     ])
     @pytest.mark.parametrize("times,steps,mode", [
         ([0.0, 2 * math.pi], 1, MODE_DIRECT),
@@ -93,16 +94,16 @@ class TestPlanArrays:
         (-1.0, 2, MODE_DIRECT),
         (1.0, 2, "sideways"),
     ])
-    def test_checks_raise_where_the_plan_raises(self, build, check, times, steps, mode):
+    def test_checks_raise_where_the_plan_raises(self, build, split, times, steps, mode):
         for spec in (uniform_echo_chain(5, 1.0), transfer_chain(5)):
             try:
                 build(spec, times, steps, mode)
             except ValueError as exc:
                 with pytest.raises(ValueError) as checked:
-                    check(spec, times, steps, mode)
+                    check_plan(split, spec, times, steps, mode)
                 assert str(checked.value) == str(exc)
             else:
-                assert check(spec, times, steps, mode) is None
+                assert check_plan(split, spec, times, steps, mode) is None
 
     def test_one_angle_row_per_time(self):
         spec = uniform_echo_chain(6, 1.0)
