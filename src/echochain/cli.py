@@ -7,7 +7,9 @@ flags plus an identical master seed reproduce byte-identical files.
 SVG plots are a convenience rendered after the CSV is written and
 never feed back into it.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error.  Each config
+is built once; its fault is a usage error, and a `TimeBudgetError`
+names the time's flag.
 
 `COMMANDS` is the one declaration of the commands and their options:
 the parser's flags, the defaults, the checks of a `--config` file's
@@ -33,6 +35,7 @@ from .meanfield import (
 )
 from .noise import NoiseModel, TrialStats, default_v_grid, fidelity_curve, slope_vs_n
 from .transfer import ENGINE_EXACT, ENGINES, TransferConfig
+from .trotter import TimeBudgetError
 
 # Move every object imported so far, numpy's above all, to the
 # permanent generation, so the collections at interpreter exit skip
@@ -124,32 +127,6 @@ def _merge_options(command: str, args: argparse.Namespace) -> SimpleNamespace:
     return SimpleNamespace(**merged)
 
 
-def _replace(config: EchoConfig | TransferConfig, flag: str, **changes):
-    """`config` rebuilt with `changes`, which `flag` set; the config
-    checks them, so a value past its budget is a usage error naming the
-    flag."""
-    try:
-        return dataclasses.replace(config, **changes)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
-
-
-def _build(make: Callable[[float], list], flag: str, t: float) -> list:
-    """make(t), the configs at `flag`'s time t, each built once.  When
-    one raises, they are built again in two passes, every config at
-    t = 0 and then each at t, so that the usage error names the flag
-    only when the time is at fault."""
-    try:
-        return make(t)
-    except ValueError:
-        pass
-    try:
-        configs = make(0.0)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    return [_replace(config, flag, t=t) for config in configs]
-
-
 def _meanfield_integrator(
     opts: SimpleNamespace, config: EchoConfig, mf_steps: int
 ) -> IntegratorConfig:
@@ -164,27 +141,33 @@ def _meanfield_integrator(
     # the mirrored pulse train is the echo's forward leg at mf_steps,
     # so it has that leg's wrap budget
     if opts.schedule == SCHEDULE_MIRRORED:
-        _replace(config, "--t-max with the mirrored-pulse schedule", n_steps=mf_steps)
+        try:
+            dataclasses.replace(config, n_steps=mf_steps)
+        except TimeBudgetError as exc:
+            raise UsageError(f"--t-max with the mirrored-pulse schedule: {exc}") from exc
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
     return integrator
 
 
 def cmd_echo(opts: SimpleNamespace) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
-
-    def make(t: float) -> list[EchoConfig]:
+    try:
         noise = NoiseModel(v=opts.noise_v)
-        return [EchoConfig(
+        config = EchoConfig(
             n=opts.n,
-            t=t,
+            t=opts.t_max,
             n_steps=opts.steps,
             j=opts.j,
             backward_mode=opts.backward,
             noise=noise if noise.v > 0 else None,
             seed=opts.seed,
-        )]
-
-    (config,) = _build(make, "--t-max", opts.t_max)
+        )
+    except TimeBudgetError as exc:
+        raise UsageError(f"--t-max: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     mf_steps = opts.mf_steps if opts.mf_steps is not None else opts.steps
     if opts.with_meanfield:
         integrator = _meanfield_integrator(opts, config, mf_steps)
@@ -235,19 +218,20 @@ def cmd_echo(opts: SimpleNamespace) -> int:
 def cmd_transfer(opts: SimpleNamespace) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
-
-    def make(t: float) -> list[TransferConfig]:
+    try:
         noise = NoiseModel(v=opts.noise_v)
-        return [TransferConfig(
+        config = TransferConfig(
             n=opts.n,
-            t=t,
+            t=opts.t_max,
             n_steps=opts.steps,
             engine=opts.engine,
             noise=noise if noise.v > 0 else None,
             seed=opts.seed,
-        )]
-
-    (config,) = _build(make, "--t-max", opts.t_max)
+        )
+    except TimeBudgetError as exc:
+        raise UsageError(f"--t-max: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
     curve = fidelity_curve(config, grid)
     header = ["n", "t", "steps", "engine", "v", "seed", "f_tr", "i_tr"]
@@ -291,15 +275,20 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
-    # every swept n's config is checked before any trial runs
-    def make(t: float) -> list[EchoConfig | TransferConfig]:
+    # every swept n's config is checked before any trial runs; n ascends,
+    # so an n below the protocol's minimum is the first fault reported
+    try:
         if opts.protocol == "echo":
             # an echo sweep without --steps runs 4 Trotter steps per leg
             steps = 4 if opts.steps is None else opts.steps
-            return [EchoConfig(n=n, t=t, n_steps=steps) for n in ns]
-        return [TransferConfig(n=n, t=t, n_steps=opts.steps, engine=opts.engine) for n in ns]
-
-    configs = _build(make, "--t", opts.t)
+            configs = [EchoConfig(n=n, t=opts.t, n_steps=steps) for n in ns]
+        else:
+            configs = [TransferConfig(n=n, t=opts.t, n_steps=opts.steps, engine=opts.engine)
+                       for n in ns]
+    except TimeBudgetError as exc:
+        raise UsageError(f"--t: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
     trial_rows: list[str] = []
     seed = _fmt(opts.seed)

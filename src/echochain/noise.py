@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 import numpy as np
 
 from . import sector
-from .trotter import batch_plan
+from .trotter import TimeBudgetError, batch_plan
 
 if TYPE_CHECKING:
     from .echo import EchoConfig
@@ -400,7 +400,7 @@ def fidelity_curve(
         return []
     outside = [t for t in times if not 0 <= t <= config.t]
     if outside:
-        raise ValueError(f"evolution time must lie in [0, {config.t!r}], got {outside[0]!r}")
+        raise TimeBudgetError(f"evolution time must lie in [0, {config.t!r}], got {outside[0]!r}")
     seeds = [child_seed(config.seed, k) for k in range(len(times))]
     fidelities = _pair_fidelities([config], [times], [len(times)],
                                   model_noise(config.noise, seeds))[0]

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .chain import SIGN_AFM, ChainSpec
-from .trotter import TrotterPlan
+from .trotter import TimeBudgetError, TrotterPlan
 
 if TYPE_CHECKING:
     from .noise import GateNoise
@@ -190,13 +190,13 @@ def exact_evolve(spec: ChainSpec, c: np.ndarray, t) -> np.ndarray:
         raise ValueError("chain and batch site counts differ")
     t = np.asarray(t, dtype=float).reshape(-1, 1)
     if not np.all(np.isfinite(t)):
-        raise ValueError("times must be finite")
+        raise TimeBudgetError("times must be finite")
     w, u = np.linalg.eigh(sector_hamiltonian(spec))
     with np.errstate(over="ignore"):
         phase = t * w
     if not np.all(np.isfinite(phase)):
         row, level = np.argwhere(~np.isfinite(phase))[0]
-        raise ValueError(
+        raise TimeBudgetError(
             f"phase t*w overflows at t={float(t[row, 0])!r}, w={float(w[level])!r}"
         )
     return ((c @ u) * np.exp(-1j * phase)) @ u.T

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import sector
 from .chain import transfer_chain
 from .noise import NoiseModel, Seed
-from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, THREE_TERM, check_plan
+from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, THREE_TERM, TimeBudgetError, check_plan
 
 ENGINE_EXACT = "exact"
 ENGINE_TROTTER_DIRECT = "trotter-direct"
@@ -65,16 +65,17 @@ class TransferConfig:
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"need at least 2 sites, got {self.n}")
-        if not (math.isfinite(self.t) and self.t >= 0):
-            raise ValueError(f"evolution time must be finite and >= 0, got {self.t}")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine '{self.engine}'")
         if self.n_steps is not None and self.n_steps < 1:
             raise ValueError(f"need at least one step, got {self.n_steps}")
         if self.engine == ENGINE_EXACT and self.noise is not None and self.noise.v > 0:
             raise ValueError("the exact engine is noise-free; use a trotter engine")
-        # t is the longest time this config runs: a trotter engine's plan
-        # raises past its wrap budget, the exact engine where t*w overflows
+        # t is the longest time this config runs, checked last: a trotter
+        # engine's plan raises past its wrap budget, the exact engine where
+        # t*w overflows
+        if not (math.isfinite(self.t) and self.t >= 0):
+            raise TimeBudgetError(f"evolution time must be finite and >= 0, got {self.t}")
         ((split, spec, mode),) = self.legs()
         if mode is None:
             sector.exact_evolve(spec, sector.singlet_head(1, self.n), self.t)

@@ -41,6 +41,8 @@ slice that long is far outside the Trotter product's accuracy.
 `check_plan` makes every check of a plan, this budget included,
 without building its angles, so a protocol config can check its
 longest time when it is built and build only the plans it runs.
+A check that blames the time raises `TimeBudgetError`, and only after
+every check that does not, so that one pass tells a bad time apart.
 """
 from __future__ import annotations
 
@@ -59,6 +61,12 @@ MODE_SIMULATED_FM = "simulated-fm"
 # One Trotter step as (bond group or "field", divisor of tau) per layer.
 SECOND_ORDER = (("odd", 2), ("even", 1), ("odd", 2))
 THREE_TERM = (("odd", 2), ("even", 2), ("field", 1), ("even", 2), ("odd", 2))
+
+
+class TimeBudgetError(ValueError):
+    """A run's time is at fault: not finite, negative, past the wrap
+    budget of its steps or the time its config checked, or so long that
+    an exact evolution's phase t*w overflows."""
 
 
 @dataclass(frozen=True)
@@ -121,27 +129,28 @@ def bond_groups(spec: ChainSpec) -> dict[str, np.ndarray]:
 def _layout(spec: ChainSpec, times, n_steps: int, mode: str, split):
     """The times as an array and (group, divisor, first sites,
     strengths) per layer of the split, empty layers included, after
-    every check a plan makes: mode, step count, times and the wrap
-    budget."""
+    every check a plan makes: mode, step count, each layer's strongest
+    bond, then the times and the wrap budget (TimeBudgetError)."""
     if mode not in (MODE_DIRECT, MODE_SIMULATED_FM):
         raise ValueError(f"unknown mode '{mode}'")
     if n_steps < 1:
         raise ValueError(f"need at least one step, got {n_steps}")
-    times = np.asarray(times, dtype=float).reshape(-1)
-    bad = times[~(np.isfinite(times) & (times >= 0))]
-    if len(bad):
-        raise ValueError(f"invalid evolution time {float(bad[0])}")
     groups = {group: (index, spec.exchange_prefactor * spec.couplings[index])
               for group, index in bond_groups(spec).items()}
     index = np.flatnonzero(spec.fields)
     groups["field"] = (index, spec.fields[index])
-    t_max = float(np.max(times, initial=0.0))
     strongest = {group: float(g.max()) for group, (_, g) in groups.items()
                  if group != "field" and len(g)}
     budget = [(divisor, strongest[group]) for group, divisor in split if group in strongest]
+    # a bond too weak to have a wrap period is no fault of the time
+    longest = min((n_steps * divisor * wrap_period(g) for divisor, g in budget), default=0.0)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    bad = times[~(np.isfinite(times) & (times >= 0))]
+    if len(bad):
+        raise TimeBudgetError(f"invalid evolution time {float(bad[0])}")
+    t_max = float(np.max(times, initial=0.0))
     if not all(fits_wrap_period(t_max / n_steps / divisor, g) for divisor, g in budget):
-        longest = min(n_steps * divisor * wrap_period(g) for divisor, g in budget)
-        raise ValueError(
+        raise TimeBudgetError(
             f"time {t_max!r} is past the wrap budget {longest!r} of {n_steps} steps "
             "(each slice within one wrap period of its layer's strongest bond); "
             "use more steps"

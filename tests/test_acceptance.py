@@ -6,6 +6,7 @@ of the corresponding pipeline; tolerances are stated next to each
 assertion.
 """
 import math
+import os
 import subprocess
 import sys
 
@@ -211,23 +212,29 @@ def test_criterion_8_slope_vs_n():
     )
 
 
-def run_cli(args, env_threads, tmp_path, tag):
-    trials = tmp_path / f"trials_{tag}.csv"
-    fits = tmp_path / f"fits_{tag}.csv"
-    cmd = [sys.executable, "-m", "echochain", *args,
-           "--out-trials", str(trials), "--out-fits", str(fits)]
-    import os
-
-    env = dict(os.environ, ECHOCHAIN_THREADS=env_threads)
+def run_cli(args, outs, blas_threads, tmp_path, tag):
+    """The bytes of the CSV behind each output flag in `outs`, written by
+    `args` in a fresh process that runs `blas_threads` OpenBLAS threads."""
+    paths = [tmp_path / f"{flag.lstrip('-')}_{tag}.csv" for flag in outs]
+    cmd = [sys.executable, "-m", "echochain", *args]
+    for flag, path in zip(outs, paths):
+        cmd += [flag, str(path)]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads)
     subprocess.run(cmd, check=True, env=env, capture_output=True)
-    return trials.read_bytes(), fits.read_bytes()
+    return [path.read_bytes() for path in paths]
 
 
 def test_criterion_9_byte_deterministic_csv(tmp_path):
-    args = ["robustness", "--protocol", "echo", "--n", "6", "--steps", "2",
-            "--trials", "16", "--seed", "13", "--v-points", "4"]
-    first = run_cli(args, "1", tmp_path, "a")
-    second = run_cli(args, "1", tmp_path, "b")
-    threaded = run_cli(args, "4", tmp_path, "c")
-    ok = first == second == threaded
-    report(9, "byte-identical CSV output", ok, "repeat + thread-count invariance")
+    runs = [
+        (["robustness", "--protocol", "echo", "--n", "6", "--steps", "2",
+          "--trials", "16", "--seed", "13", "--v-points", "4"], ["--out-trials", "--out-fits"]),
+        # the exact curve's eigh and its c @ u products run in BLAS
+        (["transfer", "--engine", "exact", "--n", "200", "--points", "50"], ["--out"]),
+    ]
+    ok = True
+    for k, (args, outs) in enumerate(runs):
+        first = run_cli(args, outs, "1", tmp_path, f"{k}a")
+        second = run_cli(args, outs, "1", tmp_path, f"{k}b")
+        threaded = run_cli(args, outs, "2", tmp_path, f"{k}c")
+        ok = ok and first == second == threaded
+    report(9, "byte-identical CSV output", ok, "repeat + BLAS thread-count invariance")

@@ -9,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from echochain import checks, cli, meanfield
+from echochain import checks, cli, echo, meanfield, transfer, trotter
 from echochain.cli import main
 from echochain.chain import transfer_chain
 
 GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent / "configs"
+WRAP_RULE = ("(each slice within one wrap period of its layer's strongest bond); "
+             "use more steps")
 
 
 def read_csv(path):
@@ -154,12 +156,13 @@ class TestRobustnessCommand:
 
 
 class TestDeterminism:
-    def test_repeat_and_thread_count_invariance(self, tmp_path, monkeypatch):
+    def test_repeat_and_thread_count_invariance(self, tmp_path):
+        # the BLAS thread count is varied in fresh processes, by
+        # test_acceptance's criterion 9
         args = ["robustness", "--protocol", "echo", "--n", "5", "--steps", "2",
                 "--trials", "12", "--seed", "9", "--v-points", "3"]
         outputs = []
-        for tag, threads in (("a", "1"), ("b", "1"), ("c", "3")):
-            monkeypatch.setenv("ECHOCHAIN_THREADS", threads)
+        for tag in "abc":
             trials = tmp_path / f"trials_{tag}.csv"
             fits = tmp_path / f"fits_{tag}.csv"
             assert main(args + ["--out-trials", str(trials), "--out-fits", str(fits)]) == 0
@@ -458,6 +461,54 @@ def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypa
     assert captured.err.startswith("error:") and captured.err.count("\n") == 1
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+# A config's faults that are not the time's are raised before its time
+# is read, so a double fault reports the other one, without the flag.
+@pytest.mark.parametrize("line,err", [
+    ("echo --j 3e-308 --t-max nan --points 2",
+     "coupling 3e-308 is too weak: its wrap period overflows"),
+    ("echo --steps 0 --t-max nan", "need at least one step, got 0"),
+    ("transfer --engine trotter-simfm --steps 0 --t-max nan", "need at least one step, got 0"),
+    ("transfer --engine exact --noise-v 0.1 --t-max nan",
+     "the exact engine is noise-free; use a trotter engine"),
+    ("robustness --n-range 2:9 --t 1e308 --trials 1", "echo needs at least 3 sites, got 2"),
+    ("robustness --protocol transfer --n-range 2:30 --steps 0 --t nan --trials 1",
+     "need at least one step, got 0"),
+    ("robustness --protocol transfer --n-range 2:30 --steps 1 --t 3 --trials 1",
+     "--t: time 3.0 is past the wrap budget 2.565099660323728 of 1 steps " + WRAP_RULE),
+    ("echo --n 5 --with-meanfield --mf-steps 1 --t-max 7 --steps 2 --points 2",
+     "--t-max with the mirrored-pulse schedule: time 7.0 is past the wrap budget "
+     "6.283185307179586 of 1 steps " + WRAP_RULE),
+    ("echo --n 5 --t-max -1", "--t-max: invalid evolution time -1.0"),
+    ("transfer --engine exact --n 6 --t-max 1e308 --points 3",
+     "--t-max: phase t*w overflows at t=1e+308, w=3.5644951022459783"),
+])
+def test_usage_error_names_the_fault(tmp_path, capsys, monkeypatch, line, err):
+    monkeypatch.chdir(tmp_path)
+    assert main(line.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+@pytest.mark.parametrize("line,code,builds", [
+    ("echo --n 5 --t-max 1e308", 2, 1),
+    ("robustness --n-range 5:9 --t 1e308", 2, 1),
+    # n = 4 fits one step at t = 3, and n = 5 is past its budget
+    ("robustness --protocol transfer --n-range 4:11 --steps 1 --t 3", 2, 2),
+    ("echo --n 5 --points 3", 0, 1),
+])
+def test_each_config_is_built_once(tmp_path, monkeypatch, line, code, builds):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return trotter.check_plan(*args)
+
+    for module in (echo, transfer):
+        monkeypatch.setattr(module, "check_plan", counted)
+    monkeypatch.chdir(tmp_path)
+    assert main(line.split()) == code
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize("args,work", [

@@ -7,6 +7,7 @@ from echochain.checks import dense_state
 from echochain.echo import BACKWARD_EXACT, BACKWARD_TROTTERIZED, EchoConfig
 from echochain.noise import NoiseModel, fidelity, fidelity_curve
 from echochain.statevec import prepare_singlet_head, total_sz
+from echochain.trotter import TimeBudgetError
 
 
 def test_zero_time_revives():
@@ -78,7 +79,7 @@ class TestCurve:
     @pytest.mark.parametrize("grid", [[0.5, 1.5, 1.5 + 1e-9], [0.5, math.nan]])
     def test_grid_past_the_config_time_rejected(self, grid):
         # the config checked its budget only up to its own t
-        with pytest.raises(ValueError, match="must lie in"):
+        with pytest.raises(TimeBudgetError, match="must lie in"):
             fidelity_curve(EchoConfig(n=5, t=1.5, n_steps=4), grid)
 
 

@@ -176,13 +176,6 @@ class TestRunTrials:
         assert np.array_equal(a.infidelities, b.infidelities)
         assert a.mean_infidelity == b.mean_infidelity
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        config = EchoConfig(n=6, t=1.0, n_steps=2)
-        baseline = run_trials(config, 0.05, 8, 3)
-        monkeypatch.setenv("ECHOCHAIN_THREADS", "4")
-        threaded = run_trials(config, 0.05, 8, 3)
-        assert np.array_equal(baseline.infidelities, threaded.infidelities)
-
     def test_vanishing_noise_approaches_noise_free(self):
         config = EchoConfig(n=6, t=1.0, n_steps=2)
         silent = run_trials(config, 0.0, 10, 5)

@@ -42,7 +42,9 @@ from echochain.transfer import (
     ENGINE_TROTTER_SIMFM,
     TransferConfig,
 )
-from echochain.trotter import MODE_DIRECT, MODE_SIMULATED_FM, second_order_plan, three_term_plan
+from echochain.trotter import (
+    MODE_DIRECT, MODE_SIMULATED_FM, TimeBudgetError, second_order_plan, three_term_plan,
+)
 
 TOL = 1e-12
 
@@ -178,8 +180,10 @@ def test_overflowing_phase_is_one_error_without_warnings():
     spec = transfer_chain(6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflows"):
+        with pytest.raises(TimeBudgetError, match="overflows"):
             sector.exact_evolve(spec, sector.singlet_head(1, 6), [1.0, 1e308])
+        with pytest.raises(TimeBudgetError, match="finite"):
+            sector.exact_evolve(spec, sector.singlet_head(1, 6), [1.0, math.nan])
 
 
 def test_exact_evolution_takes_one_time_per_row():

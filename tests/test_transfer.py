@@ -19,6 +19,7 @@ from echochain.transfer import (
     TransferConfig,
     default_transfer_steps,
 )
+from echochain.trotter import TimeBudgetError
 
 
 class TestExactEngine:
@@ -120,16 +121,18 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TransferConfig(n=1)
     for bad in (-0.5, math.nan, math.inf):
-        with pytest.raises(ValueError):
+        with pytest.raises(TimeBudgetError):
             TransferConfig(n=4, t=bad)
-    with pytest.raises(ValueError):
-        TransferConfig(n=4, engine="sideways")
-    with pytest.raises(ValueError):
-        TransferConfig(n=4, n_steps=0)
+    # a fault that is not the time's is raised first, even beside a bad time
+    for fault in ({"engine": "sideways"}, {"n_steps": 0}, {"noise": NoiseModel(v=0.1)}):
+        for t in (1.0, math.nan):
+            with pytest.raises(ValueError) as raised:
+                TransferConfig(n=4, t=t, **fault)
+            assert not isinstance(raised.value, TimeBudgetError)
     # the exact engine's phases t*w must stay finite
-    with pytest.raises(ValueError, match="overflows"):
+    with pytest.raises(TimeBudgetError, match="overflows"):
         TransferConfig(n=5, t=1e308)
     # either trotter engine fits each half step into one wrap period
     for engine in (ENGINE_TROTTER_DIRECT, "trotter-simfm"):
-        with pytest.raises(ValueError, match="wrap budget"):
+        with pytest.raises(TimeBudgetError, match="wrap budget"):
             TransferConfig(n=5, t=1e308, engine=engine)

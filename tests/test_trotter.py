@@ -20,6 +20,7 @@ from echochain.trotter import (
     SECOND_ORDER,
     THREE_TERM,
     Layer,
+    TimeBudgetError,
     check_plan,
     second_order_plan,
     three_term_plan,
@@ -77,7 +78,7 @@ class TestPlanArrays:
         spec = uniform_echo_chain(4, 1.0)
         for mode in (MODE_DIRECT, MODE_SIMULATED_FM):
             assert second_order_plan(spec, [0.0, 2 * math.pi], 1, mode).angles.shape == (2, 3)
-            with pytest.raises(ValueError, match="wrap budget"):
+            with pytest.raises(TimeBudgetError, match="wrap budget"):
                 second_order_plan(spec, [0.0, 2 * math.pi + 1e-6, 1.0], 1, mode)
 
     @pytest.mark.parametrize("build,split", [
@@ -102,8 +103,23 @@ class TestPlanArrays:
                 with pytest.raises(ValueError) as checked:
                     check_plan(split, spec, times, steps, mode)
                 assert str(checked.value) == str(exc)
+                assert type(checked.value) is type(exc)
+                # with a valid step count and mode, only the time is at fault
+                time_fault = steps >= 1 and mode in (MODE_DIRECT, MODE_SIMULATED_FM)
+                assert isinstance(exc, TimeBudgetError) == time_fault
             else:
                 assert check_plan(split, spec, times, steps, mode) is None
+
+    @pytest.mark.parametrize("spec,steps,mode", [
+        (uniform_echo_chain(5, 3e-308), 1, MODE_SIMULATED_FM),  # its wrap period overflows
+        (uniform_echo_chain(5, 1.0), 0, MODE_DIRECT),
+        (uniform_echo_chain(5, 1.0), 1, "sideways"),
+    ])
+    def test_faults_not_of_the_time_are_raised_first(self, spec, steps, mode):
+        for times in (1.0, math.nan, 1e308):
+            with pytest.raises(ValueError) as raised:
+                check_plan(SECOND_ORDER, spec, times, steps, mode)
+            assert not isinstance(raised.value, TimeBudgetError)
 
     def test_one_angle_row_per_time(self):
         spec = uniform_echo_chain(6, 1.0)
