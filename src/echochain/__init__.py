@@ -21,7 +21,6 @@ from .meanfield import IntegratorConfig, meanfield_echo_curve
 from .noise import (
     FitResult,
     NoiseModel,
-    TrialStats,
     fidelity,
     fidelity_curve,
     loglog_fit,

@@ -18,13 +18,14 @@ values and the dispatch to each command's runner all read it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import gc
 import json
 import math
 import sys
 from types import SimpleNamespace
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .echo import EchoConfig
 from .meanfield import (
     SCHEDULE_MIRRORED, SCHEDULES, IntegratorConfig, StepBudgetError, meanfield_echo_curve,
 )
-from .noise import NoiseModel, TrialStats, default_v_grid, fidelity_curve, slope_vs_n
+from .noise import NoiseModel, default_v_grid, fidelity_curve, slope_vs_n
 from .transfer import ENGINE_EXACT, ENGINES, TransferConfig
 from .trotter import TimeBudgetError
 
@@ -127,6 +128,18 @@ def _merge_options(command: str, args: argparse.Namespace) -> SimpleNamespace:
     return SimpleNamespace(**merged)
 
 
+@contextlib.contextmanager
+def _config_faults(time_flag: str) -> Iterator[None]:
+    """A config's fault as a usage error: a `TimeBudgetError` names the
+    time's flag, any other `ValueError` stands as it is."""
+    try:
+        yield
+    except TimeBudgetError as exc:
+        raise UsageError(f"{time_flag}: {exc}") from exc
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _meanfield_integrator(
     opts: SimpleNamespace, config: EchoConfig, mf_steps: int
 ) -> IntegratorConfig:
@@ -141,19 +154,15 @@ def _meanfield_integrator(
     # the mirrored pulse train is the echo's forward leg at mf_steps,
     # so it has that leg's wrap budget
     if opts.schedule == SCHEDULE_MIRRORED:
-        try:
+        with _config_faults("--t-max with the mirrored-pulse schedule"):
             dataclasses.replace(config, n_steps=mf_steps)
-        except TimeBudgetError as exc:
-            raise UsageError(f"--t-max with the mirrored-pulse schedule: {exc}") from exc
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
     return integrator
 
 
 def cmd_echo(opts: SimpleNamespace) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
-    try:
+    with _config_faults("--t-max"):
         noise = NoiseModel(v=opts.noise_v)
         config = EchoConfig(
             n=opts.n,
@@ -164,10 +173,6 @@ def cmd_echo(opts: SimpleNamespace) -> int:
             noise=noise if noise.v > 0 else None,
             seed=opts.seed,
         )
-    except TimeBudgetError as exc:
-        raise UsageError(f"--t-max: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     mf_steps = opts.mf_steps if opts.mf_steps is not None else opts.steps
     if opts.with_meanfield:
         integrator = _meanfield_integrator(opts, config, mf_steps)
@@ -218,7 +223,7 @@ def cmd_echo(opts: SimpleNamespace) -> int:
 def cmd_transfer(opts: SimpleNamespace) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
-    try:
+    with _config_faults("--t-max"):
         noise = NoiseModel(v=opts.noise_v)
         config = TransferConfig(
             n=opts.n,
@@ -228,10 +233,6 @@ def cmd_transfer(opts: SimpleNamespace) -> int:
             noise=noise if noise.v > 0 else None,
             seed=opts.seed,
         )
-    except TimeBudgetError as exc:
-        raise UsageError(f"--t-max: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
     curve = fidelity_curve(config, grid)
     header = ["n", "t", "steps", "engine", "v", "seed", "f_tr", "i_tr"]
@@ -270,14 +271,10 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
     if opts.trials < 1:
         raise UsageError(f"need at least one trial, got {opts.trials}")
     ns = _parse_n_range(opts)
-    try:
-        v_grid = default_v_grid(opts.v_min, opts.v_max, opts.v_points)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
     # every swept n's config is checked before any trial runs; n ascends,
     # so an n below the protocol's minimum is the first fault reported
-    try:
+    with _config_faults("--t"):
+        v_grid = default_v_grid(opts.v_min, opts.v_max, opts.v_points)
         if opts.protocol == "echo":
             # an echo sweep without --steps runs 4 Trotter steps per leg
             steps = 4 if opts.steps is None else opts.steps
@@ -285,27 +282,19 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
         else:
             configs = [TransferConfig(n=n, t=opts.t, n_steps=opts.steps, engine=opts.engine)
                        for n in ns]
-    except TimeBudgetError as exc:
-        raise UsageError(f"--t: {exc}") from exc
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
 
-    trial_rows: list[str] = []
+    results = slope_vs_n(configs, v_grid, opts.trials, opts.seed,
+                         include_fields=opts.field_noise)
     seed = _fmt(opts.seed)
-
-    def collect(stats: TrialStats) -> None:
-        # the columns one (n, v) block shares are formatted once, and
-        # each trial adds its index, the seed and repr of its float
-        block = _row([opts.protocol, stats.n, opts.t, stats.steps, stats.v])
-        trial_rows.extend(
-            f"{block},{k},{seed},{infidelity!r}"
-            for k, infidelity in enumerate(stats.infidelities.tolist())
-        )
-
-    fits = slope_vs_n(
-        configs, v_grid, opts.trials, opts.seed,
-        on_stats=collect, include_fields=opts.field_noise,
-    )
+    trial_rows: list[str] = []
+    for config, (infidelities, _) in zip(configs, results):
+        for v, row in zip(v_grid, infidelities.tolist()):
+            # the columns one (n, v) block shares are formatted once, and
+            # each trial adds its index, the seed and repr of its float
+            block = _row([opts.protocol, config.n, opts.t, config.steps, v])
+            trial_rows.extend(f"{block},{k},{seed},{infidelity!r}"
+                              for k, infidelity in enumerate(row))
+    fits = [(config.n, fit) for config, (_, fit) in zip(configs, results)]
     for n, fit in fits:
         if not fit.reliable:
             print(f"warning: {opts.protocol} fit at n={n} has r_squared={fit.r_squared:.3f}; "

@@ -19,8 +19,8 @@ block with a row per time.  Trials are seeded with
 SeedSequence([master_seed, trial]) so every trial has an independent
 stream and results do not depend on how the trials are batched.  A
 sweep runs its chains together up to an amplitude cap (`_batches`),
-every trial of each in the batch, and each chain's statistics come
-from one pass over its (v, trials) infidelities.
+every trial of each in the batch, and returns each chain's
+(v, trials) infidelities with the log-log fit of their row means.
 
 A batch's streams are seeded together: `GateNoise` runs numpy's
 SeedSequence hash (integer arithmetic with fixed constants, the same
@@ -38,7 +38,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -68,20 +68,20 @@ class NoiseModel:
             raise ValueError(f"noise strength must be finite and >= 0, got {self.v}")
 
 
+def _entries(seed: Seed) -> Iterator[int]:
+    """The ints of `seed`, one by one: SeedSequence hashes an int n
+    exactly as it hashes [n]."""
+    return map(operator.index, seed if isinstance(seed, (tuple, list)) else (seed,))
+
+
 def make_rng(seed: Seed) -> np.random.Generator:
     """Deterministic generator from an int or a tuple of ints."""
-    if isinstance(seed, (tuple, list)):
-        entropy: int | Sequence[int] = [int(s) for s in seed]
-    else:
-        entropy = int(seed)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(np.random.SeedSequence(list(_entries(seed))))
 
 
 def child_seed(seed: Seed, index: int) -> tuple[int, ...]:
     """Derive an independent sub-stream seed (order-insensitive)."""
-    if isinstance(seed, (tuple, list)):
-        return (*[int(s) for s in seed], int(index))
-    return (int(seed), int(index))
+    return (*_entries(seed), operator.index(index))
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) with its
@@ -99,10 +99,8 @@ _XSHIFT = 16
 def _entropy_bytes(seed: Seed) -> bytes:
     """The words SeedSequence assembles from `seed`, little-endian: each
     int as its 32-bit words, low word first, and 0 as one zero word."""
-    entries = tuple(seed) if isinstance(seed, (tuple, list)) else (seed,)
     words = []
-    for entry in entries:
-        entry = operator.index(entry)
+    for entry in _entries(seed):
         if entry < 0:
             raise ValueError("expected non-negative integer")
         words.append(entry.to_bytes(max(1, -(-entry.bit_length() // 32)) * 4, "little"))
@@ -237,26 +235,12 @@ def model_noise(model: NoiseModel | None, seeds: Sequence[Seed]) -> GateNoise | 
 
 
 @dataclass
-class TrialStats:
-    """Mean and spread of infidelity over repeated noisy runs."""
-
-    n: int
-    v: float
-    trials: int
-    steps: int  # Trotter steps per leg, as the config resolved them
-    mean_infidelity: float
-    std_infidelity: float
-    infidelities: np.ndarray = field(repr=False)
-
-
-@dataclass
 class FitResult:
     """Least-squares line through (log v, log I) of the (v, I) points."""
 
     a: float
     b: float
     r_squared: float
-    residuals: np.ndarray = field(repr=False)
     points: list[tuple[float, float]] = field(repr=False)
 
     @property
@@ -264,21 +248,6 @@ class FitResult:
         """A slope counts as a robustness exponent only when the
         power-law fit is tight; anything below 0.95 flags the points."""
         return self.r_squared >= 0.95
-
-
-def _grid_stats(n: int, steps: int, v_grid: Sequence[float], rows: np.ndarray) -> list[TrialStats]:
-    """One TrialStats per v_grid[i] from rows[i], the contiguous
-    (v, trials) infidelities of one batch: one range check for the
-    batch, and each row's mean and spread along axis 1, the same bits
-    as the row's own mean() and std()."""
-    if not np.all((rows >= -1e-12) & (rows <= 1 + 1e-12)):
-        raise RuntimeError("trial infidelity left [0, 1]")
-    means, stds = rows.mean(axis=1).tolist(), rows.std(axis=1).tolist()
-    return [
-        TrialStats(n=n, v=v, trials=rows.shape[1], steps=steps, mean_infidelity=mean,
-                   std_infidelity=std, infidelities=row)
-        for v, mean, std, row in zip(v_grid, means, stds, rows)
-    ]
 
 
 def _pair_fidelities(
@@ -321,28 +290,28 @@ def _pair_fidelities(
     return scores
 
 
-def _batch_stats(
+def _batch_trials(
     configs: Sequence[EchoConfig | TransferConfig],
     v_grid: Sequence[float],
     base_seeds: Sequence[Sequence[Seed]],
     trials: int,
     include_fields: bool,
-) -> list[list[TrialStats]]:
-    """Every trial of every config at every v_grid[i] as one batch, one
-    TrialStats list per config in the configs' order; trial k of config
-    b at v_grid[i] draws its gate errors from
-    child_seed(base_seeds[b][i], k)."""
+) -> list[np.ndarray]:
+    """Every trial of every config at every v_grid[i] as one batch: each
+    config's contiguous (len(v_grid), trials) infidelities, in the
+    configs' order.  Trial k of config b at v_grid[i] draws its gate
+    errors from child_seed(base_seeds[b][i], k)."""
     order = sorted(range(len(configs)), key=lambda b: -configs[b].steps)
     seeds = [child_seed(base, k) for b in order for base in base_seeds[b] for k in range(trials)]
     v = np.tile(np.repeat(v_grid, trials), len(order))
     scores = _pair_fidelities([configs[b] for b in order], [[configs[b].t] for b in order],
                               [len(v_grid) * trials] * len(order),
                               GateNoise(seeds, v, include_fields))
-    stats: list[list[TrialStats]] = [[] for _ in configs]
-    for b, fidelities in zip(order, scores):
-        infidelities = (1.0 - fidelities).reshape(len(v_grid), trials)
-        stats[b] = _grid_stats(configs[b].n, configs[b].steps, v_grid, infidelities)
-    return stats
+    by_config = dict(zip(order, scores))
+    infidelities = [(1.0 - by_config[b]).reshape(len(v_grid), trials) for b in range(len(configs))]
+    if not all(np.all((rows >= -1e-12) & (rows <= 1 + 1e-12)) for rows in infidelities):
+        raise RuntimeError("trial infidelity left [0, 1]")
+    return infidelities
 
 
 def loglog_fit(points: Iterable[tuple[float, float]]) -> FitResult:
@@ -359,14 +328,11 @@ def loglog_fit(points: Iterable[tuple[float, float]]) -> FitResult:
     log_v = np.log([v for v, _ in pts])
     log_i = np.log([i for _, i in pts])
     b, a = np.polyfit(log_v, log_i, 1)
-    predicted = a + b * log_v
-    residuals = log_i - predicted
+    residuals = log_i - (a + b * log_v)
     ss_res = float(np.sum(residuals**2))
     ss_tot = float(np.sum((log_i - log_i.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return FitResult(
-        a=float(a), b=float(b), r_squared=r_squared, residuals=residuals, points=pts
-    )
+    return FitResult(a=float(a), b=float(b), r_squared=r_squared, points=pts)
 
 
 def default_v_grid(
@@ -443,39 +409,39 @@ def slope_vs_n(
     trials: int,
     master_seed: Seed,
     *,
-    on_stats: Callable[[TrialStats], None] | None = None,
     include_fields: bool = False,
-) -> list[tuple[int, FitResult]]:
-    """One log-log fit per config, each config one chain length, in the
-    configs' order.
+) -> list[tuple[np.ndarray, FitResult]]:
+    """One (infidelities, fit) pair per config, each config one chain
+    length, in the configs' order: infidelities[i, k] is trial k at
+    v_grid[i], and fit the log-log fit of the row means.
 
     Each (n, v) point runs `trials` noisy repetitions of config.t seeded
     from (master_seed, n, v-index, trial).  Chains run together up to an
     amplitude cap (`_batches`), every trial of each in the batch.  Points
-    with zero mean infidelity are dropped before fitting.  on_stats, when
-    given, receives every TrialStats in the configs' order (for CSV
-    capture).  No trials, or fewer than the 3 error strengths a fit
-    needs, raise ValueError before any trial runs.
+    with zero mean infidelity are dropped before fitting, and a chain
+    left with fewer than 3 points raises ValueError naming its n.  No
+    trials, or fewer than the 3 error strengths a fit needs, raise
+    ValueError before any trial runs.
     """
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     v_grid = [float(v) for v in v_grid]
     if len(v_grid) < 3:
         raise ValueError(f"need at least 3 noise strengths to fit, got {len(v_grid)}")
-    stats: list[list[TrialStats]] = [[] for _ in configs]
+    infidelities: dict[int, np.ndarray] = {}
     for batch in _batches(configs, len(v_grid) * trials):
         bases = [[child_seed(child_seed(master_seed, configs[b].n), vi)
                   for vi in range(len(v_grid))] for b in batch]
-        for b, point_stats in zip(batch, _batch_stats([configs[b] for b in batch], v_grid,
-                                                      bases, trials, include_fields)):
-            stats[b] = point_stats
-    results: list[tuple[int, FitResult]] = []
-    for config, point_stats in zip(configs, stats):
-        points: list[tuple[float, float]] = []
-        for point in point_stats:
-            if on_stats is not None:
-                on_stats(point)
-            if point.mean_infidelity > 0:
-                points.append((point.v, point.mean_infidelity))
-        results.append((config.n, loglog_fit(points)))
+        infidelities.update(zip(batch, _batch_trials([configs[b] for b in batch], v_grid,
+                                                     bases, trials, include_fields)))
+    results: list[tuple[np.ndarray, FitResult]] = []
+    for b, config in enumerate(configs):
+        rows = infidelities[b]
+        points = [(v, mean) for v, mean in zip(v_grid, rows.mean(axis=1).tolist()) if mean > 0]
+        try:
+            fit = loglog_fit(points)
+        except ValueError as exc:
+            raise ValueError(f"cannot fit n={config.n}: {len(points)} of {len(v_grid)} noise "
+                             f"strengths gave a mean infidelity above zero ({exc})") from exc
+        results.append((rows, fit))
     return results

@@ -192,12 +192,15 @@ def test_criterion_8_slope_vs_n():
     slopes = np.array([fit.b for _, fit in echo_fits])
     median = float(np.median(slopes))
     spread = float(np.max(np.abs(slopes - median)) / median)
+    transfer_ns = range(4, 10)
     transfer_fits = slope_vs_n(
-        [TransferConfig(n=n, t=math.pi / 2, engine="trotter-simfm") for n in range(4, 10)],
+        [TransferConfig(n=n, t=math.pi / 2, engine="trotter-simfm") for n in transfer_ns],
         default_v_grid(), trials=100, master_seed=42,
     )
-    odd = [(n, fit.b, fit.r_squared) for n, fit in transfer_fits if n % 2 == 1]
-    even = [(n, fit.b, fit.r_squared) for n, fit in transfer_fits if n % 2 == 0]
+    odd = [(n, fit.b, fit.r_squared) for n, (_, fit) in zip(transfer_ns, transfer_fits)
+           if n % 2 == 1]
+    even = [(n, fit.b, fit.r_squared) for n, (_, fit) in zip(transfer_ns, transfer_fits)
+            if n % 2 == 0]
     parity_lines = "; ".join(
         f"{tag}: " + ", ".join(f"b({n})={b:.3f} (r2={r2:.3f})" for n, b, r2 in series)
         for tag, series in (("odd n", odd), ("even n", even))

@@ -12,8 +12,7 @@ import pytest
 from echochain import checks, cli, echo, meanfield, transfer, trotter
 from echochain.cli import main
 from echochain.chain import transfer_chain
-
-GOLDEN = Path(__file__).parent / "golden"
+from pinned import GOLDEN
 CONFIGS = Path(__file__).parent / "configs"
 WRAP_RULE = ("(each slice within one wrap period of its layer's strongest bond); "
              "use more steps")
@@ -238,6 +237,18 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
                  "--steps", "1", "--out", str(tmp_path / "absent" / "x.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("runtime failure:") and err.count("\n") == 1
+
+
+def test_sweep_that_cannot_fit_names_its_chain(tmp_path, capsys, monkeypatch):
+    # subnormal strengths leave every gate exact, so every trial runs and
+    # every mean infidelity is 0
+    monkeypatch.chdir(tmp_path)
+    assert main(["robustness", "--n-range", "5:6", "--trials", "2",
+                 "--v-min", "1e-320", "--v-max", "1e-310"]) == 1
+    assert capsys.readouterr().err == (
+        "runtime failure: cannot fit n=5: 0 of 8 noise strengths gave a mean infidelity "
+        "above zero (need at least 3 points, got 0)\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_exact_transfer_curve_builds_its_config_once(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from echochain.meanfield import (
 )
 from echochain.gates import SINGLET
 from echochain.trotter import batch_plan
+from pinned import pinned
 
 
 # The general spinor integrator: any product state of the head pair
@@ -430,12 +431,11 @@ class TestGoldenBits:
             10, 1.0, [0.0, 1.5, 3.0], IntegratorConfig(dt=1e-3),
             schedule=SCHEDULE_MIRRORED, n_steps=1, sign_convention=-1,
         )
-        assert [repr(r[0]) for r in results] == [
-            "0.9999999999999996", "7.965018492856671e-30", "3.89986276350249e-32"
-        ]
-        assert [final_state_digest(r) for r in results] == [
-            "0d37a12da78c79e7", "aa8e39e0f80473b3", "1fa470f2aa59edec"
-        ]
+        assert [[repr(r[0]) for r in results],
+                [final_state_digest(r) for r in results]] == pinned("benchmark_rows", [
+            ["0.9999999999999996", "7.965018492856671e-30", "3.89986276350249e-32"],
+            ["0d37a12da78c79e7", "aa8e39e0f80473b3", "1fa470f2aa59edec"],
+        ])
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3])
     @pytest.mark.parametrize("sign_convention", [-1, 1])
@@ -448,9 +448,10 @@ class TestGoldenBits:
             schedule=schedule, n_steps=n_steps, sign_convention=sign_convention,
         )
         zero = results.pop(1)
-        assert (repr(zero[0]), final_state_digest(zero)) == GOLDEN_ZERO
-        assert [repr(r[0]) for r in results] == fidelities
-        assert [final_state_digest(r) for r in results] == digests
+        assert [repr(zero[0]), final_state_digest(zero)] == pinned("cheap_grid zero",
+                                                                   list(GOLDEN_ZERO))
+        assert [[repr(r[0]) for r in results], [final_state_digest(r) for r in results]] == \
+            pinned("cheap_grid {} {} {}".format(*key), [fidelities, digests])
 
     @pytest.mark.parametrize(
         "n,j,grid,schedule,n_steps,sign_convention,fidelities,digests",
@@ -468,8 +469,8 @@ class TestGoldenBits:
             n, j, grid, IntegratorConfig(dt=5e-3),
             schedule=schedule, n_steps=n_steps, sign_convention=sign_convention,
         )
-        assert [repr(r[0]) for r in results] == fidelities
-        assert [final_state_digest(r) for r in results] == digests
+        assert [[repr(r[0]) for r in results], [final_state_digest(r) for r in results]] == \
+            pinned(f"other_chains n={n}", [fidelities, digests])
 
 
 class TestReferenceKernel:

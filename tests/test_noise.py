@@ -17,8 +17,7 @@ from echochain.noise import (
     FitResult,
     GateNoise,
     NoiseModel,
-    _batch_stats,
-    _grid_stats,
+    _batch_trials,
     child_seed,
     default_v_grid,
     loglog_fit,
@@ -34,9 +33,10 @@ GOLDEN_ECHO_MEAN_INFIDELITY = 0.02660586876691544
 
 
 def run_trials(config, v, trials, master_seed, *, include_fields=False):
-    """`trials` noisy runs of config at strength v as one batch, as a
-    sweep runs one point: trial k draws from child_seed(master_seed, k)."""
-    return _batch_stats([config], [v], [[master_seed]], trials, include_fields)[0][0]
+    """The infidelities of `trials` noisy runs of config at strength v as
+    one batch, as a sweep runs one point: trial k draws from
+    child_seed(master_seed, k)."""
+    return _batch_trials([config], [v], [[master_seed]], trials, include_fields)[0][0]
 
 
 class TestSampleEta:
@@ -68,6 +68,14 @@ class TestSeeding:
     def test_child_seed_extends_tuples(self):
         assert child_seed(5, 3) == (5, 3)
         assert child_seed((5, 3), 1) == (5, 3, 1)
+        # SeedSequence hashes an int as its one-tuple: one seed, one stream
+        for entry in (0, 5, 42, 2**40):
+            assert child_seed(entry, 3) == child_seed((entry,), 3) == child_seed([entry], 3)
+            expected = reference_streams([entry], 16)
+            assert np.array_equal(reference_streams([(entry,)], 16), expected)
+            assert np.array_equal(make_rng((entry,)).standard_normal(16), expected[0])
+            assert np.array_equal(GateNoise([entry, (entry,)], np.ones(2)).take(16),
+                                  np.repeat(expected, 2, axis=0))
 
     def test_make_rng_streams_are_independent(self):
         a = make_rng((1, 0)).standard_normal(4)
@@ -159,28 +167,28 @@ class TestBatchSeeding:
 class TestRunTrials:
     def test_noise_free_echo_has_no_spread(self):
         config = EchoConfig(n=5, t=1.0, n_steps=2)
-        stats = run_trials(config, 0.0, 5, 1)
-        assert stats.mean_infidelity < 1e-9
-        assert stats.std_infidelity == pytest.approx(0.0, abs=1e-12)
+        infidelities = run_trials(config, 0.0, 5, 1)
+        assert infidelities.mean() < 1e-9
+        assert infidelities.std() == pytest.approx(0.0, abs=1e-12)
 
     def test_golden_echo_value(self):
         config = EchoConfig(n=10, t=math.pi / 2, n_steps=4)
-        stats = run_trials(config, 0.03, 100, 77)
-        assert 0.0 < stats.mean_infidelity < 1.0
-        assert stats.mean_infidelity == pytest.approx(GOLDEN_ECHO_MEAN_INFIDELITY, rel=1e-9)
+        mean = float(run_trials(config, 0.03, 100, 77).mean())
+        assert 0.0 < mean < 1.0
+        assert mean == pytest.approx(GOLDEN_ECHO_MEAN_INFIDELITY, rel=1e-9)
 
     def test_repeat_runs_are_bit_identical(self):
         config = EchoConfig(n=6, t=1.0, n_steps=2)
         a = run_trials(config, 0.05, 12, 3)
         b = run_trials(config, 0.05, 12, 3)
-        assert np.array_equal(a.infidelities, b.infidelities)
-        assert a.mean_infidelity == b.mean_infidelity
+        assert np.array_equal(a, b)
+        assert a.mean() == b.mean()
 
     def test_vanishing_noise_approaches_noise_free(self):
         config = EchoConfig(n=6, t=1.0, n_steps=2)
         silent = run_trials(config, 0.0, 10, 5)
         faint = run_trials(config, 1e-6, 10, 5)
-        assert abs(faint.mean_infidelity - silent.mean_infidelity) < 1e-6
+        assert abs(faint.mean() - silent.mean()) < 1e-6
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -191,31 +199,50 @@ class TestRunTrials:
         def no_work(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(noise_module, "_batch_stats", no_work)
+        monkeypatch.setattr(noise_module, "_batch_trials", no_work)
         with pytest.raises(ValueError, match="at least 3 noise strengths to fit, got"):
             slope_vs_n([EchoConfig(n=5, t=1.0, n_steps=2)], v_grid, 1, 1)
 
     @pytest.mark.parametrize("trials", [1, 3, 10, 17, 100, 1000])
     def test_grid_stats_match_per_row_stats(self, trials):
-        rows = np.random.default_rng(trials).random((8, trials))
-        for stats, row in zip(_grid_stats(5, 2, list(range(8)), rows), rows):
-            assert stats.mean_infidelity == float(row.mean())
-            assert stats.std_infidelity == float(row.std())
-            assert stats.trials == trials and np.array_equal(stats.infidelities, row)
+        # the fit's points are the row means of the sweep's (v, trials)
+        # array, each with the bits of the row's own mean()
+        grid = list(np.geomspace(0.01, 0.2, 8))
+        [(rows, fit)] = slope_vs_n([EchoConfig(n=5, t=1.0, n_steps=2)], grid, trials, trials)
+        assert rows.shape == (8, trials) and rows.flags.c_contiguous
+        assert fit.points == [(v, float(r.mean())) for v, r in zip(grid, rows) if r.mean() > 0]
+        assert len(fit.points) == 8
 
-    def test_nan_infidelity_fails_the_trial_guard(self):
-        with pytest.raises(RuntimeError):
-            _grid_stats(5, 2, [0.1, 0.2], np.array([[0.1, 0.2], [0.1, math.nan]]))
+    def test_nan_infidelity_fails_the_trial_guard(self, monkeypatch):
+        def nan_scores(configs, times, rows, noise):
+            return [np.array([0.9, math.nan] * (count // 2)) for count in rows]
+
+        monkeypatch.setattr(noise_module, "_pair_fidelities", nan_scores)
+        with pytest.raises(RuntimeError, match=r"trial infidelity left \[0, 1\]"):
+            _batch_trials([EchoConfig(n=5, t=1.0, n_steps=2)], [0.1, 0.2], [[1, 2]], 2, False)
+
+    def test_cannot_fit_names_the_chain_and_its_nonzero_points(self, monkeypatch):
+        # n=6 scores fidelity 1 at the first two strengths and 0.5 at the
+        # last; n=5 scores 0.5 at all three
+        def scores(configs, times, rows, noise):
+            return [np.array([1.0] * 4 + [0.5] * 2 if config.n == 6 else [0.5] * 6)
+                    for config in configs]
+
+        monkeypatch.setattr(noise_module, "_pair_fidelities", scores)
+        configs = [EchoConfig(n=n, t=1.0, n_steps=2) for n in (5, 6)]
+        with pytest.raises(ValueError, match=r"^cannot fit n=6: 1 of 3 noise strengths gave "
+                                             r"a mean infidelity above zero \(need at least "
+                                             r"3 points, got 1\)$"):
+            slope_vs_n(configs, [0.01, 0.02, 0.03], 2, 1)
 
     def test_exact_transfer_engine_takes_no_noise(self):
         with pytest.raises(ValueError, match="noise-free"):
             run_trials(TransferConfig(n=4), 0.02, 3, 2)
-        assert run_trials(TransferConfig(n=4), 0.0, 3, 2).mean_infidelity < 1e-12
+        assert run_trials(TransferConfig(n=4), 0.0, 3, 2).mean() < 1e-12
 
     def test_transfer_config_runs_noisy_trials(self):
         config = TransferConfig(n=4, engine="trotter-simfm", n_steps=8)
-        stats = run_trials(config, 0.02, 5, 2)
-        assert 0.0 < stats.mean_infidelity < 1.0
+        assert 0.0 < run_trials(config, 0.02, 5, 2).mean() < 1.0
 
 
 class TestLogLogFit:
@@ -240,9 +267,14 @@ class TestLogLogFit:
         with pytest.raises(ValueError):
             loglog_fit([(0.0, 0.01), (0.2, 0.04), (0.3, 0.09)])  # v = 0
 
-    def test_residuals_shape(self):
-        fit = loglog_fit([(v, v**2 * (1 + 0.01)) for v in (0.01, 0.03, 0.1, 0.3)])
-        assert fit.residuals.shape == (4,)
+    def test_r_squared_is_the_squared_correlation(self):
+        # for a least-squares line, 1 - ss_res / ss_tot is the squared
+        # correlation of log v and log I
+        points = [(v, v**2 * (1 + 0.3 * k)) for k, v in enumerate((0.01, 0.03, 0.1, 0.3))]
+        fit = loglog_fit(points)
+        log_v, log_i = np.log(points).T
+        assert fit.r_squared == pytest.approx(np.corrcoef(log_v, log_i)[0, 1] ** 2, abs=1e-12)
+        assert 0.9 < fit.r_squared < 1.0 and fit.points == points
 
 
 def test_default_v_grid():
@@ -257,19 +289,17 @@ def test_default_v_grid():
 
 
 def test_slope_vs_n_small_echo_sweep():
-    collected = []
-    results = slope_vs_n(
-        [EchoConfig(n=n, t=1.0, n_steps=2) for n in (5, 6)],
-        [0.003, 0.01, 0.03],
-        trials=20,
-        master_seed=11,
-        on_stats=collected.append,
-    )
-    assert [n for n, _ in results] == [5, 6]
-    for n, fit in results:
+    configs = [EchoConfig(n=n, t=1.0, n_steps=2) for n in (5, 6)]
+    grid = [0.003, 0.01, 0.03]
+    results = slope_vs_n(configs, grid, trials=20, master_seed=11)
+    assert len(results) == 2  # two chain lengths, in the configs' order
+    for config, (rows, fit) in zip(configs, results):
         assert isinstance(fit, FitResult)
         assert 1.0 < fit.b < 3.0
+        # three error strengths x 20 trials, the ones the chain's own
+        # sweep draws
+        assert rows.shape == (3, 20)
+        [(alone, _)] = slope_vs_n([config], grid, trials=20, master_seed=11)
+        assert np.array_equal(rows, alone)
         # the fit keeps the (v, mean infidelity) points it went through
-        assert fit.points == [(s.v, s.mean_infidelity) for s in collected if s.n == n]
-    assert len(collected) == 6  # two chain lengths x three error strengths
-    assert all(stats.trials == 20 for stats in collected)
+        assert fit.points == [(v, float(r.mean())) for v, r in zip(grid, rows) if r.mean() > 0]

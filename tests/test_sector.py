@@ -1,7 +1,6 @@
 """The batched one-magnon engine against the dense 2^n oracle, its
 array kernel against the per-step kernel it replaced, and sweeps whose
 chain lengths share a batch against a per-chain runner."""
-import itertools
 import math
 import warnings
 from unittest import mock
@@ -300,25 +299,22 @@ def per_chain_fidelities(config, times, noise=None):
 
 def sweep_matches_per_chain_runs(configs, grid, trials, seed, include_fields):
     """slope_vs_n against per_chain_fidelities for every (n, v) point,
-    bit for bit, with the points and fits in the configs' order.  The
-    fit hands back its points, so chains whose infidelity is exactly 0
-    (the two-site transfer without field noise) are checked too."""
-    collected = []
+    bit for bit, with the infidelities and fits in the configs' order.
+    The fit is replaced by one that hands back its points, so chains
+    whose points cannot be fitted are checked too."""
     with mock.patch.object(noise_module, "loglog_fit", lambda points: points):
-        fits = slope_vs_n(configs, grid, trials=trials, master_seed=seed,
-                          on_stats=collected.append, include_fields=include_fields)
-    assert [n for n, _ in fits] == [config.n for config in configs]
-    assert [points for _, points in fits] == [
-        [(s.v, s.mean_infidelity) for s in collected[k * len(grid):(k + 1) * len(grid)]
-         if s.mean_infidelity > 0] for k in range(len(configs))
-    ]
-    assert [(s.n, s.v) for s in collected] == [(c.n, v) for c in configs for v in grid]
-    for point, (config, (vi, v)) in zip(collected, itertools.product(configs, enumerate(grid))):
-        seeds = [child_seed(child_seed(child_seed(seed, config.n), vi), k) for k in range(trials)]
-        noise = GateNoise(seeds, np.full(trials, v), include_fields)
-        alone = 1.0 - per_chain_fidelities(config, [config.t] * trials, noise)
-        assert np.array_equal(point.infidelities, alone)
-        assert point.steps == config.steps
+        results = slope_vs_n(configs, grid, trials=trials, master_seed=seed,
+                             include_fields=include_fields)
+    assert len(results) == len(configs)
+    for config, (rows, points) in zip(configs, results):
+        assert points == [(v, float(r.mean())) for v, r in zip(grid, rows) if r.mean() > 0]
+        assert rows.shape == (len(grid), trials)
+        for vi, (v, row) in enumerate(zip(grid, rows)):
+            seeds = [child_seed(child_seed(child_seed(seed, config.n), vi), k)
+                     for k in range(trials)]
+            noise = GateNoise(seeds, np.full(trials, v), include_fields)
+            alone = 1.0 - per_chain_fidelities(config, [config.t] * trials, noise)
+            assert np.array_equal(row, alone)
 
 
 def test_sweep_batch_equals_per_point_trials():
