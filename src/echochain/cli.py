@@ -140,25 +140,6 @@ def _config_faults(time_flag: str) -> Iterator[None]:
         raise UsageError(str(exc)) from exc
 
 
-def _meanfield_integrator(
-    opts: SimpleNamespace, config: EchoConfig, mf_steps: int
-) -> IntegratorConfig:
-    """The mean-field integrator, once every mean-field option is known
-    to run."""
-    try:
-        integrator = IntegratorConfig(dt=opts.dt)
-    except ValueError as exc:
-        raise UsageError(f"--dt: {exc}") from exc
-    if mf_steps < 1:
-        raise UsageError(f"--mf-steps: need at least one mean-field step, got {mf_steps}")
-    # the mirrored pulse train is the echo's forward leg at mf_steps,
-    # so it has that leg's wrap budget
-    if opts.schedule == SCHEDULE_MIRRORED:
-        with _config_faults("--t-max with the mirrored-pulse schedule"):
-            dataclasses.replace(config, n_steps=mf_steps)
-    return integrator
-
-
 def cmd_echo(opts: SimpleNamespace) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
@@ -174,12 +155,22 @@ def cmd_echo(opts: SimpleNamespace) -> int:
             seed=opts.seed,
         )
     mf_steps = opts.mf_steps if opts.mf_steps is not None else opts.steps
-    if opts.with_meanfield:
-        integrator = _meanfield_integrator(opts, config, mf_steps)
     grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
     classical: list[tuple[float, float]] = []
     if opts.with_meanfield:
-        # first, so that a step past the pass budget fails before any work
+        try:
+            integrator = IntegratorConfig(dt=opts.dt)
+        except ValueError as exc:
+            raise UsageError(f"--dt: {exc}") from exc
+        if mf_steps < 1:
+            raise UsageError(f"--mf-steps: need at least one mean-field step, got {mf_steps}")
+        # the mirrored pulse train is the echo's forward leg at mf_steps,
+        # so it has that leg's wrap budget
+        if opts.schedule == SCHEDULE_MIRRORED:
+            with _config_faults("--t-max with the mirrored-pulse schedule"):
+                dataclasses.replace(config, n_steps=mf_steps)
+        # before the quantum curve, so that a step past the pass budget
+        # fails before any quantum work
         try:
             results = meanfield_echo_curve(
                 opts.n, opts.j, grid,

@@ -23,7 +23,7 @@ BACKWARD_TROTTERIZED = "trotterized"
 BACKWARD_EXACT = "exact-continuous"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EchoConfig:
     n: int
     t: float

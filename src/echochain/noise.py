@@ -15,12 +15,14 @@ configs with the same legs as blocks of one batch of the one-magnon
 engine (`echochain.sector`).  So `fidelity`, `fidelity_curve` and
 `slope_vs_n` serve both protocols on one path: a single run is a
 one-row batch of one block drawn from config.seed itself, a curve one
-block with a row per time.  Trials are seeded with
-SeedSequence([master_seed, trial]) so every trial has an independent
-stream and results do not depend on how the trials are batched.  A
-sweep runs its chains together up to an amplitude cap (`_batches`),
-every trial of each in the batch, and returns each chain's
-(v, trials) infidelities with the log-log fit of their row means.
+block with a row per time, and `_pair_fidelities` checks every score
+against [0, 1] for all three.  A sweep's trial k of chain n at
+v_grid[i] is seeded with SeedSequence([master_seed, n, i, k]), so every
+trial has an independent stream and results do not depend on how the
+trials are batched.  A sweep runs its chains together up to an
+amplitude cap (`_batches`, in run order), every trial of each in the
+batch, and returns each chain's (v, trials) infidelities with the
+log-log fit of their row means.
 
 A batch's streams are seeded together: `GateNoise` runs numpy's
 SeedSequence hash (integer arithmetic with fixed constants, the same
@@ -259,7 +261,8 @@ def _pair_fidelities(
     """One batched pass over every config's rows: block b is configs[b]
     on rows[b] rows, with times[b] one time per row or one for all of
     them, and the configs come by descending step count.  Returns each
-    block's singlet fidelities of its config's pair.
+    block's singlet fidelities of its config's pair, after the one
+    check that every score lies in [0, 1].
 
     Each row is padded with zero amplitudes to the longest chain.  Plan
     legs run as one `sector.evolve` pass over the batch; continuous legs
@@ -287,31 +290,30 @@ def _pair_fidelities(
         block = c[start:stop, :config.n]
         sector.check_norm(block)
         scores.append(sector.singlet_fidelity(block, *config.pair))
+    if not all(np.all((f >= -1e-12) & (f <= 1 + 1e-12)) for f in scores):
+        raise RuntimeError("singlet fidelity left [0, 1]")
     return scores
 
 
 def _batch_trials(
     configs: Sequence[EchoConfig | TransferConfig],
     v_grid: Sequence[float],
-    base_seeds: Sequence[Sequence[Seed]],
     trials: int,
+    master_seed: Seed,
     include_fields: bool,
 ) -> list[np.ndarray]:
-    """Every trial of every config at every v_grid[i] as one batch: each
-    config's contiguous (len(v_grid), trials) infidelities, in the
-    configs' order.  Trial k of config b at v_grid[i] draws its gate
-    errors from child_seed(base_seeds[b][i], k)."""
-    order = sorted(range(len(configs)), key=lambda b: -configs[b].steps)
-    seeds = [child_seed(base, k) for b in order for base in base_seeds[b] for k in range(trials)]
-    v = np.tile(np.repeat(v_grid, trials), len(order))
-    scores = _pair_fidelities([configs[b] for b in order], [[configs[b].t] for b in order],
-                              [len(v_grid) * trials] * len(order),
+    """Every trial of every config at every v_grid[i] as one batch, the
+    configs in run order (`_batches`): each config's contiguous
+    (len(v_grid), trials) infidelities, in the configs' order.  Trial k
+    of a config at v_grid[i] draws its gate errors from
+    (master_seed, config.n, i, k)."""
+    rows = len(v_grid) * trials
+    seeds = [(*_entries(master_seed), config.n, i, k)
+             for config in configs for i in range(len(v_grid)) for k in range(trials)]
+    v = np.tile(np.repeat(v_grid, trials), len(configs))
+    scores = _pair_fidelities(configs, [[config.t] for config in configs], [rows] * len(configs),
                               GateNoise(seeds, v, include_fields))
-    by_config = dict(zip(order, scores))
-    infidelities = [(1.0 - by_config[b]).reshape(len(v_grid), trials) for b in range(len(configs))]
-    if not all(np.all((rows >= -1e-12) & (rows <= 1 + 1e-12)) for rows in infidelities):
-        raise RuntimeError("trial infidelity left [0, 1]")
-    return infidelities
+    return [(1.0 - f).reshape(len(v_grid), trials) for f in scores]
 
 
 def loglog_fit(points: Iterable[tuple[float, float]]) -> FitResult:
@@ -348,10 +350,7 @@ def fidelity(config: EchoConfig | TransferConfig) -> float:
     """One run of `config` at config.t, drawing its gate errors from
     config.seed itself, scored by the singlet fidelity of its pair."""
     noise = model_noise(config.noise, [config.seed])
-    value = float(_pair_fidelities([config], [[config.t]], [1], noise)[0][0])
-    if not -1e-12 <= value <= 1 + 1e-12:
-        raise ValueError(f"fidelity {value} outside [0, 1]")
-    return value
+    return float(_pair_fidelities([config], [[config.t]], [1], noise)[0][0])
 
 
 def fidelity_curve(
@@ -385,7 +384,8 @@ BATCH_AMPLITUDES = 1 << 13
 
 def _batches(configs: Sequence[EchoConfig | TransferConfig], rows: int) -> list[list[int]]:
     """Indexes of the configs that run as one batch, `rows` rows each:
-    configs with the same legs, longest chain first."""
+    configs with the same legs, each batch in run order, by descending
+    step count and longest chain first among equal step counts."""
     by_legs: dict[tuple, list[int]] = {}
     for index in sorted(range(len(configs)), key=lambda i: -configs[i].n):
         legs = tuple((split, mode) for split, _, mode in configs[index].legs())
@@ -400,7 +400,8 @@ def _batches(configs: Sequence[EchoConfig | TransferConfig], rows: int) -> list[
                 batch = []
             batch.append(index)
         batches.append(batch)
-    return batches
+    # sorted stably, so chains of equal step count stay longest first
+    return [sorted(batch, key=lambda i: -configs[i].steps) for batch in batches]
 
 
 def slope_vs_n(
@@ -430,10 +431,8 @@ def slope_vs_n(
         raise ValueError(f"need at least 3 noise strengths to fit, got {len(v_grid)}")
     infidelities: dict[int, np.ndarray] = {}
     for batch in _batches(configs, len(v_grid) * trials):
-        bases = [[child_seed(child_seed(master_seed, configs[b].n), vi)
-                  for vi in range(len(v_grid))] for b in batch]
         infidelities.update(zip(batch, _batch_trials([configs[b] for b in batch], v_grid,
-                                                     bases, trials, include_fields)))
+                                                     trials, master_seed, include_fields)))
     results: list[tuple[np.ndarray, FitResult]] = []
     for b, config in enumerate(configs):
         rows = infidelities[b]

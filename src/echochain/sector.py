@@ -92,12 +92,12 @@ def _exchange(c: np.ndarray, left, right, phase: np.ndarray) -> None:
 def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> np.ndarray:
     """Run every step of the plan on the batch c, in place.
 
-    The plan holds one angle row shared by every row of c, or one per
-    row.  Under `noise` every exchange angle of row r becomes
-    theta * (1 + eta) with eta from the row's own stream, drawn per gate
-    of the row's own chain per step in execution order; field phases are
-    perturbed the same way only when the noise includes fields.  Bonds
-    within a layer share no site, so a layer is applied all at once.
+    The plan holds one angle row per row of c.  Under `noise` every
+    exchange angle of row r becomes theta * (1 + eta) with eta from the
+    row's own stream, drawn per gate of the row's own chain per step in
+    execution order; field phases are perturbed the same way only when
+    the noise includes fields.  Bonds within a layer share no site, so
+    a layer is applied all at once.
 
     The plan's blocks come by descending step count, so the rows still
     stepping are always a prefix of c.  Each stretch of steps over which
@@ -108,8 +108,8 @@ def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> 
     rows, n = c.shape
     if plan.num_sites != n:
         raise ValueError("plan and batch disagree on sites")
-    if len(plan.angles) not in (1, rows) or (noise is not None and len(noise) != rows):
-        raise ValueError("plan angles and noise need one row per batch row, or one for all")
+    if len(plan.angles) != rows or (noise is not None and len(noise) != rows):
+        raise ValueError("plan angles and noise need one row per batch row")
     # Each layer keeps its angles and the slice of the drawn columns
     # holding its errors when noisy, else its fixed phases and None.
     ops = []

@@ -196,12 +196,12 @@ def norm(state: StateVector) -> float:
     return float(np.linalg.norm(state.amplitudes))
 
 
-def check_norm(state: StateVector, tol: float = NORM_TOL) -> None:
-    """Alarm when the norm drifts past `tol` from unity or is not a
+def check_norm(state: StateVector) -> None:
+    """Alarm when the norm drifts past NORM_TOL from unity or is not a
     number."""
     drift = abs(norm(state) - 1.0)
-    if not drift <= tol:
-        raise RuntimeError(f"state norm drifted by {drift:.3e} (tolerance {tol:.1e})")
+    if not drift <= NORM_TOL:
+        raise RuntimeError(f"state norm drifted by {drift:.3e} (tolerance {NORM_TOL:.1e})")
 
 
 def dense_hamiltonian(spec: ChainSpec) -> np.ndarray:

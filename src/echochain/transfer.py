@@ -53,7 +53,7 @@ def default_transfer_steps(n: int) -> int:
     return 1 << math.ceil(math.log2(DEFAULT_TRANSFER_STEPS[largest] * scale))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransferConfig:
     n: int
     t: float = math.pi / 2

@@ -20,8 +20,7 @@ evenly spaced (stride 2 for bonds), so `c[:, sites]` is a view of a
 batch, or an index array where a chain's nonzero bonds or fields are
 unevenly spaced; `c[:, sites]` reads either.  The angles are one
 `(rows, gates)` array built once per batch from tau = times / N, one
-row per time (a plan of one chain at one time has one row, which every
-row of a batch shares).  Runs execute plans with
+row per row of the batch.  Runs execute plans with
 `echochain.sector.evolve`; the dense test oracle replays the same
 arrays of a one-chain plan one row at a time with
 `echochain.statevec.execute_plan`.
@@ -40,7 +39,8 @@ the simulated ferromagnet cannot map a longer slice, and a direct
 slice that long is far outside the Trotter product's accuracy.
 `check_plan` makes every check of a plan, this budget included,
 without building its angles, so a protocol config can check its
-longest time when it is built and build only the plans it runs.
+longest time when it is built and build only the plans it runs;
+`batch_plan` reads the layout it returns.
 A check that blames the time raises `TimeBudgetError`, and only after
 every check that does not, so that one pass tells a bad time apart.
 """
@@ -126,11 +126,12 @@ def bond_groups(spec: ChainSpec) -> dict[str, np.ndarray]:
     return {"odd": bonds[odd], "even": bonds[~odd]}
 
 
-def _layout(spec: ChainSpec, times, n_steps: int, mode: str, split):
-    """The times as an array and (group, divisor, first sites,
-    strengths) per layer of the split, empty layers included, after
-    every check a plan makes: mode, step count, each layer's strongest
-    bond, then the times and the wrap budget (TimeBudgetError)."""
+def check_plan(split, spec: ChainSpec, times, n_steps: int, mode: str):
+    """Make every check of a one-chain plan of `split` without building
+    its angles: mode, step count, each layer's strongest bond, then the
+    times and the wrap budget (TimeBudgetError).  Returns the times as
+    an array and (group, divisor, first sites, strengths) per layer of
+    the split, empty layers included."""
     if mode not in (MODE_DIRECT, MODE_SIMULATED_FM):
         raise ValueError(f"unknown mode '{mode}'")
     if n_steps < 1:
@@ -163,7 +164,8 @@ def batch_plan(
 ) -> TrotterPlan:
     """One plan for a batch of chains: block b runs chains[b] = (spec,
     times, n_steps, rows) on `rows` rows, with one time per row or one
-    for all of them, and the blocks come by descending step count.
+    for all of them, and the blocks come by descending step count.  The
+    plan holds one angle row per row.
 
     Each layer holds the gates of its kind of every chain, laid out on
     the longest one, and a chain's own gates must lead the layer.  Its
@@ -172,7 +174,7 @@ def batch_plan(
     0, so it leaves the row unchanged bit for bit; it takes no gate
     error.
     """
-    layouts = [_layout(spec, times, n_steps, mode, split) for spec, times, n_steps, _ in chains]
+    layouts = [check_plan(split, spec, times, n_steps, mode) for spec, times, n_steps, _ in chains]
     steps = [n_steps for _, _, n_steps, _ in chains]
     if steps != sorted(steps, reverse=True):
         raise ValueError("a plan's chains must come by descending step count")
@@ -182,9 +184,7 @@ def batch_plan(
     # every chain's gates of a layer are the first of the longest chain's
     firsts = [max((layout[k][2] for _, layout in layouts), key=len) for k in range(len(split))]
     taus = [(times / n_steps)[:, None] for (times, _), (_, _, n_steps, _) in zip(layouts, chains)]
-    # a lone chain's rows share its angle row when it runs one time
-    bounds = starts if len(chains) > 1 else [0, len(layouts[0][0])]
-    angles = np.zeros((bounds[-1], sum(map(len, firsts))))
+    angles = np.zeros((starts[-1], sum(map(len, firsts))))
     widths: list[list[int]] = [[] for _ in chains]
     layers: list[Layer] = []
     column = 0
@@ -215,7 +215,7 @@ def batch_plan(
                 # angle g * t' = 2*pi - g*span is what the hardware applies.
                 period = 2.0 * math.pi / (g * abs(DELTA_EPS))
                 theta = g * np.maximum((g / g) * (period - span), 0.0)
-            angles[bounds[b]:bounds[b + 1], column:column + width] = theta
+            angles[starts[b]:starts[b + 1], column:column + width] = theta
             widths[b].append(width)
         left = _sites(first)
         if group == "field":
@@ -247,8 +247,3 @@ def three_term_plan(
     (odd/2, even/2, field, even/2, odd/2) x N, one angle row per time."""
     return batch_plan(THREE_TERM, [(spec, times, n_steps, np.size(times))], mode)
 
-
-def check_plan(split, spec: ChainSpec, times, n_steps: int, mode: str) -> None:
-    """Raise where a one-chain plan of `split` with these arguments
-    would, without building its angles."""
-    _layout(spec, times, n_steps, mode, split)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,14 +13,17 @@ from hypothesis import strategies as st
 import echochain
 
 from echochain import noise as noise_module
+from echochain import sector
 from echochain.echo import EchoConfig
 from echochain.noise import (
     FitResult,
     GateNoise,
     NoiseModel,
     _batch_trials,
+    _pair_fidelities,
     child_seed,
     default_v_grid,
+    fidelity_curve,
     loglog_fit,
     make_rng,
     slope_vs_n,
@@ -36,7 +40,9 @@ def run_trials(config, v, trials, master_seed, *, include_fields=False):
     """The infidelities of `trials` noisy runs of config at strength v as
     one batch, as a sweep runs one point: trial k draws from
     child_seed(master_seed, k)."""
-    return _batch_trials([config], [v], [[master_seed]], trials, include_fields)[0][0]
+    noise = GateNoise([child_seed(master_seed, k) for k in range(trials)], [v] * trials,
+                      include_fields)
+    return 1.0 - _pair_fidelities([config], [[config.t]], [trials], noise)[0]
 
 
 class TestSampleEta:
@@ -214,12 +220,22 @@ class TestRunTrials:
         assert len(fit.points) == 8
 
     def test_nan_infidelity_fails_the_trial_guard(self, monkeypatch):
-        def nan_scores(configs, times, rows, noise):
-            return [np.array([0.9, math.nan] * (count // 2)) for count in rows]
+        def nan_scores(c, a, b):
+            return np.array([0.9, math.nan] * (len(c) // 2))
 
-        monkeypatch.setattr(noise_module, "_pair_fidelities", nan_scores)
-        with pytest.raises(RuntimeError, match=r"trial infidelity left \[0, 1\]"):
-            _batch_trials([EchoConfig(n=5, t=1.0, n_steps=2)], [0.1, 0.2], [[1, 2]], 2, False)
+        monkeypatch.setattr(sector, "singlet_fidelity", nan_scores)
+        with pytest.raises(RuntimeError, match=r"singlet fidelity left \[0, 1\]"):
+            _batch_trials([EchoConfig(n=5, t=1.0, n_steps=2)], [0.1, 0.2], 2, 1, False)
+
+    def test_curve_score_outside_the_unit_interval_fails(self, monkeypatch):
+        monkeypatch.setattr(sector, "singlet_fidelity", lambda c, a, b: np.full(len(c), 1.5))
+        with pytest.raises(RuntimeError, match=r"singlet fidelity left \[0, 1\]"):
+            fidelity_curve(EchoConfig(n=5, t=1.0, n_steps=2), [0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("config", [EchoConfig(n=5, t=1.0, n_steps=2), TransferConfig(n=4)])
+    def test_configs_are_frozen(self, config):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.t = 0.5
 
     def test_cannot_fit_names_the_chain_and_its_nonzero_points(self, monkeypatch):
         # n=6 scores fidelity 1 at the first two strengths and 0.5 at the

@@ -149,9 +149,9 @@ def test_array_kernel_equals_per_step_kernel_bit_for_bit(
     spec, t, steps, build, mode, shared, noise_kind, draw_bytes, seed
 ):
     # chains with zero bonds or fields lay some layers out as index
-    # arrays, the others as slices; three rows share one angle row or
-    # run their own times
-    plan = build(spec, [t] if shared else [t, 0.5 * t, 0.0], steps, mode)
+    # arrays, the others as slices; three rows run one time or their
+    # own times, each on its own angle row
+    plan = build(spec, [t] * 3 if shared else [t, 0.5 * t, 0.0], steps, mode)
     rng = np.random.default_rng(seed)
     start = rng.normal(size=(3, spec.n)) + 1j * rng.normal(size=(3, spec.n))
     start /= np.linalg.norm(start, axis=1, keepdims=True)
@@ -205,7 +205,7 @@ def test_batched_draws_equal_per_gate_draws():
 
 def test_draws_chunked_over_steps_give_the_same_states(monkeypatch):
     spec = transfer_chain(6)
-    plan = three_term_plan(spec, math.pi / 2, 16, MODE_SIMULATED_FM)
+    plan = three_term_plan(spec, [math.pi / 2] * 3, 16, MODE_SIMULATED_FM)
     seeds = [(5, k) for k in range(3)]
 
     def final(draw_bytes):
@@ -222,7 +222,7 @@ def test_mismatched_plans_rejected():
     with pytest.raises(ValueError):
         sector.evolve(c, second_order_plan(spec, [1.0, 0.5, 0.2], 2))
     with pytest.raises(ValueError):
-        sector.evolve(c, second_order_plan(spec, 1.0, 2), GateNoise([1], [0.1]))
+        sector.evolve(c, second_order_plan(spec, [1.0, 1.0], 2), GateNoise([1], [0.1]))
     with pytest.raises(ValueError):
         sector.evolve(c, second_order_plan(uniform_echo_chain(4, 1.0), 1.0, 2))
 
@@ -367,11 +367,13 @@ def test_batches_join_chains_up_to_the_amplitude_cap():
         [25, 24], [23, 22], [21, 20], [19, 18], [17, 16, 15], [14, 13, 12], [11, 10, 9, 8],
         [7, 6, 5],
     ]
+    # a batch comes in run order: by descending step count (n = 5 runs
+    # 32 steps, n = 6 runs 16), longest chain first among equal counts
     transfer = [TransferConfig(n=n, engine=ENGINE_TROTTER_SIMFM) for n in range(2, 25)]
-    assert batches(transfer, 16) == [list(range(24, 3, -1)), [3, 2]]
+    assert batches(transfer, 16) == [[*range(24, 6, -1), 5, 6, 4], [3, 2]]
     # the benchmark's sweeps each run as one batch
     assert batches(echo[:8], 80) == [list(range(12, 4, -1))]
-    assert batches(transfer[2:10], 16) == [list(range(11, 3, -1))]
+    assert batches(transfer[2:10], 16) == [[11, 10, 9, 8, 7, 5, 6, 4]]
     # configs that run other legs never share a batch
     mixed = [EchoConfig(n=6, t=1.0, n_steps=2),
              EchoConfig(n=5, t=1.0, n_steps=2, backward_mode=BACKWARD_EXACT),

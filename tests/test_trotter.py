@@ -108,7 +108,8 @@ class TestPlanArrays:
                 time_fault = steps >= 1 and mode in (MODE_DIRECT, MODE_SIMULATED_FM)
                 assert isinstance(exc, TimeBudgetError) == time_fault
             else:
-                assert check_plan(split, spec, times, steps, mode) is None
+                checked, _ = check_plan(split, spec, times, steps, mode)
+                assert np.array_equal(checked, np.reshape(times, -1))
 
     @pytest.mark.parametrize("spec,steps,mode", [
         (uniform_echo_chain(5, 3e-308), 1, MODE_SIMULATED_FM),  # its wrap period overflows
