@@ -17,7 +17,7 @@ from .gates import (
     afm_duration_for_fm,
     wrap_period,
 )
-from .meanfield import IntegratorConfig, meanfield_echo_curve
+from .meanfield import meanfield_echo_curve
 from .noise import (
     FitResult,
     NoiseModel,

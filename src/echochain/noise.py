@@ -226,7 +226,8 @@ class GateNoise:
         z = np.empty((len(rngs), count))
         for row, rng in zip(z, rngs):
             rng.standard_normal(out=row)
-        return z * self.v[rows]
+        z *= self.v[rows]
+        return z
 
 
 def model_noise(model: NoiseModel | None, seeds: Sequence[Seed]) -> GateNoise | None:

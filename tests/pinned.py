@@ -1,14 +1,16 @@
 """The golden set this process checks, chosen by numpy's CPU dispatch.
 
 numpy fuses complex multiplies (FMA) in its x86-64-v3 kernels and above
-but not in its x86-64 baseline kernels, so the mean-field and noisy
-sweep bytes differ in their last digits between the two.  The goldens
-in `tests/golden` and inline in the tests were recorded at v3 and
-above; `tests/golden/baseline` holds the same cases recorded by the same
-calls under NPY_DISABLE_CPU_FEATURES naming every dispatched target.  A
-process whose numpy runs the baseline kernels on x86 checks that set.
+but not in its x86-64 baseline kernels, so the sweep and noisy curve
+bytes differ in their last digits between the two.  Their goldens in
+`tests/golden` were recorded at v3 and above; `tests/golden/baseline`
+holds the same cases recorded by the same calls under
+NPY_DISABLE_CPU_FEATURES naming every dispatched target.  A process
+whose numpy runs the baseline kernels on x86 checks that set.  The
+mean-field goldens hold on every dispatch (the closed form makes no
+complex product, and their n=4 quantum rows agree on both), so they
+have one set, in `tests/golden`.
 """
-import json
 from pathlib import Path
 
 try:
@@ -30,10 +32,3 @@ GOLDEN = Path(__file__).parent / "golden"
 if BASELINE_DISPATCH:
     GOLDEN /= "baseline"
 
-
-def pinned(case: str, expected):
-    """`expected`, the value of `case` at x86-64-v3 and above, or the
-    baseline set's value when this process runs the baseline kernels."""
-    if not BASELINE_DISPATCH:
-        return expected
-    return json.loads((GOLDEN / "meanfield_bits.json").read_text())[case]

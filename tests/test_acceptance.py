@@ -17,7 +17,7 @@ from echochain.chain import transfer_chain
 from echochain.checks import dense_state
 from echochain.echo import EchoConfig
 from echochain.gates import afm_duration_for_fm, wrap_period
-from echochain.meanfield import IntegratorConfig, meanfield_echo_curve
+from echochain.meanfield import meanfield_echo_curve
 from echochain.noise import NoiseModel, default_v_grid, fidelity, make_rng, slope_vs_n
 from echochain.statevec import (
     exact_evolve,
@@ -30,6 +30,7 @@ from echochain.statevec import (
 )
 from echochain.transfer import TransferConfig
 from echochain.trotter import MODE_DIRECT, three_term_plan
+from test_meanfield import reference_echo
 
 # Frozen on the first verified run: echo robustness fit at n=10,
 # t=pi/2, N=4, 100 trials per point, v on the default 8-point grid,
@@ -138,22 +139,16 @@ def test_criterion_6_meanfield_baseline():
     grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
     mirrored = [
         result[0]
-        for result in meanfield_echo_curve(
-            10, 1.0, grid, IntegratorConfig(dt=1e-3), schedule="mirrored-pulse", n_steps=1
-        )
+        for result in meanfield_echo_curve(10, 1.0, grid, schedule="mirrored-pulse", n_steps=1)
     ]
     continuous = [
         result[0]
-        for result in meanfield_echo_curve(
-            10, 1.0, [1.0, 3.0], IntegratorConfig(dt=1e-3), schedule="continuous"
-        )
+        for result in meanfield_echo_curve(10, 1.0, [1.0, 3.0], schedule="continuous")
     ]
-    # the t = 1 row of the mirrored curve is the dt = 1e-3 point
+    # the closed form has no step, so the dt-halving is taken on the RK4
+    # oracle at the t = 1 point
     convergence = [
-        mirrored[grid.index(1.0)],
-        meanfield_echo_curve(
-            10, 1.0, [1.0], IntegratorConfig(dt=5e-4), schedule="mirrored-pulse", n_steps=1
-        )[0][0],
+        reference_echo(10, 1.0, 1.0, dt, "mirrored-pulse", 1, -1)[0] for dt in (1e-2, 5e-3)
     ]
     dt_shift = abs(convergence[0] - convergence[1])
     ok = dt_shift < 1e-6 and min(mirrored) <= 0.99

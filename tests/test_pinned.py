@@ -1,6 +1,7 @@
 """Both of numpy's x86 dispatch paths keep their pinned bits: a host
 with the x86-64-v3 kernels also runs every golden test once more with
-them disabled, against the baseline set."""
+them disabled, the sweeps and the noisy curve against the baseline set
+and the mean field against its one set."""
 import os
 import subprocess
 import sys
