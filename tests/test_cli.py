@@ -331,6 +331,8 @@ def test_meanfield_csv_is_byte_identical_to_golden(tmp_path, golden, flags):
     ["--mf-steps", "0"],
     # one mirrored step fits a leg of at most 2*pi / j
     ["--t-max", "10", "--steps", "2", "--mf-steps", "1"],
+    ["--dt", "inf"],
+    ["--mf-steps", "-1"],
 ])
 def test_bad_meanfield_options_are_usage_errors(tmp_path, capsys, monkeypatch, flags):
     def no_quantum_curve(*args, **kwargs):

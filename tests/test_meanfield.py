@@ -434,7 +434,76 @@ class TestGoldenBits:
             [fidelities, digests]
 
 
+def reference_closed_form(n, j, t, schedule, n_steps, sign_convention):
+    """One grid point of the closed form on the reference kernel's
+    fields: each live amplitude (p01, p10, then each later site's up
+    amplitude) turns by -Phi/2, Phi summing one drive step's segment
+    durations times the z field `reference_site_fields` reads off the
+    echo's initial slots, scaled by the step count.  p01's site-2 spin
+    is down, so it turns with minus site 2's field.  Returns (fidelity,
+    final slots)."""
+    slots = initial_slots(n)
+    phi = np.zeros(n)
+    if t > 0:
+        repeats, forward, backward = meanfield._schedule_segments(
+            uniform_echo_chain(n, j), t, schedule, n_steps, sign_convention
+        )
+        for duration, js in forward + backward:
+            hz = reference_site_fields(slots[None], js[None])[0, :, 2]
+            phi += duration * np.concatenate(([-hz[0]], hz))
+        phi *= repeats
+    live = np.concatenate(([slots[0, 1]], slots[1:, 0])).real
+    final = np.zeros((n, 2), dtype=complex)
+    turned = live * np.cos(-0.5 * phi) + 1j * (live * np.sin(-0.5 * phi))
+    final[0, 1], final[1:, 0] = turned[0], turned[1:]
+    return math.cos((phi[1] - phi[0]) / 4) ** 2, final
+
+
 class TestReferenceKernel:
+    """The closed form against the reference kernel's fields, bit for
+    bit, over the same drive segments: production's couplings, field
+    layout, signs and phase sums must read exactly what the RK4
+    oracle's derivative starts from, not merely land within the
+    oracle's 1e-8."""
+
+    @seed(20240611)
+    @settings(max_examples=24, deadline=None)
+    @given(
+        n=st.integers(min_value=3, max_value=12),
+        j=st.floats(min_value=0.3, max_value=3.0),
+        schedule=st.sampled_from([SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED]),
+        sign_convention=st.sampled_from([-1, 1]),
+        n_steps=st.integers(min_value=1, max_value=3),
+        fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=5),
+    )
+    def test_curve_matches_reference_bits(self, n, j, schedule, sign_convention, n_steps,
+                                          fractions):
+        # the mirrored pulse train fits each step's slice into one wrap
+        # period, 2*pi / j
+        grid = [f * min(2.5, n_steps * 2 * math.pi / j) for f in fractions]
+        results = meanfield_echo_curve(
+            n, j, grid, schedule=schedule, n_steps=n_steps, sign_convention=sign_convention,
+        )
+        for t, result in zip(grid, results):
+            expected = reference_closed_form(n, j, t, schedule, n_steps, sign_convention)
+            assert repr(result[0]) == repr(expected[0])
+            assert final_state_digest(result) == final_state_digest(expected)
+
+    @pytest.mark.parametrize("schedule", [SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED])
+    @pytest.mark.parametrize("sign_convention", [-1, 1])
+    def test_weakest_coupling_matches_reference_bits(self, schedule, sign_convention):
+        # each field is subnormal here and each pulse near the largest
+        # float, so the order of the products shows in the bits
+        grid = [0.7, 2.5]
+        results = meanfield_echo_curve(
+            5, WEAKEST_J, grid, schedule=schedule, n_steps=2, sign_convention=sign_convention,
+        )
+        for t, result in zip(grid, results):
+            expected = reference_closed_form(5, WEAKEST_J, t, schedule, 2, sign_convention)
+            assert repr(result[0]) == repr(expected[0])
+            assert final_state_digest(result) == final_state_digest(expected)
+            assert np.all(off_slot_amplitudes(result[1]) == 0.0)
+
     @pytest.mark.parametrize("schedule", [SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED])
     @pytest.mark.parametrize("sign_convention", [-1, 1])
     def test_echo_state_keeps_off_slot_amplitudes_exactly_zero(self, schedule, sign_convention):
