@@ -27,7 +27,10 @@ runs on the prefix of rows still stepping.  A padded row turns the
 gates its chain lacks by exactly 0: phase 1 on (c, 0) returns (c, 0)
 and a field phase of 1 leaves c alone, bit for bit whenever c's parts
 are 0 or normal floats (halving a subnormal part rounds it, far below
-any score), and such pads take no gate errors.
+any score), and such pads take no gate errors.  Every complex-by-complex
+product is `_product`'s real products, each its own ufunc call, and a
+score is re^2 + im^2, not complex abs, so no CPU dispatch of numpy
+fuses (FMA) or rounds them its own way.
 
 Exact evolution diagonalizes the n x n sector Hamiltonian, global phase
 included.  The dense 2^n oracle this engine is tested against is one
@@ -68,7 +71,8 @@ def singlet_head(rows: int, n: int) -> np.ndarray:
 
 def singlet_fidelity(c: np.ndarray, a: int, b: int) -> np.ndarray:
     """Singlet projection of the pair of sites (a, b), per row."""
-    return 0.5 * np.abs(c[:, b - 1] - c[:, a - 1]) ** 2
+    d = c[:, b - 1] - c[:, a - 1]
+    return 0.5 * (d.real * d.real + d.imag * d.imag)
 
 
 def check_norm(c: np.ndarray) -> None:
@@ -79,12 +83,20 @@ def check_norm(c: np.ndarray) -> None:
         raise RuntimeError(f"state norm drifted by {drift:.3e} (tolerance {NORM_TOL:.1e})")
 
 
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b, unfused, for complex arrays, b broadcast to a's shape."""
+    out = np.empty(a.shape, dtype=complex)
+    re, im = out.real, out.imag
+    np.subtract(np.multiply(a.real, b.real, out=re), a.imag * b.imag, out=re)
+    np.add(np.multiply(a.real, b.imag, out=im), a.imag * b.real, out=im)
+    return out
+
+
 def _exchange(c: np.ndarray, left, right, phase: np.ndarray) -> None:
-    """One exchange layer on every row, in place.  With slice sites the
-    reads are views of c and the writes go straight into it."""
+    """One exchange layer on every row, in place; slice sites are views of c."""
     ci, cj = c[:, left], c[:, right]
     sym = 0.5 * (ci + cj)
-    anti = 0.5 * (ci - cj) * phase
+    anti = _product(0.5 * (ci - cj), phase)
     c[:, left] = sym + anti
     c[:, right] = sym - anti
 
@@ -110,21 +122,21 @@ def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> 
         raise ValueError("plan and batch disagree on sites")
     if len(plan.angles) != rows or (noise is not None and len(noise) != rows):
         raise ValueError("plan angles and noise need one row per batch row")
-    # Each layer keeps its angles and the slice of the drawn columns
-    # holding its errors when noisy, else its fixed phases and None.
+    # Each layer keeps its phase angles (theta, or 2 phi on a field) and
+    # the slice of its drawn columns when noisy, else its phases and None.
     ops = []
     column = drawn = 0
     noisy = []  # (layer, first drawn column) per noisy layer
     for k, layer in enumerate(plan.layers):
-        factor = 1j if layer.right is not None else 2j
-        angles = plan.angles[:, column:column + layer.width]
+        scale = 1.0 if layer.right is not None else 2.0
+        angles = scale * plan.angles[:, column:column + layer.width]
         column += layer.width
         if noise is not None and (layer.right is not None or noise.include_fields):
-            ops.append((layer, factor, angles, slice(drawn, drawn + layer.width)))
+            ops.append((layer, angles, slice(drawn, drawn + layer.width)))
             noisy.append((k, drawn))
             drawn += layer.width
         else:
-            ops.append((layer, factor, np.exp(factor * angles), None))
+            ops.append((layer, np.exp(1j * angles), None))
     # each block draws for its own gates, the first of each noisy layer
     owns = [[block.widths[k] for k, _ in noisy] for block in plan.blocks]
     stops = [block.start for block in plan.blocks[1:]] + [rows]
@@ -146,21 +158,24 @@ def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> 
                     for (_, first), width in zip(noisy, own):
                         eta[block.start:stop, :, first:first + width] = z[:, :, at:at + width]
                         at += width
-            # (active, count, width) phases per noisy layer, one exp each
-            phases = [
-                fixed[:active] if etas is None
-                else np.exp(factor * (fixed[:active, None, :] * (1.0 + eta[:, :, etas])))
-                for _, factor, fixed, etas in ops
-            ]
+            # (count, active, width) phases per layer; a noisy layer takes
+            # one exp of i * angles * (1 + eta), its argument built in place
+            phases = []
+            for _, fixed, etas in ops:
+                phase = np.broadcast_to(fixed[:active], (count, active, fixed.shape[1]))
+                if etas is not None:
+                    phase = np.zeros(phase.shape, dtype=complex)
+                    arg = np.add(1.0, eta[:, :, etas].transpose(1, 0, 2), out=phase.imag)
+                    arg *= fixed[:active]
+                    np.exp(phase, out=phase)
+                phases.append(phase)
             stepping = c[:active]
             for step in range(count):
-                for (layer, _, _, etas), phase in zip(ops, phases):
-                    if etas is not None:
-                        phase = phase[:, step]
+                for (layer, _, _), phase in zip(ops, phases):
                     if layer.right is None:
-                        stepping[:, layer.left] *= phase
+                        stepping[:, layer.left] = _product(stepping[:, layer.left], phase[step])
                     else:
-                        _exchange(stepping, layer.left, layer.right, phase)
+                        _exchange(stepping, layer.left, layer.right, phase[step])
         done = end
     return c
 
@@ -199,4 +214,4 @@ def exact_evolve(spec: ChainSpec, c: np.ndarray, t) -> np.ndarray:
         raise TimeBudgetError(
             f"phase t*w overflows at t={float(t[row, 0])!r}, w={float(w[level])!r}"
         )
-    return ((c @ u) * np.exp(-1j * phase)) @ u.T
+    return _product(c @ u, np.exp(-1j * phase)) @ u.T

@@ -13,8 +13,7 @@ import pytest
 from echochain import checks, cli, echo, transfer, trotter
 from echochain.cli import main
 from echochain.chain import transfer_chain
-from pinned import GOLDEN
-MEANFIELD_GOLDEN = Path(__file__).parent / "golden"
+GOLDEN = Path(__file__).parent / "golden"
 CONFIGS = Path(__file__).parent / "configs"
 WRAP_RULE = ("(each slice within one wrap period of its layer's strongest bond); "
              "use more steps")
@@ -309,8 +308,8 @@ def test_t_max_at_wrap_budget_runs(tmp_path):
                  "--points", "3", "--out", str(tmp_path / "x.csv")]) == 0
 
 
-# Mean-field CSVs of the closed form; they hold on every CPU dispatch, so
-# they have one golden set.
+# Mean-field CSVs of the closed form, with their n=4 quantum rows.
+@pytest.mark.golden
 @pytest.mark.parametrize("golden,flags", [
     ("echo_meanfield_mirrored.csv",
      ["--schedule", "mirrored-pulse", "--steps", "1"]),
@@ -321,7 +320,15 @@ def test_meanfield_csv_is_byte_identical_to_golden(tmp_path, golden, flags):
     out = tmp_path / "echo.csv"
     assert main(["echo", "--n", "4", "--t-max", "1.2", "--points", "4", *flags,
                  "--with-meanfield", "--dt", "5e-3", "--out", str(out)]) == 0
-    assert out.read_bytes() == (MEANFIELD_GOLDEN / golden).read_bytes()
+    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.golden
+def test_noise_free_echo_curve_is_byte_identical_to_golden(tmp_path):
+    # the default echo: n=10, 16 steps, 60 points
+    out = tmp_path / "echo.csv"
+    assert main(["echo", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "echo_default.csv").read_bytes()
 
 
 @pytest.mark.parametrize("flags", [
@@ -390,9 +397,8 @@ def test_continuous_schedule_has_no_wrap_budget(tmp_path):
         pytest.approx([1.0, 1.0], abs=1e-8)
 
 
-# Sweep and curve CSVs recorded before the test-only API and the
-# mean-field object layer were removed; the trimmed code must reproduce
-# them byte for byte.
+# Sweep and curve CSVs of the one-magnon engine, whose complex products
+# are unfused: the same bytes at every numpy CPU dispatch.
 ECHO_SWEEP = ["robustness", "--protocol", "echo", "--n-range", "4:5", "--steps", "2",
               "--trials", "6", "--seed", "3", "--v-points", "3"]
 TRANSFER_SWEEP = ["robustness", "--protocol", "transfer", "--engine", "trotter-simfm",
@@ -400,6 +406,7 @@ TRANSFER_SWEEP = ["robustness", "--protocol", "transfer", "--engine", "trotter-s
                   "--v-points", "3", "--v-min", "0.01"]
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("args,prefix", [
     (ECHO_SWEEP, "robustness_echo"),
     (TRANSFER_SWEEP, "robustness_transfer"),
@@ -411,6 +418,7 @@ def test_sweep_csvs_are_byte_identical_to_golden(tmp_path, args, prefix):
     assert fits.read_bytes() == (GOLDEN / f"{prefix}_fits.csv").read_bytes()
 
 
+@pytest.mark.golden
 def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
     out = tmp_path / "transfer.csv"
     assert main(["transfer", "--engine", "trotter-simfm", "--n", "5",
@@ -568,6 +576,7 @@ def test_unreliable_fit_warns_on_stderr(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("warning: echo fit at n=5 has r_squared=")
 
 
+@pytest.mark.golden
 @pytest.mark.parametrize("args,prefix", [
     (ECHO_SWEEP, "robustness_echo"),
     (TRANSFER_SWEEP, "robustness_transfer"),

@@ -346,7 +346,7 @@ def final_state_digest(result) -> str:
 
 # Fidelity reprs and final-state digests of the closed form, one grid
 # point per call.  The step count does not enter the continuous
-# schedule.  None depends on numpy's CPU dispatch.
+# schedule.
 GOLDEN_GRID = [1.2, 0.0, 0.45, 1.2, 2.0]   # unsorted, with t = 0 and a repeat
 GOLDEN_ZERO = ("1.0", "6471e1e2797cf9e1")
 GOLDEN_CURVES = {
@@ -389,6 +389,7 @@ GOLDEN_CURVES = {
 }
 
 
+@pytest.mark.golden
 class TestGoldenBits:
     def test_benchmark_rows(self):
         # the three mean-field rows of the benchmark's meanfield-curve command

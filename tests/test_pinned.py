@@ -1,7 +1,6 @@
-"""Both of numpy's x86 dispatch paths keep their pinned bits: a host
-with the x86-64-v3 kernels also runs every golden test once more with
-them disabled, the sweeps and the noisy curve against the baseline set
-and the mean field against its one set."""
+"""Every golden test (marker `golden`) holds at each of numpy's CPU
+dispatch paths: a host with dispatched SIMD targets runs them once more
+with all of those targets disabled, against the same golden set."""
 import os
 import subprocess
 import sys
@@ -10,26 +9,25 @@ from pathlib import Path
 import pytest
 
 import echochain
-from pinned import BASELINE_DISPATCH, DISPATCHED
+
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
 
 ROOT = Path(__file__).parents[1]
-GOLDEN_TESTS = [
-    "tests/test_meanfield.py::TestGoldenBits",
-    "tests/test_cli.py::test_meanfield_csv_is_byte_identical_to_golden",
-    "tests/test_cli.py::test_sweep_csvs_are_byte_identical_to_golden",
-    "tests/test_cli.py::test_noisy_transfer_curve_is_byte_identical_to_golden",
-    "tests/test_cli.py::test_reliable_fits_warn_nothing_and_keep_golden_bytes",
-]
+# the dispatched targets this host runs; disabling them all leaves the
+# baseline kernels
+DISPATCHED = [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
 
 
-@pytest.mark.skipif(BASELINE_DISPATCH, reason="this process checks the baseline set itself")
-def test_baseline_kernels_keep_the_baseline_set():
+@pytest.mark.skipif(not DISPATCHED, reason="this process runs the baseline kernels")
+def test_baseline_kernels_keep_the_golden_set():
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(DISPATCHED),
                PYTHONPATH=str(Path(echochain.__file__).parents[1]))
     result = subprocess.run(
-        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", *GOLDEN_TESTS],
+        [sys.executable, "-m", "pytest", "-p", "no:cacheprovider", "-q", "-m", "golden"],
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
+    # exit 5 means no test was collected, 1 that one failed
     assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-2000:]
-    assert "golden set: baseline" in result.stdout
-    assert "22 passed" in result.stdout

@@ -1,6 +1,8 @@
 """The batched one-magnon engine against the dense 2^n oracle, its
 array kernel against the per-step kernel it replaced, and sweeps whose
 chain lengths share a batch against a per-chain runner."""
+import hashlib
+import itertools
 import math
 import warnings
 from unittest import mock
@@ -102,10 +104,21 @@ def test_trotter_plans_match_dense_oracle(spec, t, steps, build, mode, v, includ
         assert phase_aligned_gap(state.amplitudes, c[row]) <= TOL
 
 
+def unfused_product(a, b):
+    """a * b for complex arrays, each real product its own ufunc call
+    (numpy's complex multiply fuses them on some CPUs, with FMA)."""
+    re = a.real * b.real - a.imag * b.imag
+    im = a.real * b.imag + a.imag * b.real
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def per_step_evolve(c, plan, noise=None):
     """The kernel `sector.evolve` replaced, kept as its reference: per
     step and per layer, gather the layer's amplitudes by index arrays,
-    draw its errors, take one exp and scatter the result back."""
+    draw its errors, take one exp and scatter the result back.  Its
+    complex products are unfused, as the engine's are."""
     rows, n = c.shape
     sites = np.arange(n)
     column = 0
@@ -123,11 +136,11 @@ def per_step_evolve(c, plan, noise=None):
                 angles = angles * (1.0 + noise.take(len(left)))
             phase = np.exp((1j if right is not None else 2j) * angles)
             if right is None:
-                c[:, left] *= phase
+                c[:, left] = unfused_product(c[:, left], phase)
             else:
                 ci, cj = c[:, left], c[:, right]
                 sym = 0.5 * (ci + cj)
-                anti = 0.5 * (ci - cj) * phase
+                anti = unfused_product(0.5 * (ci - cj), phase)
                 c[:, left] = sym + anti
                 c[:, right] = sym - anti
     return c
@@ -164,6 +177,46 @@ def test_array_kernel_equals_per_step_kernel_bit_for_bit(
     with mock.patch.object(sector, "DRAW_BYTES", draw_bytes):
         fast = sector.evolve(start.copy(), plan, noise())
     assert np.array_equal(fast, per_step_evolve(start.copy(), plan, noise()))
+
+
+@pytest.mark.golden
+def test_engine_bits_are_pinned():
+    """sha256 of seeded random batches through every kernel: slice and
+    index-array exchange layers, field layers, both modes, noise off, on
+    exchanges and on fields too, exact evolution and singlet scores.
+    The exact rows run a chain without bonds, whose eigenvectors are
+    exact, so no BLAS kernel adds digits of its own CPU."""
+    rng = np.random.default_rng(20261020)
+
+    def batch(rows, n):
+        return rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+
+    digest = hashlib.sha256()
+
+    def add(c):
+        digest.update((c + 0.0).tobytes())
+        digest.update((sector.singlet_fidelity(c, 1, 2) + 0.0).tobytes())
+
+    specs = [
+        uniform_echo_chain(7, 1.0),
+        transfer_chain(6),
+        # zero bonds leave the odd group's bonds unevenly spaced: an index array
+        ChainSpec(n=8, couplings=[0.7, 1.1, 0.0, 0.9, 1.3, 0.0, 0.5],
+                  fields=rng.uniform(-1.0, 1.0, 8)),
+    ]
+    for spec, build, mode, noise_kind in itertools.product(
+        specs, (second_order_plan, three_term_plan), (MODE_DIRECT, MODE_SIMULATED_FM),
+        ("off", "on", "fields"),
+    ):
+        plan = build(spec, rng.uniform(0.0, 1.5, 4), 3, mode)
+        noise = None if noise_kind == "off" else GateNoise(
+            [(7, k) for k in range(4)], [0.1, 0.02, 0.0, 0.05], noise_kind == "fields")
+        add(sector.evolve(batch(4, spec.n), plan, noise))
+    free = ChainSpec(n=6, couplings=np.zeros(5), fields=rng.uniform(-1.0, 1.0, 6))
+    _, u = np.linalg.eigh(sector.sector_hamiltonian(free))
+    assert set(np.abs(u).ravel()) == {0.0, 1.0}
+    add(sector.exact_evolve(free, batch(5, 6), rng.uniform(-3.0, 3.0, 5)))
+    assert digest.hexdigest()[:16] == "95359ca0eab74f89"
 
 
 @settings(max_examples=30, deadline=None)
