@@ -18,19 +18,20 @@ In this sector
 
 `evolve` applies a Trotter plan (`echochain.trotter`) one whole layer
 per call.  A layer whose sites are evenly spaced is a slice, so its
-amplitudes are read and written through strided views of the batch;
-an uneven layer is an index array, read and written by the same
-expressions.  Noisy angles become phases one exp per layer per chunk
-of steps, not per step.  A plan's blocks (one chain each) run their
-own step counts: blocks come by descending step count, so each step
-runs on the prefix of rows still stepping.  A padded row turns the
-gates its chain lacks by exactly 0: phase 1 on (c, 0) returns (c, 0)
-and a field phase of 1 leaves c alone, bit for bit whenever c's parts
-are 0 or normal floats (halving a subnormal part rounds it, far below
-any score), and such pads take no gate errors.  Every complex-by-complex
-product is `_product`'s real products, each its own ufunc call, and a
-score is re^2 + im^2, not complex abs, so no CPU dispatch of numpy
-fuses (FMA) or rounds them its own way.
+amplitudes are read and written through strided views of the batch; an
+uneven layer is an index array, read and written by the same
+expressions.  Gate errors go a chunk of steps at a time straight into
+the imaginary parts of their phases, in buffers reused chunk after
+chunk, one exp per noisy layer per chunk.  A plan's blocks (one chain
+each) run their own step counts: blocks come by descending step count,
+so each step runs on the prefix of rows still stepping.  A padded row
+turns the gates its chain lacks by exactly 0: phase 1 on (c, 0) returns
+(c, 0) and a field phase of 1 leaves c alone, bit for bit whenever c's
+parts are 0 or normal floats (halving a subnormal part rounds it, far
+below any score), and such pads take no gate errors.  Every
+complex-by-complex product is `_product`'s real products, each its own
+ufunc call, and a score is re^2 + im^2, not complex abs, so no CPU
+dispatch of numpy fuses (FMA) or rounds them its own way.
 
 Exact evolution diagonalizes the n x n sector Hamiltonian, global phase
 included.  The dense 2^n oracle this engine is tested against is one
@@ -101,6 +102,7 @@ def _exchange(c: np.ndarray, left, right, phase: np.ndarray) -> None:
     c[:, right] = sym - anti
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> np.ndarray:
     """Run every step of the plan on the batch c, in place.
 
@@ -108,76 +110,73 @@ def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> 
     exchange angle of row r becomes theta * (1 + eta) with eta from the
     row's own stream, drawn per gate of the row's own chain per step in
     execution order; field phases are perturbed the same way only when
-    the noise includes fields.  Bonds within a layer share no site, so
-    a layer is applied all at once.
+    the noise includes fields; errors that overflow the phase angles
+    raise RuntimeError.  Bonds within a layer share no site, so a layer
+    is applied all at once.
 
     The plan's blocks come by descending step count, so the rows still
-    stepping are always a prefix of c.  Each stretch of steps over which
-    that prefix holds runs a chunk of steps at a time: the chunk's draws
-    come at once, and each noisy layer turns a whole chunk's angles into
-    phases with one exp.
+    stepping are a prefix of c, one stretch of steps at a time (`_stretch`).
     """
     rows, n = c.shape
     if plan.num_sites != n:
         raise ValueError("plan and batch disagree on sites")
     if len(plan.angles) != rows or (noise is not None and len(noise) != rows):
         raise ValueError("plan angles and noise need one row per batch row")
-    # Each layer keeps its phase angles (theta, or 2 phi on a field) and
-    # the slice of its drawn columns when noisy, else its phases and None.
+    # per layer: its phase angles (theta, or 2 phi on a field) if noisy, else its phases
     ops = []
-    column = drawn = 0
-    noisy = []  # (layer, first drawn column) per noisy layer
-    for k, layer in enumerate(plan.layers):
-        scale = 1.0 if layer.right is not None else 2.0
-        angles = scale * plan.angles[:, column:column + layer.width]
+    column = 0
+    for layer in plan.layers:
+        angles = plan.angles[:, column:column + layer.width]
         column += layer.width
-        if noise is not None and (layer.right is not None or noise.include_fields):
-            ops.append((layer, angles, slice(drawn, drawn + layer.width)))
-            noisy.append((k, drawn))
-            drawn += layer.width
-        else:
-            ops.append((layer, np.exp(1j * angles), None))
-    # each block draws for its own gates, the first of each noisy layer
-    owns = [[block.widths[k] for k, _ in noisy] for block in plan.blocks]
+        angles = 2.0 * angles if layer.right is None else angles
+        noisy = noise is not None and (layer.right is not None or noise.include_fields)
+        ops.append((layer, angles if noisy else np.exp(1j * angles), noisy))
     stops = [block.start for block in plan.blocks[1:]] + [rows]
     done = 0
     for last in reversed(range(len(plan.blocks))):
         # blocks 0..last step on, rows [0, active), up to block last's end
         active, end = stops[last], plan.blocks[last].steps
-        # The draws (8 bytes each) and their phases (16) share DRAW_BYTES.
-        chunk = max(1, DRAW_BYTES // (24 * active * drawn)) if drawn else end
-        for start in range(done, end, chunk):
-            count = min(chunk, end - start)
-            if drawn:
-                # each block's draws go to its own gates; its pads keep eta = 0
-                eta = np.zeros((active, count, drawn))
-                for block, stop, own in zip(plan.blocks[:last + 1], stops, owns):
-                    z = noise.take(count * sum(own), slice(block.start, stop))
-                    z = z.reshape(stop - block.start, count, sum(own))
-                    at = 0
-                    for (_, first), width in zip(noisy, own):
-                        eta[block.start:stop, :, first:first + width] = z[:, :, at:at + width]
-                        at += width
-            # (count, active, width) phases per layer; a noisy layer takes
-            # one exp of i * angles * (1 + eta), its argument built in place
-            phases = []
-            for _, fixed, etas in ops:
-                phase = np.broadcast_to(fixed[:active], (count, active, fixed.shape[1]))
-                if etas is not None:
-                    phase = np.zeros(phase.shape, dtype=complex)
-                    arg = np.add(1.0, eta[:, :, etas].transpose(1, 0, 2), out=phase.imag)
-                    arg *= fixed[:active]
-                    np.exp(phase, out=phase)
-                phases.append(phase)
-            stepping = c[:active]
-            for step in range(count):
-                for (layer, _, _), phase in zip(ops, phases):
-                    if layer.right is None:
-                        stepping[:, layer.left] = _product(stepping[:, layer.left], phase[step])
-                    else:
-                        _exchange(stepping, layer.left, layer.right, phase[step])
+        _stretch(c[:active], ops, noise, plan.blocks[:last + 1], stops, end - done)
         done = end
+    if noise is not None and not np.all(np.isfinite(c)):
+        raise RuntimeError("gate errors overflow the phase angles")
     return c
+
+
+def _stretch(c, ops, noise, blocks, stops, steps: int) -> None:
+    """Run `steps` steps of `ops` on c, block b of `blocks` on its rows up
+    to stops[b], a chunk at a time, in one phase buffer per noisy layer:
+    each block's draws go straight into its imaginary parts as 1 + eta
+    (pads as 1), then the layer's angles and one exp make them phases."""
+    rows, drawn = len(c), sum(layer.width for layer, _, noisy in ops if noisy)
+    # A chunk's draws (8 bytes each) and phases (16) share DRAW_BYTES.
+    chunk = max(1, min(steps, DRAW_BYTES // (24 * rows * drawn) if drawn else steps))
+    phases = [np.empty((chunk, rows, layer.width), dtype=complex) if noisy
+              else np.broadcast_to(fixed[:rows], (chunk, rows, layer.width))
+              for layer, fixed, noisy in ops]
+    perturbed = [(p, fixed[:rows]) for p, (_, fixed, noisy) in zip(phases, ops) if noisy]
+    for start in range(0, steps, chunk):
+        count = min(chunk, steps - start)
+        for block, stop in zip(blocks if perturbed else (), stops):
+            own = [width for width, (_, _, noisy) in zip(block.widths, ops) if noisy]
+            z = noise.take(count * sum(own), slice(block.start, stop))
+            z = z.reshape(stop - block.start, count, sum(own)).transpose(1, 0, 2)
+            for (phase, _), width, at in zip(perturbed, own, np.cumsum([0, *own])):
+                arg = phase[:count, block.start:stop].imag
+                np.add(1.0, z[:, :, at:at + width], out=arg[:, :, :width])
+                arg[:, :, width:] = 1.0
+            del z  # one block's draws at a time
+        for phase, fixed in perturbed:
+            phase = phase[:count]
+            phase.real = 0.0
+            np.multiply(phase.imag, fixed, out=phase.imag)
+            np.exp(phase, out=phase)
+        for step in range(count):
+            for (layer, _, _), phase in zip(ops, phases):
+                if layer.right is None:
+                    c[:, layer.left] = _product(c[:, layer.left], phase[step])
+                else:
+                    _exchange(c, layer.left, layer.right, phase[step])
 
 
 def sector_hamiltonian(spec: ChainSpec) -> np.ndarray:

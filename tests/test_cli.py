@@ -240,6 +240,21 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     assert err.startswith("runtime failure:") and err.count("\n") == 1
 
 
+def test_overflowing_gate_errors_fail_with_one_line(tmp_path):
+    # a finite strength whose errors overflow the phase angles; a
+    # subprocess, because in-process tests turn RuntimeWarning into an
+    # exception and so cannot see a warning leak to stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-m", "echochain", "transfer", "--engine", "trotter-simfm",
+         "--n", "3", "--points", "2", "--noise-v", "1e308"],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
+    )
+    assert result.returncode == 1
+    assert result.stderr == "runtime failure: gate errors overflow the phase angles\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_that_cannot_fit_names_its_chain(tmp_path, capsys, monkeypatch):
     # subnormal strengths leave every gate exact, so every trial runs and
     # every mean infidelity is 0

@@ -4,6 +4,7 @@ chain lengths share a batch against a per-chain runner."""
 import hashlib
 import itertools
 import math
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -267,6 +268,24 @@ def test_draws_chunked_over_steps_give_the_same_states(monkeypatch):
         return sector.evolve(c, plan, GateNoise(seeds, [0.01, 0.02, 0.03], True))
 
     assert np.array_equal(final(sector.DRAW_BYTES), final(1))
+
+
+@pytest.mark.parametrize("mib", [4, 8])
+def test_noisy_pass_stays_within_draw_bytes(monkeypatch, mib):
+    # a deep noisy pass with field noise: the draws and their phases of a
+    # chunk, with the pass's other arrays, stay within DRAW_BYTES (MiB
+    # budgets, since numpy's ufunc buffers take up to ~64 KB per call)
+    monkeypatch.setattr(sector, "DRAW_BYTES", mib << 20)
+    plan = three_term_plan(transfer_chain(40), [math.pi / 2] * 96, 256, MODE_SIMULATED_FM)
+    noise = GateNoise(range(96), [0.01] * 96, include_fields=True)
+    c = sector.singlet_head(96, 40)
+    tracemalloc.start()
+    try:
+        sector.evolve(c, plan, noise)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * sector.DRAW_BYTES, peak / sector.DRAW_BYTES
 
 
 def test_mismatched_plans_rejected():
