@@ -27,12 +27,6 @@ from .noise import (
     slope_vs_n,
 )
 from .transfer import TransferConfig, default_transfer_steps
-from .trotter import (
-    MODE_DIRECT,
-    MODE_SIMULATED_FM,
-    TrotterPlan,
-    second_order_plan,
-    three_term_plan,
-)
+from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, TrotterPlan
 
 __version__ = "0.1.0"

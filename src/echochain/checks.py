@@ -26,7 +26,7 @@ from .statevec import (
     heisenberg_pair_coupling, norm, pair_projection_fidelity, prepare_singlet_head, total_sz,
 )
 from .transfer import ENGINE_EXACT, ENGINES, TransferConfig
-from .trotter import MODE_DIRECT, batch_plan, three_term_plan
+from .trotter import MODE_DIRECT, THREE_TERM, batch_plan
 
 
 @dataclass
@@ -132,7 +132,7 @@ def check_trotter_scaling(
 
     def error(n_steps: int) -> float:
         state = prepare_singlet_head(n)
-        execute_plan(three_term_plan(spec, t, n_steps, MODE_DIRECT), state)
+        execute_plan(batch_plan(THREE_TERM, [(spec, t, n_steps, 1)], MODE_DIRECT), state)
         return float(np.linalg.norm(state.amplitudes - reference.amplitudes))
 
     errs = {m: error(m) for m in list(steps) + [2 * steps[-1]]}

@@ -9,7 +9,8 @@ never feed back into it.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Each config
 is built once; its fault is a usage error, and a `TimeBudgetError`
-names the time's flag.
+names the time's flag.  Every output path given is checked before any
+work, so a command that cannot write one of its files writes none.
 
 `COMMANDS` is the one declaration of the commands and their options:
 the parser's flags, the defaults, the checks of a `--config` file's
@@ -23,6 +24,7 @@ import dataclasses
 import gc
 import json
 import math
+import os
 import sys
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator, NamedTuple
@@ -49,13 +51,15 @@ class UsageError(Exception):
 
 class Option(NamedTuple):
     """One option of a command: its config key, its value's type (a
-    bool option is a bare flag), its default, and its allowed values."""
+    bool option is a bare flag), its default, its allowed values, and
+    whether it names a file the command writes."""
 
     name: str
     type: type
     default: Any
     choices: tuple | None = None
     help: str | None = None
+    output: bool = False
 
 
 def _fmt(value) -> str:
@@ -98,7 +102,7 @@ def _config_value(key: str, value, option: Option):
 
 def _merge_options(command: str, args: argparse.Namespace) -> SimpleNamespace:
     """The table's defaults, overridden by the config file's values and
-    then by the flags given."""
+    then by the flags given, with every output path given checked."""
     options = {option.name: option for option in COMMANDS[command][2]}
     merged = {name: option.default for name, option in options.items()}
     config_path = getattr(args, "config", None)
@@ -123,7 +127,25 @@ def _merge_options(command: str, args: argparse.Namespace) -> SimpleNamespace:
     # stream reads is still written to the CSV
     if merged.get("seed", 0) < 0:
         raise UsageError(f"--seed: need a non-negative integer, got {merged['seed']}")
+    for option in options.values():
+        if option.output and merged[option.name] is not None:
+            _check_output("--" + option.name.replace("_", "-"), merged[option.name])
     return SimpleNamespace(**merged)
+
+
+def _check_output(flag: str, path: str) -> None:
+    """A usage error unless `path` names a non-directory in an existing
+    directory that the command may write to."""
+    directory = os.path.dirname(path) or "."
+    if not path or os.path.isdir(path):
+        fault = "it is a directory" if path else "it names no file"
+    elif not os.path.isdir(directory):
+        fault = f"no directory {directory!r}"
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        fault = f"directory {directory!r} is not writable"
+    else:
+        return
+    raise UsageError(f"{flag}: cannot write {path!r}: {fault}")
 
 
 @contextlib.contextmanager
@@ -369,8 +391,8 @@ COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], list[Option]]] 
                help="mean-field step size: checked and echoed in the dt column, "
                     "but the closed-form mean field changes no value with it"),
         Option("mf_steps", int, None),
-        Option("out", str, "echo.csv"),
-        Option("plot", str, None),
+        Option("out", str, "echo.csv", output=True),
+        Option("plot", str, None, output=True),
     ]),
     "transfer": ("state-transfer fidelity curve", cmd_transfer, [
         Option("n", int, 6),
@@ -380,8 +402,8 @@ COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], list[Option]]] 
         Option("engine", str, ENGINE_EXACT, ENGINES),
         Option("noise_v", float, 0.0),
         Option("seed", int, 0),
-        Option("out", str, "transfer.csv"),
-        Option("plot", str, None),
+        Option("out", str, "transfer.csv", output=True),
+        Option("plot", str, None, output=True),
     ]),
     "robustness": ("gate-error Monte-Carlo sweep and fits", cmd_robustness, [
         Option("protocol", str, "echo", ("echo", "transfer")),
@@ -397,10 +419,10 @@ COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], list[Option]]] 
         Option("seed", int, 42),
         Option("field_noise", bool, False,
                help="also perturb field phases (default: exchange only)"),
-        Option("out_trials", str, "trials.csv"),
-        Option("out_fits", str, "fits.csv"),
-        Option("plot_fit", str, None),
-        Option("plot_slopes", str, None),
+        Option("out_trials", str, "trials.csv", output=True),
+        Option("out_fits", str, "fits.csv", output=True),
+        Option("plot_fit", str, None, output=True),
+        Option("plot_slopes", str, None, output=True),
     ]),
     "oracle-check": ("run the invariant suite", cmd_oracle_check, [
         Option("max_n", int, 8),

@@ -17,21 +17,22 @@ In this sector
 * the singlet fidelity of the pair (a, b) is |c_b - c_a|^2 / 2.
 
 `evolve` applies a Trotter plan (`echochain.trotter`) one whole layer
-per call.  A layer whose sites are evenly spaced is a slice, so its
-amplitudes are read and written through strided views of the batch; an
-uneven layer is an index array, read and written by the same
-expressions.  Gate errors go a chunk of steps at a time straight into
-the imaginary parts of their phases, in buffers reused chunk after
-chunk, one exp per noisy layer per chunk.  A plan's blocks (one chain
-each) run their own step counts: blocks come by descending step count,
-so each step runs on the prefix of rows still stepping.  A padded row
-turns the gates its chain lacks by exactly 0: phase 1 on (c, 0) returns
-(c, 0) and a field phase of 1 leaves c alone, bit for bit whenever c's
-parts are 0 or normal floats (halving a subnormal part rounds it, far
-below any score), and such pads take no gate errors.  Every
-complex-by-complex product is `_product`'s real products, each its own
-ufunc call, and a score is re^2 + im^2, not complex abs, so no CPU
-dispatch of numpy fuses (FMA) or rounds them its own way.
+per call, from the layer's own angles, one row per batch row.  A layer
+whose sites are evenly spaced is a slice, so its amplitudes are read
+and written through strided views of the batch; an uneven layer is an
+index array, read and written by the same expressions.  Gate errors
+go a chunk of steps at a time straight into the imaginary parts of
+their phases, in buffers reused chunk after chunk, one exp per noisy
+layer per chunk.  A plan's blocks (one chain each) run their own step
+counts: blocks come by descending step count, so each step runs on
+the prefix of rows still stepping.  A padded row turns the gates its
+chain lacks by exactly 0: phase 1 on (c, 0) returns (c, 0) and a field
+phase of 1 leaves c alone, bit for bit whenever c's parts are 0 or
+normal floats (halving a subnormal part rounds it, far below any
+score), and such pads take no gate errors.  Every complex-by-complex
+product is `_product`'s real products, each its own ufunc call, and a
+score is re^2 + im^2, not complex abs, so no CPU dispatch of numpy
+fuses (FMA) or rounds them its own way.
 
 Exact evolution diagonalizes the n x n sector Hamiltonian, global phase
 included.  The dense 2^n oracle this engine is tested against is one
@@ -106,13 +107,13 @@ def _exchange(c: np.ndarray, left, right, phase: np.ndarray) -> None:
 def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> np.ndarray:
     """Run every step of the plan on the batch c, in place.
 
-    The plan holds one angle row per row of c.  Under `noise` every
-    exchange angle of row r becomes theta * (1 + eta) with eta from the
-    row's own stream, drawn per gate of the row's own chain per step in
-    execution order; field phases are perturbed the same way only when
-    the noise includes fields; errors that overflow the phase angles
-    raise RuntimeError.  Bonds within a layer share no site, so a layer
-    is applied all at once.
+    Each layer of the plan holds one angle row per row of c.  Under
+    `noise` every exchange angle of row r becomes theta * (1 + eta) with
+    eta from the row's own stream, drawn per gate of the row's own chain
+    per step in execution order; field phases are perturbed the same way
+    only when the noise includes fields; errors that overflow the phase
+    angles raise RuntimeError.  Bonds within a layer share no site, so a
+    layer is applied all at once.
 
     The plan's blocks come by descending step count, so the rows still
     stepping are a prefix of c, one stretch of steps at a time (`_stretch`).
@@ -120,15 +121,13 @@ def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> 
     rows, n = c.shape
     if plan.num_sites != n:
         raise ValueError("plan and batch disagree on sites")
-    if len(plan.angles) != rows or (noise is not None and len(noise) != rows):
+    if any(len(layer.angles) != rows for layer in plan.layers) or \
+            (noise is not None and len(noise) != rows):
         raise ValueError("plan angles and noise need one row per batch row")
     # per layer: its phase angles (theta, or 2 phi on a field) if noisy, else its phases
     ops = []
-    column = 0
     for layer in plan.layers:
-        angles = plan.angles[:, column:column + layer.width]
-        column += layer.width
-        angles = 2.0 * angles if layer.right is None else angles
+        angles = 2.0 * layer.angles if layer.right is None else layer.angles
         noisy = noise is not None and (layer.right is not None or noise.include_fields)
         ops.append((layer, angles if noisy else np.exp(1j * angles), noisy))
     stops = [block.start for block in plan.blocks[1:]] + [rows]

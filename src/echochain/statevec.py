@@ -282,18 +282,17 @@ def execute_plan(
     if noise is not None and rng is None:
         raise ValueError("noisy execution needs an explicit rng")
     sites = np.arange(1, plan.num_sites + 1)
-    for _ in range(plan.steps):
-        angles = iter(plan.angles[row].tolist())
+    for _ in range(plan.blocks[0].steps):
         for layer in plan.layers:
+            angles = layer.angles[row].tolist()
             if layer.right is not None:
-                for i, j in zip(sites[layer.left].tolist(), sites[layer.right].tolist()):
-                    theta = next(angles)
+                for i, j, theta in zip(sites[layer.left].tolist(), sites[layer.right].tolist(),
+                                       angles):
                     if noise is not None:
                         theta = theta * (1.0 + sample_eta(rng, noise.v))
                     apply_two_site(state, i, j, exchange_unitary(theta))
             else:
-                for site in sites[layer.left].tolist():
-                    phi = next(angles)
+                for site, phi in zip(sites[layer.left].tolist(), angles):
                     if noise is not None and noise.include_fields:
                         phi = phi * (1.0 + sample_eta(rng, noise.v))
                     apply_single_site_phase(state, site, phi)

@@ -1,26 +1,27 @@
 """Second-order Trotter plans for chain evolution, as arrays.
 
-A plan holds the layers of ONE Trotter step, the angles of every gate
-of that step for every row of a batch, and its blocks: the rows of
-each chain with the chain's repeat count N.  A plan of one chain has
-one block; `batch_plan` lays chains of several lengths out on the
-longest one, each chain's gates leading every layer and the gates
-past them given angle 0 on its rows.
+A plan holds the layers of ONE Trotter step, each with the angles of
+its gates for every row of a batch, and its blocks: the rows of each
+chain with the chain's repeat count N.  `batch_plan` builds every
+plan.  A plan of one chain has one block; a plan of several lays
+chains of several lengths out on the longest one, each chain's gates
+leading every layer and the gates past them given angle 0 on its rows.
 
-Two-term plans use the palindromic split (odd/2, even, odd/2);
-three-term plans (for chains with fields) use (odd/2, even/2, field,
-even/2, odd/2).  A bond's group is the parity of its first site,
-counted from 1 (`bond_groups`), so bonds within a group share no site:
-the gates of a layer commute and may execute in any order.  These two
-splits and this grouping are the one statement of a run's pulse
-sequence; the mean-field mirrored-pulse train reads them too.
+Two-term plans use the palindromic split SECOND_ORDER (odd/2, even,
+odd/2); three-term plans (for chains with fields) use THREE_TERM
+(odd/2, even/2, field, even/2, odd/2).  A bond's group is the parity
+of its first site, counted from 1 (`bond_groups`), so bonds within a
+group share no site: the gates of a layer commute and may execute in
+any order.  These two splits and this grouping are the one statement
+of a run's pulse sequence; the mean-field mirrored-pulse train reads
+them too.
 
 A layer's sites are built once per plan: a slice where they are
 evenly spaced (stride 2 for bonds), so `c[:, sites]` is a view of a
 batch, or an index array where a chain's nonzero bonds or fields are
-unevenly spaced; `c[:, sites]` reads either.  The angles are one
-`(rows, gates)` array built once per batch from tau = times / N, one
-row per row of the batch.  Runs execute plans with
+unevenly spaced; `c[:, sites]` reads either.  A layer's angles are its
+own `(rows, width)` array, built once per batch from tau = times / N,
+one row per row of the batch.  Runs execute plans with
 `echochain.sector.evolve`; the dense test oracle replays the same
 arrays of a one-chain plan one row at a time with
 `echochain.statevec.execute_plan`.
@@ -78,7 +79,12 @@ class Layer:
 
     left: slice | np.ndarray
     right: slice | np.ndarray | None
-    width: int  # gates in the layer
+    # (rows, width): row r's angle of every gate of the layer
+    angles: np.ndarray
+
+    @property
+    def width(self) -> int:  # gates in the layer
+        return self.angles.shape[1]
 
 
 @dataclass(frozen=True)
@@ -97,16 +103,7 @@ class Block:
 class TrotterPlan:
     num_sites: int  # the longest chain's
     layers: tuple[Layer, ...]  # the nonempty layers of one step, in order
-    # (rows, gates): row r's angle of every gate of one step, layer by
-    # layer; each block repeats the step its own number of times.
-    angles: np.ndarray
     blocks: tuple[Block, ...]  # by descending step count
-
-    @property
-    def steps(self) -> int:
-        """The step count of the first block: the longest, and the only
-        one of a one-chain plan."""
-        return self.blocks[0].steps
 
 
 def _sites(index: np.ndarray) -> slice | np.ndarray:
@@ -164,8 +161,8 @@ def batch_plan(
 ) -> TrotterPlan:
     """One plan for a batch of chains: block b runs chains[b] = (spec,
     times, n_steps, rows) on `rows` rows, with one time per row or one
-    for all of them, and the blocks come by descending step count.  The
-    plan holds one angle row per row.
+    for all of them, and the blocks come by descending step count.  Each
+    layer holds one angle row per row.
 
     Each layer holds the gates of its kind of every chain, laid out on
     the longest one, and a chain's own gates must lead the layer.  Its
@@ -184,14 +181,13 @@ def batch_plan(
     # every chain's gates of a layer are the first of the longest chain's
     firsts = [max((layout[k][2] for _, layout in layouts), key=len) for k in range(len(split))]
     taus = [(times / n_steps)[:, None] for (times, _), (_, _, n_steps, _) in zip(layouts, chains)]
-    angles = np.zeros((starts[-1], sum(map(len, firsts))))
     widths: list[list[int]] = [[] for _ in chains]
     layers: list[Layer] = []
-    column = 0
     for k, first in enumerate(firsts):
         if not len(first):
             continue
         group, divisor = split[k]
+        angles = np.zeros((starts[-1], len(first)))
         for b, ((spec, _, n_steps, _), (times, layout)) in enumerate(zip(chains, layouts)):
             index, g = layout[k][2:]
             width = len(index)
@@ -215,35 +211,18 @@ def batch_plan(
                 # angle g * t' = 2*pi - g*span is what the hardware applies.
                 period = 2.0 * math.pi / (g * abs(DELTA_EPS))
                 theta = g * np.maximum((g / g) * (period - span), 0.0)
-            angles[starts[b]:starts[b + 1], column:column + width] = theta
+            angles[starts[b]:starts[b + 1], :width] = theta
             widths[b].append(width)
         left = _sites(first)
         if group == "field":
-            layers.append(Layer(left, None, len(first)))
+            layers.append(Layer(left, None, angles))
         else:
             right = first + 1 if isinstance(left, np.ndarray) else \
                 slice(left.start + 1, left.stop + 1, left.step)
-            layers.append(Layer(left, right, len(first)))
-        column += len(first)
+            layers.append(Layer(left, right, angles))
     return TrotterPlan(
-        num_sites=max(spec.n for spec, *_ in chains), layers=tuple(layers), angles=angles,
+        num_sites=max(spec.n for spec, *_ in chains), layers=tuple(layers),
         blocks=tuple(Block(start, n_steps, tuple(own))
                      for start, n_steps, own in zip(starts, steps, widths)),
     )
-
-
-def second_order_plan(
-    spec: ChainSpec, times, n_steps: int, mode: str = MODE_DIRECT
-) -> TrotterPlan:
-    """Palindromic two-term plan: (odd/2, even, odd/2) x N, one angle
-    row per time (`times` is one time or a sequence)."""
-    return batch_plan(SECOND_ORDER, [(spec, times, n_steps, np.size(times))], mode)
-
-
-def three_term_plan(
-    spec: ChainSpec, times, n_steps: int, mode: str = MODE_DIRECT
-) -> TrotterPlan:
-    """Palindromic plan for chains with fields:
-    (odd/2, even/2, field, even/2, odd/2) x N, one angle row per time."""
-    return batch_plan(THREE_TERM, [(spec, times, n_steps, np.size(times))], mode)
 

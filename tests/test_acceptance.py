@@ -29,7 +29,7 @@ from echochain.statevec import (
     total_sz,
 )
 from echochain.transfer import TransferConfig
-from echochain.trotter import MODE_DIRECT, three_term_plan
+from echochain.trotter import MODE_DIRECT, THREE_TERM, batch_plan
 from test_meanfield import reference_echo
 
 # Frozen on the first verified run: echo robustness fit at n=10,
@@ -72,7 +72,8 @@ def test_criterion_2_two_spin_equivalence():
 def trotter_state_error(n: int, n_steps: int) -> float:
     spec = transfer_chain(n)
     state = prepare_singlet_head(n)
-    execute_plan(three_term_plan(spec, math.pi / 2, n_steps, MODE_DIRECT), state)
+    plan = batch_plan(THREE_TERM, [(spec, math.pi / 2, n_steps, 1)], MODE_DIRECT)
+    execute_plan(plan, state)
     reference = exact_evolve(spec, prepare_singlet_head(n), math.pi / 2)
     return float(np.linalg.norm(state.amplitudes - reference.amplitudes))
 

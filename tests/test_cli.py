@@ -233,11 +233,39 @@ def test_bad_flag_exits_two():
 
 
 def test_runtime_failure_exits_one(tmp_path, capsys):
-    # an unwritable output surfaces as a runtime failure, not a crash
+    # an output that passes the check made before any work but that the
+    # write refuses (a name past the file system's limit) surfaces as a
+    # runtime failure, not a crash
     assert main(["echo", "--n", "4", "--t-max", "1", "--points", "2",
-                 "--steps", "1", "--out", str(tmp_path / "absent" / "x.csv")]) == 1
+                 "--steps", "1", "--out", str(tmp_path / ("x" * 300))]) == 1
     err = capsys.readouterr().err
     assert err.startswith("runtime failure:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args,config,flag", [
+    (["robustness", "--protocol", "echo", "--n", "5", "--trials", "2",
+      "--out-trials", "{tmp}/trials.csv", "--out-fits", "{tmp}/missing/f.csv"], {}, "--out-fits"),
+    (["echo", "--n", "4", "--points", "2", "--out", "{tmp}/a.csv",
+      "--plot", "{tmp}/missing/a.svg"], {}, "--plot"),
+    (["transfer", "--n", "4", "--points", "2", "--out", "{tmp}"], {}, "--out"),
+    (["robustness", "--n", "5", "--trials", "2", "--out-trials", "{tmp}/t.csv",
+      "--out-fits", "{tmp}/f.csv"], {"plot_slopes": "{tmp}/missing/s.svg"}, "--plot-slopes"),
+    (["echo", "--n", "4", "--points", "2"], {"out": ""}, "--out"),
+], ids=["missing-fits-dir", "missing-plot-dir", "directory", "config-missing-dir",
+        "config-empty-name"])
+def test_unwritable_output_fails_before_any_work(tmp_path, capsys, args, config, flag):
+    # a path in a missing directory, a directory, or no name at all, from
+    # a flag or from --config: one usage error naming the flag, no file
+    run = tmp_path / "run"
+    run.mkdir()
+    if config:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({k: v.format(tmp=run) for k, v in config.items()}))
+        args = args + ["--config", str(path)]
+    assert main([arg.format(tmp=run) for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag}: cannot write ") and err.count("\n") == 1
+    assert list(run.iterdir()) == []
 
 
 def test_overflowing_gate_errors_fail_with_one_line(tmp_path):

@@ -298,9 +298,8 @@ def test_mirrored_pulse_train_is_the_echo_forward_leg(n, j, t, steps, sign_conve
     # backward pulse lasts tau / divisor
     split, spec, mode = EchoConfig(n=n, t=t, n_steps=steps, j=j).legs()[0]
     plan = batch_plan(split, [(spec, t, steps, 1)], mode)
-    columns = np.cumsum([0] + [layer.width for layer in plan.layers]).tolist()
-    layers = [(np.arange(n)[layer.left].tolist(), plan.angles[0, start:stop].tolist())
-              for layer, start, stop in zip(plan.layers, columns, columns[1:])]
+    layers = [(np.arange(n)[layer.left].tolist(), layer.angles[0].tolist())
+              for layer in plan.layers]
     segments = reference_segments(n, j, t, SCHEDULE_MIRRORED, steps, sign_convention)
     assert len(segments) == 2 * steps * len(split)
     forward, backward = segments[:steps * len(split)], segments[steps * len(split):]

@@ -6,6 +6,7 @@ import itertools
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -45,10 +46,15 @@ from echochain.transfer import (
     TransferConfig,
 )
 from echochain.trotter import (
-    MODE_DIRECT, MODE_SIMULATED_FM, TimeBudgetError, second_order_plan, three_term_plan,
+    MODE_DIRECT, MODE_SIMULATED_FM, SECOND_ORDER, THREE_TERM, TimeBudgetError, batch_plan,
 )
 
 TOL = 1e-12
+
+
+def one_chain(split, spec, times, n_steps, mode=MODE_DIRECT):
+    """The plan of one chain, one angle row per time."""
+    return batch_plan(split, [(spec, times, n_steps, np.size(times))], mode)
 
 
 def embed(row: np.ndarray) -> np.ndarray:
@@ -84,15 +90,15 @@ def chains(draw):
     spec=chains(),
     t=st.floats(min_value=0.0, max_value=1.5),  # every slice within a wrap period
     steps=st.integers(min_value=1, max_value=4),
-    build=st.sampled_from([second_order_plan, three_term_plan]),
+    split=st.sampled_from([SECOND_ORDER, THREE_TERM]),
     mode=st.sampled_from([MODE_DIRECT, MODE_SIMULATED_FM]),
     v=st.one_of(st.none(), st.floats(min_value=0.0, max_value=0.2)),
     include_fields=st.booleans(),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_trotter_plans_match_dense_oracle(spec, t, steps, build, mode, v, include_fields, seed):
+def test_trotter_plans_match_dense_oracle(spec, t, steps, split, mode, v, include_fields, seed):
     # two rows with their own durations, seeds and error strengths
-    plan = build(spec, [t, 0.5 * t], steps, mode)
+    plan = one_chain(split, spec, [t, 0.5 * t], steps, mode)
     seeds = [(seed, 0), (seed, 1)]
     strengths = [] if v is None else [v, 0.5 * v]
     c = sector.singlet_head(2, spec.n)
@@ -122,16 +128,13 @@ def per_step_evolve(c, plan, noise=None):
     complex products are unfused, as the engine's are."""
     rows, n = c.shape
     sites = np.arange(n)
-    column = 0
     ops = []
     for layer in plan.layers:
         left = sites[layer.left]
         right = None if layer.right is None else sites[layer.right]
-        angles = plan.angles[:, column:column + layer.width]
-        column += layer.width
         noisy = noise is not None and (right is not None or noise.include_fields)
-        ops.append((left, right, angles, noisy))
-    for _ in range(plan.steps):
+        ops.append((left, right, layer.angles, noisy))
+    for _ in range(plan.blocks[0].steps):
         for left, right, angles, noisy in ops:
             if noisy:
                 angles = angles * (1.0 + noise.take(len(left)))
@@ -152,7 +155,7 @@ def per_step_evolve(c, plan, noise=None):
     spec=chains(),
     t=st.floats(min_value=0.0, max_value=1.5),
     steps=st.integers(min_value=1, max_value=5),
-    build=st.sampled_from([second_order_plan, three_term_plan]),
+    split=st.sampled_from([SECOND_ORDER, THREE_TERM]),
     mode=st.sampled_from([MODE_DIRECT, MODE_SIMULATED_FM]),
     shared=st.booleans(),
     noise_kind=st.sampled_from(["off", "on", "fields"]),
@@ -160,12 +163,12 @@ def per_step_evolve(c, plan, noise=None):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_array_kernel_equals_per_step_kernel_bit_for_bit(
-    spec, t, steps, build, mode, shared, noise_kind, draw_bytes, seed
+    spec, t, steps, split, mode, shared, noise_kind, draw_bytes, seed
 ):
     # chains with zero bonds or fields lay some layers out as index
     # arrays, the others as slices; three rows run one time or their
     # own times, each on its own angle row
-    plan = build(spec, [t] * 3 if shared else [t, 0.5 * t, 0.0], steps, mode)
+    plan = one_chain(split, spec, [t] * 3 if shared else [t, 0.5 * t, 0.0], steps, mode)
     rng = np.random.default_rng(seed)
     start = rng.normal(size=(3, spec.n)) + 1j * rng.normal(size=(3, spec.n))
     start /= np.linalg.norm(start, axis=1, keepdims=True)
@@ -205,11 +208,11 @@ def test_engine_bits_are_pinned():
         ChainSpec(n=8, couplings=[0.7, 1.1, 0.0, 0.9, 1.3, 0.0, 0.5],
                   fields=rng.uniform(-1.0, 1.0, 8)),
     ]
-    for spec, build, mode, noise_kind in itertools.product(
-        specs, (second_order_plan, three_term_plan), (MODE_DIRECT, MODE_SIMULATED_FM),
+    for spec, split, mode, noise_kind in itertools.product(
+        specs, (SECOND_ORDER, THREE_TERM), (MODE_DIRECT, MODE_SIMULATED_FM),
         ("off", "on", "fields"),
     ):
-        plan = build(spec, rng.uniform(0.0, 1.5, 4), 3, mode)
+        plan = one_chain(split, spec, rng.uniform(0.0, 1.5, 4), 3, mode)
         noise = None if noise_kind == "off" else GateNoise(
             [(7, k) for k in range(4)], [0.1, 0.02, 0.0, 0.05], noise_kind == "fields")
         add(sector.evolve(batch(4, spec.n), plan, noise))
@@ -259,7 +262,7 @@ def test_batched_draws_equal_per_gate_draws():
 
 def test_draws_chunked_over_steps_give_the_same_states(monkeypatch):
     spec = transfer_chain(6)
-    plan = three_term_plan(spec, [math.pi / 2] * 3, 16, MODE_SIMULATED_FM)
+    plan = one_chain(THREE_TERM, spec, [math.pi / 2] * 3, 16, MODE_SIMULATED_FM)
     seeds = [(5, k) for k in range(3)]
 
     def final(draw_bytes):
@@ -276,7 +279,8 @@ def test_noisy_pass_stays_within_draw_bytes(monkeypatch, mib):
     # chunk, with the pass's other arrays, stay within DRAW_BYTES (MiB
     # budgets, since numpy's ufunc buffers take up to ~64 KB per call)
     monkeypatch.setattr(sector, "DRAW_BYTES", mib << 20)
-    plan = three_term_plan(transfer_chain(40), [math.pi / 2] * 96, 256, MODE_SIMULATED_FM)
+    plan = one_chain(THREE_TERM, transfer_chain(40), [math.pi / 2] * 96, 256,
+                     MODE_SIMULATED_FM)
     noise = GateNoise(range(96), [0.01] * 96, include_fields=True)
     c = sector.singlet_head(96, 40)
     tracemalloc.start()
@@ -291,12 +295,18 @@ def test_noisy_pass_stays_within_draw_bytes(monkeypatch, mib):
 def test_mismatched_plans_rejected():
     spec = uniform_echo_chain(5, 1.0)
     c = sector.singlet_head(2, 5)
-    with pytest.raises(ValueError):
-        sector.evolve(c, second_order_plan(spec, [1.0, 0.5, 0.2], 2))
-    with pytest.raises(ValueError):
-        sector.evolve(c, second_order_plan(spec, [1.0, 1.0], 2), GateNoise([1], [0.1]))
-    with pytest.raises(ValueError):
-        sector.evolve(c, second_order_plan(uniform_echo_chain(4, 1.0), 1.0, 2))
+    plan = one_chain(SECOND_ORDER, spec, [1.0, 1.0], 2)
+    # one layer short of a row: the other layers hold one row per batch row
+    odd, even, odd_again = plan.layers
+    short = replace(plan, layers=(odd, replace(even, angles=even.angles[:1]), odd_again))
+    for mismatched, noise, fault in [
+        (one_chain(SECOND_ORDER, spec, [1.0, 0.5, 0.2], 2), None, "one row per batch row"),
+        (short, None, "one row per batch row"),
+        (plan, GateNoise([1], [0.1]), "one row per batch row"),
+        (one_chain(SECOND_ORDER, uniform_echo_chain(4, 1.0), 1.0, 2), None, "sites"),
+    ]:
+        with pytest.raises(ValueError, match=fault):
+            sector.evolve(c, mismatched, noise)
 
 
 def test_norm_drift_is_caught():
@@ -355,17 +365,19 @@ def per_chain_fidelities(config, times, noise=None):
     c = sector.singlet_head(len(times), config.n)
     if isinstance(config, EchoConfig):
         spec = uniform_echo_chain(config.n, config.j)
-        per_step_evolve(c, second_order_plan(spec, times, config.steps, MODE_SIMULATED_FM), noise)
+        forward = one_chain(SECOND_ORDER, spec, times, config.steps, MODE_SIMULATED_FM)
+        per_step_evolve(c, forward, noise)
         if config.backward_mode == BACKWARD_TROTTERIZED:
-            per_step_evolve(c, second_order_plan(spec, times, config.steps, MODE_DIRECT), noise)
+            backward = one_chain(SECOND_ORDER, spec, times, config.steps, MODE_DIRECT)
+            per_step_evolve(c, backward, noise)
         else:
             c = sector.exact_evolve(spec, c, times)
     elif config.engine == ENGINE_EXACT:
         c = sector.exact_evolve(transfer_chain(config.n), c, times)
     else:
         mode = MODE_DIRECT if config.engine == ENGINE_TROTTER_DIRECT else MODE_SIMULATED_FM
-        per_step_evolve(c, three_term_plan(transfer_chain(config.n), times, config.steps, mode),
-                        noise)
+        plan = one_chain(THREE_TERM, transfer_chain(config.n), times, config.steps, mode)
+        per_step_evolve(c, plan, noise)
     return sector.singlet_fidelity(c, *config.pair)
 
 

@@ -21,22 +21,26 @@ from echochain.trotter import (
     THREE_TERM,
     Layer,
     TimeBudgetError,
+    batch_plan,
     check_plan,
-    second_order_plan,
-    three_term_plan,
 )
+
+
+def one_chain(split, spec, times, n_steps, mode=MODE_DIRECT):
+    """The plan of one chain, one angle row per time."""
+    return batch_plan(split, [(spec, times, n_steps, np.size(times))], mode)
 
 
 def gates(plan, row=0):
     """Each layer of one step as [(sites, angle)], 1-based: (i, j) for a
     bond, i for a field site."""
     sites = np.arange(1, plan.num_sites + 1)
-    angles = iter(plan.angles[row].tolist())
     layers = []
     for layer in plan.layers:
         left = sites[layer.left].tolist()
         keys = left if layer.right is None else list(zip(left, sites[layer.right].tolist()))
-        layers.append([(key, next(angles)) for key in keys])
+        assert len(keys) == layer.width
+        layers.append(list(zip(keys, layer.angles[row].tolist())))
     return layers
 
 
@@ -47,13 +51,13 @@ def phase_aligned_error(a: StateVector, b: StateVector) -> float:
 
 class TestSecondOrderPlanStructure:
     def test_three_site_echo_chain_direct(self):
-        plan = second_order_plan(uniform_echo_chain(3, 1.0), 1.0, 1, MODE_DIRECT)
-        assert plan.steps == 1
+        plan = one_chain(SECOND_ORDER, uniform_echo_chain(3, 1.0), 1.0, 1, MODE_DIRECT)
+        assert [block.steps for block in plan.blocks] == [1]
         # the odd halves hold no bond, so the step is the even layer alone
         assert gates(plan) == [[((2, 3), pytest.approx(1.0))]]
 
     def test_simulated_fm_angles_are_wrap_complements(self):
-        plan = second_order_plan(uniform_echo_chain(4, 1.0), math.pi, 2, MODE_SIMULATED_FM)
+        plan = one_chain(SECOND_ORDER, uniform_echo_chain(4, 1.0), math.pi, 2, MODE_SIMULATED_FM)
         tau = math.pi / 2
         odd_half, even_full, odd_half2 = gates(plan)
         assert even_full == [((2, 3), pytest.approx(2 * math.pi - tau))]
@@ -61,7 +65,7 @@ class TestSecondOrderPlanStructure:
 
     def test_zero_time_direct_plan_is_identity(self):
         spec = uniform_echo_chain(5, 1.0)
-        plan = second_order_plan(spec, 0.0, 3, MODE_DIRECT)
+        plan = one_chain(SECOND_ORDER, spec, 0.0, 3, MODE_DIRECT)
         state = prepare_singlet_head(5)
         before = state.amplitudes.copy()
         execute_plan(plan, state)
@@ -69,7 +73,7 @@ class TestSecondOrderPlanStructure:
 
     def test_simulated_mode_rejects_over_period_slices(self):
         with pytest.raises(ValueError):
-            second_order_plan(uniform_echo_chain(4, 1.0), 4 * math.pi, 1, MODE_SIMULATED_FM)
+            one_chain(SECOND_ORDER, uniform_echo_chain(4, 1.0), 4 * math.pi, 1, MODE_SIMULATED_FM)
 
 
 class TestPlanArrays:
@@ -77,14 +81,13 @@ class TestPlanArrays:
         # one step's even layer takes the whole slice: 2*pi at j = 1
         spec = uniform_echo_chain(4, 1.0)
         for mode in (MODE_DIRECT, MODE_SIMULATED_FM):
-            assert second_order_plan(spec, [0.0, 2 * math.pi], 1, mode).angles.shape == (2, 3)
+            plan = one_chain(SECOND_ORDER, spec, [0.0, 2 * math.pi], 1, mode)
+            assert [layer.angles.shape for layer in plan.layers] == [(2, 1)] * 3
             with pytest.raises(TimeBudgetError, match="wrap budget"):
-                second_order_plan(spec, [0.0, 2 * math.pi + 1e-6, 1.0], 1, mode)
+                one_chain(SECOND_ORDER, spec, [0.0, 2 * math.pi + 1e-6, 1.0], 1, mode)
 
-    @pytest.mark.parametrize("build,split", [
-        (second_order_plan, SECOND_ORDER),
-        (three_term_plan, THREE_TERM),
-    ])
+    @pytest.mark.parametrize("split", [SECOND_ORDER, THREE_TERM],
+                             ids=["second_order_plan", "three_term_plan"])
     @pytest.mark.parametrize("times,steps,mode", [
         ([0.0, 2 * math.pi], 1, MODE_DIRECT),
         ([0.0, 2 * math.pi + 1e-6, 1.0], 1, MODE_SIMULATED_FM),
@@ -95,10 +98,10 @@ class TestPlanArrays:
         (-1.0, 2, MODE_DIRECT),
         (1.0, 2, "sideways"),
     ])
-    def test_checks_raise_where_the_plan_raises(self, build, split, times, steps, mode):
+    def test_checks_raise_where_the_plan_raises(self, split, times, steps, mode):
         for spec in (uniform_echo_chain(5, 1.0), transfer_chain(5)):
             try:
-                build(spec, times, steps, mode)
+                one_chain(split, spec, times, steps, mode)
             except ValueError as exc:
                 with pytest.raises(ValueError) as checked:
                     check_plan(split, spec, times, steps, mode)
@@ -126,24 +129,25 @@ class TestPlanArrays:
         spec = uniform_echo_chain(6, 1.0)
         times = [0.0, 0.7, 2.5]
         for mode in (MODE_DIRECT, MODE_SIMULATED_FM):
-            batch = second_order_plan(spec, times, 3, mode)
+            batch = one_chain(SECOND_ORDER, spec, times, 3, mode)
             for row, t in enumerate(times):
-                alone = second_order_plan(spec, t, 3, mode)
-                assert np.array_equal(batch.angles[row], alone.angles[0])
+                alone = one_chain(SECOND_ORDER, spec, t, 3, mode)
+                for together, own in zip(batch.layers, alone.layers, strict=True):
+                    assert np.array_equal(together.angles[row], own.angles[0])
                 assert gates(batch, row) == gates(alone)
 
     def test_evenly_spaced_sites_are_slices(self):
-        plan = three_term_plan(transfer_chain(7), 0.5, 1)
+        plan = one_chain(THREE_TERM, transfer_chain(7), 0.5, 1)
         assert all(isinstance(layer.left, slice) for layer in plan.layers)
         # the echo chain's odd bonds start at site 3: (3, 4), (5, 6)
-        odd = second_order_plan(uniform_echo_chain(6, 1.0), 0.5, 1).layers[0]
+        odd = one_chain(SECOND_ORDER, uniform_echo_chain(6, 1.0), 0.5, 1).layers[0]
         assert (odd.left, odd.right) == (slice(2, 5, 2), slice(3, 6, 2))
 
     def test_unevenly_spaced_sites_are_index_arrays(self):
         # odd bonds (1, 2), (3, 4), (7, 8): (5, 6) is off; field on 2, 3 and 5
         spec = ChainSpec(n=8, couplings=[1, 1, 1, 1, 0, 1, 1],
                          fields=[0, 1, 1, 0, 1, 0, 0, 0])
-        plan = three_term_plan(spec, 0.5, 1)
+        plan = one_chain(THREE_TERM, spec, 0.5, 1)
         odd, even, field = plan.layers[:3]
         assert np.array_equal(odd.left, [0, 2, 6]) and np.array_equal(odd.right, [1, 3, 7])
         assert (even.left, even.right) == (slice(1, 6, 2), slice(2, 7, 2))
@@ -154,22 +158,22 @@ class TestPlanArrays:
 
 class TestThreeTermPlanStructure:
     def test_two_site_transfer_layer_shapes(self):
-        plan = three_term_plan(transfer_chain(2), 0.4, 1, MODE_DIRECT)
+        plan = one_chain(THREE_TERM, transfer_chain(2), 0.4, 1, MODE_DIRECT)
         # no even bond: odd half, field, odd half
         assert [layer.right is None for layer in plan.layers] == [False, True, False]
         assert [len(layer) for layer in gates(plan)] == [1, 2, 1]
 
     def test_transfer_five_direct_angles(self):
-        plan = three_term_plan(transfer_chain(5), math.pi / 2, 10, MODE_DIRECT)
+        plan = one_chain(THREE_TERM, transfer_chain(5), math.pi / 2, 10, MODE_DIRECT)
         tau = math.pi / 20
         odd_half = gates(plan)[0]
         # ferromagnetic chain: direct angles carry the negative sign
         expected = {(1, 2): -2 * 2.0 * tau / 2, (3, 4): -2 * math.sqrt(6) * tau / 2}
         assert dict(odd_half) == pytest.approx(expected)
-        assert 5 * plan.steps == 50
+        assert [block.steps for block in plan.blocks] == [10]
 
     def test_field_layer_phases(self):
-        plan = three_term_plan(transfer_chain(3), 0.3, 1, MODE_DIRECT)
+        plan = one_chain(THREE_TERM, transfer_chain(3), 0.3, 1, MODE_DIRECT)
         field = gates(plan)[2]
         expected = {
             1: math.sqrt(2) / 2 * 0.3,
@@ -181,7 +185,7 @@ class TestThreeTermPlanStructure:
     def test_zero_time_is_identity(self):
         state = prepare_singlet_head(4)
         before = state.amplitudes.copy()
-        execute_plan(three_term_plan(transfer_chain(4), 0.0, 2, MODE_DIRECT), state)
+        execute_plan(one_chain(THREE_TERM, transfer_chain(4), 0.0, 2, MODE_DIRECT), state)
         assert np.allclose(state.amplitudes, before)
 
 
@@ -189,7 +193,7 @@ class TestExecution:
     def test_direct_afm_matches_exact_oracle(self):
         spec = uniform_echo_chain(6, 1.0)
         state = prepare_singlet_head(6)
-        execute_plan(second_order_plan(spec, 1.0, 64, MODE_DIRECT), state)
+        execute_plan(one_chain(SECOND_ORDER, spec, 1.0, 64, MODE_DIRECT), state)
         reference = exact_evolve(spec, prepare_singlet_head(6), 1.0)
         assert abs(np.vdot(state.amplitudes, reference.amplitudes)) >= 1 - 1e-4
 
@@ -199,7 +203,7 @@ class TestExecution:
 
         def err(n_steps):
             state = prepare_singlet_head(4)
-            execute_plan(second_order_plan(spec, 1.0, n_steps, MODE_SIMULATED_FM), state)
+            execute_plan(one_chain(SECOND_ORDER, spec, 1.0, n_steps, MODE_SIMULATED_FM), state)
             return phase_aligned_error(state, reference)
 
         ratio = err(8) / err(16)
@@ -214,7 +218,7 @@ class TestExecution:
 
         def err(n_steps):
             state = StateVector(5, amplitudes.copy())
-            execute_plan(second_order_plan(spec, 1.0, n_steps, MODE_DIRECT), state)
+            execute_plan(one_chain(SECOND_ORDER, spec, 1.0, n_steps, MODE_DIRECT), state)
             return float(np.linalg.norm(state.amplitudes - reference.amplitudes))
 
         for n_steps in (8, 16):
@@ -222,25 +226,23 @@ class TestExecution:
 
     def test_layer_gates_commute(self):
         spec = transfer_chain(6)
-        plan = three_term_plan(spec, 0.8, 2, MODE_DIRECT)
+        plan = one_chain(THREE_TERM, spec, 0.8, 2, MODE_DIRECT)
         state_a = prepare_singlet_head(6)
         execute_plan(plan, state_a)
         # every layer's gates in reverse order
         sites = np.arange(6)
-        layers, columns, column = [], [], 0
+        layers = []
         for layer in plan.layers:
             right = None if layer.right is None else sites[layer.right][::-1]
-            layers.append(Layer(sites[layer.left][::-1], right, layer.width))
-            columns.append(plan.angles[:, column:column + layer.width][:, ::-1])
-            column += layer.width
-        reversed_plan = replace(plan, layers=tuple(layers), angles=np.concatenate(columns, axis=1))
+            layers.append(Layer(sites[layer.left][::-1], right, layer.angles[:, ::-1]))
+        reversed_plan = replace(plan, layers=tuple(layers))
         state_b = prepare_singlet_head(6)
         execute_plan(reversed_plan, state_b)
         assert np.max(np.abs(state_a.amplitudes - state_b.amplitudes)) < 1e-12
 
     def test_norm_and_sz_conserved_with_noise(self):
         spec = transfer_chain(6)
-        plan = three_term_plan(spec, math.pi / 2, 16, MODE_SIMULATED_FM)
+        plan = one_chain(THREE_TERM, spec, math.pi / 2, 16, MODE_SIMULATED_FM)
         state = prepare_singlet_head(6)
         sz_before = total_sz(state)
         execute_plan(state=state, plan=plan, noise=NoiseModel(v=0.08), rng=make_rng(4))
@@ -248,18 +250,18 @@ class TestExecution:
         assert abs(total_sz(state) - sz_before) < 1e-10
 
     def test_noisy_execution_requires_rng(self):
-        plan = second_order_plan(uniform_echo_chain(3, 1.0), 0.5, 1, MODE_DIRECT)
+        plan = one_chain(SECOND_ORDER, uniform_echo_chain(3, 1.0), 0.5, 1, MODE_DIRECT)
         with pytest.raises(ValueError):
             execute_plan(plan, prepare_singlet_head(3), NoiseModel(v=0.1), None)
 
     def test_mismatched_sizes_rejected(self):
-        plan = second_order_plan(uniform_echo_chain(4, 1.0), 0.5, 1, MODE_DIRECT)
+        plan = one_chain(SECOND_ORDER, uniform_echo_chain(4, 1.0), 0.5, 1, MODE_DIRECT)
         with pytest.raises(ValueError):
             execute_plan(plan, prepare_singlet_head(5))
 
     def test_identical_seeds_give_identical_noisy_states(self):
         spec = uniform_echo_chain(5, 1.0)
-        plan = second_order_plan(spec, 1.2, 4, MODE_SIMULATED_FM)
+        plan = one_chain(SECOND_ORDER, spec, 1.2, 4, MODE_SIMULATED_FM)
         a = prepare_singlet_head(5)
         b = prepare_singlet_head(5)
         execute_plan(plan, a, NoiseModel(v=0.05), make_rng((3, 1)))
