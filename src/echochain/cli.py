@@ -10,28 +10,30 @@ never feed back into it.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Each config
 is built once; its fault is a usage error, and a `TimeBudgetError`
 names the time's flag.  Every output path given is checked before any
-work, so a command that cannot write one of its files writes none.
+work, and a command's files are staged and put in place only once all
+are written (`_staged_outputs`), so a command that cannot write one of
+its files writes none.
 
 `COMMANDS` is the one declaration of the commands and their options:
-the parser's flags, the defaults, the checks of a `--config` file's
-values and the dispatch to each command's runner all read it.
+the flags `main` reads, the help, the defaults, the one check of a
+value from a flag or a `--config` file, and the dispatch to each
+command's runner all read it.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import dataclasses
 import gc
-import json
+import itertools
 import math
 import os
+import stat
 import sys
 from types import SimpleNamespace
 from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from . import svgplot
 from .echo import EchoConfig
 from .meanfield import SCHEDULE_MIRRORED, SCHEDULES, meanfield_echo_curve
 from .noise import NoiseModel, default_v_grid, fidelity_curve, slope_vs_n
@@ -85,28 +87,35 @@ def write_csv(path: str, header: list[str], rows: list[str]) -> None:
         handle.writelines(row + "\n" for row in rows)
 
 
-def _config_value(key: str, value, option: Option):
-    """A config file's value for `key`, of the option's type (an int
-    stands for a float, as it does on the command line, and null is
-    allowed where the default is None) and one of its choices when it
-    has them."""
+def _checked(where: str, value, option: Option, text: bool = False):
+    """`value` for the option, named `where` in an error: a flag's
+    `text`, turned into the option's type first, or a config file's
+    value, which must have that type (an int stands for a float, and
+    null is allowed where the default is None); either way one of the
+    option's choices when it has them."""
+    if text and option.type is not str:
+        with contextlib.suppress(ValueError):
+            value = option.type(value)
     if option.type is float and type(value) is int:
         value = float(value)
     if not (type(value) is option.type or (value is None and option.default is None)):
-        raise UsageError(f"config key '{key}' must be {option.type.__name__}, got {value!r}")
+        raise UsageError(f"{where} must be {option.type.__name__}, got {value!r}")
     if value is not None and option.choices is not None and value not in option.choices:
         choices = ", ".join(str(choice) for choice in option.choices)
-        raise UsageError(f"config key '{key}' must be one of {choices}, got {value!r}")
+        raise UsageError(f"{where} must be one of {choices}, got {value!r}")
     return value
 
 
-def _merge_options(command: str, args: argparse.Namespace) -> SimpleNamespace:
+def _merge_options(command: str, flags: dict[str, Any]) -> SimpleNamespace:
     """The table's defaults, overridden by the config file's values and
-    then by the flags given, with every output path given checked."""
+    then by the flags given (`_read_flags`), with every output path
+    given checked."""
     options = {option.name: option for option in COMMANDS[command][2]}
     merged = {name: option.default for name, option in options.items()}
-    config_path = getattr(args, "config", None)
+    config_path = flags.get("config")
     if config_path:
+        import json  # only a config file is JSON
+
         try:
             with open(config_path, "r", encoding="utf-8") as handle:
                 doc = json.load(handle)
@@ -118,18 +127,15 @@ def _merge_options(command: str, args: argparse.Namespace) -> SimpleNamespace:
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in doc.items():
-            merged[key] = _config_value(key, value, options[key])
-    for key in merged:
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
+            merged[key] = _checked(f"config key '{key}'", value, options[key])
+    merged.update((key, value) for key, value in flags.items() if key in merged)
     # numpy's SeedSequence takes no negative entry, and a seed that no
     # stream reads is still written to the CSV
     if merged.get("seed", 0) < 0:
         raise UsageError(f"--seed: need a non-negative integer, got {merged['seed']}")
     for option in options.values():
         if option.output and merged[option.name] is not None:
-            _check_output("--" + option.name.replace("_", "-"), merged[option.name])
+            _check_output(_flag(option.name), merged[option.name])
     return SimpleNamespace(**merged)
 
 
@@ -148,6 +154,69 @@ def _check_output(flag: str, path: str) -> None:
     raise UsageError(f"{flag}: cannot write {path!r}: {fault}")
 
 
+Stage = Callable[[str], str]
+
+
+@contextlib.contextmanager
+def _staged_outputs() -> Iterator[Stage]:
+    """`stage(path)` names a new empty file for a command to write in
+    the place of `path`.  Once the command returns, each staged file is
+    put in place; if it fails, none is, and the staged files are
+    removed.  Each file lands where `open(path, "w")` writes.  A new
+    path, or a plain file (regular, one link, the runner's own), is
+    staged beside it, in the directory `_check_output` checked, with the
+    mode a new or that file has, and moved onto it.  Any other path (a
+    symlink, a device, a pipe, a hard-linked or another user's file) is
+    staged in the temporary directory and copied into it, so it stays
+    what it was."""
+    moves: list[tuple[str, str]] = []
+    copies: list[tuple[str, str]] = []
+
+    def stage(path: str) -> str:
+        # a path the file system cannot look up (a name past its limit)
+        # fails here, before any staged file is put in place
+        try:
+            info = os.lstat(path)
+        except FileNotFoundError:
+            info = None
+        if info is not None and not (
+                stat.S_ISREG(info.st_mode) and info.st_nlink == 1
+                and (info.st_uid, info.st_gid) == (os.geteuid(), os.getegid())):
+            import tempfile  # only a file written in place needs it
+
+            handle, temp = tempfile.mkstemp(prefix=".echochain-")
+            os.close(handle)
+            copies.append((temp, path))
+            return temp
+        for k in itertools.count(len(moves)):
+            temp = os.path.join(os.path.dirname(path), f".echochain-{os.getpid()}-{k}")
+            try:
+                os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            except FileExistsError:
+                continue
+            moves.append((temp, path))
+            if info is not None:
+                os.chmod(temp, stat.S_IMODE(info.st_mode))
+            return temp
+
+    try:
+        yield stage
+        # the files written in place first: they are the ones a write
+        # can still fail on; and after what the command printed, in case
+        # one is the standard output
+        sys.stdout.flush()
+        for temp, path in copies:
+            with open(temp, "rb") as source, open(path, "wb") as target:
+                target.write(source.read())
+        while moves:
+            os.replace(*moves[0])
+            del moves[0]
+    finally:
+        for temp, _ in moves + copies:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+
+
 @contextlib.contextmanager
 def _config_faults(time_flag: str) -> Iterator[None]:
     """A config's fault as a usage error: a `TimeBudgetError` names the
@@ -160,7 +229,7 @@ def _config_faults(time_flag: str) -> Iterator[None]:
         raise UsageError(str(exc)) from exc
 
 
-def cmd_echo(opts: SimpleNamespace) -> int:
+def cmd_echo(opts: SimpleNamespace, stage: Stage) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
     with _config_faults("--t-max"):
@@ -210,19 +279,21 @@ def cmd_echo(opts: SimpleNamespace) -> int:
               opts.sign_convention, opts.dt, "", "", f, 1.0 - f])
         for t, f in classical
     ]
-    write_csv(opts.out, header, rows)
+    write_csv(stage(opts.out), header, rows)
     if opts.plot:
+        from . import svgplot
+
         series = [svgplot.Series("quantum", quantum)]
         if classical:
             series.append(svgplot.Series(f"meanfield ({opts.schedule})", classical))
         figure = svgplot.Figure(
             title=f"Echo fidelity, n={opts.n}", xlabel="t", ylabel="f_ec", series=series
         )
-        svgplot.render(figure, opts.plot)
+        svgplot.render(figure, stage(opts.plot))
     return 0
 
 
-def cmd_transfer(opts: SimpleNamespace) -> int:
+def cmd_transfer(opts: SimpleNamespace, stage: Stage) -> int:
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
     with _config_faults("--t-max"):
@@ -243,13 +314,15 @@ def cmd_transfer(opts: SimpleNamespace) -> int:
         _row([opts.n, t, shown_steps, opts.engine, opts.noise_v, opts.seed, f, 1.0 - f])
         for t, f in curve
     ]
-    write_csv(opts.out, header, rows)
+    write_csv(stage(opts.out), header, rows)
     if opts.plot:
+        from . import svgplot
+
         figure = svgplot.Figure(
             title=f"Transfer fidelity, n={opts.n} ({opts.engine})",
             xlabel="t", ylabel="f_tr", series=[svgplot.Series(opts.engine, curve)],
         )
-        svgplot.render(figure, opts.plot)
+        svgplot.render(figure, stage(opts.plot))
     return 0
 
 
@@ -269,7 +342,7 @@ def _parse_n_range(opts: SimpleNamespace) -> list[int]:
     raise UsageError("give --n or --n-range")
 
 
-def cmd_robustness(opts: SimpleNamespace) -> int:
+def cmd_robustness(opts: SimpleNamespace, stage: Stage) -> int:
     if opts.trials < 1:
         raise UsageError(f"need at least one trial, got {opts.trials}")
     ns = _parse_n_range(opts)
@@ -309,22 +382,24 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
         for n, fit in fits
     ]
     write_csv(
-        opts.out_trials,
+        stage(opts.out_trials),
         ["protocol", "n", "t", "steps", "v", "trial", "seed", "infidelity"],
         trial_rows,
     )
     write_csv(
-        opts.out_fits,
+        stage(opts.out_fits),
         ["protocol", "n", "parity", "a", "b", "r_squared", "points"],
         fit_rows,
     )
+    if opts.plot_fit or opts.plot_slopes:
+        from . import svgplot
     if opts.plot_fit:
         figure = svgplot.Figure(
             title=f"{opts.protocol} infidelity vs gate-error strength",
             xlabel="v", ylabel="mean infidelity", logx=True, logy=True,
             series=[svgplot.Series(f"n={n}", fit.points, draw_points=True) for n, fit in fits],
         )
-        svgplot.render(figure, opts.plot_fit)
+        svgplot.render(figure, stage(opts.plot_fit))
     if opts.plot_slopes:
         if opts.protocol == "transfer":
             groups = [(label, [(n, b) for n, b in slope_points if n % 2 == parity])
@@ -335,7 +410,7 @@ def cmd_robustness(opts: SimpleNamespace) -> int:
             title=f"{opts.protocol} robustness exponent", xlabel="n", ylabel="b(n)",
             series=[svgplot.Series(label, pts, draw_points=True) for label, pts in groups],
         )
-        svgplot.render(figure, opts.plot_slopes)
+        svgplot.render(figure, stage(opts.plot_slopes))
     return 0
 
 
@@ -345,7 +420,7 @@ def run_all_checks(**options):
     return run_checks(**options)
 
 
-def cmd_oracle_check(opts: SimpleNamespace) -> int:
+def cmd_oracle_check(opts: SimpleNamespace, stage: Stage) -> int:
     try:
         steps = tuple(int(s) for s in str(opts.trotter_steps).split(","))
     except ValueError as exc:
@@ -370,11 +445,15 @@ def cmd_oracle_check(opts: SimpleNamespace) -> int:
     return 0 if all_passed else 1
 
 
-CONFIG_HELP = "JSON file of defaults (flags override)"
+DESCRIPTION = "Spin-chain echo and state-transfer experiments"
+# The flags every command takes besides its own options; `-h` is
+# `--help`, which prints the help and runs nothing.
+HELP = Option("help", bool, False, help="print this help and exit")
+CONFIG = Option("config", str, None, help="JSON file of defaults (flags override)")
 
 # Each command's summary, runner and options, in flag order.  An
-# option's flag is `--` plus its name with '-' for '_'.
-COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], list[Option]]] = {
+# option's flag is `--` plus its name with '-' for '_' (`_flag`).
+COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace, Stage], int], list[Option]]] = {
     "echo": ("Loschmidt echo fidelity curve", cmd_echo, [
         Option("n", int, 10),
         Option("j", float, 1.0),
@@ -390,7 +469,7 @@ COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], list[Option]]] 
         Option("dt", float, 1e-3,
                help="mean-field step size: checked and echoed in the dt column, "
                     "but the closed-form mean field changes no value with it"),
-        Option("mf_steps", int, None),
+        Option("mf_steps", int, None, help="mean-field steps; none means --steps"),
         Option("out", str, "echo.csv", output=True),
         Option("plot", str, None, output=True),
     ]),
@@ -398,7 +477,7 @@ COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], list[Option]]] 
         Option("n", int, 6),
         Option("t_max", float, math.pi / 2),
         Option("points", int, 50),
-        Option("steps", int, None),
+        Option("steps", int, None, help="none means the calibrated table's count for --n"),
         Option("engine", str, ENGINE_EXACT, ENGINES),
         Option("noise_v", float, 0.0),
         Option("seed", int, 0),
@@ -410,7 +489,8 @@ COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], list[Option]]] 
         Option("n", int, None),
         Option("n_range", str, None, help="inclusive range A:B"),
         Option("t", float, math.pi / 2),
-        Option("steps", int, None),
+        Option("steps", int, None,
+               help="none means 4 per leg for echo, the calibrated table for transfer"),
         Option("engine", str, "trotter-simfm", tuple(e for e in ENGINES if e != ENGINE_EXACT)),
         Option("v_min", float, 1e-3),
         Option("v_max", float, 1e-1),
@@ -433,36 +513,98 @@ COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace], int], list[Option]]] 
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="echochain",
-        description="Spin-chain echo and state-transfer experiments",
-    )
-    sub = parser.add_subparsers(dest="command")
-    for command, (summary, _, options) in COMMANDS.items():
-        flags = sub.add_parser(command, help=summary)
-        flags.add_argument("--config", help=CONFIG_HELP)
-        for option in options:
-            flag = "--" + option.name.replace("_", "-")
-            # an absent flag parses as None, so the config file or the
-            # default stands
-            if option.type is bool:
-                flags.add_argument(flag, action="store_const", const=True, help=option.help)
-            else:
-                flags.add_argument(
-                    flag, type=option.type, choices=option.choices, help=option.help
-                )
-    return parser
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _lookup(name: str, table: dict[str, Option]) -> str:
+    """The flag of `table` that `name` names: itself, or else the one
+    flag it begins."""
+    if name in table:
+        return name
+    matches = [flag for flag in table if flag.startswith(name)]
+    if len(matches) == 1:
+        return matches[0]
+    raise UsageError(f"{name}: ambiguous flag, could be {', '.join(matches)}" if matches
+                     else f"{name}: unknown flag")
+
+
+def _read_flags(argv: list[str]) -> tuple[str | None, dict[str, Any] | None]:
+    """The command `argv` names (None if it names none) and the values of
+    the flags after it by option name, each checked as `_checked` checks
+    it; None in place of the values when `argv` asks for help.
+
+    A flag is `--flag value` or `--flag=value`, a bool flag is bare, and
+    a value is the next token unless that starts with `--`.  A unique
+    prefix stands for its flag, an exact name wins over a prefix, and a
+    repeated flag's last value wins.  Any other token is a usage error.
+    """
+    command = argv[0] if argv and not argv[0].startswith("-") else None
+    if command is not None and command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}, choose from {', '.join(COMMANDS)}")
+    options = (HELP, CONFIG, *COMMANDS[command][2]) if command else (HELP,)
+    table = {"-h": HELP, **{_flag(option.name): option for option in options}}
+    tokens = argv[1:] if command else argv
+    values: dict[str, Any] = {}
+    at = 0
+    while at < len(tokens):
+        name, given, text = tokens[at].partition("=")
+        at += 1
+        if name != "-h" and not (name.startswith("--") and name != "--"):
+            raise UsageError(f"stray argument {tokens[at - 1]!r}")
+        flag = _lookup(name, table)
+        option = table[flag]
+        if option.type is bool:
+            if given:
+                raise UsageError(f"{flag}: takes no value, got {text!r}")
+            if option is HELP:
+                return command, None
+            values[option.name] = True
+            continue
+        if not given:
+            if at == len(tokens) or tokens[at].startswith("--"):
+                raise UsageError(f"{flag}: needs a value")
+            text = tokens[at]
+            at += 1
+        values[option.name] = _checked(f"{flag}:", text, option, text=True)
+    return command, values
+
+
+def _help(command: str | None) -> str:
+    """The help of `command`, or of echochain when None, from `COMMANDS`:
+    each command's summary, or each flag's type or choices, default and
+    help."""
+    if command is None:
+        width = max(map(len, COMMANDS))
+        return "\n".join([
+            f"usage: echochain {{{','.join(COMMANDS)}}} [--FLAG [VALUE]]...", "",
+            DESCRIPTION, "", "commands:",
+            *(f"  {name:{width}}  {summary}" for name, (summary, _, _) in COMMANDS.items()),
+            "", "`echochain COMMAND --help` lists a command's flags.",
+        ])
+    summary, _, options = COMMANDS[command]
+    lines = [f"usage: echochain {command} [--FLAG [VALUE]]...", "", summary, "", "flags:",
+             f"  -h, --help: {HELP.help}", f"  --config FILE: {CONFIG.help}"]
+    for option in options:
+        value = ("" if option.type is bool
+                 else " {" + ",".join(map(str, option.choices)) + "}" if option.choices
+                 else " FILE" if option.output else " " + option.type.__name__.upper())
+        line = f"  {_flag(option.name)}{value} (default {_fmt(option.default) or 'none'})"
+        lines.append(f"{line}: {option.help}" if option.help else line)
+    return "\n".join(lines)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help(file=sys.stderr)
-        return 2
     try:
-        return COMMANDS[args.command][1](_merge_options(args.command, args))
+        command, flags = _read_flags(sys.argv[1:] if argv is None else argv)
+        if flags is None:
+            print(_help(command))
+            return 0
+        if command is None:
+            print(_help(None), file=sys.stderr)
+            return 2
+        with _staged_outputs() as stage:
+            return COMMANDS[command][1](_merge_options(command, flags), stage)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

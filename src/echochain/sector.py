@@ -116,7 +116,8 @@ def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> 
     layer is applied all at once.
 
     The plan's blocks come by descending step count, so the rows still
-    stepping are a prefix of c, one stretch of steps at a time (`_stretch`).
+    stepping are a prefix of c, one stretch of steps at a time (`_stretch`),
+    one stretch per distinct step count.
     """
     rows, n = c.shape
     if plan.num_sites != n:
@@ -135,8 +136,9 @@ def evolve(c: np.ndarray, plan: TrotterPlan, noise: GateNoise | None = None) -> 
     for last in reversed(range(len(plan.blocks))):
         # blocks 0..last step on, rows [0, active), up to block last's end
         active, end = stops[last], plan.blocks[last].steps
-        _stretch(c[:active], ops, noise, plan.blocks[:last + 1], stops, end - done)
-        done = end
+        if end > done:
+            _stretch(c[:active], ops, noise, plan.blocks[:last + 1], stops, end - done)
+            done = end
     if noise is not None and not np.all(np.isfinite(c)):
         raise RuntimeError("gate errors overflow the phase angles")
     return c

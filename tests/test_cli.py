@@ -1,14 +1,19 @@
+import argparse
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 from echochain import checks, cli, echo, transfer, trotter
 from echochain.cli import main
@@ -194,8 +199,8 @@ class TestConfigFile:
         options = cli.COMMANDS[command][2]
         config = tmp_path / "defaults.json"
         config.write_text(json.dumps({o.name: o.default for o in options}))
-        args = cli.build_parser().parse_args([command, "--config", str(config)])
-        merged = vars(cli._merge_options(command, args))
+        _, flags = cli._read_flags([command, "--config", str(config)])
+        merged = vars(cli._merge_options(command, flags))
         assert [(k, type(v), v) for k, v in merged.items()] == \
             [(o.name, type(o.default), o.default) for o in options]
 
@@ -664,7 +669,9 @@ for args in (
     ["robustness", "--n", "4", "--steps", "2", "--trials", "2", "--v-points", "3"],
 ):
     assert echochain.cli.main(args) == 0, args
-assert "echochain.statevec" not in sys.modules
+# nor the modules that only help, a config file or a plot use
+for module in ("echochain.statevec", "argparse", "gettext", "json", "echochain.svgplot"):
+    assert module not in sys.modules, module
 """
     # the package this suite imports, whatever the working directory
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
@@ -673,3 +680,201 @@ assert "echochain.statevec" not in sys.modules
     assert result.returncode == 0, result.stderr.decode()
     assert {p.name for p in tmp_path.iterdir()} == {"echo.csv", "transfer.csv",
                                                     "trials.csv", "fits.csv"}
+
+
+@pytest.mark.parametrize("args", [
+    ["robustness", "--n", "5", "--steps", "2", "--trials", "10", "--v-points", "4",
+     "--out-trials", "{run}/t.csv", "--out-fits", "{run}/" + "f" * 300],
+    ["echo", "--n", "4", "--t-max", "1", "--points", "2", "--steps", "1",
+     "--out", "{run}/a.csv", "--plot", "{run}/" + "p" * 300 + ".svg"],
+], ids=["robustness-fits", "echo-plot"])
+def test_a_failed_write_leaves_no_file(tmp_path, capsys, args):
+    # the second file's name is past the file system's limit, which the
+    # check made before any work does not see: the first file, written
+    # by then, is not moved into place
+    assert main([arg.format(run=tmp_path) for arg in args]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_outputs_land_where_open_would_write(tmp_path, monkeypatch):
+    # through a symlink onto its target; a file that exists keeps its
+    # permissions, and a new one gets those open() gives
+    monkeypatch.chdir(tmp_path)
+    Path("kept.csv").write_text("old\n")
+    os.chmod("kept.csv", 0o600)
+    Path("real.svg").write_text("old\n")
+    os.symlink("real.svg", "link.svg")
+    Path("fresh.txt").write_text("")
+    args = ["echo", "--n", "4", "--t-max", "1", "--points", "2", "--steps", "1"]
+    assert main([*args, "--out", "kept.csv", "--plot", "link.svg"]) == 0
+    assert main([*args, "--out", "new.csv"]) == 0
+    assert Path("kept.csv").read_bytes() == Path("new.csv").read_bytes()
+    assert stat.S_IMODE(os.stat("kept.csv").st_mode) == 0o600
+    assert stat.S_IMODE(os.stat("new.csv").st_mode) == stat.S_IMODE(os.stat("fresh.txt").st_mode)
+    assert os.readlink("link.svg") == "real.svg"
+    assert Path("real.svg").read_text().startswith("<?xml")
+    assert sorted(os.listdir()) == ["fresh.txt", "kept.csv", "link.svg", "new.csv", "real.svg"]
+
+
+
+def test_outputs_that_are_not_plain_files_are_written_in_place(tmp_path, monkeypatch):
+    # a pipe stays a pipe and gets the CSV; a hard link stays shared; a
+    # symlink's target in a directory the command may not write is written
+    monkeypatch.chdir(tmp_path)
+    args = ["echo", "--n", "4", "--t-max", "1", "--points", "2", "--steps", "1"]
+    assert main([*args, "--out", "plain.csv", "--plot", "plain.svg"]) == 0
+    os.mkfifo("pipe.csv")
+    received = []
+    reader = threading.Thread(target=lambda: received.append(Path("pipe.csv").read_bytes()),
+                              daemon=True)
+    reader.start()
+    assert main([*args, "--out", "pipe.csv"]) == 0
+    reader.join(timeout=30)
+    assert stat.S_ISFIFO(os.lstat("pipe.csv").st_mode)
+    assert received == [Path("plain.csv").read_bytes()]
+    Path("shared.csv").write_text("old\n")
+    os.link("shared.csv", "alias.csv")
+    Path("locked").mkdir()
+    Path("locked/real.svg").write_text("old\n")
+    os.symlink("locked/real.svg", "link.svg")
+    os.chmod("locked", 0o555)
+    try:
+        assert main([*args, "--out", "alias.csv", "--plot", "link.svg"]) == 0
+    finally:
+        os.chmod("locked", 0o755)
+    assert os.stat("alias.csv").st_nlink == 2
+    assert Path("shared.csv").read_bytes() == Path("plain.csv").read_bytes()
+    assert Path("locked/real.svg").read_bytes() == Path("plain.svg").read_bytes()
+    assert os.listdir("locked") == ["real.svg"]
+
+def argparse_oracle(command: str) -> argparse.ArgumentParser:
+    """The command's flags as argparse read them, built from the table:
+    an absent flag parses as None."""
+    parser = argparse.ArgumentParser(prog=f"echochain {command}")
+    parser.add_argument("--config")
+    for option in cli.COMMANDS[command][2]:
+        if option.type is bool:
+            parser.add_argument(cli._flag(option.name), action="store_const", const=True)
+        else:
+            parser.add_argument(cli._flag(option.name), type=option.type,
+                                choices=option.choices)
+    return parser
+
+
+def flag_values(option):
+    """Texts of valid values that argparse also reads as values: no
+    text starts with '-' unless it is a negative integer."""
+    if option.choices is not None:
+        return st.sampled_from([str(choice) for choice in option.choices])
+    if option.type is int:
+        return st.integers(0 if option.name == "seed" else -10**6, 10**6).map(str)
+    if option.type is float:
+        return st.floats(min_value=0.0, allow_nan=False).map(repr)
+    return st.from_regex(r"[a-z0-9_:,]{1,6}\.csv", fullmatch=True)
+
+
+@st.composite
+def flag_lines(draw):
+    """A command and a line of its flags in any order, some repeated, some
+    as `--flag=value`, some as a unique prefix of their flag."""
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    options = cli.COMMANDS[command][2]
+    flags = ["--help", "--config", *(cli._flag(option.name) for option in options)]
+    tokens = []
+    for option in draw(st.lists(st.sampled_from(options), max_size=10)):
+        flag = cli._flag(option.name)
+        # a prefix names its flag when it is the flag, or names no other
+        # flag and begins no other
+        names = [flag[:k] for k in range(3, len(flag) + 1)
+                 if flag[:k] == flag or (flag[:k] not in flags
+                                         and sum(f.startswith(flag[:k]) for f in flags) == 1)]
+        name = draw(st.sampled_from(names))
+        if option.type is bool:
+            tokens.append(name)
+        elif draw(st.booleans()):
+            tokens.append(f"{name}={draw(flag_values(option))}")
+        else:
+            tokens += [name, draw(flag_values(option))]
+    return command, tokens
+
+
+@seed(20261020)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(line=flag_lines())
+def test_flags_read_as_argparse_read_them(monkeypatch, tmp_path, line):
+    # output paths are checked against the working directory
+    monkeypatch.chdir(tmp_path)
+    command, tokens = line
+    options = cli.COMMANDS[command][2]
+    expected = {option.name: option.default for option in options}
+    parsed = vars(argparse_oracle(command).parse_args(tokens))
+    expected.update((key, value) for key, value in parsed.items()
+                    if key in expected and value is not None)
+    read, flags = cli._read_flags([command, *tokens])
+    merged = vars(cli._merge_options(command, flags))
+    assert read == command
+    assert [(k, type(v), v) for k, v in merged.items()] == \
+        [(k, type(v), v) for k, v in expected.items()]
+
+
+@pytest.mark.parametrize("line,err", [
+    ("echo --warp-factor 9", "--warp-factor: unknown flag"),
+    ("transfer --with-meanfield", "--with-meanfield: unknown flag"),
+    ("echo --s 4",
+     "--s: ambiguous flag, could be --steps, --seed, --schedule, --sign-convention"),
+    ("echo --n", "--n: needs a value"),
+    ("echo --n --points 3", "--n: needs a value"),
+    ("echo --n x", "--n: must be int, got 'x'"),
+    ("echo --po=1.5", "--points: must be int, got '1.5'"),
+    ("echo --j 1e", "--j: must be float, got '1e'"),
+    ("echo --backward sideways",
+     "--backward: must be one of trotterized, exact-continuous, got 'sideways'"),
+    ("echo --sign-convention 0", "--sign-convention: must be one of -1, 1, got 0"),
+    ("echo --with-meanfield=yes", "--with-meanfield: takes no value, got 'yes'"),
+    ("echo --help=yes", "--help: takes no value, got 'yes'"),
+    ("warp", "unknown command 'warp', choose from echo, transfer, robustness, oracle-check"),
+    ("--n 4 echo", "--n: unknown flag"),
+    ("echo 4", "stray argument '4'"),
+    ("echo -n 4", "stray argument '-n'"),
+    ("echo --", "stray argument '--'"),
+    # the last value of a repeated flag is checked, like the first
+    ("echo --n 4 --n x", "--n: must be int, got 'x'"),
+    # argparse read '-1e3' as a flag; now the time's own check reads it
+    ("transfer --t-max -1e3", "--t-max: evolution time must be finite and >= 0, got -1000.0"),
+])
+def test_bad_line_is_one_usage_error(tmp_path, capsys, monkeypatch, line, err):
+    monkeypatch.chdir(tmp_path)
+    assert main(line.split()) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("line", ["-h", "--help", "--he", "echo -h", "echo --n 4 --help",
+                                  "echo --help --n x", "robustness --he"])
+def test_help_goes_to_stdout_and_runs_nothing(tmp_path, capsys, monkeypatch, line):
+    monkeypatch.chdir(tmp_path)
+    assert main(line.split()) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: echochain ") and err == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_is_the_table(capsys):
+    assert main(["--help"]) == 0
+    top = capsys.readouterr().out
+    assert main([]) == 2
+    assert capsys.readouterr() == ("", top)
+    for command, (summary, _, options) in cli.COMMANDS.items():
+        assert f"  {command}  " in top and summary in top
+        assert main([command, "--help"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert summary in lines and "  --config FILE: " + cli.CONFIG.help in lines
+        for option in options:
+            line, = [line for line in lines if line.split()[:1] == [cli._flag(option.name)]]
+            assert f"(default {cli._fmt(option.default) or 'none'})" in line
+            assert option.help is None or line.endswith(f": {option.help}")
+            assert option.choices is None or \
+                "{" + ",".join(map(str, option.choices)) + "}" in line

@@ -464,3 +464,24 @@ def test_batches_join_chains_up_to_the_amplitude_cap():
              TransferConfig(n=5, engine=ENGINE_TROTTER_SIMFM),
              TransferConfig(n=4, engine=ENGINE_TROTTER_DIRECT)]
     assert sorted(_batches(mixed, 8)) == [[0], [1], [2], [3]]
+
+
+@pytest.mark.parametrize("configs,stretches", [
+    # every echo chain steps 4 per leg: one stretch per leg
+    ([EchoConfig(n=n, t=math.pi / 2, n_steps=4) for n in range(5, 13)], [4, 4]),
+    # the step table gives the transfer chains 64, 32, 16 and 8 steps
+    ([TransferConfig(n=n, engine=ENGINE_TROTTER_SIMFM) for n in range(4, 12)], [8, 8, 16, 32]),
+], ids=["echo", "transfer"])
+def test_one_stretch_per_distinct_step_count(monkeypatch, configs, stretches):
+    # the benchmark's sweeps, each one batch; a block that ends on the
+    # same step as the block after it adds no stretch
+    calls = []
+    stretch = sector._stretch
+
+    def counted(c, ops, noise, blocks, stops, steps):
+        calls.append(steps)
+        return stretch(c, ops, noise, blocks, stops, steps)
+
+    monkeypatch.setattr(sector, "_stretch", counted)
+    slope_vs_n(configs, np.geomspace(1e-3, 1e-1, 8), 2, 1)
+    assert calls == stretches
