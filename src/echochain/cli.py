@@ -141,7 +141,8 @@ def _merge_options(command: str, flags: dict[str, Any]) -> SimpleNamespace:
 
 def _check_output(flag: str, path: str) -> None:
     """A usage error unless `path` names a non-directory in an existing
-    directory that the command may write to."""
+    directory that the command may write to, and one the file system
+    can look up (not a name past its limit)."""
     directory = os.path.dirname(path) or "."
     if not path or os.path.isdir(path):
         fault = "it is a directory" if path else "it names no file"
@@ -150,7 +151,13 @@ def _check_output(flag: str, path: str) -> None:
     elif not os.access(directory, os.W_OK | os.X_OK):
         fault = f"directory {directory!r} is not writable"
     else:
-        return
+        try:
+            os.lstat(path)
+            return
+        except FileNotFoundError:
+            return
+        except OSError as exc:
+            fault = exc.strerror
     raise UsageError(f"{flag}: cannot write {path!r}: {fault}")
 
 
@@ -173,8 +180,6 @@ def _staged_outputs() -> Iterator[Stage]:
     copies: list[tuple[str, str]] = []
 
     def stage(path: str) -> str:
-        # a path the file system cannot look up (a name past its limit)
-        # fails here, before any staged file is put in place
         try:
             info = os.lstat(path)
         except FileNotFoundError:
@@ -257,13 +262,9 @@ def cmd_echo(opts: SimpleNamespace, stage: Stage) -> int:
         if opts.schedule == SCHEDULE_MIRRORED:
             with _config_faults("--t-max with the mirrored-pulse schedule"):
                 dataclasses.replace(config, n_steps=mf_steps)
-        results = meanfield_echo_curve(
-            opts.n, opts.j, grid,
-            schedule=opts.schedule,
-            n_steps=mf_steps,
-            sign_convention=opts.sign_convention,
-        )
-        classical = [(t, f) for t, (f, _) in zip(grid, results)]
+        # --n and --sign-convention change no revival; they are echoed
+        revivals = meanfield_echo_curve(opts.j, grid, schedule=opts.schedule, n_steps=mf_steps)
+        classical = list(zip(grid, revivals))
     quantum = fidelity_curve(config, grid)
     header = [
         "series", "n", "j", "t", "steps", "mode", "schedule",
@@ -465,7 +466,9 @@ COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace, Stage], int], list[Opt
         Option("seed", int, 0),
         Option("with_meanfield", bool, False),
         Option("schedule", str, SCHEDULE_MIRRORED, SCHEDULES),
-        Option("sign_convention", int, -1, (-1, 1)),
+        Option("sign_convention", int, -1, (-1, 1),
+               help="mean-field drive sign: checked and echoed in the sign_convention "
+                    "column, but flipping every field's sign changes no revival"),
         Option("dt", float, 1e-3,
                help="mean-field step size: checked and echoed in the dt column, "
                     "but the closed-form mean field changes no value with it"),

@@ -318,24 +318,36 @@ def _batch_trials(
 
 
 def loglog_fit(points: Iterable[tuple[float, float]]) -> FitResult:
-    """Ordinary least squares of log(I) = a + b log(v).
+    """Ordinary least squares of log(I) = a + b log(v), in closed form:
+    b = sum (x - x_mean)(y - y_mean) / sum (x - x_mean)^2 and
+    a = y_mean - b x_mean.  Each log is `math.log` and each sum a
+    correctly rounded `math.fsum`, so the fit's bits depend on no BLAS,
+    LAPACK or SIMD kernel.
 
-    Raises ValueError on fewer than 3 points or any nonpositive v or I
-    (the caller should drop such points).
+    Raises ValueError on fewer than 3 points, any nonpositive v or I
+    (the caller should drop such points), or no spread in log v.
     """
     pts = list(points)
     if len(pts) < 3:
         raise ValueError(f"need at least 3 points, got {len(pts)}")
     if any(v <= 0 or i <= 0 for v, i in pts):
         raise ValueError("all v and infidelities must be positive")
-    log_v = np.log([v for v, _ in pts])
-    log_i = np.log([i for _, i in pts])
-    b, a = np.polyfit(log_v, log_i, 1)
-    residuals = log_i - (a + b * log_v)
-    ss_res = float(np.sum(residuals**2))
-    ss_tot = float(np.sum((log_i - log_i.mean()) ** 2))
+    log_v = [math.log(v) for v, _ in pts]
+    log_i = [math.log(i) for _, i in pts]
+    x_mean = math.fsum(log_v) / len(pts)
+    y_mean = math.fsum(log_i) / len(pts)
+    dx = [x - x_mean for x in log_v]
+    dy = [y - y_mean for y in log_i]
+    ss_x = math.fsum(d * d for d in dx)
+    if ss_x == 0.0:
+        raise ValueError("all log v are equal, so the slope is undefined")
+    b = math.fsum(p * q for p, q in zip(dx, dy)) / ss_x
+    a = y_mean - b * x_mean
+    residuals = [y - (a + b * x) for x, y in zip(log_v, log_i)]
+    ss_res = math.fsum(r * r for r in residuals)
+    ss_tot = math.fsum(d * d for d in dy)
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return FitResult(a=float(a), b=float(b), r_squared=r_squared, points=pts)
+    return FitResult(a=a, b=b, r_squared=r_squared, points=pts)
 
 
 def default_v_grid(

@@ -138,14 +138,8 @@ def test_criterion_5_conservation_suite():
 
 def test_criterion_6_meanfield_baseline():
     grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-    mirrored = [
-        result[0]
-        for result in meanfield_echo_curve(10, 1.0, grid, schedule="mirrored-pulse", n_steps=1)
-    ]
-    continuous = [
-        result[0]
-        for result in meanfield_echo_curve(10, 1.0, [1.0, 3.0], schedule="continuous")
-    ]
+    mirrored = meanfield_echo_curve(1.0, grid, schedule="mirrored-pulse", n_steps=1)
+    continuous = meanfield_echo_curve(1.0, [1.0, 3.0], schedule="continuous")
     # the closed form has no step, so the dt-halving is taken on the RK4
     # oracle at the t = 1 point
     convergence = [

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import math
 import os
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from echochain import checks, cli, echo, transfer, trotter
+from echochain import checks, cli, echo, svgplot, transfer, trotter
 from echochain.cli import main
 from echochain.chain import transfer_chain
 GOLDEN = Path(__file__).parent / "golden"
@@ -237,14 +238,33 @@ def test_bad_flag_exits_two():
     assert result.returncode == 2
 
 
-def test_runtime_failure_exits_one(tmp_path, capsys):
+def fail_write(monkeypatch, nth: int) -> list:
+    """Make the command's nth file write (a CSV or a plot) raise the
+    OSError of a full disk, after the check made before any work has
+    passed; returns the list of writes made."""
+    writes = []
+
+    def counted(write):
+        def run(*args):
+            writes.append(write)
+            if len(writes) == nth:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return write(*args)
+        return run
+
+    monkeypatch.setattr(cli, "write_csv", counted(cli.write_csv))
+    monkeypatch.setattr(svgplot, "render", counted(svgplot.render))
+    return writes
+
+
+def test_runtime_failure_exits_one(tmp_path, capsys, monkeypatch):
     # an output that passes the check made before any work but that the
-    # write refuses (a name past the file system's limit) surfaces as a
-    # runtime failure, not a crash
+    # write refuses surfaces as a runtime failure, not a crash
+    fail_write(monkeypatch, 1)
     assert main(["echo", "--n", "4", "--t-max", "1", "--points", "2",
-                 "--steps", "1", "--out", str(tmp_path / ("x" * 300))]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("runtime failure:") and err.count("\n") == 1
+                 "--steps", "1", "--out", str(tmp_path / "x.csv")]) == 1
+    assert capsys.readouterr().err == "runtime failure: [Errno 28] No space left on device\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("args,config,flag", [
@@ -256,11 +276,14 @@ def test_runtime_failure_exits_one(tmp_path, capsys):
     (["robustness", "--n", "5", "--trials", "2", "--out-trials", "{tmp}/t.csv",
       "--out-fits", "{tmp}/f.csv"], {"plot_slopes": "{tmp}/missing/s.svg"}, "--plot-slopes"),
     (["echo", "--n", "4", "--points", "2"], {"out": ""}, "--out"),
+    (["robustness", "--n", "5", "--trials", "2", "--out-trials", "{tmp}/t.csv",
+      "--out-fits", "{tmp}/" + "f" * 300], {}, "--out-fits"),
 ], ids=["missing-fits-dir", "missing-plot-dir", "directory", "config-missing-dir",
-        "config-empty-name"])
+        "config-empty-name", "name-too-long"])
 def test_unwritable_output_fails_before_any_work(tmp_path, capsys, args, config, flag):
-    # a path in a missing directory, a directory, or no name at all, from
-    # a flag or from --config: one usage error naming the flag, no file
+    # a path in a missing directory, a directory, no name at all, or a
+    # name past the file system's limit, from a flag or from --config:
+    # one usage error naming the flag, no file
     run = tmp_path / "run"
     run.mkdir()
     if config:
@@ -415,6 +438,30 @@ def test_dt_changes_no_meanfield_value(tmp_path, schedule):
         assert {row["dt"] for row in rows if row["series"] == "meanfield"} == {repr(float(dt))}
         tables.append([[value for key, value in row.items() if key != "dt"] for row in rows])
     assert tables[0] == tables[1] == tables[2]
+
+
+def test_meanfield_rows_are_the_same_for_every_n_and_sign_convention(tmp_path):
+    # the revival reads only the head pair's phase, which only bond
+    # (2,3) turns: each mean-field row has the same bytes at --n 3 and
+    # 12 and at either sign convention, but for the echoed n and
+    # sign_convention cells
+    for schedule in ("mirrored-pulse", "continuous"):
+        for mf_steps in ("1", "2"):
+            tables = []
+            for n in ("3", "12"):
+                for sign in ("-1", "1"):
+                    out = tmp_path / "x.csv"
+                    assert main(["echo", "--n", n, "--t-max", "3", "--points", "7",
+                                 "--steps", "2", "--with-meanfield", "--schedule", schedule,
+                                 "--mf-steps", mf_steps, "--sign-convention", sign,
+                                 "--out", str(out)]) == 0
+                    _, rows = read_csv(out)
+                    rows = [row for row in rows if row["series"] == "meanfield"]
+                    assert {(row["n"], row["sign_convention"]) for row in rows} == {(n, sign)}
+                    tables.append([{key: value for key, value in row.items()
+                                    if key not in ("n", "sign_convention")} for row in rows])
+            assert len(tables[0]) == 7
+            assert tables == [tables[0]] * 4
 
 
 def test_meanfield_cost_does_not_grow_with_the_pulse_count(tmp_path):
@@ -684,17 +731,17 @@ for module in ("echochain.statevec", "argparse", "gettext", "json", "echochain.s
 
 @pytest.mark.parametrize("args", [
     ["robustness", "--n", "5", "--steps", "2", "--trials", "10", "--v-points", "4",
-     "--out-trials", "{run}/t.csv", "--out-fits", "{run}/" + "f" * 300],
+     "--out-trials", "{run}/t.csv", "--out-fits", "{run}/f.csv"],
     ["echo", "--n", "4", "--t-max", "1", "--points", "2", "--steps", "1",
-     "--out", "{run}/a.csv", "--plot", "{run}/" + "p" * 300 + ".svg"],
+     "--out", "{run}/a.csv", "--plot", "{run}/p.svg"],
 ], ids=["robustness-fits", "echo-plot"])
-def test_a_failed_write_leaves_no_file(tmp_path, capsys, args):
-    # the second file's name is past the file system's limit, which the
-    # check made before any work does not see: the first file, written
-    # by then, is not moved into place
+def test_a_failed_write_leaves_no_file(tmp_path, capsys, monkeypatch, args):
+    # the second file's write fails: the first file, written by then, is
+    # not moved into place
+    writes = fail_write(monkeypatch, 2)
     assert main([arg.format(run=tmp_path) for arg in args]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("runtime failure:") and err.count("\n") == 1
+    assert len(writes) == 2
+    assert capsys.readouterr().err == "runtime failure: [Errno 28] No space left on device\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -282,6 +282,8 @@ class TestLogLogFit:
             loglog_fit([(0.1, 0.01), (0.2, 0.04), (0.3, 0.0)])  # log(0)
         with pytest.raises(ValueError):
             loglog_fit([(0.0, 0.01), (0.2, 0.04), (0.3, 0.09)])  # v = 0
+        with pytest.raises(ValueError, match="slope is undefined"):
+            loglog_fit([(0.1, 0.01), (0.1, 0.04), (0.1, 0.09)])  # one v
 
     def test_r_squared_is_the_squared_correlation(self):
         # for a least-squares line, 1 - ss_res / ss_tot is the squared
@@ -291,6 +293,28 @@ class TestLogLogFit:
         log_v, log_i = np.log(points).T
         assert fit.r_squared == pytest.approx(np.corrcoef(log_v, log_i)[0, 1] ** 2, abs=1e-12)
         assert 0.9 < fit.r_squared < 1.0 and fit.points == points
+
+    @seed(20261020)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v_min=st.floats(min_value=-6.0, max_value=-1.0),
+        span=st.floats(min_value=1.0, max_value=4.0),
+        quarters=st.lists(st.integers(min_value=-64, max_value=0), min_size=3, max_size=12,
+                          unique=True),
+    )
+    def test_matches_polyfit(self, v_min, span, quarters):
+        # the closed form against numpy's least squares, on log v spread
+        # over a decade or more and log I at least 0.25 apart
+        v = np.geomspace(10.0**v_min, 10.0 ** (v_min + span), len(quarters))
+        points = [(float(x), math.exp(0.25 * k)) for x, k in zip(v, quarters)]
+        fit = loglog_fit(points)
+        log_v, log_i = np.log(points).T
+        b, a = np.polyfit(log_v, log_i, 1)
+        residuals = log_i - (a + b * log_v)
+        r_squared = 1.0 - np.sum(residuals**2) / np.sum((log_i - log_i.mean()) ** 2)
+        assert fit.a == pytest.approx(a, abs=1e-12)
+        assert fit.b == pytest.approx(b, abs=1e-12)
+        assert fit.r_squared == pytest.approx(r_squared, abs=1e-12)
 
 
 def test_default_v_grid():
