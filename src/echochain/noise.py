@@ -353,10 +353,17 @@ def loglog_fit(points: Iterable[tuple[float, float]]) -> FitResult:
 def default_v_grid(
     v_min: float = 1e-3, v_max: float = 1e-1, points: int = 8
 ) -> np.ndarray:
-    """Log-spaced error strengths for robustness sweeps."""
+    """Log-spaced error strengths for robustness sweeps, whose logs (as
+    `loglog_fit` takes them) increase strictly, so that no sweep runs
+    toward a fit without a slope."""
     if not 0 < v_min < v_max < math.inf or points < 3:
         raise ValueError("grid must be finite, positive, increasing, with >= 3 points")
-    return np.geomspace(v_min, v_max, points)
+    grid = np.geomspace(v_min, v_max, points)
+    logs = [math.log(v) for v in grid.tolist()]
+    if not all(a < b for a, b in zip(logs, logs[1:])):
+        raise ValueError(f"v_min {v_min!r} and v_max {v_max!r} are too close for {points} "
+                         "points: the logs of the grid must increase strictly")
+    return grid
 
 
 def fidelity(config: EchoConfig | TransferConfig) -> float:

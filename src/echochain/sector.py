@@ -34,12 +34,16 @@ product is `_product`'s real products, each its own ufunc call, and a
 score is re^2 + im^2, not complex abs, so no CPU dispatch of numpy
 fuses (FMA) or rounds them its own way.
 
-Exact evolution diagonalizes the n x n sector Hamiltonian, global phase
-included.  The dense 2^n oracle this engine is tested against is one
-module, `echochain.statevec`, which only `echochain.checks` and the
-tests import.  The engineered transfer chain is the single-excitation
-perfect-transfer chain of Christandl, Datta, Ekert and Landahl, PRL 92,
-187902 (2004).
+Exact evolution, global phase included, is in closed form for the two
+chains the configs build, with no eigendecomposition: the engineered
+transfer chain, the single-excitation perfect-transfer chain of
+Christandl, Datta, Ekert and Landahl, PRL 92, 187902 (2004), whose
+sector Hamiltonian is c - 2 J_x for spin (n-1)/2, evolves the head
+singlet through binomial terms, with no BLAS call; an echo chain (site 1
+decoupled, a uniform open chain after it) through its known modes and
+one product with them each way.  The dense 2^n oracle this engine is
+tested against is one module, `echochain.statevec`, which only
+`echochain.checks` and the tests import.
 """
 from __future__ import annotations
 
@@ -48,7 +52,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chain import SIGN_AFM, ChainSpec
+from .chain import SIGN_AFM, ChainSpec, transfer_chain
 from .trotter import TimeBudgetError, TrotterPlan
 
 if TYPE_CHECKING:
@@ -180,38 +184,148 @@ def _stretch(c, ops, noise, blocks, stops, steps: int) -> None:
                     _exchange(c, layer.left, layer.right, phase[step])
 
 
-def sector_hamiltonian(spec: ChainSpec) -> np.ndarray:
-    """H restricted to one flipped spin; row m is the spin flipped at site m+1."""
+def _is_transfer_chain(spec: ChainSpec) -> bool:
+    """Whether spec is the chain `transfer_chain(spec.n)` builds."""
+    built = transfer_chain(spec.n)
+    return (spec.sign, spec.exchange_prefactor) == (built.sign, built.exchange_prefactor) and \
+        np.array_equal(spec.couplings, built.couplings) and \
+        np.array_equal(spec.fields, built.fields)
+
+
+def _transfer_offset(n: int) -> float:
+    """c of the transfer chain's H = c - 2 J_x: sum(-2 J_i) / 4 from its
+    bonds plus sum(B_i) = sum(J_i) from its fields, so sum(J_i) / 2."""
+    return 0.5 * math.fsum(math.sqrt(i * (n - i)) for i in range(1, n))
+
+
+def _levels(spec: ChainSpec) -> np.ndarray:
+    """The one-magnon spectrum of the transfer chain, c - 2m for
+    m = (n-1)/2, ..., -(n-1)/2, or of an echo chain: site 1 decoupled at
+    e0 = (n-2) g / 4, then the open chain of sites 2..n, e0 - g + g cos(pi k / N)
+    for k < N = n - 1, with g its signed bond."""
     n = spec.n
-    sign = 1.0 if spec.sign == SIGN_AFM else -1.0
-    bond = sign * spec.exchange_prefactor * spec.couplings
-    # A bond gives +c/4 with both spins up and -c/4 with the flip on it;
-    # sigma^z gives +B on up sites and -B on the flipped one.
-    diag = np.full(n, 0.25 * bond.sum() + spec.fields.sum()) - 2.0 * spec.fields
-    diag[:-1] -= 0.5 * bond
-    diag[1:] -= 0.5 * bond
-    h = np.diag(diag)
-    sites = np.arange(n - 1)
-    h[sites, sites + 1] = h[sites + 1, sites] = 0.5 * bond
-    return h
+    if _is_transfer_chain(spec):
+        return _transfer_offset(n) - 2.0 * (0.5 * (n - 1) - np.arange(n))
+    bonds = spec.couplings[1:]
+    if n < 3 or spec.couplings[0] != 0.0 or np.any(spec.fields != 0.0) or \
+            np.any(bonds != bonds[0]):
+        raise ValueError("exact evolution is known in closed form only on the transfer "
+                         "chain and on echo chains")
+    g = (1.0 if spec.sign == SIGN_AFM else -1.0) * spec.exchange_prefactor * float(bonds[0])
+    e0 = 0.25 * (n - 2) * g
+    return np.concatenate([[e0], e0 - g + g * np.cos(np.pi / (n - 1) * np.arange(n - 1))])
+
+
+def exact_phases(spec: ChainSpec, t) -> np.ndarray:
+    """t * w for each time of `t` (one per row) and each level w of the
+    chain's one-magnon spectrum; TimeBudgetError when a time is not
+    finite or a phase overflows."""
+    t = np.asarray(t, dtype=float).reshape(-1)
+    if not np.all(np.isfinite(t)):
+        raise TimeBudgetError("times must be finite")
+    levels = _levels(spec)
+    with np.errstate(over="ignore"):
+        phase = np.multiply.outer(t, levels)
+    if not np.all(np.isfinite(phase)):
+        row, level = np.argwhere(~np.isfinite(phase))[0]
+        raise TimeBudgetError(
+            f"phase t*w overflows at t={float(t[row])!r}, w={float(levels[level])!r}"
+        )
+    return phase
+
+
+def _powers(base: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """log |base|^k per row's base, shape (rows, 1), and exponent k >= 0,
+    with 0^0 = 1."""
+    logs = np.array([math.log(abs(x)) if x else -math.inf for x in base[:, 0]])
+    return np.multiply(k, logs[:, None], out=np.zeros((len(base), len(k))), where=k > 0)
+
+
+def _exp(x: np.ndarray) -> None:
+    """`math.exp` of every entry of the 2-D x, in place, a block of rows
+    (a few thousand Python floats) at a time."""
+    block = max(1, 4096 // x.shape[1])
+    for start in range(0, len(x), block):
+        rows = x[start:start + block]
+        rows[...] = np.reshape(list(map(math.exp, rows.ravel().tolist())), rows.shape)
+
+
+def _transfer_head(n: int, t: np.ndarray) -> np.ndarray:
+    """The head singlet evolved on `transfer_chain(n)` to each time of t,
+    one row per time, global phase included.
+
+    The chain's H is c - 2 J_x for spin (n-1)/2, and site a+1 is the
+    Dicke state of a flips among N = n - 1 qubits, so exp(-iHt) is
+    e^{-ict} u^{(x)N} with u = [[cos t, i sin t], [i sin t, cos t]].
+    The head singlet is (D_1 - D_0)/sqrt(2), so site a+1 holds
+
+        e^{-ict} i^(a-1) (R_a - Q_a - i P_a) / sqrt(2),
+        P_a = sqrt(C(N, a)) cos^(N-a) sin^a,
+        R_a = r_a P_(a-1),  Q_a = r_(a+1) P_(a+1),  r_k = sqrt(k (n-k) / N),
+
+    with R_0 = Q_N = 0.  Each P_a is the exp of its log, since a long
+    chain's binomials overflow a float and its powers underflow.  Every
+    log, exp, root and trig value is `math`'s and the rest is exactly
+    rounded arithmetic, so no numpy dispatch or BLAS kernel reaches the
+    bits.
+    """
+    big = n - 1
+    a = np.arange(n)
+    binomials = [1]  # C(N, a), exact
+    for k in range(1, n):
+        binomials.append(binomials[-1] * (n - k) // k)
+    cos = np.array([math.cos(x) for x in t])[:, None]
+    sin = np.array([math.sin(x) for x in t])[:, None]
+    p = _powers(cos, big - a)
+    p += _powers(sin, a)
+    p += [0.5 * math.log(b) for b in binomials]
+    _exp(p)
+    negative = (((big - a) % 2 == 1) & (cos < 0)) ^ ((a % 2 == 1) & (sin < 0))
+    np.negative(p, out=p, where=negative)
+    r = np.array([math.sqrt(k * (n - k) / big) for k in range(1, n)])
+    z = np.zeros((len(t), n), dtype=complex)
+    z.real[:, 1:] = p[:, :-1] * r
+    z.real[:, :-1] -= p[:, 1:] * r
+    np.negative(p, out=z.imag)
+    z *= np.array([1, 1j, -1, -1j])[(a - 1) % 4]  # i^(a-1), exactly
+    half = 1.0 / math.sqrt(2.0)
+    offset = _transfer_offset(n)
+    phase = np.array([complex(math.cos(offset * x) * half, -math.sin(offset * x) * half)
+                      for x in t])
+    return _product(z, phase[:, None])
+
+
+def _echo_modes(n: int) -> np.ndarray:
+    """Eigenvectors of an echo chain, one column per level of `_levels`:
+    site 1, then the open chain's modes sqrt(2/N) cos(pi k (m - 1/2) / N)
+    on its sites m = 1..N (1/sqrt(N) for k = 0), each angle reduced to
+    [0, 2 pi) in integers."""
+    big = n - 1
+    k = np.arange(big)
+    # pi k (m - 1/2) / N = 2 pi k (2m - 1) / 4N, on row m - 1 for m = 1..N
+    angle = np.outer(2 * k + 1, k) % (4 * big) * (np.pi / (2 * big))
+    modes = np.zeros((n, n))
+    modes[0, 0] = 1.0
+    modes[1:, 1:] = np.cos(angle) * np.where(k == 0, math.sqrt(1 / big), math.sqrt(2 / big))
+    return modes
 
 
 def exact_evolve(spec: ChainSpec, c: np.ndarray, t) -> np.ndarray:
-    """exp(-i H t) on every row of c, via an n x n eigendecomposition.
+    """exp(-i H t) on every row of c, global phase included, in closed
+    form: on the transfer chain for rows holding the head singlet
+    (`_transfer_head`, no n x n array), on an echo chain for any rows
+    (through its modes, `_echo_modes`).  Any other chain raises
+    ValueError.
 
     `t` is one time for all rows or one per row.  Returns a new array.
     """
     if c.ndim != 2 or c.shape[1] != spec.n:
         raise ValueError("chain and batch site counts differ")
-    t = np.asarray(t, dtype=float).reshape(-1, 1)
-    if not np.all(np.isfinite(t)):
-        raise TimeBudgetError("times must be finite")
-    w, u = np.linalg.eigh(sector_hamiltonian(spec))
-    with np.errstate(over="ignore"):
-        phase = t * w
-    if not np.all(np.isfinite(phase)):
-        row, level = np.argwhere(~np.isfinite(phase))[0]
-        raise TimeBudgetError(
-            f"phase t*w overflows at t={float(t[row, 0])!r}, w={float(w[level])!r}"
-        )
-    return _product(c @ u, np.exp(-1j * phase)) @ u.T
+    if _is_transfer_chain(spec):
+        exact_phases(spec, t)  # checks the times
+        if not np.array_equal(c, singlet_head(len(c), spec.n)):
+            raise ValueError("the transfer chain's closed form starts from the head singlet")
+        return _transfer_head(spec.n, np.broadcast_to(np.reshape(t, -1), len(c)))
+    phase = exact_phases(spec, t)
+    modes = _echo_modes(spec.n)
+    return _product(c @ modes, np.exp(-1j * phase)) @ modes.T

@@ -5,8 +5,8 @@ which `echochain.noise` runs as single runs (`fidelity`), curves and
 robustness sweeps.
 
 Engines:
-  exact              continuous evolution from an n x n eigendecomposition
-                     of the one-magnon Hamiltonian (noise-free by definition)
+  exact              continuous evolution of the head singlet in closed form
+                     (noise-free by definition)
   trotter-direct     three-term plan with literal ferromagnetic angles
   trotter-simfm      three-term plan with every exchange realized as a
                      mapped antiferromagnetic pulse
@@ -78,7 +78,7 @@ class TransferConfig:
             raise TimeBudgetError(f"evolution time must be finite and >= 0, got {self.t}")
         ((split, spec, mode),) = self.legs()
         if mode is None:
-            sector.exact_evolve(spec, sector.singlet_head(1, self.n), self.t)
+            sector.exact_phases(spec, self.t)
         else:
             check_plan(split, spec, self.t, self.steps, mode)
 

@@ -221,8 +221,8 @@ def test_criterion_9_byte_deterministic_csv(tmp_path):
     runs = [
         (["robustness", "--protocol", "echo", "--n", "6", "--steps", "2",
           "--trials", "16", "--seed", "13", "--v-points", "4"], ["--out-trials", "--out-fits"]),
-        # the exact curve's eigh and its c @ u products run in BLAS
-        (["transfer", "--engine", "exact", "--n", "200", "--points", "50"], ["--out"]),
+        # the exact-continuous backward leg's c @ modes products run in BLAS
+        (["echo", "--backward", "exact-continuous", "--n", "200"], ["--out"]),
     ]
     ok = True
     for k, (args, outs) in enumerate(runs):

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -324,8 +325,8 @@ def test_sweep_that_cannot_fit_names_its_chain(tmp_path, capsys, monkeypatch):
 
 
 def test_exact_transfer_curve_builds_its_config_once(tmp_path, monkeypatch):
-    # one eigendecomposition checks t when the config is built, and one
-    # runs the curve
+    # the config checks t against the closed-form spectrum, and the curve
+    # runs the closed form: no eigendecomposition either time
     eigh = np.linalg.eigh
     calls = []
 
@@ -336,7 +337,20 @@ def test_exact_transfer_curve_builds_its_config_once(tmp_path, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     assert main(["transfer", "--engine", "exact", "--n", "1000", "--points", "50",
                  "--out", str(tmp_path / "x.csv")]) == 0
-    assert calls == [(1000, 1000)] * 2
+    assert calls == []
+
+
+def test_exact_transfer_curve_holds_no_n_by_n_array(tmp_path):
+    # one 2000 x 2000 float matrix is 32 MB; the closed form holds a few
+    # (points, n) arrays and a few thousand Python floats at a time
+    tracemalloc.start()
+    try:
+        assert main(["transfer", "--engine", "exact", "--n", "2000", "--points", "50",
+                     "--out", str(tmp_path / "x.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20, peak / 2**20
 
 
 @pytest.mark.parametrize("t_max", ["7", str(4 * math.pi), "-1"])
@@ -514,6 +528,17 @@ def test_sweep_csvs_are_byte_identical_to_golden(tmp_path, args, prefix):
 
 
 @pytest.mark.golden
+def test_exact_transfer_curve_is_byte_identical_to_golden(tmp_path):
+    # the benchmark's exact curve: the closed form reads math's log, exp
+    # and trig and exactly rounded arithmetic only, so its bytes hold at
+    # every numpy dispatch and OpenBLAS kernel (tests/test_pinned.py)
+    out = tmp_path / "transfer.csv"
+    assert main(["transfer", "--engine", "exact", "--n", "11", "--points", "50",
+                 "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "transfer_exact.csv").read_bytes()
+
+
+@pytest.mark.golden
 def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
     out = tmp_path / "transfer.csv"
     assert main(["transfer", "--engine", "trotter-simfm", "--n", "5",
@@ -572,6 +597,9 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
     (["echo", "--n", "4", "--points", "3", "--t-max", "1", "--steps", "2", "--j", "3e-308"],
      "echo_fidelity_curve"),
     (["echo", "--n", "4", "--j", "3e-308", "--with-meanfield"], "echo_fidelity_curve"),
+    # error strengths whose logs coincide leave the fit no slope
+    (["robustness", "--n", "5", "--trials", "2", "--steps", "2", "--v-min", "0.001",
+      "--v-max", "0.0010000000000000002", "--v-points", "3"], "slope_vs_n"),
 ])
 def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
                                                       args, work):
@@ -608,8 +636,11 @@ def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypa
      "--t-max with the mirrored-pulse schedule: time 7.0 is past the wrap budget "
      "6.283185307179586 of 1 steps " + WRAP_RULE),
     ("echo --n 5 --t-max -1", "--t-max: invalid evolution time -1.0"),
+    ("robustness --n 5 --trials 2 --steps 2 --v-min 0.001 --v-max 0.0010000000000000002 "
+     "--v-points 3", "v_min 0.001 and v_max 0.0010000000000000002 are too close for 3 points: "
+     "the logs of the grid must increase strictly"),
     ("transfer --engine exact --n 6 --t-max 1e308 --points 3",
-     "--t-max: phase t*w overflows at t=1e+308, w=3.5644951022459783"),
+     "--t-max: phase t*w overflows at t=1e+308, w=3.5644951022459797"),
 ])
 def test_usage_error_names_the_fault(tmp_path, capsys, monkeypatch, line, err):
     monkeypatch.chdir(tmp_path)

@@ -326,6 +326,12 @@ def test_default_v_grid():
                          (math.inf, math.inf)):
         with pytest.raises(ValueError):
             default_v_grid(v_min=v_min, v_max=v_max)
+    # v_min < v_max, but one ulp apart: their logs coincide, so no fit
+    # would have a slope
+    with pytest.raises(ValueError, match="increase strictly"):
+        default_v_grid(v_min=1e-3, v_max=math.nextafter(1e-3, 1.0), points=3)
+    # subnormal strengths are far apart in log
+    assert len(default_v_grid(1e-320, 1e-310)) == 8
 
 
 def test_slope_vs_n_small_echo_sweep():

@@ -1,5 +1,6 @@
 """The batched one-magnon engine against the dense 2^n oracle, its
-array kernel against the per-step kernel it replaced, and sweeps whose
+array kernel against the per-step kernel it replaced, its closed-form
+exact evolution against an n x n eigendecomposition, and sweeps whose
 chain lengths share a batch against a per-chain runner."""
 import hashlib
 import itertools
@@ -11,12 +12,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from echochain import checks, sector
 from echochain import noise as noise_module
-from echochain.chain import ChainSpec, transfer_chain, uniform_echo_chain
+from echochain.chain import SIGN_AFM, ChainSpec, transfer_chain, uniform_echo_chain
 from echochain.checks import (
     check_conservation,
     check_sector_vs_dense,
@@ -50,6 +51,32 @@ from echochain.trotter import (
 )
 
 TOL = 1e-12
+
+
+def sector_hamiltonian(spec: ChainSpec) -> np.ndarray:
+    """H restricted to one flipped spin; row m is the spin flipped at site m+1."""
+    n = spec.n
+    sign = 1.0 if spec.sign == SIGN_AFM else -1.0
+    bond = sign * spec.exchange_prefactor * spec.couplings
+    # A bond gives +c/4 with both spins up and -c/4 with the flip on it;
+    # sigma^z gives +B on up sites and -B on the flipped one.
+    diag = np.full(n, 0.25 * bond.sum() + spec.fields.sum()) - 2.0 * spec.fields
+    diag[:-1] -= 0.5 * bond
+    diag[1:] -= 0.5 * bond
+    h = np.diag(diag)
+    sites = np.arange(n - 1)
+    h[sites, sites + 1] = h[sites + 1, sites] = 0.5 * bond
+    return h
+
+
+def eigh_evolve(spec: ChainSpec, c: np.ndarray, t) -> np.ndarray:
+    """exp(-i H t) on every row of c from an n x n eigendecomposition of
+    the sector Hamiltonian, global phase included: the exact engine
+    before its closed forms, kept as their oracle.  `t` is one time for
+    all rows or one per row."""
+    t = np.asarray(t, dtype=float).reshape(-1, 1)
+    w, u = np.linalg.eigh(sector_hamiltonian(spec))
+    return unfused_product(c @ u, np.exp(-1j * t * w)) @ u.T
 
 
 def one_chain(split, spec, times, n_steps, mode=MODE_DIRECT):
@@ -187,9 +214,8 @@ def test_array_kernel_equals_per_step_kernel_bit_for_bit(
 def test_engine_bits_are_pinned():
     """sha256 of seeded random batches through every kernel: slice and
     index-array exchange layers, field layers, both modes, noise off, on
-    exchanges and on fields too, exact evolution and singlet scores.
-    The exact rows run a chain without bonds, whose eigenvectors are
-    exact, so no BLAS kernel adds digits of its own CPU."""
+    exchanges and on fields too, the transfer chain's closed-form exact
+    evolution and singlet scores."""
     rng = np.random.default_rng(20261020)
 
     def batch(rows, n):
@@ -216,20 +242,76 @@ def test_engine_bits_are_pinned():
         noise = None if noise_kind == "off" else GateNoise(
             [(7, k) for k in range(4)], [0.1, 0.02, 0.0, 0.05], noise_kind == "fields")
         add(sector.evolve(batch(4, spec.n), plan, noise))
-    free = ChainSpec(n=6, couplings=np.zeros(5), fields=rng.uniform(-1.0, 1.0, 6))
-    _, u = np.linalg.eigh(sector.sector_hamiltonian(free))
-    assert set(np.abs(u).ravel()) == {0.0, 1.0}
-    add(sector.exact_evolve(free, batch(5, 6), rng.uniform(-3.0, 3.0, 5)))
-    assert digest.hexdigest()[:16] == "95359ca0eab74f89"
+    add(sector.exact_evolve(transfer_chain(9), sector.singlet_head(5, 9),
+                            rng.uniform(-3.0, 3.0, 5)))
+    assert digest.hexdigest()[:16] == "11d3550819bb2d55"
+
+
+@st.composite
+def closed_form_chains(draw, max_n):
+    """The transfer chain, or an echo chain of either sign and any
+    prefactor, at up to max_n sites."""
+    if draw(st.booleans()):
+        return transfer_chain(draw(st.integers(min_value=2, max_value=max_n)))
+    spec = uniform_echo_chain(draw(st.integers(min_value=3, max_value=max_n)),
+                              draw(st.floats(min_value=0.1, max_value=2.0)))
+    return replace(spec, sign=draw(st.sampled_from(["fm", "afm"])),
+                   exchange_prefactor=draw(st.floats(min_value=0.5, max_value=2.0)))
 
 
 @settings(max_examples=30, deadline=None)
-@given(spec=chains(), t=st.floats(min_value=-3.0, max_value=3.0))
+@given(spec=closed_form_chains(10), t=st.floats(min_value=-3.0, max_value=3.0))
 def test_exact_evolution_matches_dense_oracle(spec, t):
     dense = exact_evolve(spec, prepare_singlet_head(spec.n), t).amplitudes
     c = sector.exact_evolve(spec, sector.singlet_head(1, spec.n), t)
-    # the sector Hamiltonian keeps its constant, so the global phase agrees too
+    # the closed forms keep the Hamiltonian's constant, so the global phase agrees too
     assert np.max(np.abs(dense - embed(c[0]))) <= TOL
+
+
+@seed(20261020)
+@settings(max_examples=60, deadline=None)
+@given(spec=closed_form_chains(64),
+       times=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=1, max_size=4),
+       state_seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_closed_forms_match_the_eigh_oracle(spec, times, state_seed):
+    # the transfer chain's closed form starts from the head singlet, an
+    # echo chain's (first bond off) takes any rows; past 64 sites the
+    # oracle's own rounding drifts past the bound (9e-12 at n = 400)
+    if spec.couplings[0] > 0:
+        c = sector.singlet_head(len(times), spec.n)
+    else:
+        rng = np.random.default_rng(state_seed)
+        c = rng.normal(size=(len(times), spec.n)) + 1j * rng.normal(size=(len(times), spec.n))
+        c /= np.linalg.norm(c, axis=1, keepdims=True)
+    fast = sector.exact_evolve(spec, c, times)
+    assert np.max(np.abs(fast - eigh_evolve(spec, c, times))) <= TOL
+
+
+def test_exact_evolution_has_closed_forms_only():
+    # a chain with bonds that is neither the transfer chain nor an echo chain
+    for spec in (ChainSpec(n=4, couplings=[1.0, 1.0, 1.0], fields=np.zeros(4)),
+                 replace(uniform_echo_chain(5, 1.0), fields=[0.0, 0.0, 0.1, 0.0, 0.0]),
+                 replace(transfer_chain(5), exchange_prefactor=1.0)):
+        with pytest.raises(ValueError, match="closed form"):
+            sector.exact_evolve(spec, sector.singlet_head(1, spec.n), 1.0)
+        with pytest.raises(ValueError, match="closed form"):
+            sector.exact_phases(spec, 1.0)
+    # the transfer chain's closed form evolves the head singlet only
+    moved = sector.singlet_head(2, 5)[:, ::-1].copy()
+    with pytest.raises(ValueError, match="head singlet"):
+        sector.exact_evolve(transfer_chain(5), moved, 1.0)
+
+
+@pytest.mark.parametrize("chain,n", [("transfer", n) for n in (2, 3, 6, 11, 40)] +
+                         [("echo", n) for n in (3, 6, 40)])
+def test_exact_phases_are_the_spectrum(chain, n):
+    # the transfer chain's levels c - 2m ascend, as the oracle's eigenvalues do
+    spec = transfer_chain(n) if chain == "transfer" else uniform_echo_chain(n, 0.7)
+    levels = sector.exact_phases(spec, 1.0)[0]
+    if chain == "echo":
+        levels = np.sort(levels)
+    oracle = np.linalg.eigvalsh(sector_hamiltonian(spec))
+    assert np.max(np.abs(levels - oracle)) <= TOL * max(1.0, float(np.max(np.abs(oracle))))
 
 
 def test_overflowing_phase_is_one_error_without_warnings():
