@@ -182,19 +182,13 @@ def check_transfer_peak(max_n: int = 8) -> CheckResult:
     )
 
 
-def run_all_checks(
-    max_n: int = 8,
-    trotter_steps: tuple[int, ...] = (8, 16, 32),
-    samples: int = 1000,
-    seed: int = 0,
-) -> list[CheckResult]:
-    scaling_n = min(6, max_n)
+def run_all_checks() -> list[CheckResult]:
     return [
         check_exchange_closed_form(),
-        check_two_spin_equivalence(samples=samples, seed=seed),
-        check_trotter_scaling(n=scaling_n, steps=trotter_steps),
-        check_conservation(n=min(8, max_n)),
-        check_echo_revival(n=min(8, max_n)),
-        check_transfer_peak(max_n=max_n),
-        check_sector_vs_dense(max_n=max_n, seed=seed),
+        check_two_spin_equivalence(),
+        check_trotter_scaling(),
+        check_conservation(),
+        check_echo_revival(),
+        check_transfer_peak(),
+        check_sector_vs_dense(),
     ]

@@ -10,9 +10,9 @@ never feed back into it.
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Each config
 is built once; its fault is a usage error, and a `TimeBudgetError`
 names the time's flag.  Every output path given is checked before any
-work, and a command's files are staged and put in place only once all
-are written (`_staged_outputs`), so a command that cannot write one of
-its files writes none.
+work, no two naming one file, and a command's files are staged and put
+in place only once all are written (`_staged_outputs`), so a command
+that cannot write one of its files writes none.
 
 `COMMANDS` is the one declaration of the commands and their options:
 the flags `main` reads, the help, the defaults, the one check of a
@@ -109,7 +109,7 @@ def _checked(where: str, value, option: Option, text: bool = False):
 def _merge_options(command: str, flags: dict[str, Any]) -> SimpleNamespace:
     """The table's defaults, overridden by the config file's values and
     then by the flags given (`_read_flags`), with every output path
-    given checked."""
+    given checked, and no two naming one file."""
     options = {option.name: option for option in COMMANDS[command][2]}
     merged = {name: option.default for name, option in options.items()}
     config_path = flags.get("config")
@@ -133,9 +133,12 @@ def _merge_options(command: str, flags: dict[str, Any]) -> SimpleNamespace:
     # stream reads is still written to the CSV
     if merged.get("seed", 0) < 0:
         raise UsageError(f"--seed: need a non-negative integer, got {merged['seed']}")
-    for option in options.values():
-        if option.output and merged[option.name] is not None:
-            _check_output(_flag(option.name), merged[option.name])
+    outputs = [(_flag(option.name), merged[option.name]) for option in options.values()
+               if option.output and merged[option.name] is not None]
+    for flag, path in outputs:
+        _check_output(flag, path)
+    if len(outputs) > 1:
+        _check_distinct(outputs)
     return SimpleNamespace(**merged)
 
 
@@ -159,6 +162,28 @@ def _check_output(flag: str, path: str) -> None:
         except OSError as exc:
             fault = exc.strerror
     raise UsageError(f"{flag}: cannot write {path!r}: {fault}")
+
+
+def _check_distinct(outputs: list[tuple[str, str]]) -> None:
+    """A usage error if two of the (flag, path) outputs name one file,
+    whose second write would replace the first: the same regular file,
+    through a symlink or a hard link as well, or the same file yet to be
+    made, once symlinks are resolved.  A device or a pipe may be named
+    twice: each write reaches it in place."""
+    seen: dict[object, tuple[str, str]] = {}
+    for flag, path in outputs:
+        try:
+            info = os.stat(path)
+        except OSError:
+            key: object = os.path.realpath(path)
+        else:
+            if not stat.S_ISREG(info.st_mode):
+                continue
+            key = (info.st_dev, info.st_ino)
+        if key in seen:
+            first, first_path = seen[key]
+            raise UsageError(f"{first} {first_path!r} and {flag} {path!r} name one file")
+        seen[key] = flag, path
 
 
 Stage = Callable[[str], str]
@@ -346,6 +371,8 @@ def _parse_n_range(opts: SimpleNamespace) -> list[int]:
 def cmd_robustness(opts: SimpleNamespace, stage: Stage) -> int:
     if opts.trials < 1:
         raise UsageError(f"need at least one trial, got {opts.trials}")
+    if opts.field_noise and opts.protocol == "echo":
+        raise UsageError("--field-noise: an echo chain has no field phases to perturb")
     ns = _parse_n_range(opts)
     # every swept n's config is checked before any trial runs; n ascends,
     # so an n below the protocol's minimum is the first fault reported
@@ -415,29 +442,14 @@ def cmd_robustness(opts: SimpleNamespace, stage: Stage) -> int:
     return 0
 
 
-def run_all_checks(**options):
+def run_all_checks():
     """The oracle-check suite, imported on use: it loads the dense oracle."""
     from .checks import run_all_checks as run_checks
-    return run_checks(**options)
+    return run_checks()
 
 
 def cmd_oracle_check(opts: SimpleNamespace, stage: Stage) -> int:
-    try:
-        steps = tuple(int(s) for s in str(opts.trotter_steps).split(","))
-    except ValueError as exc:
-        raise UsageError(f"bad --trotter-steps '{opts.trotter_steps}'") from exc
-    if opts.max_n < 3:
-        raise UsageError("--max-n must be at least 3")
-    if min(steps) < 1:
-        raise UsageError(f"--trotter-steps must all be at least 1, got {opts.trotter_steps}")
-    if opts.samples < 1:
-        raise UsageError(f"--samples must be at least 1, got {opts.samples}")
-    results = run_all_checks(
-        max_n=opts.max_n,
-        trotter_steps=steps,
-        samples=opts.samples,
-        seed=opts.seed,
-    )
+    results = run_all_checks()
     for result in results:
         status = "true" if result.passed else "false"
         print(f"check={result.name} pass={status} {result.detail}")
@@ -501,18 +513,14 @@ COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace, Stage], int], list[Opt
         Option("trials", int, 100),
         Option("seed", int, 42),
         Option("field_noise", bool, False,
-               help="also perturb field phases (default: exchange only)"),
+               help="also perturb the transfer chain's field phases "
+                    "(default: exchange only; an echo chain has none)"),
         Option("out_trials", str, "trials.csv", output=True),
         Option("out_fits", str, "fits.csv", output=True),
         Option("plot_fit", str, None, output=True),
         Option("plot_slopes", str, None, output=True),
     ]),
-    "oracle-check": ("run the invariant suite", cmd_oracle_check, [
-        Option("max_n", int, 8),
-        Option("trotter_steps", str, "8,16,32"),
-        Option("samples", int, 1000),
-        Option("seed", int, 0),
-    ]),
+    "oracle-check": ("run the invariant suite", cmd_oracle_check, []),
 }
 
 

@@ -209,8 +209,7 @@ class TestConfigFile:
 
 class TestOracleCheck:
     def test_passes_on_healthy_build(self, capsys):
-        code = main(["oracle-check", "--max-n", "5", "--samples", "100",
-                     "--trotter-steps", "8,16"])
+        code = main(["oracle-check"])
         out = capsys.readouterr().out
         assert code == 0
         assert "overall=pass" in out
@@ -219,8 +218,7 @@ class TestOracleCheck:
     def test_injected_bug_is_caught(self, capsys, monkeypatch):
         gate = checks.exchange_unitary
         monkeypatch.setattr(checks, "exchange_unitary", lambda theta: gate(-theta))
-        code = main(["oracle-check", "--max-n", "5", "--samples", "50",
-                     "--trotter-steps", "8,16"])
+        code = main(["oracle-check"])
         out = capsys.readouterr().out
         assert code == 1
         assert "check=exchange-closed-form pass=false" in out
@@ -566,10 +564,11 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
     (["robustness", "--n", "5", "--steps", "1", "--t", "7"], "slope_vs_n"),
     (["robustness", "--n", "5", "--v-min", "nan"], "slope_vs_n"),
     (["robustness", "--n", "5", "--v-max", "inf"], "slope_vs_n"),
-    (["oracle-check", "--trotter-steps", "0"], "run_all_checks"),
-    (["oracle-check", "--trotter-steps", "8,0"], "run_all_checks"),
-    (["oracle-check", "--samples", "0"], "run_all_checks"),
-    (["oracle-check", "--samples", "-1"], "run_all_checks"),
+    # oracle-check runs one fixed suite and takes no option
+    (["oracle-check", "--trotter-steps", "8,16"], "run_all_checks"),
+    (["oracle-check", "--samples", "100"], "run_all_checks"),
+    (["oracle-check", "--seed", "0"], "run_all_checks"),
+    (["oracle-check", "--config", str(CONFIGS / "seed_negative.json")], "run_all_checks"),
     # config values of the wrong type, checked like the flags they set
     (["echo", "--config", str(CONFIGS / "steps_string.json")], "echo_fidelity_curve"),
     (["echo", "--config", str(CONFIGS / "n_null.json")], "echo_fidelity_curve"),
@@ -591,8 +590,7 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
     (["transfer", "--engine", "exact", "--n", "6", "--t-max", "1e308", "--points", "3"],
      "transfer_fidelity_curve"),
     (["robustness", "--n", "5", "--t", "1e308", "--trials", "1"], "slope_vs_n"),
-    # the echo checks need at least 3 sites
-    (["oracle-check", "--max-n", "2"], "run_all_checks"),
+    (["oracle-check", "--max-n", "5"], "run_all_checks"),
     # a coupling whose wrap period 2*pi / j overflows
     (["echo", "--n", "4", "--points", "3", "--t-max", "1", "--steps", "2", "--j", "3e-308"],
      "echo_fidelity_curve"),
@@ -600,6 +598,14 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
     # error strengths whose logs coincide leave the fit no slope
     (["robustness", "--n", "5", "--trials", "2", "--steps", "2", "--v-min", "0.001",
       "--v-max", "0.0010000000000000002", "--v-points", "3"], "slope_vs_n"),
+    # a second output naming the first's file would replace it
+    (["robustness", "--n", "5", "--out-trials", "a.csv", "--out-fits", "a.csv"], "slope_vs_n"),
+    (["robustness", "--n", "5", "--out-trials", "a.csv", "--out-fits", "./a.csv"],
+     "slope_vs_n"),
+    (["echo", "--out", "a.csv", "--plot", "a.csv"], "echo_fidelity_curve"),
+    # an echo chain has no field phases, so field noise would change nothing
+    (["robustness", "--n", "5", "--field-noise"], "slope_vs_n"),
+    (["robustness", "--n", "5", "--config", str(CONFIGS / "field_noise.json")], "slope_vs_n"),
 ])
 def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
                                                       args, work):
@@ -641,6 +647,10 @@ def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypa
      "the logs of the grid must increase strictly"),
     ("transfer --engine exact --n 6 --t-max 1e308 --points 3",
      "--t-max: phase t*w overflows at t=1e+308, w=3.5644951022459797"),
+    ("robustness --n 5 --out-trials a.csv --out-fits ./a.csv",
+     "--out-trials 'a.csv' and --out-fits './a.csv' name one file"),
+    ("robustness --n 5 --field-noise",
+     "--field-noise: an echo chain has no field phases to perturb"),
 ])
 def test_usage_error_names_the_fault(tmp_path, capsys, monkeypatch, line, err):
     monkeypatch.chdir(tmp_path)
@@ -674,7 +684,6 @@ def test_each_config_is_built_once(tmp_path, monkeypatch, line, code, builds):
     (["echo", "--n", "5", "--points", "3", "--noise-v", "0.1"], "fidelity_curve"),
     (["transfer", "--points", "3"], "fidelity_curve"),
     (["robustness", "--n", "5", "--trials", "2"], "slope_vs_n"),
-    (["oracle-check"], "run_all_checks"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_negative_seed_is_usage_error_naming_seed(tmp_path, capsys, monkeypatch, args, work,
@@ -827,6 +836,51 @@ def test_outputs_that_are_not_plain_files_are_written_in_place(tmp_path, monkeyp
     assert Path("locked/real.svg").read_bytes() == Path("plain.svg").read_bytes()
     assert os.listdir("locked") == ["real.svg"]
 
+
+@pytest.mark.parametrize("make", ["symlink", "hard-link", "link-to-new"])
+def test_outputs_that_name_one_file_are_a_usage_error(tmp_path, capsys, monkeypatch, make):
+    # one file through a symlink or a hard link, or one file yet to be made
+    monkeypatch.chdir(tmp_path)
+    if make == "link-to-new":
+        os.symlink("a.csv", "b.csv")
+    else:
+        Path("a.csv").write_text("old\n")
+        (os.symlink if make == "symlink" else os.link)("a.csv", "b.csv")
+    before = sorted(os.listdir())
+    assert main(["robustness", "--n", "5", "--trials", "2", "--steps", "2",
+                 "--out-trials", "a.csv", "--out-fits", "b.csv"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --out-trials 'a.csv' and --out-fits 'b.csv' name one file\n")
+    assert sorted(os.listdir()) == before
+    assert make == "link-to-new" or Path("a.csv").read_text() == "old\n"
+
+
+def test_a_device_may_take_several_outputs(tmp_path, monkeypatch):
+    # a device is written in place, so each output reaches it
+    monkeypatch.chdir(tmp_path)
+    assert main(["robustness", "--n", "5", "--trials", "2", "--steps", "2",
+                 "--out-trials", os.devnull, "--out-fits", os.devnull,
+                 "--plot-slopes", os.devnull]) == 0
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_field_noise_perturbs_the_transfer_trials(tmp_path):
+    args = ["robustness", "--protocol", "transfer", "--n", "5", "--trials", "3", "--seed", "3",
+            "--out-fits", str(tmp_path / "fits.csv")]
+    assert main([*args, "--out-trials", str(tmp_path / "plain.csv")]) == 0
+    assert main([*args, "--out-trials", str(tmp_path / "fields.csv"), "--field-noise"]) == 0
+    _, plain = read_csv(tmp_path / "plain.csv")
+    _, fields = read_csv(tmp_path / "fields.csv")
+    assert all(a["infidelity"] != b["infidelity"] for a, b in zip(plain, fields, strict=True))
+
+
+def test_oracle_check_takes_no_option(capsys):
+    assert main(["oracle-check", "--help"]) == 0
+    flags = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  -")]
+    assert flags == ["  -h, --help", "  --config FILE"]
+
+
 def argparse_oracle(command: str) -> argparse.ArgumentParser:
     """The command's flags as argparse read them, built from the table:
     an absent flag parses as None."""
@@ -850,14 +904,18 @@ def flag_values(option):
         return st.integers(0 if option.name == "seed" else -10**6, 10**6).map(str)
     if option.type is float:
         return st.floats(min_value=0.0, allow_nan=False).map(repr)
-    return st.from_regex(r"[a-z0-9_:,]{1,6}\.csv", fullmatch=True)
+    # each output its own file: two that name one are a usage error
+    return st.from_regex(r"[a-z0-9_:,]{1,6}\.csv", fullmatch=True).map(
+        lambda name: f"{option.name}-{name}" if option.output else name)
 
 
 @st.composite
 def flag_lines(draw):
     """A command and a line of its flags in any order, some repeated, some
     as `--flag=value`, some as a unique prefix of their flag."""
-    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    # oracle-check has no option to draw
+    command = draw(st.sampled_from(sorted(name for name, (_, _, options) in cli.COMMANDS.items()
+                                          if options)))
     options = cli.COMMANDS[command][2]
     flags = ["--help", "--config", *(cli._flag(option.name) for option in options)]
     tokens = []
