@@ -9,10 +9,12 @@ never feed back into it.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.  Each config
 is built once; its fault is a usage error, and a `TimeBudgetError`
-names the time's flag.  Every output path given is checked before any
-work, no two naming one file, and a command's files are staged and put
-in place only once all are written (`_staged_outputs`), so a command
-that cannot write one of its files writes none.
+names the time's flag.  An option given, by flag or config key, that
+the command as given would not read is a usage error too.  Every
+output path given is checked before any work, no two naming one file,
+and a command's files are staged and put in place only once all are
+written (`_staged_outputs`), so a command that cannot write one of its
+files writes none.
 
 `COMMANDS` is the one declaration of the commands and their options:
 the flags `main` reads, the help, the defaults, the one check of a
@@ -106,12 +108,15 @@ def _checked(where: str, value, option: Option, text: bool = False):
     return value
 
 
-def _merge_options(command: str, flags: dict[str, Any]) -> SimpleNamespace:
+def _merge_options(command: str,
+                   flags: dict[str, Any]) -> tuple[SimpleNamespace, dict[str, str]]:
     """The table's defaults, overridden by the config file's values and
     then by the flags given (`_read_flags`), with every output path
-    given checked, and no two naming one file."""
+    given checked, and no two naming one file; and, by option name, the
+    flag or config key that gave each option given."""
     options = {option.name: option for option in COMMANDS[command][2]}
     merged = {name: option.default for name, option in options.items()}
+    given: dict[str, str] = {}
     config_path = flags.get("config")
     if config_path:
         import json  # only a config file is JSON
@@ -127,8 +132,10 @@ def _merge_options(command: str, flags: dict[str, Any]) -> SimpleNamespace:
         if unknown:
             raise UsageError(f"unknown config keys: {', '.join(unknown)}")
         for key, value in doc.items():
-            merged[key] = _checked(f"config key '{key}'", value, options[key])
+            given[key] = f"config key '{key}'"
+            merged[key] = _checked(given[key], value, options[key])
     merged.update((key, value) for key, value in flags.items() if key in merged)
+    given.update((key, _flag(key)) for key in flags if key in merged)
     # numpy's SeedSequence takes no negative entry, and a seed that no
     # stream reads is still written to the CSV
     if merged.get("seed", 0) < 0:
@@ -139,7 +146,7 @@ def _merge_options(command: str, flags: dict[str, Any]) -> SimpleNamespace:
         _check_output(flag, path)
     if len(outputs) > 1:
         _check_distinct(outputs)
-    return SimpleNamespace(**merged)
+    return SimpleNamespace(**merged), given
 
 
 def _check_output(flag: str, path: str) -> None:
@@ -259,22 +266,46 @@ def _config_faults(time_flag: str) -> Iterator[None]:
         raise UsageError(str(exc)) from exc
 
 
-def cmd_echo(opts: SimpleNamespace, stage: Stage) -> int:
+def _curve(opts: SimpleNamespace, protocol: type, **fields) -> tuple[Any, list[float]]:
+    """The `protocol` config of a curve command, built at `--t-max`
+    with no noise model at `--noise-v` 0, and its `--points` times from
+    0 to `--t-max`."""
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
     with _config_faults("--t-max"):
         noise = NoiseModel(v=opts.noise_v)
-        config = EchoConfig(
-            n=opts.n,
-            t=opts.t_max,
-            n_steps=opts.steps,
-            j=opts.j,
-            backward_mode=opts.backward,
-            noise=noise if noise.v > 0 else None,
-            seed=opts.seed,
-        )
+        config = protocol(n=opts.n, t=opts.t_max, n_steps=opts.steps,
+                          noise=noise if noise.v > 0 else None, seed=opts.seed, **fields)
+    return config, [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
+
+
+def _unread(given: dict[str, str], names: tuple[str, ...], reason: str) -> None:
+    """A usage error naming the first of the options `names` that was
+    given (`_merge_options`): the command, as given, reads none of
+    them."""
+    for name in names:
+        if name in given:
+            raise UsageError(f"{given[name]}: {reason}")
+
+
+def _plot(stage: Stage, path: str | None, title: str, xlabel: str, ylabel: str,
+          series: list[tuple], logx: bool = False, logy: bool = False) -> None:
+    """Render the figure of `series`, each the arguments of one
+    `svgplot.Series`, to `path` when a path is given."""
+    if path:
+        from . import svgplot  # only a plot needs it
+
+        figure = svgplot.Figure(title, xlabel, ylabel, [svgplot.Series(*s) for s in series],
+                                logx, logy)
+        svgplot.render(figure, stage(path))
+
+
+def cmd_echo(opts: SimpleNamespace, given: dict[str, str], stage: Stage) -> int:
+    if not opts.with_meanfield:
+        _unread(given, ("schedule", "sign_convention", "dt", "mf_steps"),
+                "read only with --with-meanfield")
+    config, grid = _curve(opts, EchoConfig, j=opts.j, backward_mode=opts.backward)
     mf_steps = opts.mf_steps if opts.mf_steps is not None else opts.steps
-    grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
     classical: list[tuple[float, float]] = []
     if opts.with_meanfield:
         # the closed form reads no step size; --dt is checked and echoed
@@ -306,33 +337,17 @@ def cmd_echo(opts: SimpleNamespace, stage: Stage) -> int:
         for t, f in classical
     ]
     write_csv(stage(opts.out), header, rows)
-    if opts.plot:
-        from . import svgplot
-
-        series = [svgplot.Series("quantum", quantum)]
-        if classical:
-            series.append(svgplot.Series(f"meanfield ({opts.schedule})", classical))
-        figure = svgplot.Figure(
-            title=f"Echo fidelity, n={opts.n}", xlabel="t", ylabel="f_ec", series=series
-        )
-        svgplot.render(figure, stage(opts.plot))
+    series = [("quantum", quantum)]
+    if classical:
+        series.append((f"meanfield ({opts.schedule})", classical))
+    _plot(stage, opts.plot, f"Echo fidelity, n={opts.n}", "t", "f_ec", series)
     return 0
 
 
-def cmd_transfer(opts: SimpleNamespace, stage: Stage) -> int:
-    if opts.points < 1:
-        raise UsageError(f"need at least one grid point, got {opts.points}")
-    with _config_faults("--t-max"):
-        noise = NoiseModel(v=opts.noise_v)
-        config = TransferConfig(
-            n=opts.n,
-            t=opts.t_max,
-            n_steps=opts.steps,
-            engine=opts.engine,
-            noise=noise if noise.v > 0 else None,
-            seed=opts.seed,
-        )
-    grid = [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
+def cmd_transfer(opts: SimpleNamespace, given: dict[str, str], stage: Stage) -> int:
+    if opts.engine == ENGINE_EXACT:
+        _unread(given, ("steps",), "the exact engine takes no step count")
+    config, grid = _curve(opts, TransferConfig, engine=opts.engine)
     curve = fidelity_curve(config, grid)
     header = ["n", "t", "steps", "engine", "v", "seed", "f_tr", "i_tr"]
     shown_steps = "" if opts.engine == ENGINE_EXACT else config.steps
@@ -341,14 +356,8 @@ def cmd_transfer(opts: SimpleNamespace, stage: Stage) -> int:
         for t, f in curve
     ]
     write_csv(stage(opts.out), header, rows)
-    if opts.plot:
-        from . import svgplot
-
-        figure = svgplot.Figure(
-            title=f"Transfer fidelity, n={opts.n} ({opts.engine})",
-            xlabel="t", ylabel="f_tr", series=[svgplot.Series(opts.engine, curve)],
-        )
-        svgplot.render(figure, stage(opts.plot))
+    _plot(stage, opts.plot, f"Transfer fidelity, n={opts.n} ({opts.engine})", "t", "f_tr",
+          [(opts.engine, curve)])
     return 0
 
 
@@ -368,11 +377,13 @@ def _parse_n_range(opts: SimpleNamespace) -> list[int]:
     raise UsageError("give --n or --n-range")
 
 
-def cmd_robustness(opts: SimpleNamespace, stage: Stage) -> int:
+def cmd_robustness(opts: SimpleNamespace, given: dict[str, str], stage: Stage) -> int:
     if opts.trials < 1:
         raise UsageError(f"need at least one trial, got {opts.trials}")
     if opts.field_noise and opts.protocol == "echo":
         raise UsageError("--field-noise: an echo chain has no field phases to perturb")
+    if opts.protocol == "echo":
+        _unread(given, ("engine",), "an echo sweep builds no engine")
     ns = _parse_n_range(opts)
     # every swept n's config is checked before any trial runs; n ascends,
     # so an n below the protocol's minimum is the first fault reported
@@ -419,26 +430,16 @@ def cmd_robustness(opts: SimpleNamespace, stage: Stage) -> int:
         ["protocol", "n", "parity", "a", "b", "r_squared", "points"],
         fit_rows,
     )
-    if opts.plot_fit or opts.plot_slopes:
-        from . import svgplot
-    if opts.plot_fit:
-        figure = svgplot.Figure(
-            title=f"{opts.protocol} infidelity vs gate-error strength",
-            xlabel="v", ylabel="mean infidelity", logx=True, logy=True,
-            series=[svgplot.Series(f"n={n}", fit.points, draw_points=True) for n, fit in fits],
-        )
-        svgplot.render(figure, stage(opts.plot_fit))
-    if opts.plot_slopes:
-        if opts.protocol == "transfer":
-            groups = [(label, [(n, b) for n, b in slope_points if n % 2 == parity])
-                      for parity, label in ((1, "odd n"), (0, "even n"))]
-        else:
-            groups = [("b(n)", slope_points)]
-        figure = svgplot.Figure(
-            title=f"{opts.protocol} robustness exponent", xlabel="n", ylabel="b(n)",
-            series=[svgplot.Series(label, pts, draw_points=True) for label, pts in groups],
-        )
-        svgplot.render(figure, stage(opts.plot_slopes))
+    _plot(stage, opts.plot_fit, f"{opts.protocol} infidelity vs gate-error strength", "v",
+          "mean infidelity", [(f"n={n}", fit.points, True) for n, fit in fits],
+          logx=True, logy=True)
+    if opts.protocol == "transfer":
+        groups = [(label, [(n, b) for n, b in slope_points if n % 2 == parity])
+                  for parity, label in ((1, "odd n"), (0, "even n"))]
+    else:
+        groups = [("b(n)", slope_points)]
+    _plot(stage, opts.plot_slopes, f"{opts.protocol} robustness exponent", "n", "b(n)",
+          [(label, points, True) for label, points in groups])
     return 0
 
 
@@ -448,7 +449,7 @@ def run_all_checks():
     return run_checks()
 
 
-def cmd_oracle_check(opts: SimpleNamespace, stage: Stage) -> int:
+def cmd_oracle_check(opts: SimpleNamespace, given: dict[str, str], stage: Stage) -> int:
     results = run_all_checks()
     for result in results:
         status = "true" if result.passed else "false"
@@ -466,7 +467,8 @@ CONFIG = Option("config", str, None, help="JSON file of defaults (flags override
 
 # Each command's summary, runner and options, in flag order.  An
 # option's flag is `--` plus its name with '-' for '_' (`_flag`).
-COMMANDS: dict[str, tuple[str, Callable[[SimpleNamespace, Stage], int], list[Option]]] = {
+Runner = Callable[[SimpleNamespace, dict[str, str], Stage], int]
+COMMANDS: dict[str, tuple[str, Runner, list[Option]]] = {
     "echo": ("Loschmidt echo fidelity curve", cmd_echo, [
         Option("n", int, 10),
         Option("j", float, 1.0),
@@ -614,8 +616,9 @@ def main(argv: list[str] | None = None) -> int:
         if command is None:
             print(_help(None), file=sys.stderr)
             return 2
+        opts, given = _merge_options(command, flags)
         with _staged_outputs() as stage:
-            return COMMANDS[command][1](_merge_options(command, flags), stage)
+            return COMMANDS[command][1](opts, given, stage)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

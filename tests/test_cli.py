@@ -1,5 +1,6 @@
 import argparse
 import errno
+import hashlib
 import json
 import math
 import os
@@ -202,7 +203,7 @@ class TestConfigFile:
         config = tmp_path / "defaults.json"
         config.write_text(json.dumps({o.name: o.default for o in options}))
         _, flags = cli._read_flags([command, "--config", str(config)])
-        merged = vars(cli._merge_options(command, flags))
+        merged = vars(cli._merge_options(command, flags)[0])
         assert [(k, type(v), v) for k, v in merged.items()] == \
             [(o.name, type(o.default), o.default) for o in options]
 
@@ -488,10 +489,14 @@ def test_meanfield_cost_does_not_grow_with_the_pulse_count(tmp_path):
     assert classical == pytest.approx([1.0] * 3, abs=1e-8)
 
 
-def test_meanfield_options_unchecked_without_meanfield(tmp_path):
-    # --dt and --mf-steps only drive the mean-field series
+def test_meanfield_options_are_refused_without_meanfield(tmp_path, capsys):
+    # --dt and --mf-steps only drive the mean-field series, so without it
+    # they are refused before their values are checked
+    out = tmp_path / "x.csv"
     assert main(["echo", "--n", "4", "--points", "2", "--t-max", "1", "--dt", "0",
-                 "--mf-steps", "0", "--out", str(tmp_path / "x.csv")]) == 0
+                 "--mf-steps", "0", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: --dt: read only with --with-meanfield\n")
+    assert not out.exists()
 
 
 def test_continuous_schedule_has_no_wrap_budget(tmp_path):
@@ -543,6 +548,39 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
                  "--t-max", "1.5707963267948966", "--points", "6", "--noise-v", "0.02",
                  "--seed", "4", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / "transfer_simfm.csv").read_bytes()
+
+
+# sha256 of each plot kind's SVG at small sizes: an echo curve with the
+# mirrored mean field, an exact and a noisy trotter-simfm transfer curve,
+# and the fit and slope plots of the golden echo and transfer sweeps
+SVG_DIGESTS = {
+    "echo.svg": "43fa1411700ce25ddbaa8c650d591b2bbd1c8de27716cc5f1ff15dcfb0c55a2f",
+    "exact.svg": "5e24bc4f9afcca712209b8ce115ffa548fc03f53f5121fb995896b12704124c7",
+    "simfm.svg": "50e49bf2ac277ee0e9d56ed6a2e586d80d6e0f701bc21a5160d9d108f253c1f0",
+    "echo_fit.svg": "736f0b5369a9cdc9687b9e285cfb0de347a587dceb88abfe957cef863d8c6014",
+    "echo_slopes.svg": "b1059660665e42f0394e81b1e427315ccb694724234c99c2659bd138a6eaf73d",
+    "transfer_fit.svg": "5da2f0a5faf32cde645b34ec2ebd8b74ee3537b2244198da792395044062a08c",
+    "transfer_slopes.svg": "fb00be090cd0e1e7d4281ece3611d3943550ea62d619a0b625a51d0f9e6f1966",
+}
+
+
+@pytest.mark.golden
+@pytest.mark.parametrize("args", [
+    ["echo", "--n", "4", "--t-max", "1.2", "--points", "4", "--schedule", "mirrored-pulse",
+     "--steps", "1", "--with-meanfield", "--dt", "5e-3", "--plot", "echo.svg"],
+    ["transfer", "--engine", "exact", "--n", "5", "--points", "6", "--plot", "exact.svg"],
+    ["transfer", "--engine", "trotter-simfm", "--n", "5", "--t-max", "1.5707963267948966",
+     "--points", "6", "--noise-v", "0.02", "--seed", "4", "--plot", "simfm.svg"],
+    [*ECHO_SWEEP, "--plot-fit", "echo_fit.svg", "--plot-slopes", "echo_slopes.svg"],
+    [*TRANSFER_SWEEP, "--plot-fit", "transfer_fit.svg",
+     "--plot-slopes", "transfer_slopes.svg"],
+], ids=["echo-meanfield", "transfer-exact", "transfer-simfm", "echo-sweep", "transfer-sweep"])
+def test_plots_are_byte_identical_to_golden(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 0
+    plots = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+             for path in tmp_path.glob("*.svg")}
+    assert plots == {name: SVG_DIGESTS[name] for name in args if name.endswith(".svg")}
 
 
 @pytest.mark.parametrize("args,work", [
@@ -606,6 +644,20 @@ def test_noisy_transfer_curve_is_byte_identical_to_golden(tmp_path):
     # an echo chain has no field phases, so field noise would change nothing
     (["robustness", "--n", "5", "--field-noise"], "slope_vs_n"),
     (["robustness", "--n", "5", "--config", str(CONFIGS / "field_noise.json")], "slope_vs_n"),
+    # an option the command as given never reads, by flag or config key,
+    # whatever its value: an echo sweep builds no engine, the exact
+    # engine takes no step count, and only the mean field reads --schedule,
+    # --sign-convention, --dt and --mf-steps
+    (["robustness", "--n", "5", "--engine", "trotter-direct"], "slope_vs_n"),
+    (["robustness", "--n", "5", "--config", str(CONFIGS / "engine_default.json")],
+     "slope_vs_n"),
+    (["transfer", "--engine", "exact", "--steps", "3"], "transfer_fidelity_curve"),
+    (["transfer", "--config", str(CONFIGS / "steps_null.json")], "transfer_fidelity_curve"),
+    (["echo", "--schedule", "continuous"], "echo_fidelity_curve"),
+    (["echo", "--sign-convention", "1"], "echo_fidelity_curve"),
+    (["echo", "--dt", "0.002"], "echo_fidelity_curve"),
+    (["echo", "--mf-steps", "7"], "echo_fidelity_curve"),
+    (["echo", "--config", str(CONFIGS / "mf_steps_null.json")], "echo_fidelity_curve"),
 ])
 def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypatch,
                                                       args, work):
@@ -651,11 +703,31 @@ def test_bad_options_are_usage_errors_before_any_work(tmp_path, capsys, monkeypa
      "--out-trials 'a.csv' and --out-fits './a.csv' name one file"),
     ("robustness --n 5 --field-noise",
      "--field-noise: an echo chain has no field phases to perturb"),
+    ("robustness --n 5 --engine trotter-direct", "--engine: an echo sweep builds no engine"),
+    ("transfer --engine exact --steps 3", "--steps: the exact engine takes no step count"),
+    # the first unread option in the table's order is named
+    ("echo --mf-steps 7 --schedule continuous",
+     "--schedule: read only with --with-meanfield"),
 ])
 def test_usage_error_names_the_fault(tmp_path, capsys, monkeypatch, line, err):
     monkeypatch.chdir(tmp_path)
     assert main(line.split()) == 2
     assert capsys.readouterr() == ("", f"error: {err}\n")
+
+
+# An unread option is named as it was given: by its config key, or by
+# its flag when a flag overrides the key.
+@pytest.mark.parametrize("line,config,err", [
+    ("robustness --n 5", "engine_default.json",
+     "config key 'engine': an echo sweep builds no engine"),
+    ("transfer --steps 3", "steps_null.json", "--steps: the exact engine takes no step count"),
+    ("echo", "mf_steps_null.json", "config key 'mf_steps': read only with --with-meanfield"),
+])
+def test_unread_option_is_named_as_given(tmp_path, capsys, monkeypatch, line, config, err):
+    monkeypatch.chdir(tmp_path)
+    assert main([*line.split(), "--config", str(CONFIGS / config)]) == 2
+    assert capsys.readouterr() == ("", f"error: {err}\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("line,code,builds", [
@@ -950,7 +1022,7 @@ def test_flags_read_as_argparse_read_them(monkeypatch, tmp_path, line):
     expected.update((key, value) for key, value in parsed.items()
                     if key in expected and value is not None)
     read, flags = cli._read_flags([command, *tokens])
-    merged = vars(cli._merge_options(command, flags))
+    merged = vars(cli._merge_options(command, flags)[0])
     assert read == command
     assert [(k, type(v), v) for k, v in merged.items()] == \
         [(k, type(v), v) for k, v in expected.items()]
@@ -1014,3 +1086,57 @@ def test_help_is_the_table(capsys):
             assert option.help is None or line.endswith(f": {option.help}")
             assert option.choices is None or \
                 "{" + ",".join(map(str, option.choices)) + "}" in line
+
+
+# One valid value of each option, not its default, and a second one
+# for a base line that already gives the first; "" for a bare flag
+WALK_VALUES = {
+    "protocol": ["transfer", "echo"], "n": ["5"], "n_range": ["4:5"], "j": ["2"],
+    "t_max": ["0.5"], "t": ["1"], "points": ["2"], "steps": ["3"],
+    "backward": ["exact-continuous"], "engine": ["trotter-direct", "trotter-simfm"],
+    "noise_v": ["0.01"], "seed": ["1"], "with_meanfield": [""],
+    "schedule": ["continuous"], "sign_convention": ["1"], "dt": ["0.002"],
+    "mf_steps": ["3"], "v_min": ["0.002"], "v_max": ["0.05"], "v_points": ["4"],
+    "trials": ["3"], "field_noise": [""],
+}
+
+
+def test_walk_values_cover_every_option():
+    assert set(WALK_VALUES) == {option.name for _, _, options in cli.COMMANDS.values()
+                                for option in options if not option.output}
+
+
+@pytest.mark.parametrize("base", [
+    "echo --n 4 --t-max 1 --points 3 --steps 2",
+    "echo --n 4 --t-max 1 --points 3 --steps 2 --with-meanfield",
+    "transfer --n 4 --points 3",
+    "transfer --n 4 --points 3 --engine trotter-simfm",
+    "robustness --n 4 --steps 2 --trials 2 --v-points 3",
+    "robustness --protocol transfer --n-range 4:4 --trials 2 --v-points 3",
+])
+def test_every_option_changes_an_output_byte_or_is_refused(tmp_path, monkeypatch, base):
+    # each option a command takes, but --help, --config and the output
+    # paths, given a value the base line does not: the command either
+    # writes other bytes or exits 2 and writes nothing, so no flag is
+    # accepted and then ignored
+    def run(tag: str, args: list[str]) -> tuple[int, dict[str, bytes]]:
+        run_dir = tmp_path / tag
+        run_dir.mkdir()
+        monkeypatch.chdir(run_dir)
+        code = main(args)
+        return code, {path.name: path.read_bytes() for path in run_dir.iterdir()}
+
+    args = base.split()
+    code, expected = run("base", args)
+    assert code == 0 and expected
+    inert = []
+    for option in cli.COMMANDS[args[0]][2]:
+        flag = cli._flag(option.name)
+        if option.output or (option.type is bool and flag in args):
+            continue
+        given = args[args.index(flag) + 1] if flag in args else None
+        value = next(value for value in WALK_VALUES[option.name] if value != given)
+        code, outputs = run(option.name, [*args, flag] + ([value] if value else []))
+        if not (code == 2 and not outputs or code == 0 and outputs != expected):
+            inert.append((flag, value, code))
+    assert inert == []
