@@ -20,7 +20,7 @@ import numpy as np
 from .chain import transfer_chain
 from .echo import BACKWARD_EXACT, BACKWARD_TROTTERIZED, EchoConfig
 from .gates import SINGLET, afm_duration_for_fm, wrap_period
-from .noise import NoiseModel, fidelity, make_rng
+from .noise import NoiseModel, Seed, fidelity, make_rng
 from .statevec import (
     StateVector, exact_evolve, exchange_unitary, exchange_unitary_reference, execute_plan,
     heisenberg_pair_coupling, norm, pair_projection_fidelity, prepare_singlet_head, total_sz,
@@ -36,25 +36,31 @@ class CheckResult:
     detail: str
 
 
-def dense_state(config: EchoConfig | TransferConfig) -> StateVector:
-    """The run `fidelity(config)` makes, replayed gate by gate on dense
-    2^n states: each leg of `config.legs()` in order, a plan leg as a
-    one-chain plan and a continuous leg as exact evolution, with one
-    make_rng(config.seed) stream across the legs."""
+def dense_state(config: EchoConfig | TransferConfig, noise: NoiseModel | None = None,
+                seed: Seed = 0) -> StateVector:
+    """The run `fidelity(config, noise, seed)` makes, replayed gate by
+    gate on dense 2^n states: each leg of `config.legs()` in order, a
+    plan leg as a one-chain plan and a continuous leg as exact
+    evolution, with one make_rng(seed) stream across the legs; like
+    `fidelity`, it refuses noise on a run with no plan leg."""
+    legs = config.legs()
+    if noise is not None and noise.v > 0 and all(mode is None for _, _, mode in legs):
+        raise ValueError("the exact engine is noise-free; use a trotter engine")
     state = prepare_singlet_head(config.n)
-    rng = make_rng(config.seed)
-    for split, spec, mode in config.legs():
+    rng = make_rng(seed)
+    for split, spec, mode in legs:
         if mode is None:
             state = exact_evolve(spec, state, config.t)
         else:
             plan = batch_plan(split, [(spec, config.t, config.steps, 1)], mode)
-            execute_plan(plan, state, config.noise, rng)
+            execute_plan(plan, state, noise, rng)
     return state
 
 
-def dense_fidelity(config: EchoConfig | TransferConfig) -> float:
-    """`fidelity(config)` from the dense replay."""
-    return pair_projection_fidelity(dense_state(config), config.pair, SINGLET)
+def dense_fidelity(config: EchoConfig | TransferConfig, noise: NoiseModel | None = None,
+                   seed: Seed = 0) -> float:
+    """`fidelity(config, noise, seed)` from the dense replay."""
+    return pair_projection_fidelity(dense_state(config, noise, seed), config.pair, SINGLET)
 
 
 def check_sector_vs_dense(max_n: int = 8, seed: int = 0) -> CheckResult:
@@ -63,19 +69,14 @@ def check_sector_vs_dense(max_n: int = 8, seed: int = 0) -> CheckResult:
     with field noise on the trotter engines."""
     worst = 0.0
     for n in range(3, min(8, max_n) + 1):
-        for backward in (BACKWARD_TROTTERIZED, BACKWARD_EXACT):
-            echo = EchoConfig(
-                n=n, t=1.3, n_steps=3, backward_mode=backward,
-                noise=NoiseModel(v=0.05), seed=(seed, n),
-            )
-            worst = max(worst, abs(fidelity(echo) - dense_fidelity(echo)))
-        for engine in ENGINES:
-            noisy = engine != ENGINE_EXACT
-            transfer = TransferConfig(
-                n=n, n_steps=8, engine=engine, seed=(seed, n),
-                noise=NoiseModel(v=0.05, include_fields=True) if noisy else None,
-            )
-            worst = max(worst, abs(fidelity(transfer) - dense_fidelity(transfer)))
+        runs = [(EchoConfig(n=n, t=1.3, n_steps=3, backward_mode=backward), NoiseModel(v=0.05))
+                for backward in (BACKWARD_TROTTERIZED, BACKWARD_EXACT)]
+        runs += [(TransferConfig(n=n, n_steps=8, engine=engine),
+                  NoiseModel(v=0.05, include_fields=True) if engine != ENGINE_EXACT else None)
+                 for engine in ENGINES]
+        for config, noise in runs:
+            dev = fidelity(config, noise, (seed, n)) - dense_fidelity(config, noise, (seed, n))
+            worst = max(worst, abs(dev))
     return CheckResult(
         name="sector-vs-dense", passed=worst < 1e-12, detail=f"max_dev={worst:.3e}"
     )
@@ -147,13 +148,12 @@ def check_conservation(n: int = 8) -> CheckResult:
     trotterized transfer, both read from the dense replay, where they
     can drift (the one-magnon engine conserves S^z by construction and
     checks its own norm)."""
-    echo = EchoConfig(n=n, t=1.0, n_steps=4, noise=NoiseModel(v=0.05), seed=11)
-    transfer = TransferConfig(
-        n=n, n_steps=32, engine="trotter-simfm", noise=NoiseModel(v=0.05), seed=12
-    )
+    noise = NoiseModel(v=0.05)
+    states = (dense_state(EchoConfig(n=n, t=1.0, n_steps=4), noise, 11),
+              dense_state(TransferConfig(n=n, n_steps=32, engine="trotter-simfm"), noise, 12))
     sz_initial = total_sz(prepare_singlet_head(n))
     worst = 0.0
-    for state in (dense_state(echo), dense_state(transfer)):
+    for state in states:
         worst = max(worst, abs(total_sz(state) - sz_initial), abs(norm(state) - 1.0))
     return CheckResult(
         name="sz-and-norm-conservation",

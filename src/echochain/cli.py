@@ -13,8 +13,8 @@ names the time's flag.  An option given, by flag or config key, that
 the command as given would not read is a usage error too.  Every
 output path given is checked before any work, no two naming one file,
 and a command's files are staged and put in place only once all are
-written (`_staged_outputs`), so a command that cannot write one of its
-files writes none.
+written, so a command that cannot write one of its files writes none
+(save those written in place one after another: `_staged_outputs`).
 
 `COMMANDS` is the one declaration of the commands and their options:
 the flags `main` reads, the help, the defaults, the one check of a
@@ -202,23 +202,27 @@ def _staged_outputs() -> Iterator[Stage]:
     the place of `path`.  Once the command returns, each staged file is
     put in place; if it fails, none is, and the staged files are
     removed.  Each file lands where `open(path, "w")` writes.  A new
-    path, or a plain file (regular, one link, the runner's own), is
-    staged beside it, in the directory `_check_output` checked, with the
-    mode a new or that file has, and moved onto it.  Any other path (a
-    symlink, a device, a pipe, a hard-linked or another user's file) is
-    staged in the temporary directory and copied into it, so it stays
-    what it was."""
+    path or a plain file (regular, one link, the runner's own), or a
+    symlink's plain target in a directory the runner may write, is
+    staged beside that file with its mode (or a new file's) and moved
+    onto it, so a link stays a link.  Any other path (a device, a pipe,
+    a hard-linked or another user's file, a symlink to one or to none)
+    is staged in the temporary directory and copied into it in place,
+    one after another: a failed later copy leaves earlier ones written."""
     moves: list[tuple[str, str]] = []
     copies: list[tuple[str, str]] = []
 
     def stage(path: str) -> str:
+        target = os.path.realpath(path) if os.path.islink(path) else path
         try:
-            info = os.lstat(path)
+            info = os.lstat(target)
         except FileNotFoundError:
             info = None
-        if info is not None and not (
-                stat.S_ISREG(info.st_mode) and info.st_nlink == 1
-                and (info.st_uid, info.st_gid) == (os.geteuid(), os.getegid())):
+        movable = target == path if info is None else (
+            stat.S_ISREG(info.st_mode) and info.st_nlink == 1
+            and (info.st_uid, info.st_gid) == (os.geteuid(), os.getegid())
+            and os.access(os.path.dirname(target) or ".", os.W_OK | os.X_OK))
+        if not movable:
             import tempfile  # only a file written in place needs it
 
             handle, temp = tempfile.mkstemp(prefix=".echochain-")
@@ -226,12 +230,12 @@ def _staged_outputs() -> Iterator[Stage]:
             copies.append((temp, path))
             return temp
         for k in itertools.count(len(moves)):
-            temp = os.path.join(os.path.dirname(path), f".echochain-{os.getpid()}-{k}")
+            temp = os.path.join(os.path.dirname(target), f".echochain-{os.getpid()}-{k}")
             try:
                 os.close(os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
             except FileExistsError:
                 continue
-            moves.append((temp, path))
+            moves.append((temp, target))
             if info is not None:
                 os.chmod(temp, stat.S_IMODE(info.st_mode))
             return temp
@@ -266,17 +270,18 @@ def _config_faults(time_flag: str) -> Iterator[None]:
         raise UsageError(str(exc)) from exc
 
 
-def _curve(opts: SimpleNamespace, protocol: type, **fields) -> tuple[Any, list[float]]:
-    """The `protocol` config of a curve command, built at `--t-max`
-    with no noise model at `--noise-v` 0, and its `--points` times from
-    0 to `--t-max`."""
+def _curve(opts: SimpleNamespace, protocol: type, **fields) -> tuple[Any, list, NoiseModel]:
+    """The `protocol` config of a curve command, built at `--t-max`, its
+    `--points` times from 0 to `--t-max`, and the `--noise-v` model,
+    which the exact engine refuses before its config is built."""
     if opts.points < 1:
         raise UsageError(f"need at least one grid point, got {opts.points}")
     with _config_faults("--t-max"):
         noise = NoiseModel(v=opts.noise_v)
-        config = protocol(n=opts.n, t=opts.t_max, n_steps=opts.steps,
-                          noise=noise if noise.v > 0 else None, seed=opts.seed, **fields)
-    return config, [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)]
+        if noise.v > 0 and fields.get("engine") == ENGINE_EXACT:
+            raise ValueError("the exact engine is noise-free; use a trotter engine")
+        config = protocol(n=opts.n, t=opts.t_max, n_steps=opts.steps, **fields)
+    return config, [float(t) for t in np.linspace(0.0, opts.t_max, opts.points)], noise
 
 
 def _unread(given: dict[str, str], names: tuple[str, ...], reason: str) -> None:
@@ -304,7 +309,7 @@ def cmd_echo(opts: SimpleNamespace, given: dict[str, str], stage: Stage) -> int:
     if not opts.with_meanfield:
         _unread(given, ("schedule", "sign_convention", "dt", "mf_steps"),
                 "read only with --with-meanfield")
-    config, grid = _curve(opts, EchoConfig, j=opts.j, backward_mode=opts.backward)
+    config, grid, noise = _curve(opts, EchoConfig, j=opts.j, backward_mode=opts.backward)
     mf_steps = opts.mf_steps if opts.mf_steps is not None else opts.steps
     classical: list[tuple[float, float]] = []
     if opts.with_meanfield:
@@ -321,7 +326,7 @@ def cmd_echo(opts: SimpleNamespace, given: dict[str, str], stage: Stage) -> int:
         # --n and --sign-convention change no revival; they are echoed
         revivals = meanfield_echo_curve(opts.j, grid, schedule=opts.schedule, n_steps=mf_steps)
         classical = list(zip(grid, revivals))
-    quantum = fidelity_curve(config, grid)
+    quantum = fidelity_curve(config, grid, noise, opts.seed)
     header = [
         "series", "n", "j", "t", "steps", "mode", "schedule",
         "sign_convention", "dt", "v", "seed", "f_ec", "i_ec",
@@ -347,8 +352,8 @@ def cmd_echo(opts: SimpleNamespace, given: dict[str, str], stage: Stage) -> int:
 def cmd_transfer(opts: SimpleNamespace, given: dict[str, str], stage: Stage) -> int:
     if opts.engine == ENGINE_EXACT:
         _unread(given, ("steps",), "the exact engine takes no step count")
-    config, grid = _curve(opts, TransferConfig, engine=opts.engine)
-    curve = fidelity_curve(config, grid)
+    config, grid, noise = _curve(opts, TransferConfig, engine=opts.engine)
+    curve = fidelity_curve(config, grid, noise, opts.seed)
     header = ["n", "t", "steps", "engine", "v", "seed", "f_tr", "i_tr"]
     shown_steps = "" if opts.engine == ENGINE_EXACT else config.steps
     rows = [

@@ -1,7 +1,8 @@
 """Loschmidt echo: forward evolution under the simulated ferromagnet,
 backward under the antiferromagnet, scored by singlet revival on the
 first pair.  `EchoConfig` names its two legs, which `echochain.noise`
-runs as single runs (`fidelity`), curves and robustness sweeps.
+runs as single runs (`fidelity`), curves and robustness sweeps; the
+gate errors and their seed are the run's, not the config's.
 
 Both legs share one Trotter step count.  Because the forward gates are
 exact inverses of the backward gates up to global phases (each forward
@@ -16,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from .chain import uniform_echo_chain
-from .noise import NoiseModel, Seed
 from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, SECOND_ORDER, check_plan
 
 BACKWARD_TROTTERIZED = "trotterized"
@@ -30,8 +30,6 @@ class EchoConfig:
     n_steps: int
     j: float = 1.0
     backward_mode: str = BACKWARD_TROTTERIZED
-    noise: NoiseModel | None = None
-    seed: Seed = 0
     pair = (1, 2)  # the pair whose singlet revival scores the echo
 
     def __post_init__(self) -> None:

@@ -10,19 +10,19 @@ is proportionally more sensitive than a short one.
 A protocol config (`echochain.echo.EchoConfig` or
 `echochain.transfer.TransferConfig`, imported for type hints only)
 names its legs (a Trotter plan's split, chain and mode, or continuous
-evolution) and the pair it scores, and `_pair_fidelities` runs any
-configs with the same legs as blocks of one batch of the one-magnon
-engine (`echochain.sector`).  So `fidelity`, `fidelity_curve` and
-`slope_vs_n` serve both protocols on one path: a single run is a
-one-row batch of one block drawn from config.seed itself, a curve one
-block with a row per time, and `_pair_fidelities` checks every score
-against [0, 1] for all three.  A sweep's trial k of chain n at
-v_grid[i] is seeded with SeedSequence([master_seed, n, i, k]), so every
-trial has an independent stream and results do not depend on how the
-trials are batched.  A sweep runs its chains together up to an
-amplitude cap (`_batches`, in run order), every trial of each in the
-batch, and returns each chain's (v, trials) infidelities with the
-log-log fit of their row means.
+evolution) and the pair it scores, not the noise and seed of a run, and
+`_pair_fidelities` runs any configs with the same legs as blocks of one
+batch of the one-magnon engine (`echochain.sector`).  So `fidelity`,
+`fidelity_curve` and `slope_vs_n` serve both protocols on one path: a
+single run is a one-row batch of one block drawn from its seed itself,
+a curve one block with a row per time, and `_pair_fidelities` checks
+every score against [0, 1] and refuses noise on the exact engine.  A
+sweep's trial k of chain n at v_grid[i] is seeded with
+SeedSequence([master_seed, n, i, k]), so every trial has an independent
+stream and results do not depend on how the trials are batched.  A
+sweep runs its chains together up to an amplitude cap (`_batches`, in
+run order), every trial of each in the batch, and returns each chain's
+(v, trials) infidelities with the log-log fit of their row means.
 
 A batch's streams are seeded together: `GateNoise` runs numpy's
 SeedSequence hash (integer arithmetic with fixed constants, the same
@@ -231,8 +231,8 @@ class GateNoise:
 
 
 def model_noise(model: NoiseModel | None, seeds: Sequence[Seed]) -> GateNoise | None:
-    """One stream per seed at the model's strength; None without a model."""
-    if model is None:
+    """One stream per seed at the model's strength; None at none or 0."""
+    if model is None or model.v == 0:
         return None
     return GateNoise(seeds, np.full(len(seeds), model.v), model.include_fields)
 
@@ -366,29 +366,28 @@ def default_v_grid(
     return grid
 
 
-def fidelity(config: EchoConfig | TransferConfig) -> float:
-    """One run of `config` at config.t, drawing its gate errors from
-    config.seed itself, scored by the singlet fidelity of its pair."""
-    noise = model_noise(config.noise, [config.seed])
-    return float(_pair_fidelities([config], [[config.t]], [1], noise)[0][0])
+def fidelity(config: EchoConfig | TransferConfig, noise: NoiseModel | None = None,
+             seed: Seed = 0) -> float:
+    """One run of `config` at config.t, drawing the gate errors of
+    `noise` from `seed` itself, scored by the singlet fidelity of its pair."""
+    return float(_pair_fidelities([config], [[config.t]], [1], model_noise(noise, [seed]))[0][0])
 
 
-def fidelity_curve(
-    config: EchoConfig | TransferConfig, t_grid: Sequence[float]
-) -> list[tuple[float, float]]:
+def fidelity_curve(config: EchoConfig | TransferConfig, t_grid: Sequence[float],
+                   noise: NoiseModel | None = None,
+                   seed: Seed = 0) -> list[tuple[float, float]]:
     """One run of `config` per grid point, all in one batch, scored by
-    the singlet fidelity of its pair; point k draws its gate errors from
-    the sub-seed (config.seed, k).  Every point lies in [0, config.t],
-    the times the config checked when it was built."""
+    the singlet fidelity of its pair; point k draws the gate errors of
+    `noise` from the sub-seed (seed, k).  Every point lies in
+    [0, config.t], the times the config checked when it was built."""
     times = [float(t) for t in t_grid]
     if not times:
         return []
     outside = [t for t in times if not 0 <= t <= config.t]
     if outside:
         raise TimeBudgetError(f"evolution time must lie in [0, {config.t!r}], got {outside[0]!r}")
-    seeds = [child_seed(config.seed, k) for k in range(len(times))]
-    fidelities = _pair_fidelities([config], [times], [len(times)],
-                                  model_noise(config.noise, seeds))[0]
+    seeds = [child_seed(seed, k) for k in range(len(times))]
+    fidelities = _pair_fidelities([config], [times], [len(times)], model_noise(noise, seeds))[0]
     return list(zip(times, fidelities.tolist()))
 
 

@@ -2,11 +2,12 @@
 singlet to the far end of the chain at t = pi/2, scored by the singlet
 projection of the last two spins.  `TransferConfig` names its one leg,
 which `echochain.noise` runs as single runs (`fidelity`), curves and
-robustness sweeps.
+robustness sweeps; the gate errors and their seed are the run's, not
+the config's.
 
 Engines:
   exact              continuous evolution of the head singlet in closed form
-                     (noise-free by definition)
+                     (noise-free by definition: a noisy run of it raises)
   trotter-direct     three-term plan with literal ferromagnetic angles
   trotter-simfm      three-term plan with every exchange realized as a
                      mapped antiferromagnetic pulse
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 
 from . import sector
 from .chain import transfer_chain
-from .noise import NoiseModel, Seed
 from .trotter import MODE_DIRECT, MODE_SIMULATED_FM, THREE_TERM, TimeBudgetError, check_plan
 
 ENGINE_EXACT = "exact"
@@ -59,8 +59,6 @@ class TransferConfig:
     t: float = math.pi / 2
     n_steps: int | None = None  # None -> calibrated default
     engine: str = ENGINE_EXACT
-    noise: NoiseModel | None = None
-    seed: Seed = 0
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -69,8 +67,6 @@ class TransferConfig:
             raise ValueError(f"unknown engine '{self.engine}'")
         if self.n_steps is not None and self.n_steps < 1:
             raise ValueError(f"need at least one step, got {self.n_steps}")
-        if self.engine == ENGINE_EXACT and self.noise is not None and self.noise.v > 0:
-            raise ValueError("the exact engine is noise-free; use a trotter engine")
         # t is the longest time this config runs, checked last: a trotter
         # engine's plan raises past its wrap budget, the exact engine where
         # t*w overflows

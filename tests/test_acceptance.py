@@ -112,24 +112,23 @@ def test_criterion_4_perfect_state_transfer():
 
 
 def test_criterion_5_conservation_suite():
+    # (config, noise model, seed) of each run
     echoes = [
-        EchoConfig(n=6, t=1.0, n_steps=4),
-        EchoConfig(n=10, t=2.5, n_steps=16),
-        EchoConfig(n=8, t=math.pi / 2, n_steps=4, noise=NoiseModel(v=0.05), seed=1),
-        EchoConfig(
-            n=6, t=1.5, n_steps=8, backward_mode="exact-continuous",
-            noise=NoiseModel(v=0.05), seed=2,
-        ),
+        (EchoConfig(n=6, t=1.0, n_steps=4), None, 0),
+        (EchoConfig(n=10, t=2.5, n_steps=16), None, 0),
+        (EchoConfig(n=8, t=math.pi / 2, n_steps=4), NoiseModel(v=0.05), 1),
+        (EchoConfig(n=6, t=1.5, n_steps=8, backward_mode="exact-continuous"),
+         NoiseModel(v=0.05), 2),
     ]
     transfers = [
-        TransferConfig(n=6, engine="trotter-direct"),
-        TransferConfig(n=7, engine="trotter-simfm", noise=NoiseModel(v=0.05), seed=3),
-        TransferConfig(n=9),
+        (TransferConfig(n=6, engine="trotter-direct"), None, 0),
+        (TransferConfig(n=7, engine="trotter-simfm"), NoiseModel(v=0.05), 3),
+        (TransferConfig(n=9), None, 0),
     ]
     # the norm and S^z of each run's dense replay
     worst = 0.0
-    for config in echoes + transfers:
-        state = dense_state(config)
+    for config, noise, seed in echoes + transfers:
+        state = dense_state(config, noise, seed)
         worst = max(worst, abs(norm(state) - 1.0))
         sz_initial = total_sz(prepare_singlet_head(config.n))
         worst = max(worst, abs(total_sz(state) - sz_initial))

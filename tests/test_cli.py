@@ -1,4 +1,5 @@
 import argparse
+import builtins
 import errno
 import hashlib
 import json
@@ -876,6 +877,33 @@ def test_outputs_land_where_open_would_write(tmp_path, monkeypatch):
     assert Path("real.svg").read_text().startswith("<?xml")
     assert sorted(os.listdir()) == ["fresh.txt", "kept.csv", "link.svg", "new.csv", "real.svg"]
 
+
+
+def test_symlinked_outputs_land_all_or_nothing(tmp_path, monkeypatch):
+    # each link's target is staged beside it and moved into place with
+    # the rest, so no write through a link can fail after another landed
+    monkeypatch.chdir(tmp_path)
+    args = ["robustness", "--n", "5", "--trials", "1", "--steps", "1"]
+    assert main([*args, "--out-trials", "plain_t.csv", "--out-fits", "plain_f.csv"]) == 0
+    for link, real in (("t.csv", "real1.csv"), ("f.csv", "real2.csv")):
+        Path(real).write_text("old\n")
+        os.symlink(real, link)
+    real_open = builtins.open
+
+    def full_disk_on_fits(file, mode="r", *rest, **kwargs):
+        if os.path.basename(str(file)) == "f.csv" and "w" in mode:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_open(file, mode, *rest, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", full_disk_on_fits)
+    code = main([*args, "--out-trials", "t.csv", "--out-fits", "f.csv"])
+    monkeypatch.setattr(builtins, "open", real_open)
+    assert code == 0
+    assert (os.readlink("t.csv"), os.readlink("f.csv")) == ("real1.csv", "real2.csv")
+    assert Path("real1.csv").read_bytes() == Path("plain_t.csv").read_bytes()
+    assert Path("real2.csv").read_bytes() == Path("plain_f.csv").read_bytes()
+    assert sorted(os.listdir()) == ["f.csv", "plain_f.csv", "plain_t.csv", "real1.csv",
+                                    "real2.csv", "t.csv"]
 
 
 def test_outputs_that_are_not_plain_files_are_written_in_place(tmp_path, monkeypatch):

@@ -37,22 +37,21 @@ def test_exact_backward_fidelity_improves_with_steps():
 
 
 def test_noise_lowers_fidelity():
-    result = fidelity(
-        EchoConfig(n=8, t=math.pi / 2, n_steps=4, noise=NoiseModel(v=0.05), seed=2)
-    )
+    result = fidelity(EchoConfig(n=8, t=math.pi / 2, n_steps=4), NoiseModel(v=0.05), seed=2)
     assert 0.0 <= result < 1.0
 
 
 def test_noisy_runs_are_seed_deterministic():
-    config = EchoConfig(n=7, t=1.1, n_steps=4, noise=NoiseModel(v=0.03), seed=9)
-    assert fidelity(config) == fidelity(config)
+    config = EchoConfig(n=7, t=1.1, n_steps=4)
+    noise = NoiseModel(v=0.03)
+    assert fidelity(config, noise, seed=9) == fidelity(config, noise, seed=9)
 
 
 def test_conservation_metadata():
-    config = EchoConfig(n=9, t=2.0, n_steps=8, noise=NoiseModel(v=0.04), seed=3)
+    config = EchoConfig(n=9, t=2.0, n_steps=8)
     # S^z of the same run replayed on dense 2^n states, where it can drift
     sz_initial = total_sz(prepare_singlet_head(config.n))
-    assert abs(total_sz(dense_state(config)) - sz_initial) < 1e-10
+    assert abs(total_sz(dense_state(config, NoiseModel(v=0.04), seed=3)) - sz_initial) < 1e-10
 
 
 class TestCurve:
@@ -68,11 +67,9 @@ class TestCurve:
 
     def test_noisy_grid_is_deterministic_and_below_one(self):
         grid = [0.5, 1.5, 2.5]
-        config = EchoConfig(
-            n=6, t=max(grid), n_steps=4, noise=NoiseModel(v=0.05), seed=17
-        )
-        first = fidelity_curve(config, grid)
-        second = fidelity_curve(config, grid)
+        config = EchoConfig(n=6, t=max(grid), n_steps=4)
+        first = fidelity_curve(config, grid, NoiseModel(v=0.05), seed=17)
+        second = fidelity_curve(config, grid, NoiseModel(v=0.05), seed=17)
         assert first == second
         assert all(f < 1.0 for _, f in first)
 
@@ -119,9 +116,9 @@ def test_one_plan_build_per_leg(monkeypatch):
 
     batch_plan = noise.batch_plan
     monkeypatch.setattr(noise, "batch_plan", counting_plan)
-    config = EchoConfig(n=6, t=1.0, n_steps=2, noise=NoiseModel(0.01))
+    config = EchoConfig(n=6, t=1.0, n_steps=2)
     assert built == []
-    fidelity_curve(config, [0.0, 0.5, 1.0])
+    fidelity_curve(config, [0.0, 0.5, 1.0], NoiseModel(0.01))
     assert built == [echo.MODE_SIMULATED_FM, echo.MODE_DIRECT]
     built.clear()
     fidelity_curve(EchoConfig(n=6, t=1.0, n_steps=2, backward_mode=BACKWARD_EXACT), [1.0])

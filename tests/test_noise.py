@@ -14,7 +14,7 @@ import echochain
 
 from echochain import noise as noise_module
 from echochain import sector
-from echochain.echo import EchoConfig
+from echochain.echo import BACKWARD_EXACT, BACKWARD_TROTTERIZED, EchoConfig
 from echochain.noise import (
     FitResult,
     GateNoise,
@@ -29,7 +29,7 @@ from echochain.noise import (
     slope_vs_n,
 )
 from echochain.statevec import sample_eta
-from echochain.transfer import TransferConfig
+from echochain.transfer import ENGINE_EXACT, TransferConfig
 
 # Frozen on the first verified run of the echo pipeline
 # (n=10, t=pi/2, N=4, v=0.03, 100 trials, master seed 77).
@@ -349,3 +349,57 @@ def test_slope_vs_n_small_echo_sweep():
         assert np.array_equal(rows, alone)
         # the fit keeps the (v, mean infidelity) points it went through
         assert fit.points == [(v, float(r.mean())) for v, r in zip(grid, rows) if r.mean() > 0]
+
+
+@pytest.mark.parametrize("config", [
+    EchoConfig(n=6, t=2.0, n_steps=3, backward_mode=BACKWARD_TROTTERIZED),
+    EchoConfig(n=6, t=2.0, n_steps=3, backward_mode=BACKWARD_EXACT),
+    TransferConfig(n=6, t=2.0, n_steps=8, engine="trotter-direct"),
+    TransferConfig(n=6, t=2.0, n_steps=8, engine="trotter-simfm"),
+])
+def test_zero_strength_model_draws_nothing(monkeypatch, config):
+    grid = np.linspace(0.0, config.t, 40)
+    clean = fidelity_curve(config, grid)
+
+    def no_generators(seeds):
+        raise AssertionError(f"built {len(seeds)} generators for a run that draws nothing")
+
+    monkeypatch.setattr(noise_module, "_generators", no_generators)
+    for include_fields in (False, True):
+        assert fidelity_curve(config, grid, NoiseModel(0.0, include_fields), seed=5) == clean
+
+
+# One valid value other than the base's for every field of each config,
+# each run on a small noisy base; the exact engine is the one value a
+# noisy run refuses.
+FIELD_WALK = {
+    EchoConfig: ({"n": 5, "t": 1.0, "n_steps": 2},
+                 {"n": 6, "t": 1.5, "n_steps": 3, "j": 0.5, "backward_mode": BACKWARD_EXACT}),
+    TransferConfig: ({"n": 5, "t": 1.0, "engine": "trotter-simfm"},
+                     {"n": 6, "t": 1.2, "n_steps": 4, "engine": ENGINE_EXACT}),
+}
+
+
+def test_field_walk_covers_every_config_field():
+    for protocol, (_, values) in FIELD_WALK.items():
+        assert set(values) == {field.name for field in dataclasses.fields(protocol)}
+
+
+@pytest.mark.parametrize("protocol,name", [
+    (protocol, name) for protocol, (_, values) in FIELD_WALK.items() for name in values
+])
+def test_every_config_field_changes_every_run_or_is_refused(protocol, name):
+    # a field that some runner ignores would be a value a caller sets for nothing
+    base, values = FIELD_WALK[protocol]
+    model = NoiseModel(v=0.05)
+    runners = [
+        lambda config: fidelity_curve(config, np.linspace(0.0, config.t, 3), model, seed=1),
+        lambda config: slope_vs_n([config], [0.01, 0.03, 0.1], 2, 1)[0][0].tolist(),
+    ]
+    changed = protocol(**{**base, name: values[name]})
+    for run in runners:
+        try:
+            output = run(changed)
+        except ValueError:
+            continue
+        assert output != run(protocol(**base))

@@ -416,9 +416,9 @@ def test_conservation_check_reads_sz_from_the_dense_replay(monkeypatch):
     replay = checks.dense_state
     flip_site_1 = np.kron([[0, 1], [1, 0]], np.eye(2))
 
-    def leaky_replay(config):
+    def leaky_replay(config, noise=None, seed=0):
         # the transfer ends with site 1 up; flipping it moves S^z by about 1
-        state = replay(config)
+        state = replay(config, noise, seed)
         if isinstance(config, TransferConfig):
             state = apply_two_site(state, 1, 2, flip_site_1)
         return state
@@ -431,16 +431,15 @@ def test_conservation_check_reads_sz_from_the_dense_replay(monkeypatch):
 
 def test_curves_match_dense_point_by_point():
     grid = [0.0, 0.7, 1.9]
-    echo = EchoConfig(n=6, t=max(grid), n_steps=2, noise=NoiseModel(v=0.05), seed=3)
-    for k, (t, f) in enumerate(fidelity_curve(echo, grid)):
-        point = EchoConfig(n=6, t=t, n_steps=2, noise=echo.noise, seed=child_seed(3, k))
-        assert abs(f - dense_fidelity(point)) <= TOL
-    transfer = TransferConfig(n=5, t=max(grid), n_steps=8, engine="trotter-simfm",
-                              noise=NoiseModel(v=0.05), seed=3)
-    for k, (t, f) in enumerate(fidelity_curve(transfer, grid)):
-        point = TransferConfig(n=5, t=t, n_steps=8, engine="trotter-simfm",
-                               noise=transfer.noise, seed=child_seed(3, k))
-        assert abs(f - dense_fidelity(point)) <= TOL
+    noise = NoiseModel(v=0.05)
+    echo = EchoConfig(n=6, t=max(grid), n_steps=2)
+    for k, (t, f) in enumerate(fidelity_curve(echo, grid, noise, seed=3)):
+        point = EchoConfig(n=6, t=t, n_steps=2)
+        assert abs(f - dense_fidelity(point, noise, child_seed(3, k))) <= TOL
+    transfer = TransferConfig(n=5, t=max(grid), n_steps=8, engine="trotter-simfm")
+    for k, (t, f) in enumerate(fidelity_curve(transfer, grid, noise, seed=3)):
+        point = TransferConfig(n=5, t=t, n_steps=8, engine="trotter-simfm")
+        assert abs(f - dense_fidelity(point, noise, child_seed(3, k))) <= TOL
 
 
 def per_chain_fidelities(config, times, noise=None):

@@ -64,21 +64,22 @@ class TestTrotterEngines:
 
     def test_noise_requires_trotter_engine(self):
         with pytest.raises(ValueError):
-            TransferConfig(n=4, noise=NoiseModel(v=0.1))
+            fidelity(TransferConfig(n=4), NoiseModel(v=0.1))
+        # and so does the run's dense replay
+        with pytest.raises(ValueError, match="noise-free"):
+            dense_state(TransferConfig(n=4), NoiseModel(v=0.1))
 
     def test_noisy_transfer_is_deterministic(self):
-        config = TransferConfig(
-            n=5, engine=ENGINE_TROTTER_SIMFM, n_steps=16, noise=NoiseModel(v=0.05), seed=8
-        )
-        assert fidelity(config) == fidelity(config)
+        config = TransferConfig(n=5, engine=ENGINE_TROTTER_SIMFM, n_steps=16)
+        noise = NoiseModel(v=0.05)
+        assert fidelity(config, noise, seed=8) == fidelity(config, noise, seed=8)
 
     def test_conservation_metadata(self):
-        config = TransferConfig(
-            n=6, engine=ENGINE_TROTTER_SIMFM, noise=NoiseModel(v=0.05), seed=4
-        )
+        config = TransferConfig(n=6, engine=ENGINE_TROTTER_SIMFM)
         # S^z of the same run replayed on dense 2^n states, where it can drift
         sz_initial = total_sz(prepare_singlet_head(config.n))
-        assert abs(total_sz(dense_state(config)) - sz_initial) < 1e-10
+        state = dense_state(config, NoiseModel(v=0.05), seed=4)
+        assert abs(total_sz(state) - sz_initial) < 1e-10
 
 
 class TestCurve:
@@ -124,11 +125,15 @@ def test_config_validation():
         with pytest.raises(TimeBudgetError):
             TransferConfig(n=4, t=bad)
     # a fault that is not the time's is raised first, even beside a bad time
-    for fault in ({"engine": "sideways"}, {"n_steps": 0}, {"noise": NoiseModel(v=0.1)}):
+    for fault in ({"engine": "sideways"}, {"n_steps": 0}):
         for t in (1.0, math.nan):
             with pytest.raises(ValueError) as raised:
                 TransferConfig(n=4, t=t, **fault)
             assert not isinstance(raised.value, TimeBudgetError)
+    # noise is the run's, not the config's: the exact engine refuses it when run
+    with pytest.raises(ValueError) as raised:
+        fidelity(TransferConfig(n=4, t=1.0), NoiseModel(v=0.1))
+    assert not isinstance(raised.value, TimeBudgetError)
     # the exact engine's phases t*w must stay finite
     with pytest.raises(TimeBudgetError, match="overflows"):
         TransferConfig(n=5, t=1e308)
