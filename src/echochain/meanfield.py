@@ -39,8 +39,7 @@ import math
 from typing import Sequence
 
 from .chain import uniform_echo_chain
-from .gates import afm_duration_for_fm
-from .trotter import SECOND_ORDER, bond_groups
+from .trotter import SECOND_ORDER, afm_duration_for_fm, bond_groups
 
 SCHEDULE_CONTINUOUS = "continuous"
 SCHEDULE_MIRRORED = "mirrored-pulse"

@@ -11,18 +11,21 @@ A protocol config (`echochain.echo.EchoConfig` or
 `echochain.transfer.TransferConfig`, imported for type hints only)
 names its legs (a Trotter plan's split, chain and mode, or continuous
 evolution) and the pair it scores, not the noise and seed of a run, and
-`_pair_fidelities` runs any configs with the same legs as blocks of one
-batch of the one-magnon engine (`echochain.sector`).  So `fidelity`,
-`fidelity_curve` and `slope_vs_n` serve both protocols on one path: a
-single run is a one-row batch of one block drawn from its seed itself,
-a curve one block with a row per time, and `_pair_fidelities` checks
-every score against [0, 1] and refuses noise on the exact engine.  A
-sweep's trial k of chain n at v_grid[i] is seeded with
-SeedSequence([master_seed, n, i, k]), so every trial has an independent
-stream and results do not depend on how the trials are batched.  A
-sweep runs its chains together up to an amplitude cap (`_batches`, in
-run order), every trial of each in the batch, and returns each chain's
-(v, trials) infidelities with the log-log fit of their row means.
+`_pair_fidelities` runs one config, or the configs of one sweep, as
+blocks of one batch of the one-magnon engine (`echochain.sector`).  So
+`fidelity`, `fidelity_curve` and `slope_vs_n` serve both protocols on
+one path: a single run is a one-row batch of one block drawn from its
+seed itself, a curve one block with a row per time, and
+`_pair_fidelities` checks every score against [0, 1] and refuses noise
+on the exact engine.  A sweep's configs run one set of legs, one
+protocol, engine and backward mode at several chain lengths, and
+`slope_vs_n` refuses any others.  Its trial k of chain n at v_grid[i]
+is seeded with SeedSequence([master_seed, n, i, k]), so every trial has
+an independent stream and results do not depend on how the trials are
+batched.  A sweep runs its chains together
+up to an amplitude cap (`_batches`, in run order), every trial of each
+in the batch, and returns each chain's (v, trials) infidelities with
+the log-log fit of their row means.
 
 A batch's streams are seeded together: `GateNoise` runs numpy's
 SeedSequence hash (integer arithmetic with fixed constants, the same
@@ -268,7 +271,8 @@ def _pair_fidelities(
     Each row is padded with zero amplitudes to the longest chain.  Plan
     legs run as one `sector.evolve` pass over the batch; continuous legs
     run `sector.exact_evolve` on each block's own sites and take no
-    noise.  Every config must run the same legs.
+    noise.  Its callers pass one config, or the configs of one sweep,
+    which run one set of legs.
     """
     starts = np.cumsum([0, *rows]).tolist()
     legs = [config.legs() for config in configs]
@@ -277,8 +281,6 @@ def _pair_fidelities(
     c = sector.singlet_head(starts[-1], max(config.n for config in configs))
     for leg in zip(*legs):
         split, _, mode = leg[0]
-        if any((other_split, other_mode) != (split, mode) for other_split, _, other_mode in leg):
-            raise ValueError("the configs of one batch must run the same legs")
         if mode is not None:
             chains = [(spec, t, config.steps, count)
                       for (_, spec, _), t, config, count in zip(leg, times, configs, rows)]
@@ -402,22 +404,18 @@ BATCH_AMPLITUDES = 1 << 13
 
 
 def _batches(configs: Sequence[EchoConfig | TransferConfig], rows: int) -> list[list[int]]:
-    """Indexes of the configs that run as one batch, `rows` rows each:
-    configs with the same legs, each batch in run order, by descending
-    step count and longest chain first among equal step counts."""
-    by_legs: dict[tuple, list[int]] = {}
-    for index in sorted(range(len(configs)), key=lambda i: -configs[i].n):
-        legs = tuple((split, mode) for split, _, mode in configs[index].legs())
-        by_legs.setdefault(legs, []).append(index)
+    """Indexes of the configs that run as one batch, `rows` rows each,
+    longest chains first, each batch in run order: by descending step
+    count and longest chain first among equal step counts."""
     batches: list[list[int]] = []
-    for indexes in by_legs.values():
-        batch: list[int] = []
-        for index in indexes:
-            longest = configs[batch[0]].n if batch else configs[index].n
-            if batch and (len(batch) + 1) * rows * longest > BATCH_AMPLITUDES:
-                batches.append(batch)
-                batch = []
-            batch.append(index)
+    batch: list[int] = []
+    for index in sorted(range(len(configs)), key=lambda i: -configs[i].n):
+        longest = configs[batch[0]].n if batch else configs[index].n
+        if batch and (len(batch) + 1) * rows * longest > BATCH_AMPLITUDES:
+            batches.append(batch)
+            batch = []
+        batch.append(index)
+    if batch:
         batches.append(batch)
     # sorted stably, so chains of equal step count stay longest first
     return [sorted(batch, key=lambda i: -configs[i].steps) for batch in batches]
@@ -439,10 +437,12 @@ def slope_vs_n(
     from (master_seed, n, v-index, trial).  Chains run together up to an
     amplitude cap (`_batches`), every trial of each in the batch.  Points
     with zero mean infidelity are dropped before fitting, and a chain
-    left with fewer than 3 points raises ValueError naming its n.  No
-    trials, or fewer than the 3 error strengths a fit needs, raise
-    ValueError before any trial runs.
+    left with fewer than 3 points raises ValueError naming its n.
+    Configs that run different legs, no trials, or fewer than the 3
+    error strengths a fit needs raise ValueError before any trial runs.
     """
+    if len({tuple((split, mode) for split, _, mode in c.legs()) for c in configs}) > 1:
+        raise ValueError("the configs of one sweep must run the same legs")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     v_grid = [float(v) for v in v_grid]

@@ -1,8 +1,8 @@
 """The dense 2^n oracle that the tests and oracle-check (`echochain.checks`)
 compare the one-magnon engine (`echochain.sector`) against; no command
-runs it.  It holds state vectors, gate kernels, the chain Hamiltonian,
-exact evolution (up to ORACLE_MAX_SITES sites) and gate-by-gate noisy
-plan execution.
+runs it.  It holds state vectors, the two-spin SINGLET that scores a
+pair, gate kernels, the chain Hamiltonian, exact evolution (up to
+ORACLE_MAX_SITES sites) and gate-by-gate noisy plan execution.
 
 Sites are numbered 1..n, site 1 is the most significant bit of the
 amplitude index, and bit value 0 means spin-up.  Gates act in place on
@@ -22,6 +22,9 @@ from .trotter import TrotterPlan
 NORM_TOL = 1e-10
 UNITARITY_TOL = 1e-12
 ORACLE_MAX_SITES = 14
+
+# The two-spin singlet in the |b_i b_j> = {00, 01, 10, 11} basis.
+SINGLET = np.array([0.0, 1.0, -1.0, 0.0], dtype=complex) / math.sqrt(2.0)
 
 _SWAP = np.array(
     [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex

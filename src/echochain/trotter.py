@@ -44,6 +44,17 @@ longest time when it is built and build only the plans it runs;
 `batch_plan` reads the layout it returns.
 A check that blames the time raises `TimeBudgetError`, and only after
 every check that does not, so that one pass tells a bad time apart.
+
+The simulated ferromagnet rests on one rule (hbar = 1): S1.S2 is -3/4
+on the singlet and +1/4 on each triplet, so two-spin exchange at
+strength J is a global phase after its wrap period (`wrap_period`,
+2*pi / (J |delta eps|)), and an antiferromagnetic pulse run to the
+complement of that period reproduces ferromagnetic evolution up to a
+global phase.
+`_afm_duration` states the rule once, for floats and arrays alike:
+`batch_plan`'s simulated-ferromagnet angles read it, and so does the
+checked scalar `afm_duration_for_fm`, which the mean-field pulse train
+and `echochain.checks` call.
 """
 from __future__ import annotations
 
@@ -54,7 +65,10 @@ from typing import Sequence
 import numpy as np
 
 from .chain import SIGN_AFM, ChainSpec
-from .gates import DELTA_EPS, fits_wrap_period, wrap_period
+
+EPS_SINGLET = -0.75
+EPS_TRIPLET = 0.25
+DELTA_EPS = EPS_SINGLET - EPS_TRIPLET  # -1
 
 MODE_DIRECT = "direct"
 MODE_SIMULATED_FM = "simulated-fm"
@@ -68,6 +82,53 @@ class TimeBudgetError(ValueError):
     """A run's time is at fault: not finite, negative, past the wrap
     budget of its steps or the time its config checked, or so long that
     an exact evolution's phase t*w overflows."""
+
+
+def _period(j_fm):
+    """2*pi / (j_fm |delta eps|), unchecked."""
+    return 2.0 * math.pi / (j_fm * abs(DELTA_EPS))
+
+
+def _afm_duration(t, j_afm, j_fm):
+    """(j_fm / j_afm) (period - t), floored at 0, unchecked."""
+    return np.maximum((j_fm / j_afm) * (_period(j_fm) - t), 0.0)
+
+
+def wrap_period(j_fm: float) -> float:
+    """Duration after which two-spin evolution at strength j_fm is a
+    global phase: 2*pi / (j_fm |delta eps|)."""
+    if j_fm <= 0:
+        raise ValueError(f"coupling must be positive, got {j_fm}")
+    period = _period(float(j_fm))
+    if not math.isfinite(period):
+        raise ValueError(f"coupling {j_fm!r} is too weak: its wrap period overflows")
+    return period
+
+
+def fits_wrap_period(t: float, j_fm: float) -> bool:
+    """0 <= t <= one wrap period, forgiving the rounding of a duration
+    computed as a quotient (t / n_steps)."""
+    return 0 <= t <= wrap_period(j_fm) * (1.0 + 1e-12) + 1e-12
+
+
+def afm_duration_for_fm(t: float, j_afm: float, j_fm: float) -> float:
+    """Antiferromagnetic pulse duration t' that reproduces ferromagnetic
+    evolution of duration t (strength j_fm) up to a global phase:
+
+        t' = (j_fm / j_afm) (2 pi / (j_fm |delta eps|) - t)
+
+    Requires 0 <= t <= one wrap period; a longer evolution must be split
+    into more Trotter steps.
+    """
+    if j_afm <= 0 or j_fm <= 0:
+        raise ValueError("couplings must be positive")
+    if t < 0:
+        raise ValueError(f"duration must be nonnegative, got {t}")
+    if not fits_wrap_period(t, j_fm):
+        raise ValueError(
+            f"duration {t} exceeds the wrap period {wrap_period(j_fm)}; use more steps"
+        )
+    return float(_afm_duration(t, j_afm, j_fm))
 
 
 @dataclass(frozen=True)
@@ -206,11 +267,9 @@ def batch_plan(
                 sign = 1.0 if spec.sign == SIGN_AFM else -1.0
                 theta = sign * g * span
             else:
-                # g * gates.afm_duration_for_fm(span, g, g), same operations:
                 # the AFM pulse at the bond's own strength, so the executed
                 # angle g * t' = 2*pi - g*span is what the hardware applies.
-                period = 2.0 * math.pi / (g * abs(DELTA_EPS))
-                theta = g * np.maximum((g / g) * (period - span), 0.0)
+                theta = g * _afm_duration(span, g, g)
             angles[starts[b]:starts[b + 1], :width] = theta
             widths[b].append(width)
         left = _sites(first)

@@ -16,7 +16,6 @@ import pytest
 from echochain.chain import transfer_chain
 from echochain.checks import dense_state
 from echochain.echo import EchoConfig
-from echochain.gates import afm_duration_for_fm, wrap_period
 from echochain.meanfield import meanfield_echo_curve
 from echochain.noise import NoiseModel, default_v_grid, fidelity, make_rng, slope_vs_n
 from echochain.statevec import (
@@ -29,7 +28,7 @@ from echochain.statevec import (
     total_sz,
 )
 from echochain.transfer import TransferConfig
-from echochain.trotter import MODE_DIRECT, THREE_TERM, batch_plan
+from echochain.trotter import MODE_DIRECT, THREE_TERM, afm_duration_for_fm, batch_plan, wrap_period
 from test_meanfield import reference_echo
 
 # Frozen on the first verified run: echo robustness fit at n=10,

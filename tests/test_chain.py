@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echochain.chain import ChainSpec, transfer_chain, uniform_echo_chain
-from echochain.gates import SINGLET
 from echochain.statevec import (
+    SINGLET,
     ResourceLimitError,
     StateVector,
     dense_hamiltonian,

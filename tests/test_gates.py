@@ -5,18 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echochain.gates import (
-    DELTA_EPS,
-    EPS_SINGLET,
-    EPS_TRIPLET,
-    SINGLET,
-    afm_duration_for_fm,
-    wrap_period,
-)
 from echochain.statevec import (
+    SINGLET,
     exchange_unitary,
     exchange_unitary_reference,
     heisenberg_pair_coupling,
+)
+from echochain.trotter import (
+    DELTA_EPS,
+    EPS_SINGLET,
+    EPS_TRIPLET,
+    afm_duration_for_fm,
+    wrap_period,
 )
 
 TRIPLET_ZERO = np.array([0.0, 1.0, 1.0, 0.0], dtype=complex) / math.sqrt(2.0)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from echochain.chain import uniform_echo_chain
 from echochain.echo import EchoConfig
-from echochain.gates import SINGLET, afm_duration_for_fm
 from echochain.meanfield import SCHEDULE_CONTINUOUS, SCHEDULE_MIRRORED, meanfield_echo_curve
-from echochain.trotter import SECOND_ORDER, batch_plan, bond_groups
+from echochain.statevec import SINGLET
+from echochain.trotter import SECOND_ORDER, afm_duration_for_fm, batch_plan, bond_groups
 
 
 # The general spinor integrator: any product state of the head pair
@@ -352,7 +352,7 @@ def test_validation():
         meanfield_echo_curve(1.0, [7.0], schedule=SCHEDULE_MIRRORED)
 
 
-# the smallest coupling `gates.wrap_period` accepts (tests/test_gates.py)
+# the smallest coupling `trotter.wrap_period` accepts (tests/test_gates.py)
 WEAKEST_J = 3.49513784379046e-308
 
 

@@ -407,12 +407,12 @@ def test_norm_drift_is_caught():
 
 def test_protocols_match_dense_oracle():
     # noisy echoes in both backward modes, transfers on every engine
-    result = check_sector_vs_dense(max_n=8, seed=4)
+    result = check_sector_vs_dense()
     assert result.passed, result.detail
 
 
 def test_conservation_check_reads_sz_from_the_dense_replay(monkeypatch):
-    assert check_conservation(n=4).passed
+    assert check_conservation().passed
     replay = checks.dense_state
     flip_site_1 = np.kron([[0, 1], [1, 0]], np.eye(2))
 
@@ -424,7 +424,7 @@ def test_conservation_check_reads_sz_from_the_dense_replay(monkeypatch):
         return state
 
     monkeypatch.setattr(checks, "dense_state", leaky_replay)
-    result = check_conservation(n=4)
+    result = check_conservation()
     assert not result.passed
     assert float(result.detail.removeprefix("max_dev=")) > 0.5
 
@@ -542,12 +542,15 @@ def test_batches_join_chains_up_to_the_amplitude_cap():
     # the benchmark's sweeps each run as one batch
     assert batches(echo[:8], 80) == [list(range(12, 4, -1))]
     assert batches(transfer[2:10], 16) == [[11, 10, 9, 8, 7, 5, 6, 4]]
-    # configs that run other legs never share a batch
+    # a sweep whose configs run other legs is refused before any trial
     mixed = [EchoConfig(n=6, t=1.0, n_steps=2),
              EchoConfig(n=5, t=1.0, n_steps=2, backward_mode=BACKWARD_EXACT),
              TransferConfig(n=5, engine=ENGINE_TROTTER_SIMFM),
              TransferConfig(n=4, engine=ENGINE_TROTTER_DIRECT)]
-    assert sorted(_batches(mixed, 8)) == [[0], [1], [2], [3]]
+    for pair in itertools.combinations(mixed, 2):
+        with mock.patch.object(noise_module, "_batch_trials", side_effect=AssertionError), \
+                pytest.raises(ValueError, match="must run the same legs"):
+            slope_vs_n(pair, [0.01, 0.02, 0.04], 1, 0)
 
 
 @pytest.mark.parametrize("configs,stretches", [

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from echochain.gates import SINGLET
 from echochain.statevec import (
+    SINGLET,
     InvalidGateError,
     StateVector,
     apply_single_site_phase,
